@@ -4,7 +4,6 @@ Examples::
 
     python -m repro.bench --all                   # full set -> BENCH_simulator.json
     python -m repro.bench clos_slice --repeat 5   # one scenario, more samples
-    python -m repro.bench --all --profile         # + per-subsystem attribution
     python -m repro.bench --list                  # what exists
     python -m repro.bench --all --write-baseline benchmarks/BASELINE.json
 """
@@ -56,11 +55,6 @@ def main(argv=None):
         "--no-warmup",
         action="store_true",
         help="skip the untimed warmup pass before each scenario's timing loop",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="add a cProfile pass attributing time per subsystem",
     )
     parser.add_argument(
         "--telemetry",
@@ -124,7 +118,6 @@ def main(argv=None):
         names,
         seed=args.seed,
         repeat=repeat,
-        profile=args.profile,
         progress=lambda line: print(line, file=sys.stderr),
         warmup=not args.no_warmup,
     )

@@ -1,84 +1,27 @@
-"""Measurement harness: wall clock, cProfile attribution, report emission.
+"""Measurement harness: wall clock and report emission.
 
 ``run_benchmarks`` times each scenario ``repeat`` times (best-of wall
 time — the minimum is the least noisy estimator of intrinsic cost),
-derives events/sec and packets/sec, optionally runs one extra profiled
-pass whose time is attributed per subsystem, compares against the
-checked-in baseline (``benchmarks/BASELINE.json``), and emits the
-schema-validated ``BENCH_simulator.json``.
+derives events/sec and packets/sec, compares against the checked-in
+baseline (``benchmarks/BASELINE.json``), and emits the schema-validated
+``BENCH_simulator.json``.  Where the time goes per layer is
+``perfbench/run.py --trace 1``'s job, not this harness's.
 
 The report stamps :func:`repro.campaign.cache.code_version` — the digest
 of every file under ``src/repro`` — so a result is always attributable
 to the exact code that produced it.
 """
 
-import cProfile
 import json
 import os
 import platform
-import pstats
 import sys
 import time
 
 from repro.bench.scenarios import SCENARIOS
 from repro.bench.schema import SCHEMA_ID, validate_report
 
-#: Source-path fragment -> subsystem bucket for profile attribution.
-#: Ordered: first match wins (os.sep-normalized at match time).
-_SUBSYSTEM_BUCKETS = (
-    ("repro/sim/", "engine"),
-    ("repro/packets/", "packets"),
-    ("repro/net/", "net"),
-    ("repro/switch/", "switch"),
-    ("repro/nic/", "nic"),
-    ("repro/rdma/", "rdma"),
-    ("repro/tcp/", "tcp"),
-    ("repro/dcqcn/", "cc"),
-    ("repro/timely/", "cc"),
-    ("repro/flowsim/", "flowsim"),
-    ("repro/flows/", "flowsim"),
-    ("repro/telemetry/", "telemetry"),
-    ("repro/", "other-repro"),
-)
-
-
-def _bucket_for(filename):
-    normalized = filename.replace(os.sep, "/")
-    for fragment, bucket in _SUBSYSTEM_BUCKETS:
-        if fragment in normalized:
-            return bucket
-    if "heapq" in normalized or filename.startswith("~"):
-        return "engine"
-    return "stdlib"
-
-
-def profile_scenario(name, seed=1):
-    """Run one scenario under cProfile; return ``{bucket: seconds}``.
-
-    Attribution uses *total* time (time inside the function itself,
-    excluding callees), so buckets sum to roughly the run's wall time
-    and answer "where are the cycles actually spent", not "who is on
-    the call stack".
-    """
-    scenario = SCENARIOS[name]
-    profiler = cProfile.Profile()
-    profiler.enable()
-    scenario.run(seed)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    buckets = {}
-    for (filename, _lineno, _fn), row in stats.stats.items():
-        tottime = row[2]
-        bucket = _bucket_for(filename)
-        buckets[bucket] = buckets.get(bucket, 0.0) + tottime
-    total = sum(buckets.values()) or 1.0
-    return {
-        bucket: {"seconds": round(seconds, 4), "fraction": round(seconds / total, 4)}
-        for bucket, seconds in sorted(buckets.items(), key=lambda kv: -kv[1])
-    }
-
-
-def run_benchmarks(names=None, seed=1, repeat=3, profile=False, progress=None, warmup=True):
+def run_benchmarks(names=None, seed=1, repeat=3, progress=None, warmup=True):
     """Time the named scenarios (all of them by default).
 
     Each scenario gets one *untimed* warmup execution first (unless
@@ -88,8 +31,7 @@ def run_benchmarks(names=None, seed=1, repeat=3, profile=False, progress=None, w
     "regressions" on fingerprint-identical code.
 
     Returns the ``scenarios`` mapping of the report: per scenario, the
-    counters, best-of-``repeat`` wall time, derived rates, fingerprint,
-    and (with ``profile=True``) the per-subsystem attribution.
+    counters, best-of-``repeat`` wall time, derived rates and fingerprint.
     """
     names = list(names) if names else list(SCENARIOS)
     results = {}
@@ -118,7 +60,7 @@ def run_benchmarks(names=None, seed=1, repeat=3, profile=False, progress=None, w
             "wall_s_all": [round(w, 4) for w in walls],
             "events_per_sec": round(run.events / best, 1),
             "packets_per_sec": round(run.packets / best, 1) if run.packets else 0.0,
-            # Machine-independent cost: callbacks actually dispatched per
+            # Machine-independent cost: callbacks dispatched per
             # delivered packet (0.0 for packet-free scenarios).
             "events_per_packet": (
                 round(run.dispatches / run.packets, 4) if run.packets else 0.0
@@ -127,8 +69,6 @@ def run_benchmarks(names=None, seed=1, repeat=3, profile=False, progress=None, w
         }
         for key, value in run.detail.items():
             entry[key] = round(value, 3) if isinstance(value, float) else value
-        if profile:
-            entry["profile"] = profile_scenario(name, seed)
         if progress:
             progress(
                 "%-14s %8.3fs  %11s events/s  fp=%s"
@@ -266,8 +206,8 @@ def compare_to_baseline(scenarios, baseline):
         base_epp = base.get("events_per_packet")
         if base_epp:
             row["baseline_events_per_packet"] = base_epp
-            # < 1.0 means the engine now dispatches fewer callbacks per
-            # delivered packet than the baseline did (machine-independent).
+            # Machine-independent, and exactly 1.0 while the model fires
+            # the baseline's events: CI fails on anything else.
             row["events_per_packet_ratio"] = round(
                 entry["events_per_packet"] / base_epp, 4
             )

@@ -50,10 +50,10 @@ from repro.sim.units import KB, MB, MS, US
 class ScenarioRun:
     """The outcome of one scenario execution (simulated side only).
 
-    ``events`` is the logical event count (invariant under train
-    coalescing, so it participates in fingerprints); ``dispatches`` is
-    the number of callbacks the engine actually invoked -- the
-    machine-independent cost that ``events_per_packet`` is derived from.
+    ``events`` is the engine's event count and participates in
+    fingerprints; ``dispatches`` is the same number (one callback per
+    event), kept as the ``repro-bench/1`` report field that
+    ``events_per_packet`` is derived from.
     """
 
     __slots__ = ("events", "dispatches", "packets", "sim_ns", "fingerprint", "detail")

@@ -100,15 +100,6 @@ def validate_report(report):
             "scenario %r fingerprint must be a 16-hex-char digest",
             name,
         )
-        if "profile" in entry:
-            _check(isinstance(entry["profile"], dict), "scenario %r profile must be an object", name)
-            for bucket, cost in entry["profile"].items():
-                _check(
-                    isinstance(cost, dict) and "seconds" in cost and "fraction" in cost,
-                    "scenario %r profile bucket %r needs seconds+fraction",
-                    name,
-                    bucket,
-                )
     for name, row in report["comparison"].items():
         _check(
             name in report["scenarios"],

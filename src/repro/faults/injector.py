@@ -286,9 +286,6 @@ class FaultInjector:
         switch.pfc_config = switch.pfc_config.copy(
             dscp_to_priority=dict(dscp_to_priority)
         )
-        # Classification (and with it lossless-ness of releases) changed
-        # under any committed trains; settle and fall back to per-frame.
-        switch._uncoalesce_trains()
         self._note("drift_dscp_map", switch.name)
         return switch
 
@@ -302,8 +299,5 @@ class FaultInjector:
         switch.buffer_config = drifted
         if switch.buffer is not None:
             switch.buffer.config = drifted
-        # The threshold just moved under any committed departure trains;
-        # their silent-settlement precondition no longer holds.
-        switch._uncoalesce_trains()
         self._note("drift_buffer_alpha", switch.name)
         return switch

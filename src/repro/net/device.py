@@ -6,15 +6,6 @@ from repro.net.port import Port
 class Device:
     """Anything that owns ports and handles delivered frames."""
 
-    #: Whether a peer port may commit a coalesced departure train whose
-    #: deliveries land on this device.  True for leaf devices (NICs):
-    #: each arrival touches only that NIC's private state.  Switches
-    #: override to False -- their shared-buffer admits interleave with
-    #: arrivals from *other* ports at the same nanosecond, and ports
-    #: transmitting in lockstep (identical departure histories) make that
-    #: interleaving depend on unreconstructible seq history.
-    coalesced_delivery_ok = True
-
     def __init__(self, sim, name):
         self.sim = sim
         self.name = name
@@ -30,31 +21,6 @@ class Device:
     def handle_packet(self, port, packet):
         """Called by a port when the link delivers a frame to it."""
         raise NotImplementedError
-
-    # -- event coalescing hooks ---------------------------------------------
-    # Ports consult their owning device before/while coalescing departure
-    # trains.  The base device never coalesces (train_gate refuses), so
-    # these are no-ops everywhere except Switch.
-
-    def settle_trains(self):
-        """Book any lazily-settled train frames up to now."""
-
-    def train_precheck(self):
-        """O(1) pre-gate consulted before a train commit scans its queue;
-        False refuses immediately.  The base device has no train_gate, so
-        it always refuses here (cheaply)."""
-        return False
-
-    def train_gate(self, port, priority, entries):
-        """Return per-train device state if ``port`` may commit a
-        departure train over ``entries``, else None (refuse)."""
-        return None
-
-    def register_train_port(self, port):
-        """A train was committed on ``port``."""
-
-    def train_port_done(self, port):
-        """The train on ``port`` completed or was uncoalesced."""
 
     def _on_port_dequeue(self, packet, meta, dropped_at_head):
         """Called by a port whenever an entry leaves its queues.  Devices

@@ -132,10 +132,6 @@ class PauseSignaler:
         if action > 0:
             state.paused = True
             self._buffer.paused_pgs += 1
-            if self.switch._train_ports:
-                # Committed departure trains assume no PG is paused;
-                # fall back to per-frame scheduling before emitting.
-                self.switch._uncoalesce_trains()
             self._send_pause()
         elif action < 0:
             state.paused = False

@@ -87,10 +87,6 @@ class SwitchCounters:
 class Switch(Device):
     """A shared-buffer, PFC-capable, L3 ECMP switch."""
 
-    # Same-nanosecond arrivals from different ports race for the shared
-    # buffer; peers must deliver per-frame (see Device docstring).
-    coalesced_delivery_ok = False
-
     def __init__(
         self,
         sim,
@@ -133,19 +129,6 @@ class Switch(Device):
         # one seed (bench scenarios re-seed switches before booting).
         self._ecmp_cache = {}
         self._ecmp_cache_seed = None
-        # Event coalescing: ports with a committed departure train in
-        # flight, plus reentrancy guards for settle/uncoalesce.
-        self._train_ports = set()
-        self._settling = False
-        self._uncoalesce_requested = False
-        self._train_hooks_registered = False
-
-    def add_port(self, **kwargs):
-        port = super().add_port(**kwargs)
-        # Switch dequeue callbacks are pure buffer accounting, so switch
-        # egress ports may coalesce departure trains (NIC ports may not).
-        port.coalesce_ok = True
-        return port
 
     def _classifier(self):
         """The compiled ``packet -> priority`` function for the current
@@ -242,10 +225,6 @@ class Switch(Device):
         described in the module docstring."""
         if self.buffer is None:
             self.finalize()
-        if self._train_ports:
-            # Every arrival can read or perturb shared-buffer / pause
-            # state, so lazily-settled train frames are booked first.
-            self.settle_trains()
         if packet.is_pause:
             if port.index in self._lossless_disabled_ports:
                 # Watchdog tripped: the malfunctioning NIC's pauses are
@@ -404,23 +383,7 @@ class Switch(Device):
             return False
         if lossless:
             self._signaler(port, priority).evaluate()
-        if self._train_ports:
-            # The charge shrank the dynamic threshold; a train's lossless
-            # PG may have passively crossed it, in which case its next
-            # release would emit a pause -- too late under lazy
-            # settlement, so fall back to per-frame mode now.
-            self._check_trains_after_charge()
         return True
-
-    def _check_trains_after_charge(self):
-        buffer = self.buffer
-        threshold = buffer.threshold()
-        guaranteed = buffer.config.guaranteed_per_pg_bytes
-        for port in self._train_ports:
-            for state in port._train.pgs:
-                if not state.paused and state.occupancy - guaranteed > threshold:
-                    self._uncoalesce_trains()
-                    return
 
     def _enqueue_egress(self, egress, packet, priority, meta):
         cap = self.buffer_config.lossy_egress_cap_bytes
@@ -458,102 +421,6 @@ class Switch(Device):
                 ingress = self.ports[claim.port_idx]
                 self._signaler(ingress, claim.priority).evaluate()
 
-    # -- event coalescing ------------------------------------------------------
-
-    def train_precheck(self):
-        """O(1) pre-gate: the expensive part of :meth:`train_gate` is the
-        per-entry claim scan, so refuse before it whenever the silent-
-        settlement conditions already fail globally."""
-        buffer = self.buffer
-        return (
-            buffer is not None
-            and not buffer.paused_pgs
-            and not buffer.headroom_in_use
-        )
-
-    def train_gate(self, port, priority, entries):
-        """Decide whether ``port`` may commit a departure train.
-
-        A train is only safe while the whole settlement window is
-        provably *silent*: every buffer release it will book must come
-        back with "no pause state change" (otherwise the pause/resume
-        frame would be emitted at settle time instead of at the frame's
-        real departure time, perturbing timing).  That holds when:
-
-        * no PG is currently paused (a paused PG's release could emit
-          resume) and no headroom is in use (a headroom release changes
-          the XON condition);
-        * none of the train's own lossless PGs sits above the live
-          shared-pool threshold (its release would emit pause).
-
-        Admissions *during* the train window re-check the last condition
-        (see :meth:`_admit`); every other perturbation (pause frames,
-        control frames, faults, watchdog) uncoalesces explicitly.
-        Returns the train's lossless PG states, or None to refuse.
-        """
-        buffer = self.buffer
-        if buffer is None:
-            return None
-        if buffer.paused_pgs or buffer.headroom_in_use:
-            return None
-        pgs = []
-        seen = set()
-        for entry in entries:
-            meta = entry.meta
-            if meta is None:
-                continue
-            claim = meta.claim
-            if not self._lossless(claim.priority):
-                continue
-            key = (claim.port_idx, claim.priority)
-            if key in seen:
-                continue
-            seen.add(key)
-            pgs.append(buffer.pg(claim.port_idx, claim.priority))
-        guaranteed = buffer.config.guaranteed_per_pg_bytes
-        threshold = buffer.threshold()
-        for state in pgs:
-            if state.occupancy - guaranteed > threshold:
-                return None
-        if not self._train_hooks_registered:
-            self._train_hooks_registered = True
-            self.sim.add_settle_hook(self.settle_trains)
-            self.sim.add_uncoalesce_hook(self._uncoalesce_trains)
-        return pgs
-
-    def register_train_port(self, port):
-        self._train_ports.add(port)
-
-    def train_port_done(self, port):
-        self._train_ports.discard(port)
-
-    def settle_trains(self):
-        """Book every train frame that has departed by now (exactly as
-        the per-frame path would have at its departure time)."""
-        ports = self._train_ports
-        if not ports:
-            return
-        self._settling = True
-        now = self.sim.now
-        try:
-            for port in list(ports):
-                port._train_settle(now)
-        finally:
-            self._settling = False
-        if self._uncoalesce_requested:
-            self._uncoalesce_requested = False
-            self._uncoalesce_trains()
-
-    def _uncoalesce_trains(self):
-        """Settle, then abort every committed train (fall back to
-        per-frame scheduling).  Deferred if currently mid-settlement."""
-        if self._settling:
-            self._uncoalesce_requested = True
-            return
-        self.settle_trains()
-        for port in list(self._train_ports):
-            port._uncoalesce()
-
     # -- watchdog callbacks ----------------------------------------------------
 
     def on_watchdog_trip(self, port):
@@ -562,7 +429,6 @@ class Switch(Device):
             _TELEMETRY.session.on_switch_watchdog(self, port)
         if _TRACE.enabled:
             _TRACE.session.on_switch_watchdog(self, port)
-        self._uncoalesce_trains()
         self._lossless_disabled_ports.add(port.index)
         # Stop honouring the pause state the NIC already imposed.
         port.force_resume_all()

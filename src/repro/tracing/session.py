@@ -29,12 +29,10 @@ priority), reconstructed into closed intervals at stop; attribution
 uses them to split queueing delay into pause-stall vs. plain queueing.
 
 Determinism: a session schedules no events, draws no RNG, and touches
-no device state except ``sim.coalesce_enabled`` (departure trains
-bypass ``Link.transmit``, so tracing disables event coalescing for the
-session's lifetime -- coalescing is fingerprint-neutral by design, so
-even an *armed* run keeps every bench fingerprint byte-identical;
-tests/test_tracing.py asserts this).  Sampling is a pure hash of
-``(seed, qpn, wr_id)``, reproducible across runs and processes.
+no simulator or device state, so even an *armed* run keeps every bench
+fingerprint byte-identical (tests/test_tracing.py asserts this).
+Sampling is a pure hash of ``(seed, qpn, wr_id)``, reproducible across
+runs and processes.
 """
 
 import zlib
@@ -96,7 +94,6 @@ class TraceSession:
         self.config = config or TraceConfig()
         self.t_start_ns = None
         self.t_stop_ns = None
-        self._saved_coalesce = None
         # -- op side tables ----------------------------------------------------
         self._ops = {}              # wr_id -> OpTrace, in post order
         self._ranges = {}           # id(qp) -> [(start_psn, end_psn, OpTrace)]
@@ -126,10 +123,6 @@ class TraceSession:
         if HUB.session is not None:
             raise RuntimeError("a trace session is already active")
         self.t_start_ns = self.sim.now
-        # Departure trains bypass Link.transmit; disable coalescing so
-        # every frame crosses the wire hook (fingerprint-neutral).
-        self._saved_coalesce = self.sim.coalesce_enabled
-        self.sim.coalesce_enabled = False
         HUB.session = self
         HUB.enabled = True
         return self
@@ -140,7 +133,6 @@ class TraceSession:
         if HUB.session is not self:
             return self
         self.t_stop_ns = self.sim.now
-        self.sim.coalesce_enabled = self._saved_coalesce
         HUB.session = None
         HUB.enabled = False
         HUB.completed.append(self)

@@ -4,8 +4,8 @@ One home for the generators that several suites were growing ad hoc:
 
 * :func:`sim_programs` / :func:`apply_sim_program` -- random scheduler
   programs (schedule / at / chain / cancel / run / step) used by the
-  timing-wheel equivalence suite and anything else that differentials
-  the event engine.
+  engine ordering suite and anything else that differentials the event
+  engine.
 * :func:`buffer_ops` -- admit/release op streams for shared-buffer
   conservation properties.
 * :func:`maxmin_problems` -- (links, paths) instances for the max-min
@@ -34,25 +34,24 @@ from repro.workloads import ClosedLoopSender, RdmaChannel
 
 # --- event-engine programs ---------------------------------------------------
 
-# One wheel window in nanoseconds; delays beyond this take the overflow
-# heap and must migrate back into the wheel as the window advances.
-from repro.sim.engine import _WHEEL_BITS, _WHEEL_SLOTS
-
-WINDOW_NS = _WHEEL_SLOTS << _WHEEL_BITS
+# Scale of generated delays, in nanoseconds.  A literal, not derived
+# from the engine: 131 us sits between serialization-scale delays
+# (hundreds of ns) and RTO-scale timers (hundreds of us), so programs
+# drawing up to a few multiples of it keep mixing both in one heap.
+WINDOW_NS = 131_072
 
 
 def sim_program_ops():
-    """A single scheduler op: applied identically to the wheel engine
-    and the heapq reference by :func:`apply_sim_program`."""
+    """A single scheduler op: applied identically to the engine and the
+    heapq reference by :func:`apply_sim_program`."""
     return st.one_of(
-        # schedule(delay): delays up to 3 windows exercise slot
-        # wraparound, the overflow heap, and overflow->wheel migration.
+        # schedule(delay): short and long delays interleaved.
         st.tuples(st.just("sched"), st.integers(0, 3 * WINDOW_NS)),
         # at(now + offset)
         st.tuples(st.just("at"), st.integers(0, 2 * WINDOW_NS)),
         # schedule a callback that, when fired, schedules another
-        # recorded event `chain_delay` later -- chain_delay 0 lands in
-        # the tick being drained (the side-heap merge path).
+        # recorded event `chain_delay` later -- chain_delay 0 lands at
+        # the instant being dispatched.
         st.tuples(
             st.just("chain"),
             st.integers(0, WINDOW_NS),

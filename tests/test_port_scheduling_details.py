@@ -1,12 +1,17 @@
 """Finer-grained tests: DWRR with mixed frame sizes, pause-interval
-metric, control-queue precedence, port statistics."""
+metric, control-queue precedence, port statistics, and what a port in
+the middle of a back-to-back burst does when its schedule is perturbed."""
 
 import pytest
 
+from repro.faults import install_default_auditors
+from repro.faults.invariants import CONSERVATION_INVARIANTS
 from repro.net import Device, DwrrScheduler, Link
 from repro.packets import Ipv4Header, Packet, PfcPauseFrame, TcpHeader
-from repro.sim import Simulator
+from repro.sim import SeededRng, Simulator
 from repro.sim.units import KB, MS, US, gbps
+from repro.topo import single_switch
+from tests.strategies import drive_incast
 
 
 class Sink(Device):
@@ -132,3 +137,95 @@ class TestPortTelemetry:
         assert port.queued_bytes[3] == 2 * packet(1000).size_bytes
         assert port.head_packet_bytes(3) == packet(1000).size_bytes
         assert port.head_packet_bytes(4) == 0
+
+
+#: The lossless class RDMA traffic rides on (QpConfig default).
+RDMA_PRIORITY = 3
+
+
+@pytest.fixture
+def burst():
+    """A 2:1 incast stepped to the middle of a burst: returns ``(topo,
+    port)`` with the ToR port facing the victim NIC busy clocking out one
+    RDMA frame and at least four more queued behind it."""
+    topo = single_switch(n_hosts=3, seed=3).boot()
+    drive_incast(topo, 2, SeededRng(3, "burst"), message_bytes=128 * KB)
+    victim = topo.hosts[0].nic
+    port = next(
+        p for p in topo.tor.ports if p.peer is not None and p.peer.device is victim
+    )
+    while not (port._busy and port.queue_lengths[RDMA_PRIORITY] >= 4):
+        assert topo.sim.step(), "incast drained before a burst formed"
+    return topo, port
+
+
+def _step_until(sim, condition, budget=10_000):
+    for _ in range(budget):
+        if condition():
+            return
+        assert sim.step()
+    raise AssertionError("condition not reached in %d events" % budget)
+
+
+class TestMidBurst:
+    """Pause storms, watchdog trips and freezes land between two frames
+    of a draining queue; the frame on the wire always completes, and the
+    change takes effect at the next frame boundary."""
+
+    def test_pause_on_draining_priority_stops_at_the_frame_boundary(self, burst):
+        topo, port = burst
+        sim = topo.sim
+        tx_before = port.stats.tx_packets[RDMA_PRIORITY]
+        port.receive_pause(PfcPauseFrame({RDMA_PRIORITY: 0xFFFF}))  # ~840 us
+        assert port.is_paused(RDMA_PRIORITY)
+        sim.run(until=sim.now + 100 * US)
+        # The frame on the wire arrived; nothing departed after it.
+        assert port.stats.tx_packets[RDMA_PRIORITY] == tx_before
+        assert topo.hosts[0].nic.stats.rx_processed == tx_before
+        assert port.queue_lengths[RDMA_PRIORITY] >= 4
+        # Expiry restarts the port without a fresh kick.
+        sim.run(until=sim.now + 2 * MS)
+        assert port.stats.tx_packets[RDMA_PRIORITY] > tx_before + 1
+
+    def test_higher_priority_enqueue_is_the_next_frame_served(self, burst):
+        topo, port = burst
+        high = RDMA_PRIORITY + 2
+        tx_before = port.stats.tx_packets[RDMA_PRIORITY]
+        port.enqueue(packet(256), priority=high)
+        _step_until(topo.sim, lambda: port.stats.tx_packets[high] == 1)
+        assert port.stats.tx_packets[RDMA_PRIORITY] == tx_before
+
+    def test_control_frame_precedes_queued_data(self, burst):
+        topo, port = burst
+        tx_before = port.stats.total_tx_packets
+        resume_tx = port.stats.resume_tx
+        port.enqueue_control(
+            Packet.pfc_pause(
+                dst_mac=0, src_mac=0, pause=PfcPauseFrame({RDMA_PRIORITY: 0})
+            )
+        )
+        _step_until(topo.sim, lambda: port.stats.resume_tx == resume_tx + 1)
+        assert port.stats.total_tx_packets == tx_before
+
+    def test_freeze_halts_egress_and_keeps_the_queue(self, burst):
+        topo, port = burst
+        sim = topo.sim
+        tx_before = port.stats.total_tx_packets
+        port.frozen = True
+        sim.run(until=sim.now + 1 * MS)
+        assert port.stats.total_tx_packets == tx_before
+        assert port.total_queued_packets >= 4
+        assert port.total_queued_packets == sum(port.queue_lengths)
+        assert port.total_queued_bytes == sum(port.queued_bytes)
+
+    def test_watchdog_trip_drops_lossless_and_conserves_buffer(self, burst):
+        topo, port = burst
+        tor = topo.tor
+        registry = install_default_auditors(topo.fabric).start()
+        tor.on_watchdog_trip(port)
+        assert tor.lossless_disabled(port)
+        assert not port.any_paused
+        topo.sim.run(until=topo.sim.now + 2 * MS)
+        assert tor.counters.drops["watchdog-lossless"] > 0
+        registry.audit_now()
+        assert not registry.violations_in_class(CONSERVATION_INVARIANTS)
