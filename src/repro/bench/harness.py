@@ -15,7 +15,6 @@ to the exact code that produced it.
 import json
 import os
 import platform
-import sys
 import time
 
 from repro.bench.scenarios import SCENARIOS

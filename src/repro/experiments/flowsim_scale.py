@@ -34,6 +34,13 @@ from repro.workloads.distributions import NAMED_CDFS
 class FlowsimScaleResult(ExperimentResult):
     title = "F1: flow-level datacenter-scale Clos (sections 1, 5.4)"
 
+    def __init__(self, rows, run):
+        super().__init__(rows)
+        #: The :class:`FlowsimRun` behind the row.  Simulator
+        #: self-metrics (``n_superseded``) are read from here; the row,
+        #: and so every campaign artifact, carries simulated quantities only.
+        self.run = run
+
 
 class FlowsimFigure7Result(ExperimentResult):
     title = "F2: flowsim vs analytic Clos model, figure 7 (section 5.4)"
@@ -148,7 +155,7 @@ def run_flowsim_scale(
         "max_fct_ms": run.max_fct_ns / MS,
         "fingerprint": fingerprint_digest(run),
     }
-    return FlowsimScaleResult([row])
+    return FlowsimScaleResult([row], run)
 
 
 def run_flowsim_figure7(seed=1, rate_update_interval_us=0):

@@ -13,8 +13,9 @@ Two entry points:
   indexing state per call, scans every link per round.  Simple,
   auditable, O(links x rounds).
 * :class:`MaxMinSolver` -- the incremental engine behind
-  :mod:`repro.flowsim`: per-link membership indexes are maintained
-  across :meth:`~MaxMinSolver.add_flow`/:meth:`~MaxMinSolver.remove_flow`
+  :mod:`repro.flowsim`: per-link membership and per-link load are
+  maintained across :meth:`~MaxMinSolver.add_flow` /
+  :meth:`~MaxMinSolver.remove_flow` / :meth:`~MaxMinSolver.set_weight`
   calls (no per-solve rebuild), flows carry integer *weights* (k
   same-path flows collapse into one entry), and the water-filling uses a
   lazy share heap with early exit once every flow froze -- the solve
@@ -111,11 +112,17 @@ def max_min_allocation(link_capacities, flow_paths, weights=None):
 class MaxMinSolver:
     """Incremental max-min state: add/remove flows without rebuilding.
 
-    The per-link membership index (which flows cross which link, and the
-    link's total unfrozen weight) is maintained across mutations, so a
-    churny caller -- the flow-level simulator recomputing rates at every
-    arrival/completion -- pays O(path length) per mutation instead of
-    O(total flows) per solve for indexing.
+    Two indexes are maintained across mutations, each in O(path length)
+    per :meth:`add_flow` / :meth:`remove_flow` / :meth:`set_weight`:
+    the per-link membership (which flows cross which link) and the
+    per-link *load* (total weight crossing it, :meth:`link_load`;
+    entries only for links in use).  :meth:`solve` starts from a copy of
+    the load map and never re-walks the registered paths, so a churny
+    caller -- the flow-level simulator recomputing rates at every
+    arrival/completion -- pays for the links in use and the flows it
+    freezes, not for indexing.  Weights are positive integers (k
+    same-path flows collapse into one weight-k entry), which is what
+    keeps the running load equal to a recount.
 
     :meth:`solve` runs progressive filling with a lazy min-share heap:
     each active link is pushed with its current fair share; stale heap
@@ -127,7 +134,10 @@ class MaxMinSolver:
     order rather than scan order).
     """
 
-    __slots__ = ("_capacity", "_members", "_weights", "_paths", "_next_id")
+    __slots__ = (
+        "_capacity", "_members", "_weights", "_paths", "_load", "_pathless",
+        "_next_id",
+    )
 
     def __init__(self, link_capacities):
         self._capacity = {}
@@ -141,6 +151,8 @@ class MaxMinSolver:
             self._members[link] = set()
         self._weights = {}
         self._paths = {}
+        self._load = {}  # link -> total weight crossing it; no zero entries
+        self._pathless = {}  # ids of zero-length-path flows (rate 0.0)
         self._next_id = 0
 
     # -- mutations --------------------------------------------------------------
@@ -166,16 +178,30 @@ class MaxMinSolver:
         self._next_id += 1
         self._paths[flow_id] = path
         self._weights[flow_id] = weight
+        if not path:
+            self._pathless[flow_id] = None
+        members = self._members
+        load = self._load
         for link in path:
-            self._members[link].add(flow_id)
+            members[link].add(flow_id)
+            load[link] = load.get(link, 0) + weight
         return flow_id
 
     def remove_flow(self, flow_id):
         """Withdraw one flow; its links keep their other members."""
         path = self._paths.pop(flow_id)
-        self._weights.pop(flow_id)
+        weight = self._weights.pop(flow_id)
+        if not path:
+            del self._pathless[flow_id]
+        members = self._members
+        load = self._load
         for link in path:
-            self._members[link].discard(flow_id)
+            members[link].discard(flow_id)
+            left = load[link] - weight
+            if left:
+                load[link] = left
+            else:
+                del load[link]
 
     def set_weight(self, flow_id, weight):
         """Change a flow's weight in place (k arrivals on one path)."""
@@ -183,13 +209,21 @@ class MaxMinSolver:
             raise ValueError("non-positive weight %r" % (weight,))
         if flow_id not in self._paths:
             raise KeyError(flow_id)
+        delta = weight - self._weights[flow_id]
         self._weights[flow_id] = weight
+        load = self._load
+        for link in self._paths[flow_id]:
+            load[link] += delta
 
     def weight(self, flow_id):
         return self._weights[flow_id]
 
     def path(self, flow_id):
         return self._paths[flow_id]
+
+    def link_load(self, link):
+        """Total weight of the registered flows crossing ``link`` (0 if none)."""
+        return self._load.get(link, 0)
 
     def flow_ids(self):
         return list(self._paths)
@@ -206,59 +240,56 @@ class MaxMinSolver:
         """
         weights = self._weights
         paths = self._paths
-        rates = {}
-        # Per-link unfrozen weight, only for links someone crosses.
-        link_weight = {}
-        remaining = {}
-        for flow_id, path in paths.items():
-            if not path:
-                rates[flow_id] = 0.0
-                continue
-            for link in path:
-                if link in link_weight:
-                    link_weight[link] += weights[flow_id]
-                else:
-                    link_weight[link] = weights[flow_id]
-                    remaining[link] = self._capacity[link]
+        rates = dict.fromkeys(self._pathless, 0.0)
         unfrozen = len(paths) - len(rates)
         if not unfrozen:
             return rates
+        # Per-link unfrozen weight, only for links someone crosses.
+        link_weight = dict(self._load)
+        capacity = self._capacity
+        remaining = {link: capacity[link] for link in link_weight}
         # Lazy share heap: (share, version, link).  A popped entry is
         # live only if its version matches the link's current one.
-        version = {link: 0 for link in link_weight}
+        version = dict.fromkeys(link_weight, 0)
         heap = [
             (remaining[link] / total, 0, link)
             for link, total in link_weight.items()
         ]
         heapq.heapify(heap)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
         members = self._members
         frozen = set()
         while unfrozen and heap:
-            share, ver, link = heapq.heappop(heap)
+            share, ver, link = heappop(heap)
             if version[link] != ver or link_weight[link] <= 0:
                 continue
             # Freeze every still-unfrozen flow on this link at `share`.
+            touched = {}
             for flow_id in members[link]:
                 if flow_id in rates:
                     continue
                 rates[flow_id] = share
                 unfrozen -= 1
                 flow_weight = weights[flow_id]
+                taken = share * flow_weight
                 for other in paths[flow_id]:
                     if other == link:
                         continue
                     if other in frozen:
                         continue
                     link_weight[other] -= flow_weight
-                    left = remaining[other] - share * flow_weight
+                    left = remaining[other] - taken
                     remaining[other] = left if left > 0 else 0.0
                     version[other] += 1
-                    if link_weight[other] > 0:
-                        heapq.heappush(
-                            heap,
-                            (remaining[other] / link_weight[other],
-                             version[other], other),
-                        )
+                    touched[other] = None
+            # One push per touched link, with its final (share, version):
+            # nothing is popped during the member loop, so every entry an
+            # earlier touch would have pushed was already stale.
+            for other in touched:
+                total = link_weight[other]
+                if total > 0:
+                    heappush(heap, (remaining[other] / total, version[other], other))
             frozen.add(link)
             link_weight[link] = 0
             remaining[link] = 0.0

@@ -70,13 +70,16 @@ def _cmd_scale(args):
         wall = time.monotonic() - started
         row = result.rows()[0]
         fingerprints.append(row["fingerprint"])
+        superseded = result.run.n_superseded
         print(
             "run %d/%d: wall=%.1fs hosts=%d flows=%d completed=%d "
-            "events=%d recomputes=%d sim=%.1fms fingerprint=%s"
+            "events=%d superseded=%d (%.1f%%) recomputes=%d sim=%.1fms "
+            "fingerprint=%s"
             % (
                 attempt + 1, args.repeat, wall, row["hosts"], row["flows"],
-                row["completed"], row["events"], row["recomputes"],
-                row["sim_ms"], row["fingerprint"],
+                row["completed"], row["events"], superseded,
+                100.0 * superseded / row["events"] if row["events"] else 0.0,
+                row["recomputes"], row["sim_ms"], row["fingerprint"],
             )
         )
         sys.stdout.flush()

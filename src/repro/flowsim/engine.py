@@ -25,6 +25,12 @@ seconds, not hours):
   next interval boundary after a change; new groups meanwhile run at a
   provisional rate (fair share of their most loaded link), which is the
   documented fidelity trade for datacenter scale (docs/flowsim.md).
+* **Bookkeeping done once** -- per-link load lives in the solver only
+  (``MaxMinSolver.link_load``; the provisional rate reads it), the
+  run summary (bytes, FCT sum/max, completion CRC) is folded in per
+  completion so ``run(until_ns=...)`` in slices returns in O(1), and a
+  completion check superseded by a rate change is dropped -- and
+  counted, ``n_superseded`` -- on the version compare in the event loop.
 
 Congestion-control models: responsive flows split capacities already
 scaled by the first-order DCQCN factor
@@ -40,6 +46,7 @@ from integer quantities only.
 """
 
 import heapq
+import math
 import struct
 import zlib
 
@@ -51,6 +58,9 @@ from repro.flowsim.models import pfc_link_model
 _EPS_BYTES = 1e-3
 
 _ARRIVAL, _CHECK, _TICK = 0, 1, 2
+
+#: One completion's contribution to the running ``completion_crc``.
+_pack_completion = struct.Struct("<QQ").pack
 
 
 class _Group:
@@ -82,15 +92,23 @@ class _Group:
 
 
 class FlowsimRun:
-    """Summary of one :meth:`FlowSim.run`: counters + determinism digest."""
+    """Summary of one :meth:`FlowSim.run`: counters + determinism digest.
+
+    ``n_superseded`` is the simulator reporting on itself: how many of
+    the ``n_events`` pops were completion checks a later rate change had
+    already replaced.  It is a cost figure, not a simulated outcome, so
+    it is in neither :meth:`fingerprint` nor :meth:`to_dict`.
+    """
 
     __slots__ = (
         "n_events", "n_recomputes", "n_completed", "n_active",
         "total_bytes", "sum_fct_ns", "max_fct_ns", "sim_ns", "completion_crc",
+        "n_superseded",
     )
 
     def __init__(self, n_events, n_recomputes, n_completed, n_active,
-                 total_bytes, sum_fct_ns, max_fct_ns, sim_ns, completion_crc):
+                 total_bytes, sum_fct_ns, max_fct_ns, sim_ns, completion_crc,
+                 n_superseded):
         self.n_events = n_events
         self.n_recomputes = n_recomputes
         self.n_completed = n_completed
@@ -100,6 +118,7 @@ class FlowsimRun:
         self.max_fct_ns = max_fct_ns
         self.sim_ns = sim_ns
         self.completion_crc = completion_crc
+        self.n_superseded = n_superseded
 
     def fingerprint(self):
         """Machine-independent tuple of integers (byte-identical reruns)."""
@@ -151,7 +170,6 @@ class FlowSim:
         self._seq = 0
         self._groups = {}  # (path, fixed_rate) -> _Group
         self._group_list = []
-        self._link_weight = {}  # link -> active responsive flow count
         self._flows = {}  # flow_id -> (group, size_bytes, start_ns)
         self._next_flow_id = 0
         self._dirty = False
@@ -161,7 +179,13 @@ class FlowSim:
         self.now = 0
         self.n_events = 0
         self.n_recomputes = 0
+        self.n_superseded = 0  # _CHECK pops dropped on the version compare
         self.completed = []  # (flow_id, start_ns, finish_ns, size_bytes)
+        # Running summary of `completed`, folded in by _complete.
+        self._total_bytes = 0
+        self._sum_fct_ns = 0
+        self._max_fct_ns = 0
+        self._completion_crc = 0
         self.pause_fractions = {}
 
     @classmethod
@@ -183,8 +207,8 @@ class FlowSim:
         """Schedule one flow; returns its id.
 
         ``path`` is an ordered iterable of link ids; ``size_bytes`` is
-        goodput payload.  ``fixed_rate_bps`` makes the flow unresponsive
-        (PFC model) instead of max-min responsive.
+        goodput payload.  ``fixed_rate_bps`` (a finite number > 0) makes
+        the flow unresponsive (PFC model) instead of max-min responsive.
         """
         path = tuple(path)
         if not path:
@@ -198,6 +222,11 @@ class FlowSim:
         start_ns = int(start_ns)
         if start_ns < self.now:
             raise ValueError("arrival %d before current time %d" % (start_ns, self.now))
+        if fixed_rate_bps is not None and not 0 < fixed_rate_bps < math.inf:
+            raise ValueError(
+                "fixed_rate_bps must be None or a finite number > 0, got %r"
+                % (fixed_rate_bps,)
+            )
         flow_id = self._next_flow_id
         self._next_flow_id += 1
         self._push(start_ns, _ARRIVAL, flow_id, (path, size_bytes, fixed_rate_bps))
@@ -253,22 +282,20 @@ class FlowSim:
         fresh = group.members == 0
         group.members += 1
         if fixed_rate is None:
-            weights = self._link_weight
-            for link in path:
-                weights[link] = weights.get(link, 0) + 1
+            solver = self._solver
             if group.solver_id is None:
-                group.solver_id = self._solver.add_flow(path, weight=group.members)
+                group.solver_id = solver.add_flow(path, weight=group.members)
             else:
-                self._solver.set_weight(group.solver_id, group.members)
+                solver.set_weight(group.solver_id, group.members)
             if fresh:
                 # Provisional until the next recompute: fair share of the
                 # most loaded link on the path (exact mode replaces it
                 # within this same instant's batch).
                 group.advance(t_ns)
                 group.version += 1
-                group.rate = min(
-                    self._caps[link] / weights[link] for link in path
-                )
+                caps = self._caps
+                link_load = solver.link_load
+                group.rate = min(caps[link] / link_load(link) for link in path)
         else:
             self._fixed_dirty = True
         threshold = group.service_at(t_ns) + size_bytes
@@ -279,10 +306,8 @@ class FlowSim:
         if was_min and group.rate > 0.0:
             self._predict(group, t_ns)
 
-    def _on_check(self, t_ns, group_index, version):
+    def _on_check(self, t_ns, group_index):
         group = self._group_list[group_index]
-        if version != group.version:
-            return  # superseded by a rate change
         due = group.service_at(t_ns) + _EPS_BYTES
         thresholds = group.thresholds
         popped = False
@@ -297,11 +322,16 @@ class FlowSim:
     def _complete(self, flow_id, t_ns):
         group, size_bytes, start_ns = self._flows.pop(flow_id)
         self.completed.append((flow_id, start_ns, t_ns, size_bytes))
+        self._total_bytes += size_bytes
+        fct_ns = t_ns - start_ns
+        self._sum_fct_ns += fct_ns
+        if fct_ns > self._max_fct_ns:
+            self._max_fct_ns = fct_ns
+        self._completion_crc = zlib.crc32(
+            _pack_completion(flow_id, t_ns), self._completion_crc
+        )
         group.members -= 1
         if group.fixed_rate is None:
-            weights = self._link_weight
-            for link in group.path:
-                weights[link] -= 1
             if group.members:
                 self._solver.set_weight(group.solver_id, group.members)
             else:
@@ -354,13 +384,32 @@ class FlowSim:
             self._refresh_fixed(t_ns)
             self._fixed_dirty = False
         rates = self._solver.solve()
+        heap = self._heap
+        heappush = heapq.heappush
+        seq = self._seq
+        # Per responsive group: advance(), re-rate, _predict() -- inlined,
+        # same arithmetic and same seq order as the methods.
         for group in self._group_list:
             if group.fixed_rate is not None or group.solver_id is None:
                 continue
-            group.advance(t_ns)
-            group.rate = rates[group.solver_id]
+            s0 = group.s0 + group.rate * (t_ns - group.t_last) / 8e9
+            group.s0 = s0
+            group.t_last = t_ns
+            rate = rates[group.solver_id]
+            group.rate = rate
             group.version += 1
-            self._predict(group, t_ns)
+            thresholds = group.thresholds
+            if not thresholds or rate <= 0.0:
+                continue
+            t_f = t_ns + (thresholds[0][0] - s0) * 8e9 / rate
+            t_check = int(t_f)
+            if t_check < t_f:
+                t_check += 1
+            if t_check < t_ns:
+                t_check = t_ns
+            seq += 1
+            heappush(heap, (t_check, seq, _CHECK, group.index, group.version))
+        self._seq = seq
         self._dirty = False
         self.n_recomputes += 1
 
@@ -370,6 +419,7 @@ class FlowSim:
         """Process events (up to ``until_ns``, inclusive); returns a
         :class:`FlowsimRun`."""
         heap = self._heap
+        groups = self._group_list
         while heap and (until_ns is None or heap[0][0] <= until_ns):
             t_ns = heap[0][0]
             self.now = t_ns
@@ -377,10 +427,13 @@ class FlowSim:
             while heap and heap[0][0] == t_ns:
                 _t, _seq, kind, a, b = heapq.heappop(heap)
                 self.n_events += 1
-                if kind == _ARRIVAL:
+                if kind == _CHECK:
+                    if b != groups[a].version:
+                        self.n_superseded += 1  # replaced by a rate change
+                    else:
+                        self._on_check(t_ns, a)
+                elif kind == _ARRIVAL:
                     self._on_arrival(t_ns, a, b)
-                elif kind == _CHECK:
-                    self._on_check(t_ns, a, b)
                 else:
                     self._tick_pending = False
                     tick = True
@@ -391,28 +444,19 @@ class FlowSim:
         return self.result()
 
     def result(self):
-        total_bytes = 0
-        sum_fct = 0
-        max_fct = 0
-        crc = 0
-        pack = struct.Struct("<QQ").pack
-        for flow_id, start_ns, finish_ns, size_bytes in self.completed:
-            total_bytes += size_bytes
-            fct = finish_ns - start_ns
-            sum_fct += fct
-            if fct > max_fct:
-                max_fct = fct
-            crc = zlib.crc32(pack(flow_id, finish_ns), crc)
+        """The run so far as a :class:`FlowsimRun` (O(1): the summary of
+        ``completed`` is kept as running values)."""
         return FlowsimRun(
             n_events=self.n_events,
             n_recomputes=self.n_recomputes,
             n_completed=len(self.completed),
             n_active=len(self._flows),
-            total_bytes=total_bytes,
-            sum_fct_ns=sum_fct,
-            max_fct_ns=max_fct,
+            total_bytes=self._total_bytes,
+            sum_fct_ns=self._sum_fct_ns,
+            max_fct_ns=self._max_fct_ns,
             sim_ns=self.now,
-            completion_crc=crc,
+            completion_crc=self._completion_crc,
+            n_superseded=self.n_superseded,
         )
 
     # -- inspection ---------------------------------------------------------

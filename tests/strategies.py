@@ -10,6 +10,8 @@ One home for the generators that several suites were growing ad hoc:
   conservation properties.
 * :func:`maxmin_problems` -- (links, paths) instances for the max-min
   allocator.
+* :func:`maxmin_programs` -- (links, ops) mutation programs for the
+  incremental solver (add / remove / set_weight / re-rate).
 * :func:`two_tier_dims` -- small leaf/ToR fabric dimensions that boot
   fast enough for property tests.
 * :func:`fault_plans` -- random :class:`~repro.faults.FaultPlan`s
@@ -155,6 +157,44 @@ def maxmin_problems(draw, max_links=6, max_flows=20, max_capacity=100):
         for _ in range(n_flows)
     ]
     return links, paths
+
+
+@st.composite
+def maxmin_programs(draw, max_links=6, max_ops=30, max_capacity=100, max_weight=4):
+    """(links, ops): a solver life of ``add`` / ``remove`` / ``weight`` /
+    ``rerate`` steps over a fixed link set.
+
+    ``uniform`` programs give every link one capacity and every flow
+    weight 1, so fair shares tie all the time and only the heap's
+    ``(version, link)`` order decides which link freezes next -- the
+    instances where a reordered water-fill would show.  Paths may be
+    empty (rate 0.0).  ``remove`` and ``weight`` carry a token the
+    caller reduces modulo its live flow count.
+    """
+    n_links = draw(st.integers(1, max_links))
+    uniform = draw(st.booleans())
+    capacities = st.just(draw(st.integers(1, max_capacity))) if uniform else (
+        st.integers(1, max_capacity)
+    )
+    weights = st.just(1) if uniform else st.integers(1, max_weight)
+    links = {i: draw(capacities) for i in range(n_links)}
+    paths = st.lists(st.integers(0, n_links - 1), max_size=n_links, unique=True)
+    token = st.integers(0, 10**6)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                # Listed twice: programs should grow more often than shrink.
+                st.tuples(st.just("add"), paths, weights),
+                st.tuples(st.just("add"), paths, weights),
+                st.tuples(st.just("remove"), token),
+                st.tuples(st.just("weight"), token, weights),
+                st.tuples(st.just("rerate"), st.integers(0, n_links - 1), capacities),
+            ),
+            min_size=1,
+            max_size=max_ops,
+        )
+    )
+    return links, ops
 
 
 # --- topologies and fault plans ----------------------------------------------

@@ -10,6 +10,9 @@ job, not here.
 Run alone with ``pytest -m flowsim``.
 """
 
+import struct
+import zlib
+
 import pytest
 
 from repro.dcqcn import DcqcnConfig
@@ -123,6 +126,88 @@ class TestDeterminism:
         assert batched.total_bytes == exact.total_bytes
         assert batched.sim_ns == pytest.approx(exact.sim_ns, rel=0.05)
         assert batched.n_recomputes < exact.n_recomputes
+
+
+def recount_summary(sim):
+    """(total_bytes, sum_fct_ns, max_fct_ns, completion_crc) walked out
+    of ``sim.completed`` -- what ``result()`` keeps as running values."""
+    total_bytes = sum_fct = max_fct = crc = 0
+    for flow_id, start_ns, finish_ns, size_bytes in sim.completed:
+        total_bytes += size_bytes
+        sum_fct += finish_ns - start_ns
+        max_fct = max(max_fct, finish_ns - start_ns)
+        crc = zlib.crc32(struct.pack("<QQ", flow_id, finish_ns), crc)
+    return total_bytes, sum_fct, max_fct, crc
+
+
+def summary_of(run):
+    return (run.total_bytes, run.sum_fct_ns, run.max_fct_ns, run.completion_crc)
+
+
+class TestRunSummary:
+    def build(self):
+        topology = clos_flow(4, 4, 8, 2, 4)
+        sim = FlowSim.from_topology(topology, rate_update_interval_ns=2 * MS)
+        drive_random_flows(sim, topology, n_flows=600, seed=3,
+                           max_bytes=64 * 1024 * 1024, window_ns=40 * MS)
+        return sim
+
+    def test_sliced_summary_equals_a_recount_and_the_one_shot_run(self):
+        one_shot = self.build().run()
+        assert one_shot.n_completed == 600
+        sim = self.build()
+        until = 0
+        boundaries_with_progress = 0
+        seen = 0
+        while until + 8 * MS < one_shot.sim_ns:
+            until += 8 * MS
+            run = sim.run(until_ns=until)
+            assert summary_of(run) == recount_summary(sim)
+            assert run.n_completed == len(sim.completed)
+            assert summary_of(sim.result()) == summary_of(run)
+            boundaries_with_progress += run.n_completed > seen
+            seen = run.n_completed
+        assert boundaries_with_progress >= 3
+        final = sim.run()
+        assert summary_of(final) == recount_summary(sim)
+        assert final.fingerprint() == one_shot.fingerprint()
+
+    def test_group_that_empties_and_refills(self):
+        # 8e9 bps = 1 byte/ns.  The ("l",) group completes its first
+        # flow at t=1000 and leaves the solver; refilled at t=5000 it
+        # gets a new solver id and, until the next 1 ms tick, the
+        # provisional share of the link's load as the solver counts it:
+        # the newcomer plus the long ("l", "m") flow that arrived at 4000.
+        sim = FlowSim({"l": 8e9, "m": 8e9}, rate_update_interval_ns=1 * MS)
+        first = sim.add_flow(("l",), 1000, start_ns=0)
+        sim.add_flow(("l", "m"), 10 ** 7, start_ns=4000)
+        again = sim.add_flow(("l",), 1000, start_ns=5000)
+        run = sim.run(until_ns=4000)
+        assert [done[0] for done in sim.completed] == [first]
+        assert sim.completed[0][2] == 1000
+        assert summary_of(run) == recount_summary(sim)
+        sim.run(until_ns=5000)
+        assert sim.current_rates()[again] == 8e9 / 2
+        final = sim.run()
+        assert final.n_completed == 3 and final.n_active == 0
+        assert summary_of(final) == recount_summary(sim)
+
+    def test_superseded_checks_are_counted_not_fingerprinted(self):
+        # Exact mode, 1 byte/ns, two 1000-byte flows on one link in two
+        # groups.  Every arrival pushes a provisional prediction and the
+        # same-instant recompute replaces it; B's arrival at 500 also
+        # replaces A's.  Pops: 2 arrivals, 2 live checks (A done at 1500,
+        # B at 2000) and 4 superseded ones (A's two at 1000, B's two at
+        # 2500).
+        sim = FlowSim({"l": 8e9, "m": 8e9})
+        sim.add_flow(("l",), 1000, start_ns=0)
+        sim.add_flow(("l", "m"), 1000, start_ns=500)
+        run = sim.run()
+        assert [done[2] for done in sim.completed] == [1500, 2000]
+        assert run.n_events == 8
+        assert run.n_superseded == 4
+        assert "n_superseded" not in run.to_dict()
+        assert len(run.fingerprint()) == 9
 
 
 class TestCongestionModels:
@@ -247,6 +332,11 @@ class TestApiValidation:
             sim.add_flow(("nope",), 100)
         with pytest.raises(ValueError):
             sim.add_flow(("l",), 0)
+        # A fixed rate must be able to move bytes: 0 used to strand the
+        # flow silently, a negative or NaN rate failed only inside run().
+        for bad_rate in (0, -1e9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="fixed_rate_bps"):
+                sim.add_flow(("l",), 100, fixed_rate_bps=bad_rate)
         sim.add_flow(("l",), 100, start_ns=500)
         sim.run()
         with pytest.raises(ValueError):

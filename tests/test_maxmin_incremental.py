@@ -7,14 +7,23 @@ Every solve must land on the same max-min fixpoint as
 `max_min_allocation`, the simple reference scan -- including after
 arbitrary churn and weight changes, which is exactly the life the
 flowsim engine subjects it to.
+
+`_reference_solve` is the solver's previous water-fill, kept verbatim:
+it recounts per-link load from every path on every call and pushes a
+heap entry at every touch.  The solver now carries the load across
+mutations and pushes once per touched link; `TestAgainstPreviousSolve`
+pins the two to *exactly* equal floats in the same freeze order, which
+is what keeps every flowsim fingerprint where it was.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flows.maxmin import MaxMinSolver, max_min_allocation
-from tests.strategies import maxmin_problems
+from tests.strategies import maxmin_problems, maxmin_programs
 
 #: The solver freezes links in heap order, the reference in scan order;
 #: only last-bit float rounding may differ between the two.
@@ -28,6 +37,88 @@ def assert_rates_match(solver_rates, reference_rates, flow_ids):
         assert got == pytest.approx(expected, rel=REL_TOL, abs=1e-12), (
             "flow %r: solver %r vs reference %r" % (flow_id, got, expected)
         )
+
+
+def _reference_solve(solver):
+    """The water-fill as it was before the solver carried per-link load
+    (``self`` spelled ``solver``, otherwise untouched).  It reads the
+    solver's own membership sets, so both sides freeze a link's flows in
+    the same order."""
+    weights = solver._weights
+    paths = solver._paths
+    rates = {}
+    # Per-link unfrozen weight, only for links someone crosses.
+    link_weight = {}
+    remaining = {}
+    for flow_id, path in paths.items():
+        if not path:
+            rates[flow_id] = 0.0
+            continue
+        for link in path:
+            if link in link_weight:
+                link_weight[link] += weights[flow_id]
+            else:
+                link_weight[link] = weights[flow_id]
+                remaining[link] = solver._capacity[link]
+    unfrozen = len(paths) - len(rates)
+    if not unfrozen:
+        return rates
+    # Lazy share heap: (share, version, link).  A popped entry is
+    # live only if its version matches the link's current one.
+    version = {link: 0 for link in link_weight}
+    heap = [
+        (remaining[link] / total, 0, link)
+        for link, total in link_weight.items()
+    ]
+    heapq.heapify(heap)
+    members = solver._members
+    frozen = set()
+    while unfrozen and heap:
+        share, ver, link = heapq.heappop(heap)
+        if version[link] != ver or link_weight[link] <= 0:
+            continue
+        # Freeze every still-unfrozen flow on this link at `share`.
+        for flow_id in members[link]:
+            if flow_id in rates:
+                continue
+            rates[flow_id] = share
+            unfrozen -= 1
+            flow_weight = weights[flow_id]
+            for other in paths[flow_id]:
+                if other == link:
+                    continue
+                if other in frozen:
+                    continue
+                link_weight[other] -= flow_weight
+                left = remaining[other] - share * flow_weight
+                remaining[other] = left if left > 0 else 0.0
+                version[other] += 1
+                if link_weight[other] > 0:
+                    heapq.heappush(
+                        heap,
+                        (remaining[other] / link_weight[other],
+                         version[other], other),
+                    )
+        frozen.add(link)
+        link_weight[link] = 0
+        remaining[link] = 0.0
+    if unfrozen:
+        # Defensive (mirrors the reference): flows whose every link
+        # lost all competitors get their path's remaining minimum.
+        for flow_id, path in paths.items():
+            if flow_id not in rates:
+                rates[flow_id] = min(remaining.get(link, 0.0) for link in path)
+    return rates
+
+
+def assert_load_is_a_recount(solver, links):
+    recount = {}
+    for flow_id in solver.flow_ids():
+        for link in solver.path(flow_id):
+            recount[link] = recount.get(link, 0) + solver.weight(flow_id)
+    for link in links:
+        assert solver.link_load(link) == recount.get(link, 0), link
+    assert solver._load == recount  # in particular: no zero entries
 
 
 class TestUnit:
@@ -74,6 +165,20 @@ class TestUnit:
         assert rates[grp] == pytest.approx(10.0)
         assert rates[other] == pytest.approx(10.0)
         assert solver.weight(grp) == 2
+
+    def test_link_load_follows_every_mutation(self):
+        solver = MaxMinSolver({"a": 10.0, "b": 10.0, "c": 10.0})
+        assert solver.link_load("a") == 0
+        first = solver.add_flow(["a", "b"], weight=3)
+        second = solver.add_flow(["b"])
+        assert [solver.link_load(l) for l in "abc"] == [3, 4, 0]
+        solver.set_weight(first, 1)
+        assert [solver.link_load(l) for l in "abc"] == [1, 2, 0]
+        solver.remove_flow(first)
+        assert [solver.link_load(l) for l in "abc"] == [0, 1, 0]
+        solver.remove_flow(second)
+        assert solver._load == {}
+        assert solver.link_load("never-added") == 0
 
     def test_empty_path_rate_zero(self):
         solver = MaxMinSolver({"l": 10.0})
@@ -163,3 +268,59 @@ class TestAgainstReference:
         for path in paths:
             solver.add_flow(path)
         assert solver.solve() == solver.solve()
+
+
+class TestAgainstPreviousSolve:
+    """Exact (``==``) agreement with the water-fill this solver replaced."""
+
+    @given(program=maxmin_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_programs_solve_bit_identically_and_keep_load_exact(self, program):
+        links, ops = program
+        solver = MaxMinSolver(links)
+        alive = []
+        for op in ops:
+            if op[0] == "add":
+                alive.append(solver.add_flow(op[1], weight=op[2]))
+            elif op[0] == "rerate":
+                solver.add_link(op[1], op[2])
+            elif not alive:
+                continue
+            elif op[0] == "remove":
+                solver.remove_flow(alive.pop(op[1] % len(alive)))
+            else:
+                solver.set_weight(alive[op[1] % len(alive)], op[2])
+            assert_load_is_a_recount(solver, links)
+            # Same floats, and the same freeze order (dicts keep it).
+            assert list(solver.solve().items()) == list(
+                _reference_solve(solver).items()
+            )
+
+    @pytest.mark.parametrize("n_flows", [2, 7, 40])
+    def test_all_shares_tie_on_a_uniform_ring(self, n_flows):
+        # Equal capacities, equal weights, every flow on two neighbouring
+        # links: every initial share is identical, so which link freezes
+        # first -- and the order of every later subtraction -- rests on
+        # (version, link) alone.
+        links = {i: 30 for i in range(n_flows)}
+        solver = MaxMinSolver(links)
+        for i in range(n_flows):
+            solver.add_flow([i, (i + 1) % n_flows])
+            solver.add_flow([i])
+        assert list(solver.solve().items()) == list(
+            _reference_solve(solver).items()
+        )
+        assert_load_is_a_recount(solver, links)
+
+    def test_versions_advance_once_per_touched_flow(self):
+        # Freezing link 0 touches link 1 twice and link 2 once; both end
+        # at share 8.0.  Counting touches, link 2 (version 1) freezes
+        # before link 1 (version 2) and flow 2 before flow 4; a version
+        # bumped once per *push* would tie them and let link 1 go first.
+        links = {0: 24, 1: 24, 2: 24}
+        solver = MaxMinSolver(links)
+        for path in ([0], [2, 0, 1], [2], [1, 0], [1, 2]):
+            solver.add_flow(path)
+        rates = solver.solve()
+        assert list(rates) == [0, 1, 3, 2, 4]
+        assert list(rates.items()) == list(_reference_solve(solver).items())
