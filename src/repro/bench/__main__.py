@@ -21,7 +21,6 @@ from repro.bench.harness import (
     write_baseline,
     write_report,
 )
-import repro.bench.scenarios as bench_scenarios
 from repro.bench.scenarios import SCENARIOS
 
 
@@ -41,15 +40,6 @@ def main(argv=None):
         help="timing repeats, best-of (default: 5 when comparing against a "
         "baseline, else 3 -- the comparison verdict needs the extra samples "
         "to estimate run-to-run noise)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for the parallel scenarios (default: %d; see "
-        "docs/parallel.md -- fingerprints are worker-count invariant)"
-        % bench_scenarios.PARALLEL_WORKERS,
     )
     parser.add_argument(
         "--no-warmup",
@@ -102,11 +92,6 @@ def main(argv=None):
         parser.error(
             "unknown scenario(s) %s; try --list" % ", ".join(repr(n) for n in unknown)
         )
-
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        bench_scenarios.PARALLEL_WORKERS = args.workers
 
     # Comparison verdicts quote run-to-run noise, so the comparing path
     # defaults to more samples than a plain measurement or a baseline

@@ -18,7 +18,6 @@ Scenarios are chosen to stress complementary parts of the packet path:
 ``pause_storm``           a broken NIC storms a 3-tier Clos; watchdogs confine
 ``clos_slice``            saturating cross-podset traffic on a 3-tier Clos
 ``clos_pod``              one full podset (~4x clos_slice), same traffic shape
-``clos_pod_parallel``     clos_pod sharded across processes, windowed sync
 ``tcp_baseline``          TCP incast with lossy-egress drops and recovery
 ``flowsim_churn``         flow-level tier: exact-mode churn on a two-tier pod
 ``flowsim_clos``          flow-level tier: 512-host Clos, interval batching
@@ -116,21 +115,6 @@ def _switch_counters(fabric):
 
 def _packets_delivered(fabric):
     return sum(link.delivered for link in fabric.links)
-
-
-def _sum_tuples(rows):
-    """Elementwise sum of equally-shaped nested int tuples.
-
-    The parallel merge: every device (and every sender) is live in
-    exactly one shard replica and inert (all-zero counters) in the rest,
-    except cut links, whose two transmit directions are counted by the
-    two owning replicas -- so summing per-shard counter tuples
-    reconstructs the serial tuples exactly.
-    """
-    return tuple(
-        _sum_tuples(cells) if isinstance(cells[0], tuple) else sum(cells)
-        for cells in zip(*rows)
-    )
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -388,119 +372,6 @@ def clos_pod(seed):
     )
 
 
-#: Worker count for ``clos_pod_parallel`` -- ``python -m repro.bench
-#: --workers N`` rebinds it.  The fingerprint is worker-count invariant
-#: (that is the whole point); only wall-clock changes.
-PARALLEL_WORKERS = 4
-
-
-def _clos_pod_build(seed):
-    """clos_pod's exact topology, unbooted (the parallel runner boots
-    each shard's replica itself)."""
-    from repro.topo import three_tier_clos
-
-    return _pin_ecmp_seeds(
-        three_tier_clos(
-            n_podsets=2,
-            tors_per_podset=4,
-            hosts_per_tor=4,
-            leaves_per_podset=4,
-            n_spines=4,
-            seed=seed,
-        )
-    )
-
-
-def _clos_pod_start(topo, seed, harness):
-    """clos_pod's exact workload construction, run in every replica so
-    the RNG stream and QP wiring match the serial run byte-for-byte;
-    only senders whose source host the shard owns actually start."""
-    from repro.experiments.common import saturate_pairs
-
-    rng = SeededRng(seed, "bench/pod")
-    hosts = topo.hosts
-    half = len(hosts) // 2
-    pairs = [(hosts[i], hosts[half + i]) for i in range(half)]
-    pairs += [(hosts[half + i], hosts[i]) for i in range(half)]
-    index_of = {id(host): i for i, host in enumerate(topo.fabric.hosts)}
-    return saturate_pairs(
-        topo.sim,
-        pairs,
-        1 * MB,
-        rng,
-        start_filter=lambda _i, pair: index_of[id(pair[0])] in harness.local_hosts,
-    )
-
-
-def _clos_pod_report(topo, senders, harness):
-    """One shard's counter contribution (zeros everywhere it is inert)."""
-    return {
-        "completed": tuple(s.completed_bytes for s in senders),
-        "drops": topo.fabric.total_drops(),
-        "switches": _switch_counters(topo.fabric),
-        "links": _link_counters(topo.fabric),
-    }
-
-
-def clos_pod_parallel(seed):
-    """clos_pod executed by the space-parallel engine: the fabric split
-    into :data:`PARALLEL_WORKERS` shards, one process each, synchronized
-    with lookahead windows (see docs/parallel.md).  Merged counters
-    reproduce clos_pod's fingerprint byte-for-byte -- this scenario
-    exists to pin that identity and to measure the wall-clock speedup
-    next to clos_pod's serial number.
-    """
-    from repro.sim.parallel import run_parallel
-    from repro.telemetry.hooks import HUB
-    from repro.tracing.hooks import HUB as TRACE_HUB
-
-    if HUB.armed is not None or TRACE_HUB.armed is not None:
-        plane = "telemetry" if HUB.armed is not None else "tracing"
-        print(
-            "clos_pod_parallel: %s armed -- forcing the serial "
-            "clos_pod path (sharded replicas cannot host one coherent "
-            "collection session; see docs/%s.md)" % (plane, plane)
-        )
-        return clos_pod(seed)
-    result = run_parallel(
-        _clos_pod_build,
-        PARALLEL_WORKERS,
-        duration_ns=2 * MS,
-        seed=seed,
-        settle_ns=100_000,
-        start=_clos_pod_start,
-        report=_clos_pod_report,
-    )
-    reports = result.shard_reports
-    completed = _sum_tuples([r["completed"] for r in reports])
-    switches = _sum_tuples([r["switches"] for r in reports])
-    links = _sum_tuples([r["links"] for r in reports])
-    drops = sum(r["drops"] for r in reports)
-    total_bytes = sum(completed)
-    return ScenarioRun(
-        events=result.events,
-        dispatches=result.dispatches,
-        packets=sum(delivered for delivered, _lost in links),
-        sim_ns=result.sim_ns,
-        fingerprint_tuple=(
-            result.events,
-            completed,
-            drops,
-            switches,
-            links,
-        ),
-        detail={
-            "workers": result.workers,
-            "executor": result.executor,
-            "window_ns": result.window_ns,
-            "exchanges": result.exchanges,
-            "frames_crossed": result.frames_crossed,
-            "sync_wait_s": result.sync_wait_s,
-            "aggregate_gbps": total_bytes * 8.0 / (2 * MS),
-        },
-    )
-
-
 def tcp_baseline(seed):
     """TCP incast through one ToR with a lossy egress cap: the kernel
     stack, Reno recovery and egress drops (the figure 6 contrast)."""
@@ -638,12 +509,6 @@ SCENARIOS = {
             "one full podset, saturating cross-podset pairs",
             "section 3 fabric scale check",
             clos_pod,
-        ),
-        BenchScenario(
-            "clos_pod_parallel",
-            "clos_pod sharded across worker processes",
-            "section 3 fabric scale (parallel engine)",
-            clos_pod_parallel,
         ),
         BenchScenario(
             "tcp_baseline",

@@ -37,23 +37,7 @@ def main(argv=None):
         help="collect causal traces per experiment; writes "
         "<id>-<i>.trace.jsonl here (see docs/tracing.md)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the fabric-scale packet-level runs across N worker "
-        "processes (space-parallel engine, docs/parallel.md); with "
-        "--telemetry-dir those runs fall back to serial",
-    )
     args = parser.parse_args(argv)
-
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.workers > 1:
-        from repro.experiments import clos_throughput
-
-        clos_throughput.PACKET_CHECK_WORKERS = args.workers
 
     if args.list or (not args.which and not args.all):
         for entry in CATALOG.values():

@@ -25,19 +25,12 @@ class ClosThroughputResult(ExperimentResult):
     title = "E5: Clos aggregate throughput, figure 7 (section 5.4)"
 
 
-#: Shard count for the packet-level cross-check.  ``python -m
-#: repro.experiments --workers N`` rebinds it; 1 keeps the serial path.
-PACKET_CHECK_WORKERS = 1
-
-
-def run_clos_throughput(seeds=(1, 2, 3), packet_level_check=True, workers=None):
+def run_clos_throughput(seeds=(1, 2, 3), packet_level_check=True):
     """Reproduce figure 7(b)'s steady state.
 
     Expected shape: utilization ~60% under the PFC-coupled allocation,
     ~8 Gb/s per server, zero drops in the packet-level check; the
     max-min ablation shows hash placement alone would allow much more.
-    ``workers`` > 1 runs the packet-level check on the space-parallel
-    engine (defaults to :data:`PACKET_CHECK_WORKERS`).
     """
     rows = []
     for seed in seeds:
@@ -56,57 +49,28 @@ def run_clos_throughput(seeds=(1, 2, 3), packet_level_check=True, workers=None):
             }
         )
     if packet_level_check:
-        rows.append(_packet_level_check(workers=workers))
+        rows.append(_packet_level_check())
     return ClosThroughputResult(rows)
 
 
-def _check_build(seed):
-    return three_tier_clos(
+def _packet_level_check(seed=1, duration_ns=4 * MS):
+    """A small 3-tier packet-level run: saturating cross-podset pairs
+    with PFC active must complete the window with zero packet drops."""
+    topo = three_tier_clos(
         n_podsets=2,
         tors_per_podset=2,
         hosts_per_tor=2,
         leaves_per_podset=2,
         n_spines=2,
         seed=seed,
-    )
-
-
-def _check_pairs(topo):
+    ).boot()
+    sim = topo.sim
+    rng = SeededRng(seed, "clos-check")
     hosts = topo.hosts
     half = len(hosts) // 2
     pairs = [(hosts[i], hosts[half + i]) for i in range(half)]
     pairs += [(hosts[half + i], hosts[i]) for i in range(half)]
-    return pairs
-
-
-def _packet_level_check(seed=1, duration_ns=4 * MS, workers=None):
-    """A small 3-tier packet-level run: saturating cross-podset pairs
-    with PFC active must complete the window with zero packet drops.
-
-    With ``workers`` > 1 the run is sharded across processes by
-    :func:`repro.sim.parallel.run_parallel` -- same fabric, same
-    workload, merged counters (docs/parallel.md).  Telemetry and
-    tracing force the serial path: a collection session cannot span
-    shard replicas.
-    """
-    if workers is None:
-        workers = PACKET_CHECK_WORKERS
-    if workers > 1:
-        from repro.telemetry.hooks import HUB
-        from repro.tracing.hooks import HUB as TRACE_HUB
-
-        if HUB.armed is not None or TRACE_HUB.armed is not None:
-            plane = "telemetry" if HUB.armed is not None else "tracing"
-            print(
-                "E5 packet-level check: %s armed -- forcing the "
-                "serial path (see docs/%s.md)" % (plane, plane)
-            )
-        else:
-            return _packet_level_check_parallel(seed, duration_ns, workers)
-    topo = _check_build(seed).boot()
-    sim = topo.sim
-    rng = SeededRng(seed, "clos-check")
-    senders = saturate_pairs(sim, _check_pairs(topo), 1 * MB, rng)
+    senders = saturate_pairs(sim, pairs, 1 * MB, rng)
     start = sim.now
     sim.run(until=start + duration_ns)
     total_bytes = sum(s.completed_bytes for s in senders)
@@ -116,53 +80,8 @@ def _packet_level_check(seed=1, duration_ns=4 * MS, workers=None):
         "qps": len(senders),
         "aggregate_tbps": aggregate_gbps / 1000,
         "utilization": None,
-        "per_server_gbps": aggregate_gbps / len(topo.hosts),
+        "per_server_gbps": aggregate_gbps / len(hosts),
         "mframes_per_sec": None,
         "maxmin_utilization": None,
         "drops": topo.fabric.total_drops(),
-    }
-
-
-def _packet_level_check_parallel(seed, duration_ns, workers):
-    from repro.sim.parallel import run_parallel
-
-    def start(topo, seed, harness):
-        rng = SeededRng(seed, "clos-check")
-        index_of = {id(h): i for i, h in enumerate(topo.fabric.hosts)}
-        return saturate_pairs(
-            topo.sim,
-            _check_pairs(topo),
-            1 * MB,
-            rng,
-            start_filter=lambda _i, p: index_of[id(p[0])] in harness.local_hosts,
-        )
-
-    def report(topo, senders, harness):
-        return {
-            "completed": tuple(s.completed_bytes for s in senders),
-            "drops": topo.fabric.total_drops(),
-        }
-
-    result = run_parallel(
-        _check_build,
-        workers,
-        duration_ns=duration_ns,
-        seed=seed,
-        settle_ns=100_000,
-        start=start,
-        report=report,
-    )
-    reports = result.shard_reports
-    n_hosts = sum(len(result.partition.hosts_in(s)) for s in range(result.workers))
-    total_bytes = sum(sum(r["completed"]) for r in reports)
-    aggregate_gbps = total_bytes * 8.0 / duration_ns
-    return {
-        "seed": "packet-level(x%d)" % result.workers,
-        "qps": len(reports[0]["completed"]),
-        "aggregate_tbps": aggregate_gbps / 1000,
-        "utilization": None,
-        "per_server_gbps": aggregate_gbps / n_hosts,
-        "mframes_per_sec": None,
-        "maxmin_utilization": None,
-        "drops": sum(r["drops"] for r in reports),
     }

@@ -157,9 +157,8 @@ def saturate_pairs(
 
     ``start_filter(index, (src, dst))``, when given, gates which senders
     actually start; construction (QP wiring, RNG draws) always covers
-    every pair.  The space-parallel runner leans on this split: each
-    shard replica must consume the RNG stream identically to the serial
-    run, then activate only the senders whose source host it owns.
+    every pair, so a caller can configure the unstarted senders (bound
+    their message count, say) before starting them itself.
 
     Returns the list of :class:`ClosedLoopSender` (unstarted ones report
     zero completed bytes).

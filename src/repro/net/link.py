@@ -62,13 +62,6 @@ class Link:
         self.up = True
         # wire_bytes -> serialization ns, shared per line rate.
         self._ser_ns = Link._SER_CACHES.setdefault(self.rate_bps, {})
-        # Optional boundary divert: ``fn(from_port, packet, transit_ns)``.
-        # Installed by the parallel runner on cut links, where the far
-        # end lives in another shard's replica: instead of scheduling a
-        # local delivery event, the departing frame (with its would-be
-        # arrival instant) is captured for the next window exchange.
-        # See repro.net.port.BoundaryProxy.
-        self.divert = None
         # Optional fault-injection hook: ``fn(link, packet)`` returning
         # None (deliver normally), ``("drop", None)``, ``("corrupt", None)``
         # or ``("delay", extra_ns)``.  Installed by repro.faults; the link
@@ -147,16 +140,6 @@ class Link:
                     extra_delay_ns = int(arg)
                 else:
                     raise ValueError("unknown fault verdict: %r" % (verdict,))
-        if self.divert is not None:
-            # Cut link in a sharded run: the frame leaves this replica.
-            # ``delivered`` still counts here (the sender-side replica
-            # owns the transmit), but no local event is scheduled -- the
-            # receiving shard injects the one delivery dispatch.
-            self.delivered += 1
-            self.divert(
-                from_port, packet, serialization_ns + self.delay_ns + extra_delay_ns
-            )
-            return serialization_ns
         # from_port.peer_deliver was wired by __init__; equivalent to
         # self.other(from_port).deliver without the identity checks.
         # schedule1 draws the event from the engine's free-list.

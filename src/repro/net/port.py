@@ -20,7 +20,6 @@ shared-buffer accounting stays exact.
 import collections
 
 from repro.packets.pause import N_PRIORITIES, pause_quanta_to_ns
-from repro.sim.engine import _ATIME_SHIFT
 from repro.sim.timer import Timer
 from repro.sim.units import serialization_delay_ns
 from repro.telemetry.hooks import HUB as _TELEMETRY
@@ -499,64 +498,3 @@ class Port:
             self.total_queued_bytes,
             ", paused" if self.any_paused else "",
         )
-
-
-class BoundaryProxy:
-    """Stands in for the far end of a cut link in a sharded parallel run.
-
-    In a space-parallel run (:mod:`repro.sim.parallel`) every worker
-    holds a complete fabric replica but simulates only its shard; a cut
-    link's far-end device belongs to another shard.  Installing a proxy
-    sets :attr:`Link.divert <repro.net.link.Link>`, so a frame departing
-    over the cut is *captured* instead of locally delivered: the proxy
-    records the frame together with
-
-    * its would-be **arrival instant** (``now + serialization +
-      propagation``),
-    * the packed **assignment key** the serial engine's ``schedule1``
-      would have stamped on the delivery event (the transmit instant and
-      the transmitting dispatch's own key -- see
-      ``repro.sim.engine._ATIME_SHIFT``),
-    * the **direction** (0: ``port_a`` transmitted, 1: ``port_b`` did)
-      and a per-shard monotone **origin sequence**,
-
-    into a shared outbox that the runner drains at the next window
-    barrier.  The receiving shard re-creates the exact serial delivery
-    with ``Simulator.inject(arrival, far_port.deliver, packet, key)``.
-
-    The transmitting port's busy time, the link ``delivered`` counter
-    and any loss/fault verdicts all happen sender-side before the
-    divert, exactly as in a serial run.
-    """
-
-    __slots__ = ("sim", "link", "link_index", "outbox", "_next_seq")
-
-    def __init__(self, sim, link, link_index, outbox, next_seq):
-        self.sim = sim
-        self.link = link
-        self.link_index = link_index
-        self.outbox = outbox
-        # Shared mutable [counter]: one origin-sequence stream per shard
-        # (not per link), so the barrier sort's (origin shard, origin
-        # seq) tie-break reproduces the shard's own transmit order.
-        self._next_seq = next_seq
-        link.divert = self._divert
-
-    def _divert(self, from_port, packet, transit_ns):
-        sim = self.sim
-        now = sim._now
-        seq = self._next_seq[0]
-        self._next_seq[0] = seq + 1
-        self.outbox.append(
-            (
-                now + transit_ns,
-                (now << _ATIME_SHIFT) | sim._dispatch_coarse,
-                self.link_index,
-                0 if from_port is self.link.port_a else 1,
-                seq,
-                packet,
-            )
-        )
-
-    def detach(self):
-        self.link.divert = None

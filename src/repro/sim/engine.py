@@ -12,13 +12,10 @@ schedule callbacks on a shared ``Simulator``.
 Performance notes (this is the hottest code in the repository -- every
 simulated packet costs several engine events):
 
-* The scheduler is one binary heap of ``(time, key, seq, event)``
-  tuples.  ``key`` is the packed assignment key described at
-  ``_ATIME_SHIFT``; for ordinarily scheduled events it is monotone in
-  ``seq``, so the order is exactly (time, FIFO-seq) -- as the
-  determinism fingerprints in ``benchmarks/BASELINE.json`` and the
-  Hypothesis equivalence suite in ``tests/test_engine_ordering.py``
-  assert.  Only :meth:`Simulator.inject` passes a key of its own.
+* The scheduler is one binary heap of ``(time, seq, event)`` tuples,
+  so the order is exactly (time, FIFO-seq) -- as the determinism
+  fingerprints in ``benchmarks/BASELINE.json`` and the Hypothesis
+  equivalence suite in ``tests/test_engine_ordering.py`` assert.
 * Hot internal callers use :meth:`schedule1` / :meth:`schedule0`, which
   skip the ``*args`` tuple and draw :class:`Event` objects from a
   **free-list**; such events are recycled after they fire, so
@@ -26,18 +23,6 @@ simulated packet costs several engine events):
 """
 
 from heapq import heapify, heappop, heappush
-
-#: Heap entries carry a packed *assignment key*:
-#: ``(assignment_instant << _ATIME_SHIFT) | dispatcher_assignment_instant``
-#: -- the simulated time the event was scheduled at, then the assignment
-#: instant of the callback that scheduled it.  Lexicographic comparison
-#: of the packed key resolves same-nanosecond dispatch exactly as the
-#: classic FIFO seq would, and lets the parallel runner hand
-#: :meth:`Simulator.inject` the key a boundary-crossing frame's delivery
-#: would have carried in one global engine.  48 bits bounds the low
-#: field: exact up to 2**48 ns (~78 hours) of simulated time, far past
-#: any scenario here.
-_ATIME_SHIFT = 48
 
 #: Free-list bound: enough to cover every in-flight pooled event of a
 #: saturated run without letting an idle sim pin memory forever.
@@ -104,7 +89,6 @@ class Simulator:
       a cancellable :class:`Event`;
     * :meth:`schedule1` / :meth:`schedule0` -- allocation-light variants
       for hot internal callers (single argument / no argument);
-    * :meth:`inject` -- the parallel runner's external-frame entry point;
     * :meth:`run` / :meth:`run_until_idle` / :meth:`step` -- dispatch;
     * :attr:`now`, :attr:`events_fired`, :attr:`pending` -- observability.
     """
@@ -117,7 +101,6 @@ class Simulator:
         "_cancelled",
         "_heap",
         "_pool",
-        "_dispatch_coarse",
     )
 
     # Lazy deletion keeps cancels O(1), but a fault-heavy run that arms
@@ -132,15 +115,8 @@ class Simulator:
         self._running = False
         self._events_fired = 0
         self._cancelled = 0  # cancelled entries still in the heap
-        self._heap = []  # (time, key, seq, Event)
+        self._heap = []  # (time, seq, Event)
         self._pool = []  # Event free-list (kind 1/2 only)
-        # Low field of the keys stamped on newly scheduled events: the
-        # assignment instant of the callback being dispatched.  Never
-        # reset between dispatches: same-instant dispatchers run in
-        # nondecreasing assignment order, so driver code scheduling after
-        # run() or step() returns inherits the last dispatcher's instant
-        # and its keys stay monotone in seq.
-        self._dispatch_coarse = 0
 
     # -- observability -------------------------------------------------------
 
@@ -207,17 +183,14 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, fn, args, self)
-        key = (self._now << _ATIME_SHIFT) | self._dispatch_coarse
-        heappush(heap, (time, key, seq, event))
+        heappush(heap, (time, seq, event))
         return event
 
-    def _sched_fast(self, delay, fn, arg, kind, key=None):
-        """Shared body of schedule1/schedule0/inject: pooled event, no
-        tuple."""
-        now = self._now
-        time = now + delay
-        if key is None:
-            key = (now << _ATIME_SHIFT) | self._dispatch_coarse
+    def _sched_fast(self, delay, fn, arg, kind):
+        """Shared body of schedule1/schedule0: pooled event, no tuple."""
+        if delay < 0:
+            raise SimulationError("delay cannot be negative: %r" % (delay,))
+        time = self._now + delay
         heap = self._heap
         cancelled = self._cancelled
         if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
@@ -236,7 +209,7 @@ class Simulator:
             event.sim = self
         else:
             event = Event(time, seq, fn, arg, self, kind)
-        heappush(heap, (time, key, seq, event))
+        heappush(heap, (time, seq, event))
         return event
 
     def schedule1(self, delay, fn, arg):
@@ -255,41 +228,18 @@ class Simulator:
         same-time events already in the queue).  Returns the Event."""
         return self.at(self._now, fn, *args)
 
-    def inject(self, time, fn, arg, vkey):
-        """Schedule ``fn(arg)`` at absolute ``time`` with an explicit
-        assignment key -- the external-frame entry point of the parallel
-        runner (:mod:`repro.sim.parallel`).
-
-        A frame crossing a shard boundary was, in the serial schedule,
-        a ``schedule1`` issued by the *sending* shard's transmit
-        dispatch; ``vkey`` is the packed key that call would have
-        stamped (sender's instant, then the sender's dispatcher
-        instant), shipped alongside the frame.  Injecting with that key
-        makes the delivery sort against the receiving shard's same-time
-        events exactly as it would have in one global engine, and every
-        event the delivery callback schedules derives its own key from
-        ``vkey``'s high field -- so ordering agreement propagates.
-        """
-        time = int(time)
-        if time < self._now:
-            raise SimulationError(
-                "cannot inject event at t=%d; clock is already at t=%d"
-                % (time, self._now)
-            )
-        return self._sched_fast(time - self._now, fn, arg, 1, vkey)
-
     # -- storage maintenance -------------------------------------------------
 
     def _compact(self):
         """Drop cancelled entries from the heap.
 
-        Entries order by their own (time, key, seq), so re-heapifying the
+        Entries order by their own (time, seq), so re-heapifying the
         survivors cannot change firing order -- compaction is invisible
         to the simulation.  The list is mutated in place because an
         in-progress :meth:`run` holds a direct reference to it.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapify(heap)
         self._cancelled = 0
 
@@ -324,7 +274,7 @@ class Simulator:
                 if max_events is not None and fired >= max_events:
                     break
                 entry = heap[0]
-                event = entry[3]
+                event = entry[2]
                 if event.cancelled:
                     heappop(heap)
                     self._cancelled -= 1
@@ -344,7 +294,6 @@ class Simulator:
                 event.sim = None  # fired: a late cancel() must not miscount
                 self._events_fired += 1
                 fired += 1
-                self._dispatch_coarse = entry[1] >> _ATIME_SHIFT
                 if kind == 0:
                     fn(*args)
                 elif kind == 1:

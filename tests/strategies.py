@@ -3,9 +3,9 @@
 One home for the generators that several suites were growing ad hoc:
 
 * :func:`sim_programs` / :func:`apply_sim_program` -- random scheduler
-  programs (schedule / at / chain / cancel / run / step) used by the
-  engine ordering suite and anything else that differentials the event
-  engine.
+  programs (schedule / schedule1 / schedule0 / at / chain / cancel /
+  run / step) used by the engine ordering suite and anything else that
+  differentials the event engine.
 * :func:`buffer_ops` -- admit/release op streams for shared-buffer
   conservation properties.
 * :func:`maxmin_problems` -- (links, paths) instances for the max-min
@@ -28,6 +28,8 @@ Strategies take bounds as arguments so suites can tighten or widen them
 without forking the generator.
 """
 
+from functools import partial
+
 from hypothesis import strategies as st
 
 from repro.rdma import QpConfig, connect_qp_pair
@@ -49,6 +51,10 @@ def sim_program_ops():
     return st.one_of(
         # schedule(delay): short and long delays interleaved.
         st.tuples(st.just("sched"), st.integers(0, 3 * WINDOW_NS)),
+        # schedule1 / schedule0(delay): the pooled fast path every
+        # packet, link delivery and timer takes.
+        st.tuples(st.just("sched1"), st.integers(0, 3 * WINDOW_NS)),
+        st.tuples(st.just("sched0"), st.integers(0, 3 * WINDOW_NS)),
         # at(now + offset)
         st.tuples(st.just("at"), st.integers(0, 2 * WINDOW_NS)),
         # schedule a callback that, when fired, schedules another
@@ -75,7 +81,17 @@ def apply_sim_program(sim, ops):
     """Run `ops` against `sim`; return the fired-event trace."""
     trace = []
     handles = []
+    pooled = {}  # tag -> handle of a pending schedule1/schedule0 event
     tag = 0
+    # The heapq reference has no pooled path: plain schedule() there.
+    schedule1 = getattr(sim, "schedule1", sim.schedule)
+    schedule0 = getattr(sim, "schedule0", sim.schedule)
+
+    def fire_pooled(record):
+        # The engine recycles a pooled event once it has fired, so its
+        # handle may be cancelled only while pending: forget it here.
+        handles.remove(pooled.pop(record[2]))
+        trace.append(record)
 
     def make_chain(chain_delay, chain_tag):
         def fire():
@@ -88,6 +104,15 @@ def apply_sim_program(sim, ops):
         kind = op[0]
         if kind == "sched":
             handles.append(sim.schedule(op[1], trace.append, (sim.now, "s", tag)))
+            tag += 1
+        elif kind in ("sched1", "sched0"):
+            record = (sim.now, kind, tag)
+            if kind == "sched1":
+                handle = schedule1(op[1], fire_pooled, record)
+            else:
+                handle = schedule0(op[1], partial(fire_pooled, record))
+            pooled[tag] = handle
+            handles.append(handle)
             tag += 1
         elif kind == "at":
             handles.append(sim.at(sim.now + op[1], trace.append, (sim.now, "a", tag)))

@@ -98,29 +98,6 @@ class TestFingerprintPinning:
     def test_baseline_covers_every_scenario(self, baseline):
         assert set(baseline["scenarios"]) == set(SCENARIOS)
 
-    @pytest.mark.parallel
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_clos_pod_parallel_matches_serial_baseline(
-        self, workers, baseline, monkeypatch
-    ):
-        """The space-parallel engine's acceptance criterion: sharded
-        clos_pod reproduces the *serial* baseline fingerprint
-        byte-for-byte at any worker count (docs/parallel.md)."""
-        from repro.bench import scenarios as bench_scenarios
-
-        monkeypatch.setattr(bench_scenarios, "PARALLEL_WORKERS", workers)
-        run = SCENARIOS["clos_pod_parallel"].run(seed=1)
-        recorded = baseline["scenarios"]["clos_pod"]
-        assert run.fingerprint == recorded["fingerprint"], (
-            "clos_pod_parallel at %d workers diverged from the serial "
-            "baseline -- the conservative-synchronization determinism "
-            "contract is broken" % workers
-        )
-        assert run.events == recorded["events"]
-        assert run.packets == recorded["packets"]
-        assert run.detail["workers"] == workers
-        assert run.detail["window_ns"] == 1500
-
     def test_repeat_is_deterministic_in_process(self):
         first = SCENARIOS["single_flow"].run(seed=1)
         second = SCENARIOS["single_flow"].run(seed=1)

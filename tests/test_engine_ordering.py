@@ -1,9 +1,9 @@
 """Ordering suite: the engine vs a reference (time, seq) heapq engine.
 
-The `Simulator` in `repro.sim.engine` orders its heap by a packed
-assignment key instead of the bare sequence number, recycles pooled
-events and compacts cancelled entries.  The contract is that all of
-this is *invisible*: for any interleaving of schedule / at / cancel /
+The `Simulator` in `repro.sim.engine` keeps one heap of (time, seq,
+event), recycles pooled events through a free-list and compacts
+cancelled entries.  The contract is that the last two are *invisible*:
+for any interleaving of schedule / schedule1 / schedule0 / at / cancel /
 run(until) / step calls -- including callbacks that schedule at the
 instant being dispatched, serialization-scale and RTO-scale delays mixed
 in one heap, driver code scheduling between runs, and compaction
@@ -13,10 +13,8 @@ sequences and agree on ``now``, ``events_fired`` and ``pending``.
 `ReferenceSimulator` below is a minimal transliteration of the seed
 heapq engine (lazy cancellation, FIFO tie-break by sequence number,
 inclusive ``run(until=...)`` horizon, clock advanced to the horizon when
-idle).
-
-The one place the key is *meant* to be visible is `Simulator.inject`,
-the parallel runner's entry point; its cases are at the bottom.
+idle).  It has no pooled path: the programs' ``sched1`` / ``sched0`` ops
+reach it as plain ``schedule``.
 """
 
 import heapq
@@ -25,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.sim import Simulator
-from repro.sim.engine import _ATIME_SHIFT, SimulationError
+from repro.sim.engine import SimulationError
+from repro.sim.timer import Timer
 from tests.strategies import WINDOW_NS as _WINDOW_NS
 from tests.strategies import apply_sim_program as _apply_program
 from tests.strategies import sim_programs
@@ -171,11 +170,13 @@ def test_engine_matches_reference_across_compaction_boundaries(ops):
         # step() stops mid-instant; the driver schedules for t, then a
         # remaining same-instant callback does: driver goes first.
         [("sched", 10), ("chain", 10, 5), ("step", 0), ("sched", 5)],
+        # The same two through the pooled fast path.
+        [("run", 5), ("chain", 3, 4), ("run", 3), ("sched1", 4)],
+        [("sched0", 10), ("chain", 10, 5), ("step", 0), ("sched1", 5)],
     ],
 )
 def test_driver_scheduling_between_runs_keeps_fifo(ops):
-    # Hypothesis rarely draws the equal delays these need, and the
-    # packed key is stamped outside dispatch here, so pin them.
+    # Hypothesis rarely draws the equal delays these need, so pin them.
     assert _apply_program(Simulator(), ops) == _apply_program(
         ReferenceSimulator(), ops
     )
@@ -246,57 +247,22 @@ def test_past_schedule_still_rejected():
         sim.at(10, lambda: None)
 
 
-# -- inject(): the one caller that supplies its own assignment key ------------
-
-
-def _key(instant, dispatcher_instant=0):
-    return (instant << _ATIME_SHIFT) | dispatcher_instant
-
-
-def test_injected_event_fires_between_the_keys_that_bracket_it():
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim: sim.schedule1(-5, lambda _arg: None, None),
+        lambda sim: sim.schedule0(-5, lambda: None),
+        lambda sim: Timer(sim, lambda: None).start(-5),
+    ],
+    ids=["schedule1", "schedule0", "Timer.start"],
+)
+def test_pooled_negative_delay_rejected(schedule):
+    # Like schedule(): a negative delay must raise, not queue an event
+    # in the past that runs the clock backwards when it fires.
     sim = Simulator()
-    order = []
     sim.run(until=10)
-    sim.at(100, order.append, "assigned@10")
-    sim.run(until=50)
-    sim.at(100, order.append, "assigned@50")
-    # Injected last, yet each sorts by the instant its key names.
-    sim.inject(100, order.append, "key@60", _key(60))
-    sim.inject(100, order.append, "key@20", _key(20))
-    sim.inject(100, order.append, "key@5", _key(5))
-    sim.inject(99, order.append, "earlier-time", _key(70))
-    sim.run_until_idle()
-    assert order == [
-        "earlier-time",
-        "key@5",
-        "assigned@10",
-        "key@20",
-        "assigned@50",
-        "key@60",
-    ]
-
-
-def test_events_scheduled_by_an_injected_callback_inherit_its_instant():
-    sim = Simulator()
-    order = []
-    sim.run(until=50)
-
-    def delivered(_arg):
-        # Stamped (now=100, dispatcher instant=20): the high field of
-        # the injected key, not the instant inject() was called at (50).
-        sim.schedule1(200, order.append, "child")
-
-    sim.inject(100, delivered, None, _key(20, 7))
-    sim.inject(300, order.append, "after", _key(100, 21))
-    sim.inject(300, order.append, "before", _key(100, 19))
-    sim.run_until_idle()
-    assert order == ["before", "child", "after"]
-
-
-def test_inject_into_the_past_is_rejected():
-    sim = Simulator()
-    sim.run(until=50)
     with pytest.raises(SimulationError):
-        sim.inject(49, lambda _arg: None, None, _key(10))
-    sim.inject(50, lambda _arg: None, None, _key(10))  # the present is fine
-    assert sim.pending == 1
+        schedule(sim)
+    assert sim.pending == 0
+    sim.run_until_idle()
+    assert sim.now == 10

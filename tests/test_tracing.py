@@ -16,8 +16,7 @@ Mirrors the structure of tests/test_telemetry.py for its sibling plane:
 5. **CLI + export** -- summarize/attribute/storm/export/pingmesh
    subcommands run over real artifacts; Chrome trace export and
    telemetry-incident windowing behave.
-6. **Interop** -- parallel execution refuses an armed trace hub;
-   pingmesh probes traced like any op attribute exactly.
+6. **Interop** -- pingmesh probes traced like any op attribute exactly.
 """
 
 import json
@@ -373,24 +372,6 @@ class TestCliAndExport:
 
 
 class TestInterop:
-    def test_parallel_refuses_armed_tracing(self):
-        from repro.sim.parallel import ParallelError, run_parallel
-        from repro.topo import three_tier_clos
-
-        def build(seed):
-            return three_tier_clos(
-                n_podsets=2, tors_per_podset=2, hosts_per_tor=2,
-                leaves_per_podset=2, n_spines=2, seed=seed,
-            )
-
-        tracing.arm(tracing.TraceConfig(label="test-parallel"))
-        try:
-            with pytest.raises(ParallelError, match="tracing"):
-                run_parallel(build, 2, duration_ns=1000)
-        finally:
-            tracing.disarm()
-            tracing.drain()
-
     def test_pingmesh_probes_attribute_exactly(self):
         from repro.monitoring import Pingmesh
         from repro.sim import SeededRng
