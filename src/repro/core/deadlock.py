@@ -73,12 +73,10 @@ def build_wait_graph(switches):
                 # Only count the pauser if its PG really is asserting.
                 if not neighbour.buffer.pg(egress.peer.index, priority).paused:
                     continue
-                for entry in egress._queues[priority]:
-                    meta = entry.meta
-                    if meta is None:
-                        continue
-                    waiter = (switch.name, meta.claim.port_idx, priority)
-                    graph.add_edge(waiter, pauser)
+                for queued_at, _packet, claim, _enqueued_ns in egress.iter_entries():
+                    if queued_at == priority and claim is not None:
+                        waiter = (switch.name, claim.port_idx, priority)
+                        graph.add_edge(waiter, pauser)
     return graph
 
 

@@ -96,7 +96,7 @@ class BufferConservationAuditor:
                 "shared pool out of bounds: %d of %d"
                 % (buffer.shared_in_use, buffer.shared_size),
             )
-        for (port_idx, priority), pg in buffer._pgs.items():
+        for port_idx, priority, pg in buffer.iter_pgs():
             if pg.occupancy < 0 or pg.headroom_used < 0:
                 report(
                     switch.name,

@@ -26,6 +26,10 @@ from repro.telemetry.hooks import HUB as _TELEMETRY
 from repro.tracing.hooks import HUB as _TRACE
 
 
+#: Strict-priority service order.
+_DESCENDING = tuple(range(N_PRIORITIES - 1, -1, -1))
+
+
 class PortStats:
     """Per-port counters (section 5.2's monitoring feeds off these)."""
 
@@ -88,7 +92,7 @@ class StrictPriorityScheduler:
         queues = port._queues
         paused_until = port._paused_until
         now = port.sim.now
-        for priority in range(N_PRIORITIES - 1, -1, -1):
+        for priority in _DESCENDING:
             if queues[priority] and paused_until[priority] <= now:
                 return priority
         return None
@@ -135,7 +139,7 @@ class DwrrScheduler:
                 if not topped_up[priority]:
                     deficits[priority] += self._quantum * self.weight(priority)
                     topped_up[priority] = True
-                head_bytes = queue[0].packet.size_bytes
+                head_bytes = queue[0][0].size_bytes
                 if deficits[priority] >= head_bytes:
                     deficits[priority] -= head_bytes
                     return priority
@@ -150,15 +154,6 @@ class DwrrScheduler:
                 deficits[priority] = 0
                 return priority
         return None
-
-
-class _QueueEntry:
-    __slots__ = ("packet", "meta", "enqueued_ns")
-
-    def __init__(self, packet, meta, enqueued_ns):
-        self.packet = packet
-        self.meta = meta
-        self.enqueued_ns = enqueued_ns
 
 
 class Port:
@@ -223,6 +218,7 @@ class Port:
         self.is_server_facing = False
         self.vlan_port_mode = None
 
+        # Per-priority deques of (packet, meta, enqueued_ns).
         self._queues = [collections.deque() for _ in range(N_PRIORITIES)]
         self._queue_bytes = [0] * N_PRIORITIES
         self._control_queue = collections.deque()
@@ -266,15 +262,15 @@ class Port:
         """Yield ``(priority, packet, meta, enqueued_ns)`` for every queued
         data frame.  Read-only view used by the invariant auditors."""
         for priority, queue in enumerate(self._queues):
-            for entry in queue:
-                yield priority, entry.packet, entry.meta, entry.enqueued_ns
+            for packet, meta, enqueued_ns in queue:
+                yield priority, packet, meta, enqueued_ns
 
     def head_packet_bytes(self, priority):
         """Wire size of the head packet of ``priority`` (0 when empty)."""
         queue = self._queues[priority]
         if not queue:
             return 0
-        return queue[0].packet.size_bytes
+        return queue[0][0].size_bytes
 
     def is_paused(self, priority):
         """True while PFC holds ``priority`` paused on this port."""
@@ -299,13 +295,14 @@ class Port:
         if not 0 <= priority < N_PRIORITIES:
             raise ValueError("priority out of range: %r" % (priority,))
         nbytes = packet.size_bytes
-        self._queues[priority].append(_QueueEntry(packet, meta, self.sim.now))
+        self._queues[priority].append((packet, meta, self.sim.now))
         self._queue_bytes[priority] += nbytes
         self._total_packets += 1
         self._total_bytes += nbytes
         if _TRACE.enabled:
             _TRACE.session.on_port_enqueue(self, packet, priority)
-        self._try_send()
+        if not self._busy:
+            self._try_send()
 
     def enqueue_control(self, packet):
         """Queue a MAC control frame (pause); precedes all data, never
@@ -410,60 +407,55 @@ class Port:
             self._wake_timer.start_at(earliest)
 
     def _try_send(self):
-        if self._busy or self.link is None or self.frozen:
+        link = self.link
+        if self._busy or link is None or self.frozen:
             return
-        # Control frames first, always.
         if self._control_queue:
+            # Control frames first, always.
             packet = self._control_queue.popleft()
-            self._transmit(packet, priority=None)
-            return
-        # Strict priority (the common scheduler) is pure and is inlined
-        # below -- one attribute walk instead of a method call per frame;
-        # DWRR keeps per-pick deficit state and goes through pick().
-        fast_sp = type(self.scheduler) is StrictPriorityScheduler
-        while True:
-            if fast_sp:
-                queues = self._queues
-                paused_until = self._paused_until
-                now = self.sim.now
-                priority = None
-                for p in range(N_PRIORITIES - 1, -1, -1):
-                    if queues[p] and paused_until[p] <= now:
-                        priority = p
-                        break
-            else:
-                priority = self.scheduler.pick(self)
-            if priority is None:
-                # Everything eligible is empty or paused; wake on expiry.
-                self._arm_wake()
-                self._sync_pause_accounting()
-                return
-            entry = self._queues[priority].popleft()
-            nbytes = entry.packet.size_bytes
-            self._queue_bytes[priority] -= nbytes
-            self._total_packets -= 1
-            self._total_bytes -= nbytes
-            meta = entry.meta
-            if (
-                self.drop_flood_at_head
-                and meta is not None
-                and meta.flood_copy
-            ):
-                # Drop at head of queue (paper section 4.2): frees buffer
-                # only now, after having occupied it the whole wait.
-                self.stats.head_drops += 1
-                if self.on_dequeue is not None:
-                    self.on_dequeue(entry.packet, meta, True)
-                continue
-            # Start the transmission (marking the port busy) *before*
-            # notifying the device: the dequeue callback may refill the
-            # queue synchronously, which must not re-enter transmission.
-            self._transmit(entry.packet, priority)
-            if self.on_dequeue is not None:
-                self.on_dequeue(entry.packet, meta, False)
-            return
-
-    def _transmit(self, packet, priority):
+            priority = None
+        else:
+            # Strict priority (the common scheduler) is pure and is inlined
+            # below -- one attribute walk instead of a method call per frame;
+            # DWRR keeps per-pick deficit state and goes through pick().
+            fast_sp = type(self.scheduler) is StrictPriorityScheduler
+            while True:
+                if not self._total_packets:
+                    # Nothing queued: nothing to pick, nothing to wake for.
+                    self._sync_pause_accounting()
+                    return
+                if fast_sp:
+                    queues = self._queues
+                    paused_until = self._paused_until
+                    now = self.sim.now
+                    priority = None
+                    for p in _DESCENDING:
+                        if queues[p] and paused_until[p] <= now:
+                            priority = p
+                            break
+                else:
+                    priority = self.scheduler.pick(self)
+                if priority is None:
+                    # Everything queued is paused; wake on expiry.
+                    self._arm_wake()
+                    self._sync_pause_accounting()
+                    return
+                packet, meta, _enqueued_ns = self._queues[priority].popleft()
+                nbytes = packet.size_bytes
+                self._queue_bytes[priority] -= nbytes
+                self._total_packets -= 1
+                self._total_bytes -= nbytes
+                if self.drop_flood_at_head and meta is not None and meta.flood_copy:
+                    # Drop at head of queue (paper section 4.2): frees
+                    # buffer only now, after occupying it the whole wait.
+                    self.stats.head_drops += 1
+                    if self.on_dequeue is not None:
+                        self.on_dequeue(packet, meta, True)
+                    continue
+                break
+        # Start the transmission (marking the port busy) *before*
+        # notifying the device: the dequeue callback may refill the
+        # queue synchronously, which must not re-enter transmission.
         self._busy = True
         stats = self.stats
         if packet.pause is not None:
@@ -473,9 +465,11 @@ class Port:
                 stats.resume_tx += 1
         elif priority is not None:
             stats.tx_packets[priority] += 1
-            stats.tx_bytes[priority] += packet.size_bytes
-        serialization_ns = self.link.transmit(self, packet)
+            stats.tx_bytes[priority] += nbytes
+        serialization_ns = link.transmit(self, packet)
         self.sim.schedule0(serialization_ns, self._tx_complete_ref)
+        if priority is not None and self.on_dequeue is not None:
+            self.on_dequeue(packet, meta, False)
 
     def _tx_complete(self):
         self._busy = False

@@ -50,8 +50,13 @@ class Packet:
     * RoCEv2:     ``ip`` + ``udp`` + ``bth`` (+ optional ``aeth``).
     * TCP:        ``ip`` + ``tcp``.
 
-    ``payload_bytes`` counts application payload only; ``size_bytes``
-    derives the full buffered frame size from the populated layers.
+    ``payload_bytes`` counts application payload only.  ``size_bytes``
+    (the full buffered frame) and ``wire_bytes`` (plus preamble, SFD and
+    IPG, as clocked on the wire) are measured from the populated layers
+    at construction: layers are immutable afterwards except for
+    ``dst_mac`` (MAC rewrite, size-irrelevant) and ``vlan``, whose setter
+    re-measures -- every buffer admit, scheduler pick and link
+    serialization reads the size, several times per hop.
     """
 
     __slots__ = (
@@ -70,7 +75,8 @@ class Packet:
         "created_ns",
         "flow",
         "context",
-        "_size",
+        "size_bytes",
+        "wire_bytes",
         "_ftuple",
     )
 
@@ -108,11 +114,8 @@ class Packet:
         # Free-form slot for transports to stash per-packet state (e.g. the
         # message a segment belongs to); never read by switches.
         self.context = context
-        # Lazily computed caches.  A packet's layers are immutable after
-        # construction except for dst_mac (MAC rewrite, size-irrelevant)
-        # and vlan (tag strip -- the vlan setter invalidates the size).
-        self._size = None
-        self._ftuple = None
+        self._ftuple = None  # five_tuple, computed on first use
+        self._measure()
 
     @property
     def vlan(self):
@@ -123,7 +126,31 @@ class Packet:
     @vlan.setter
     def vlan(self, tag):
         self._vlan = tag
-        self._size = None
+        self._measure()
+
+    def _measure(self):
+        """Set ``size_bytes`` / ``wire_bytes`` from the populated layers."""
+        size = ETH_HEADER_BYTES + ETH_FCS_BYTES
+        if self._vlan is not None:
+            size += VLAN_TAG_BYTES
+        if self.pause is not None:
+            size += self.pause.size_bytes
+        elif self.arp is not None:
+            size += self.arp.size_bytes
+        else:
+            if self.ip is not None:
+                size += IPV4_HEADER_BYTES
+                if self.udp is not None:
+                    size += UDP_HEADER_BYTES
+                    if self.bth is not None:
+                        size += BTH_BYTES + ICRC_BYTES
+                        if self.aeth is not None:
+                            size += AETH_BYTES
+                elif self.tcp is not None:
+                    size += TCP_HEADER_BYTES
+            size += self.payload_bytes
+        self.size_bytes = size
+        self.wire_bytes = size + ETH_WIRE_OVERHEAD_BYTES
 
     # -- factories ----------------------------------------------------------
 
@@ -235,44 +262,6 @@ class Packet:
             ftuple = (ip.src, ip.dst, ip.protocol, 0, 0)
         self._ftuple = ftuple
         return ftuple
-
-    @property
-    def size_bytes(self):
-        """Full buffered frame size derived from the populated layers.
-
-        Computed once and cached -- every buffer admit, scheduler pick and
-        link serialization reads it, several times per hop.  The cache is
-        invalidated when (only) the VLAN tag changes.
-        """
-        size = self._size
-        if size is not None:
-            return size
-        size = ETH_HEADER_BYTES + ETH_FCS_BYTES
-        if self._vlan is not None:
-            size += VLAN_TAG_BYTES
-        if self.pause is not None:
-            size += self.pause.size_bytes
-        elif self.arp is not None:
-            size += self.arp.size_bytes
-        else:
-            if self.ip is not None:
-                size += IPV4_HEADER_BYTES
-                if self.udp is not None:
-                    size += UDP_HEADER_BYTES
-                    if self.bth is not None:
-                        size += BTH_BYTES + ICRC_BYTES
-                        if self.aeth is not None:
-                            size += AETH_BYTES
-                elif self.tcp is not None:
-                    size += TCP_HEADER_BYTES
-            size += self.payload_bytes
-        self._size = size
-        return size
-
-    @property
-    def wire_bytes(self):
-        """Frame size as clocked on the wire (adds preamble + SFD + IPG)."""
-        return self.size_bytes + ETH_WIRE_OVERHEAD_BYTES
 
     def __repr__(self):
         if self.pause is not None:

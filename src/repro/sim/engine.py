@@ -16,10 +16,11 @@ simulated packet costs several engine events):
   so the order is exactly (time, FIFO-seq) -- as the determinism
   fingerprints in ``benchmarks/BASELINE.json`` and the Hypothesis
   equivalence suite in ``tests/test_engine_ordering.py`` assert.
-* Hot internal callers use :meth:`schedule1` / :meth:`schedule0`, which
-  skip the ``*args`` tuple and draw :class:`Event` objects from a
-  **free-list**; such events are recycled after they fire, so
-  steady-state dispatch allocates only the heap entry.
+* :meth:`schedule1` / :meth:`schedule0` -- what links, ports and timers
+  call per frame -- skip the ``*args`` tuple, draw :class:`Event`
+  objects from a **free-list** (recycled after they fire, so
+  steady-state dispatch allocates only the heap entry) and each carry
+  their whole body: one Python frame per scheduled event.
 """
 
 from heapq import heapify, heappop, heappush
@@ -186,8 +187,15 @@ class Simulator:
         heappush(heap, (time, seq, event))
         return event
 
-    def _sched_fast(self, delay, fn, arg, kind):
-        """Shared body of schedule1/schedule0: pooled event, no tuple."""
+    def schedule1(self, delay, fn, arg):
+        """Schedule ``fn(arg)`` ``delay`` ns from now, drawing the Event
+        from the free-list.  The returned handle may be cancelled, but
+        must not be retained (or cancelled) past the event's fire time:
+        the engine recycles the object.  Internal hot-path API."""
+        # Every link delivery comes through here and every frame's
+        # tx-complete through schedule0, so each carries its own body
+        # rather than paying a second Python frame for a shared one.
+        delay = int(delay)
         if delay < 0:
             raise SimulationError("delay cannot be negative: %r" % (delay,))
         time = self._now + delay
@@ -204,24 +212,40 @@ class Simulator:
             event.seq = seq
             event.fn = fn
             event.args = arg
-            event.kind = kind
+            event.kind = 1
             event.cancelled = False
             event.sim = self
         else:
-            event = Event(time, seq, fn, arg, self, kind)
+            event = Event(time, seq, fn, arg, self, 1)
         heappush(heap, (time, seq, event))
         return event
 
-    def schedule1(self, delay, fn, arg):
-        """Schedule ``fn(arg)`` ``delay`` ns from now, drawing the Event
-        from the free-list.  The returned handle may be cancelled, but
-        must not be retained (or cancelled) past the event's fire time:
-        the engine recycles the object.  Internal hot-path API."""
-        return self._sched_fast(int(delay), fn, arg, 1)
-
     def schedule0(self, delay, fn):
         """Pooled, argument-free variant of :meth:`schedule1`."""
-        return self._sched_fast(int(delay), fn, None, 2)
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError("delay cannot be negative: %r" % (delay,))
+        time = self._now + delay
+        heap = self._heap
+        cancelled = self._cancelled
+        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
+            self._compact()
+        seq = self._seq
+        self._seq = seq + 1
+        pool = self._pool
+        if pool:
+            event = pool.pop()
+            event.time = time
+            event.seq = seq
+            event.fn = fn
+            event.args = None
+            event.kind = 2
+            event.cancelled = False
+            event.sim = self
+        else:
+            event = Event(time, seq, fn, None, self, 2)
+        heappush(heap, (time, seq, event))
+        return event
 
     def call_soon(self, fn, *args):
         """Schedule ``fn(*args)`` at the current instant (after pending

@@ -20,6 +20,7 @@ XON hysteresis: pause is released when the PG drains ``xon_delta_bytes``
 below the threshold in force at release-evaluation time.
 """
 
+from repro.packets.pause import N_PRIORITIES
 from repro.sim.units import KB, MB, SEC, propagation_delay_ns, serialization_delay_ns
 from repro.telemetry.hooks import HUB as _TELEMETRY
 
@@ -136,16 +137,23 @@ class SharedBuffer:
     """Ingress-accounted shared buffer for one switch.
 
     The buffer does not know about pause frames; it returns *decisions*
-    (:meth:`admit`, :meth:`should_pause`, :meth:`should_resume`) and the
-    switch acts on them.  Lossless PGs must have been declared via
-    ``lossless`` at admit time so headroom accounting applies.
+    (:meth:`admit`, :meth:`evaluate_pause`) and the switch acts on them.
+    Lossless PGs must have been declared via ``lossless`` at admit time
+    so headroom accounting applies.
+
+    PG state lives in ``pg_rows[port_idx][priority]``, built once here.
+    :meth:`admit` / :meth:`release` / :meth:`evaluate_pause` take
+    indices and check them; the switch's per-frame walk already holds
+    the :class:`PgState` and calls the ``*_state`` bodies directly.
     """
 
     def __init__(self, config, n_ports, lossless_priorities=(3,)):
         self.config = config
         self.n_ports = n_ports
         self.lossless_priorities = frozenset(lossless_priorities)
-        self._pgs = {}
+        self.pg_rows = [
+            [PgState() for _ in range(N_PRIORITIES)] for _ in range(n_ports)
+        ]
         # Headroom and guaranteed pools are carved out of the total;
         # what remains is the shared pool that dynamic alpha divides.
         n_lossless_pgs = n_ports * len(self.lossless_priorities)
@@ -153,7 +161,7 @@ class SharedBuffer:
         self.shared_size = (
             config.total_bytes
             - self.headroom_total
-            - config.guaranteed_per_pg_bytes * n_ports * 8
+            - config.guaranteed_per_pg_bytes * n_ports * N_PRIORITIES
         )
         if self.shared_size <= 0:
             raise ValueError(
@@ -174,12 +182,19 @@ class SharedBuffer:
         self.owner_name = ""
 
     def pg(self, port_idx, priority):
-        key = (port_idx, priority)
-        state = self._pgs.get(key)
-        if state is None:
-            state = PgState()
-            self._pgs[key] = state
-        return state
+        """The :class:`PgState` of ``(port_idx, priority)``."""
+        if not (0 <= port_idx < self.n_ports and 0 <= priority < N_PRIORITIES):
+            raise ValueError(
+                "no PG (%r, %r) in a %d-port buffer" % (port_idx, priority, self.n_ports)
+            )
+        return self.pg_rows[port_idx][priority]
+
+    def iter_pgs(self):
+        """Yield ``(port_idx, priority, state)`` for every PG.  Read-only
+        view used by the invariant auditors."""
+        for port_idx, row in enumerate(self.pg_rows):
+            for priority, state in enumerate(row):
+                yield port_idx, priority, state
 
     # -- thresholds ----------------------------------------------------------
 
@@ -204,33 +219,39 @@ class SharedBuffer:
         headroom exhaustion drops it (a *violation*: with correctly sized
         headroom this never happens, and tests assert it doesn't).
         """
+        return self.admit_state(self.pg(port_idx, priority), nbytes, lossless)
+
+    def admit_state(self, state, nbytes, lossless):
+        """:meth:`admit` for a caller already holding the PG's state."""
         # Hot path: every forwarded packet passes through here once.  The
         # config object is read afresh on every call -- fault injection
         # (``drift_buffer_alpha``) swaps scalar values under us and the
         # next admit must already see them, so nothing here may be cached
         # across calls.
-        state = self._pgs.get((port_idx, priority))
-        if state is None:
-            state = self.pg(port_idx, priority)
         config = self.config
         guaranteed = config.guaranteed_per_pg_bytes
         occupancy = state.occupancy
-        if occupancy + nbytes <= guaranteed:
-            over_threshold = False
+        grown = occupancy + nbytes
+        if grown <= guaranteed:
+            # Within the guaranteed minimum: the shared pool is untouched.
+            state.occupancy = grown
+            return True
+        shared_occ = occupancy - guaranteed
+        if shared_occ < 0:
+            shared_occ = 0
+        alpha = config.alpha
+        if alpha is not None:
+            threshold = int(alpha * (self.shared_size - self.shared_in_use))
+            if threshold < 0:
+                threshold = 0
         else:
-            shared_occ = occupancy - guaranteed
-            if shared_occ < 0:
-                shared_occ = 0
-            alpha = config.alpha
-            if alpha is not None:
-                threshold = int(alpha * (self.shared_size - self.shared_in_use))
-                if threshold < 0:
-                    threshold = 0
-            else:
-                threshold = config.xoff_static_bytes
-            over_threshold = shared_occ + nbytes > threshold
-        if not over_threshold:
-            self._charge(state, nbytes)
+            threshold = config.xoff_static_bytes
+        if shared_occ + nbytes <= threshold:
+            state.occupancy = grown
+            shared = self.shared_in_use + (grown - guaranteed) - shared_occ
+            self.shared_in_use = shared
+            if shared > self.peak_shared_in_use:
+                self.peak_shared_in_use = shared
             return True
         if not lossless:
             self.lossy_drops += 1
@@ -247,24 +268,16 @@ class SharedBuffer:
             _TELEMETRY.session.on_headroom_spill(self.owner_name, nbytes)
         return True
 
-    def _charge(self, state, nbytes):
-        guaranteed = self.config.guaranteed_per_pg_bytes
-        before = max(0, state.occupancy - guaranteed)
-        state.occupancy += nbytes
-        after = max(0, state.occupancy - guaranteed)
-        self.shared_in_use += after - before
-        if self.shared_in_use > self.peak_shared_in_use:
-            self.peak_shared_in_use = self.shared_in_use
-
     def release(self, port_idx, priority, nbytes):
         """Return ``nbytes`` of ``(port_idx, priority)`` to the pool.
 
         Headroom usage is drained first (LIFO relative to admission order
         does not matter for totals).
         """
-        state = self._pgs.get((port_idx, priority))
-        if state is None:
-            state = self.pg(port_idx, priority)
+        self.release_state(self.pg(port_idx, priority), nbytes)
+
+    def release_state(self, state, nbytes):
+        """:meth:`release` for a caller already holding the PG's state."""
         headroom = state.headroom_used
         if headroom:
             from_headroom = headroom if headroom < nbytes else nbytes
@@ -275,9 +288,10 @@ class SharedBuffer:
             remainder = nbytes
         occupancy = state.occupancy
         if remainder > occupancy:
+            where = next(((i, p) for i, p, s in self.iter_pgs() if s is state), None)
             raise RuntimeError(
-                "buffer release underflow at pg(%d, %d): %d > %d"
-                % (port_idx, priority, remainder, occupancy)
+                "buffer release underflow at pg%s: %d > %d"
+                % (where, remainder, occupancy)
             )
         guaranteed = self.config.guaranteed_per_pg_bytes
         before = occupancy - guaranteed
@@ -301,36 +315,17 @@ class SharedBuffer:
         lookup and one threshold computation instead of up to two each.
         Thresholds are read from the live config (see :meth:`admit`).
         """
-        state = self._pgs.get((port_idx, priority))
-        if state is None:
-            state = self.pg(port_idx, priority)
-        return self.evaluate_pause_state(state)
+        return self.evaluate_pause_state(self.pg(port_idx, priority))
 
     def evaluate_pause_state(self, state):
-        """:meth:`evaluate_pause` for a caller already holding the
-        :class:`PgState` (PG objects live as long as the buffer, so
-        signalers cache them to skip the per-event dict lookup)."""
-        if not state.paused:
-            if state.headroom_used > 0:
-                return 1
-            config = self.config
-            guaranteed = config.guaranteed_per_pg_bytes
-            shared_occ = state.occupancy - guaranteed
-            if shared_occ < 0:
-                shared_occ = 0
-            alpha = config.alpha
-            if alpha is not None:
-                threshold = int(alpha * (self.shared_size - self.shared_in_use))
-                if threshold < 0:
-                    threshold = 0
-            else:
-                threshold = config.xoff_static_bytes
-            return 1 if shared_occ > threshold else 0
+        """:meth:`evaluate_pause` for a caller already holding the PG's
+        state.  Pure: the switch asks after every admit and release and
+        acts (through the PG's signaler) only on a non-zero answer."""
         if state.headroom_used > 0:
-            return 0
+            # Spilled bytes assert pause and hold it until they drain.
+            return 0 if state.paused else 1
         config = self.config
-        guaranteed = config.guaranteed_per_pg_bytes
-        shared_occ = state.occupancy - guaranteed
+        shared_occ = state.occupancy - config.guaranteed_per_pg_bytes
         if shared_occ < 0:
             shared_occ = 0
         alpha = config.alpha
@@ -340,6 +335,8 @@ class SharedBuffer:
                 threshold = 0
         else:
             threshold = config.xoff_static_bytes
+        if not state.paused:
+            return 1 if shared_occ > threshold else 0
         xon = threshold - config.xon_delta_bytes
         if xon < 0:
             xon = 0
@@ -372,7 +369,7 @@ class SharedBuffer:
 
     @property
     def total_occupancy(self):
-        return sum(s.occupancy + s.headroom_used for s in self._pgs.values())
+        return sum(s.occupancy + s.headroom_used for _, _, s in self.iter_pgs())
 
     def __repr__(self):
         return "SharedBuffer(shared %d/%d B, threshold=%dB)" % (

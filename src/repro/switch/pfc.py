@@ -108,36 +108,39 @@ class PauseSignaler:
         self._refresh = Timer(
             sim, self._on_refresh, name="%s.pfc%d" % (port.name, priority)
         )
-        # Cached (buffer, PgState) pair; re-resolved if the switch ever
-        # rebuilds its buffer.
-        self._buffer = None
-        self._state = None
+        # A switch builds its buffer once (``finalize()``) and PG state
+        # lives as long as the buffer, so both are bound here.
+        self._buffer = switch.buffer
+        self._state = switch.buffer.pg(port.index, priority)
         self.pauses_sent = 0
         self.resumes_sent = 0
 
     @property
-    def _pg_state(self):
-        buffer = self.switch.buffer
-        if buffer is not self._buffer:
-            self._buffer = buffer
-            self._state = buffer.pg(self.port.index, self.priority)
+    def pg_state(self):
+        """This PG's :class:`~repro.switch.buffer.PgState` (read-only
+        view for observers)."""
         return self._state
 
     def evaluate(self):
         """Re-check buffer state; assert or release pause as needed."""
-        # One combined buffer query (this runs on every lossless admit
-        # and release); equivalent to should_pause / elif should_resume.
-        state = self._pg_state
+        # The switch asks ``evaluate_pause_state`` itself after every
+        # admit and release and calls here only on a non-zero answer;
+        # the decision is pure, so asking again is safe.
+        state = self._state
         action = self._buffer.evaluate_pause_state(state)
         if action > 0:
             state.paused = True
             self._buffer.paused_pgs += 1
             self._send_pause()
         elif action < 0:
-            state.paused = False
-            self._buffer.paused_pgs -= 1
-            self._refresh.cancel()
-            self._send_resume()
+            self._release()
+
+    def _release(self):
+        """Stop asserting pause: XON upstream, no more refreshes."""
+        self._state.paused = False
+        self._buffer.paused_pgs -= 1
+        self._refresh.cancel()
+        self._send_resume()
 
     def _send_pause(self):
         quanta = self.switch.pfc_config.pause_quanta
@@ -174,13 +177,22 @@ class PauseSignaler:
 
     def _on_refresh(self):
         """Pause about to expire upstream; re-send while still congested."""
-        if self._pg_state.paused:
+        if not self._state.paused:
+            return
+        if self.switch.pfc_config.is_lossless(self.priority):
             self._send_pause()
+        else:
+            # A live config push (a rollout rolling back, section 6.1)
+            # took this priority out of the lossless set while the PG
+            # was asserting.  No admit will evaluate it again, so keep
+            # refreshing and the upstream stays paused for good -- a
+            # section 4.3 storm made of a config change.  Let go now.
+            self._release()
 
     def stop(self):
         """Stop refreshing (watchdog disabled lossless on this port)."""
         self._refresh.cancel()
-        state = self._pg_state
+        state = self._state
         if state.paused:
             state.paused = False
             self._buffer.paused_pgs -= 1

@@ -1,27 +1,39 @@
 """The shared-buffer switch device.
 
-Pipeline for a data frame arriving on an ingress port:
+Pipeline for a data frame arriving on an ingress port -- one function,
+:meth:`Switch.handle_packet`, in this order:
 
-1. classify priority (VLAN PCP or IP DSCP per :class:`PfcConfig`);
-2. apply the experiment's ingress drop filter, if any (the section 4.1
+1. enforce the port's 802.1Q mode (trunk / access);
+2. classify priority (VLAN PCP or IP DSCP per :class:`PfcConfig`) and
+   count the frame in the port's rx stats, at its size *as received*;
+3. storm watchdog: discard lossless frames from a disabled port;
+4. apply the experiment's ingress drop filter, if any (the section 4.1
    livelock experiment drops "any packet with the least significant byte
    of IP ID equals to 0xff" this way);
-3. learn the source MAC (server-facing ports);
-4. forwarding decision: L3 ECMP route, L2 deliver, flood (incomplete ARP
-   entry) or drop;
-5. shared-buffer admission against the ingress PG (lossy drop / headroom
-   spill per :mod:`repro.switch.buffer`);
-6. optional ECN marking against the *egress* queue depth (DCQCN CP);
-7. enqueue at the egress port(s); flooded copies share one buffer claim
-   (refcounted) and are flagged so routed ports can drop them at the head
-   of the queue, exactly as in the paper's figure 4 narrative.
+5. TTL check and decrement; learn the source MAC (server-facing ports);
+6. forwarding decision: L3 ECMP route, L2 deliver, flood (incomplete ARP
+   entry) or drop; for a route, the ECMP choice from the per-switch memo;
+7. rewrite: the ARP-resolved MAC on local delivery, or the 802.1Q tag
+   stripped crossing an L3 boundary (section 3) -- so from here on the
+   frame is four bytes smaller than step 2 counted;
+8. shared-buffer admission against the ingress PG (lossy drop / headroom
+   spill per :mod:`repro.switch.buffer`), then the PFC decision: the
+   buffer is asked, and the PG's :class:`PauseSignaler` is fetched only
+   when the answer is a change (XOFF goes out of the *ingress* port);
+9. lossy egress cap, then optional ECN marking against the *egress*
+   queue depth (DCQCN CP);
+10. enqueue at the egress port(s) with the buffer claim as the queue
+    annotation; flooded copies share one claim (refcounted) and are
+    flagged so routed ports can drop them at the head of the queue,
+    exactly as in the paper's figure 4 narrative.
 
-Dequeue (or head-drop) releases the buffer claim and may send XON.
-Crossing XOFF sends pause out of the *ingress* port toward the sender.
+Dequeue (or head-drop) releases the buffer claim and asks the PFC
+decision again; a change there sends XON.
 """
 
 from repro.packets.ip import IPV4_HEADER_BYTES
 from repro.packets.packet import Packet, compile_priority_resolver
+from repro.packets.pause import N_PRIORITIES
 from repro.net.device import Device
 from repro.switch.buffer import BufferConfig, SharedBuffer
 from repro.switch.ecmp import ecmp_select
@@ -34,25 +46,17 @@ from repro.tracing.hooks import HUB as _TRACE
 
 
 class _BufferClaim:
-    """Shared-buffer charge for one admitted packet (refcounted across
-    flood copies)."""
+    """Shared-buffer charge for one admitted packet, carried as its
+    egress queue annotation.  Flood copies share one claim (refcounted),
+    and every one of them carries ``flood_copy`` True."""
 
-    __slots__ = ("port_idx", "priority", "nbytes", "refs")
+    __slots__ = ("port_idx", "priority", "nbytes", "refs", "flood_copy")
 
-    def __init__(self, port_idx, priority, nbytes, refs):
+    def __init__(self, port_idx, priority, nbytes, refs, flood_copy):
         self.port_idx = port_idx
         self.priority = priority
         self.nbytes = nbytes
         self.refs = refs
-
-
-class _EgressMeta:
-    """Per-copy egress queue annotation."""
-
-    __slots__ = ("claim", "flood_copy")
-
-    def __init__(self, claim, flood_copy):
-        self.claim = claim
         self.flood_copy = flood_copy
 
 
@@ -111,8 +115,8 @@ class Switch(Device):
         self._mark_rng = mark_rng
         self.base_mac = base_mac if base_mac is not None else (hash(name) & 0xFFFF) << 16
         self.counters = SwitchCounters()
-        self.buffer = None  # built lazily once port count is known
-        self._signalers = {}
+        self.buffer = None  # built by finalize() once port count is known
+        self._signalers = []  # [port_idx][priority] -> PauseSignaler or None
         self._watchdogs = {}
         self._lossless_disabled_ports = set()
         self._server_port_idxs = set()
@@ -191,6 +195,7 @@ class Switch(Device):
             )
             # Telemetry attributes buffer-level signals to this switch.
             self.buffer.owner_name = self.name
+            self._signalers = [[None] * N_PRIORITIES for _ in self.ports]
         return self
 
     def enable_storm_watchdog(self, config=None):
@@ -206,12 +211,14 @@ class Switch(Device):
         """The switch's own MAC on ``port`` (pause frame source address)."""
         return self.base_mac + port.index
 
-    def _signaler(self, port, priority):
-        key = (port.index, priority)
-        signaler = self._signalers.get(key)
+    def _signaler(self, port_idx, priority):
+        """The PG's signaler, built the first time its decision changes."""
+        row = self._signalers[port_idx]
+        signaler = row[priority]
         if signaler is None:
-            signaler = PauseSignaler(self.sim, self, port, priority)
-            self._signalers[key] = signaler
+            signaler = row[priority] = PauseSignaler(
+                self.sim, self, self.ports[port_idx], priority
+            )
         return signaler
 
     # -- receive path --------------------------------------------------------
@@ -221,22 +228,120 @@ class Switch(Device):
 
         Dispatches pause frames to the port's pause state (unless the
         storm watchdog disabled lossless on that port), ARP to the
-        forwarding tables, and data frames into the ingress pipeline
-        described in the module docstring."""
+        forwarding tables, and walks a data frame through the ingress
+        pipeline described in the module docstring -- in this one
+        function: it runs once per frame per hop, where a helper per
+        step would be a Python frame per step."""
         if self.buffer is None:
             self.finalize()
-        if packet.is_pause:
-            if port.index in self._lossless_disabled_ports:
+        port_idx = port.index
+        disabled = self._lossless_disabled_ports
+        if packet.pause is not None:
+            if port_idx in disabled:
                 # Watchdog tripped: the malfunctioning NIC's pauses are
                 # ignored so they cannot propagate into the network.
                 self.counters.drops["pause-ignored"] += 1
                 return
             port.receive_pause(packet.pause)
             return
-        if packet.is_arp:
+        if packet.arp is not None:
             self._handle_arp(port, packet)
             return
-        self._ingress_data(port, packet)
+        self.counters.rx_packets += 1
+        mode = port.vlan_port_mode
+        if mode is not None:
+            if mode == "trunk" and packet.vlan is None:
+                # Trunk ports "can only send packets with VLAN tag" -- an
+                # untagged PXE-boot exchange dies right here (section 3).
+                self.counters.drops["vlan-port-mode"] += 1
+                return
+            if mode == "access" and packet.vlan is not None:
+                self.counters.drops["vlan-port-mode"] += 1
+                return
+        pfc = self.pfc_config
+        classify = self._classify if pfc is self._classify_for else self._classifier()
+        priority = classify(packet)
+        stats = port.stats
+        stats.rx_packets[priority] += 1
+        stats.rx_bytes[priority] += packet.size_bytes
+        lossless = priority in self._lossless_set
+        if lossless and port_idx in disabled:
+            # Storm watchdog: discard lossless packets *from* the NIC.
+            self.counters.drops["watchdog-lossless"] += 1
+            return
+        if self.ingress_drop_filter is not None and self.ingress_drop_filter(packet):
+            self.counters.drops["filter"] += 1
+            return
+        ip = packet.ip
+        if ip is not None:
+            if ip.ttl <= 1:
+                self.counters.drops["ttl"] += 1
+                return
+            ip.ttl -= 1
+        if port.is_server_facing:
+            self.tables.learn_mac(packet.src_mac, port_idx)
+        decision = self.tables.decide(ip.dst if ip is not None else 0, lossless)
+        if decision.action != decision.FORWARD:
+            if decision.action == decision.DROP:
+                drops = self.counters.drops
+                drops[decision.reason] = drops.get(decision.reason, 0) + 1
+            else:
+                self._flood(port, packet, priority, lossless)
+            return
+        ports = decision.ports
+        n_choices = len(ports)
+        if n_choices > 1:
+            # Flow-sticky by construction, so the (five_tuple, n) -> index
+            # mapping is memoizable; the CRC runs once per flow per path
+            # width instead of once per packet.
+            seed = self.ecmp_seed
+            cache = self._ecmp_cache
+            if seed != self._ecmp_cache_seed:
+                cache.clear()
+                self._ecmp_cache_seed = seed
+            key = (packet.five_tuple, n_choices)
+            choice = cache.get(key)
+            if choice is None:
+                choice = ecmp_select(key[0], n_choices, seed)
+                cache[key] = choice
+            egress_idx = ports[choice]
+        else:
+            egress_idx = ports[0]
+        if decision.reason == "l2-hit":
+            # Local delivery: rewrite the MAC to the ARP-resolved station.
+            mac = self.tables.resolve_local_mac(ip.dst)
+            if mac is not None:
+                packet.dst_mac = mac
+        elif (
+            decision.reason == "l3-route"
+            and packet.vlan is not None
+            and not pfc.vlan_pcp_preserved_across_l3
+        ):
+            # Crossing a subnet boundary: the 802.1Q tag (and with it the
+            # PCP priority) is not regenerated -- the section 3 failure
+            # of VLAN-based PFC on an IP-routed fabric.  Note the packet
+            # was already *classified at this hop* before the tag is lost.
+            packet.vlan = None
+        if lossless and egress_idx in disabled:
+            # Storm watchdog: discard lossless packets *to* the NIC.
+            self.counters.drops["watchdog-lossless"] += 1
+            return
+        # Charged as it will be buffered: re-read after the tag strip.
+        nbytes = packet.size_bytes
+        buffer = self.buffer
+        state = buffer.pg_rows[port_idx][priority]
+        if not buffer.admit_state(state, nbytes, lossless):
+            reason = "buffer-headroom-overflow" if lossless else "buffer-lossy"
+            self.counters.drops[reason] += 1
+            return
+        if lossless and buffer.evaluate_pause_state(state):
+            self._signaler(port_idx, priority).evaluate()
+        self._enqueue_egress(
+            self.ports[egress_idx],
+            packet,
+            priority,
+            _BufferClaim(port_idx, priority, nbytes, 1, False),
+        )
 
     def _handle_arp(self, port, packet):
         """Switch-CPU ARP processing: learn, then flood within the subnet."""
@@ -252,99 +357,6 @@ class Switch(Device):
             egress = self.ports[idx]
             if egress.connected:
                 egress.enqueue(packet, self.pfc_config.default_priority, meta=None)
-
-    def _ingress_data(self, port, packet):
-        self.counters.rx_packets += 1
-        mode = port.vlan_port_mode
-        if mode is not None:
-            if mode == "trunk" and packet.vlan is None:
-                # Trunk ports "can only send packets with VLAN tag" -- an
-                # untagged PXE-boot exchange dies right here (section 3).
-                self.counters.drops["vlan-port-mode"] += 1
-                return
-            if mode == "access" and packet.vlan is not None:
-                self.counters.drops["vlan-port-mode"] += 1
-                return
-        classify = (
-            self._classify
-            if self.pfc_config is self._classify_for
-            else self._classifier()
-        )
-        priority = classify(packet)
-        port.record_rx(packet, priority)
-        lossless = priority in self._lossless_set
-        if lossless and port.index in self._lossless_disabled_ports:
-            # Storm watchdog: discard lossless packets *from* the NIC.
-            self.counters.drops["watchdog-lossless"] += 1
-            return
-        if self.ingress_drop_filter is not None and self.ingress_drop_filter(packet):
-            self.counters.drops["filter"] += 1
-            return
-        ip = packet.ip
-        if ip is not None:
-            if ip.ttl <= 1:
-                self.counters.drops["ttl"] += 1
-                return
-            ip.ttl -= 1
-        if port.is_server_facing:
-            self.tables.learn_mac(packet.src_mac, port.index)
-        decision = self.tables.decide(ip.dst if ip is not None else 0, lossless)
-        if decision.action == decision.DROP:
-            self.counters.drops[decision.reason] = (
-                self.counters.drops.get(decision.reason, 0) + 1
-            )
-            return
-        if decision.action == decision.FORWARD:
-            self._forward(port, packet, priority, lossless, decision)
-        else:
-            self._flood(port, packet, priority, lossless)
-
-    # -- forward / flood -----------------------------------------------------
-
-    def _forward(self, port, packet, priority, lossless, decision):
-        ports = decision.ports
-        n_ports = len(ports)
-        if n_ports > 1:
-            # Flow-sticky by construction, so the (five_tuple, n) -> index
-            # mapping is memoizable; the CRC runs once per flow per path
-            # width instead of once per packet.
-            seed = self.ecmp_seed
-            cache = self._ecmp_cache
-            if seed != self._ecmp_cache_seed:
-                cache.clear()
-                self._ecmp_cache_seed = seed
-            key = (packet.five_tuple, n_ports)
-            choice = cache.get(key)
-            if choice is None:
-                choice = ecmp_select(key[0], n_ports, seed)
-                cache[key] = choice
-            egress_idx = ports[choice]
-        else:
-            egress_idx = ports[0]
-        egress = self.ports[egress_idx]
-        if decision.reason == "l2-hit":
-            # Local delivery: rewrite the MAC to the ARP-resolved station.
-            mac = self.tables.resolve_local_mac(packet.ip.dst)
-            if mac is not None:
-                packet.dst_mac = mac
-        elif (
-            decision.reason == "l3-route"
-            and packet.vlan is not None
-            and not self.pfc_config.vlan_pcp_preserved_across_l3
-        ):
-            # Crossing a subnet boundary: the 802.1Q tag (and with it the
-            # PCP priority) is not regenerated -- the section 3 failure
-            # of VLAN-based PFC on an IP-routed fabric.  Note the packet
-            # was already *classified at this hop* before the tag is lost.
-            packet.vlan = None
-        if lossless and egress.index in self._lossless_disabled_ports:
-            # Storm watchdog: discard lossless packets *to* the NIC.
-            self.counters.drops["watchdog-lossless"] += 1
-            return
-        if not self._admit(port, priority, packet.size_bytes, lossless):
-            return
-        claim = _BufferClaim(port.index, priority, packet.size_bytes, refs=1)
-        self._enqueue_egress(egress, packet, priority, _EgressMeta(claim, False))
 
     def _flood(self, port, packet, priority, lossless):
         """Unknown-unicast flooding "to all its ports" except the ingress
@@ -364,28 +376,24 @@ class Switch(Device):
         ]
         if not targets:
             return
-        if not self._admit(port, priority, packet.size_bytes, lossless):
+        # Admission and the PFC decision, as in handle_packet.
+        nbytes = packet.size_bytes
+        buffer = self.buffer
+        state = buffer.pg_rows[port.index][priority]
+        if not buffer.admit_state(state, nbytes, lossless):
+            reason = "buffer-headroom-overflow" if lossless else "buffer-lossy"
+            self.counters.drops[reason] += 1
             return
+        if lossless and buffer.evaluate_pause_state(state):
+            self._signaler(port.index, priority).evaluate()
         self.counters.flood_events += 1
-        claim = _BufferClaim(port.index, priority, packet.size_bytes, refs=len(targets))
+        claim = _BufferClaim(port.index, priority, nbytes, len(targets), True)
         for egress in targets:
             copy = packet if egress is targets[-1] else _clone_for_flood(packet)
             self.counters.flood_copies += 1
-            self._enqueue_egress(egress, copy, priority, _EgressMeta(claim, True))
+            self._enqueue_egress(egress, copy, priority, claim)
 
-    def _admit(self, port, priority, nbytes, lossless):
-        admitted = self.buffer.admit(port.index, priority, nbytes, lossless)
-        if not admitted:
-            if lossless:
-                self.counters.drops["buffer-headroom-overflow"] += 1
-            else:
-                self.counters.drops["buffer-lossy"] += 1
-            return False
-        if lossless:
-            self._signaler(port, priority).evaluate()
-        return True
-
-    def _enqueue_egress(self, egress, packet, priority, meta):
+    def _enqueue_egress(self, egress, packet, priority, claim):
         cap = self.buffer_config.lossy_egress_cap_bytes
         if (
             cap is not None
@@ -393,9 +401,8 @@ class Switch(Device):
             and egress._queue_bytes[priority] + packet.size_bytes > cap
         ):
             self.counters.drops["egress-lossy"] += 1
-            if meta is not None:
-                # Release this copy's share of the buffer claim.
-                self._on_port_dequeue(packet, meta, True)
+            # Release this copy's share of the buffer claim.
+            self._on_port_dequeue(packet, claim, True)
             return
         ecn = self.ecn_config
         if (
@@ -408,18 +415,25 @@ class Switch(Device):
             packet.ip.mark_ce()
             self.counters.ecn_marked += 1
         self.counters.tx_enqueued += 1
-        egress.enqueue(packet, priority, meta)
+        egress.enqueue(packet, priority, claim)
 
-    def _on_port_dequeue(self, packet, meta, dropped_at_head):
-        if meta is None:
+    def _on_port_dequeue(self, packet, claim, dropped_at_head):
+        if claim is None:
             return  # control/ARP enqueues carry no buffer claim
-        claim = meta.claim
         claim.refs -= 1
         if claim.refs == 0:
-            self.buffer.release(claim.port_idx, claim.priority, claim.nbytes)
-            if self._lossless(claim.priority):
-                ingress = self.ports[claim.port_idx]
-                self._signaler(ingress, claim.priority).evaluate()
+            buffer = self.buffer
+            state = buffer.pg_rows[claim.port_idx][claim.priority]
+            buffer.release_state(state, claim.nbytes)
+            # A PG still asserting pause is asked even when a live config
+            # push took its priority out of the lossless set, so it sends
+            # its XON once drained instead of pausing upstream for good.
+            if self.pfc_config is not self._classify_for:
+                self._classifier()
+            if (
+                state.paused or claim.priority in self._lossless_set
+            ) and buffer.evaluate_pause_state(state):
+                self._signaler(claim.port_idx, claim.priority).evaluate()
 
     # -- watchdog callbacks ----------------------------------------------------
 
@@ -433,10 +447,11 @@ class Switch(Device):
         # Stop honouring the pause state the NIC already imposed.
         port.force_resume_all()
         # Stop pausing the NIC ourselves.
-        for priority in self.pfc_config.lossless_priorities:
-            key = (port.index, priority)
-            if key in self._signalers:
-                self._signalers[key].stop()
+        if self.buffer is not None:
+            for priority in self.pfc_config.lossless_priorities:
+                signaler = self._signalers[port.index][priority]
+                if signaler is not None:
+                    signaler.stop()
 
     def on_watchdog_reenable(self, port):
         """Switch watchdog: pause frames gone; restore lossless mode."""
@@ -454,11 +469,8 @@ class Switch(Device):
         buffer-conservation auditor."""
         seen = set()
         for port in self.ports:
-            for _priority, _packet, meta, _enqueued_ns in port.iter_entries():
-                if meta is None:
-                    continue
-                claim = meta.claim
-                if id(claim) not in seen:
+            for _priority, _packet, claim, _enqueued_ns in port.iter_entries():
+                if claim is not None and id(claim) not in seen:
                     seen.add(id(claim))
                     yield claim
 

@@ -337,7 +337,7 @@ class TraceSession:
         key = (switch.name, signaler.port.name, priority)
         node = self._episodes.get(key)
         if node is None:
-            state = signaler._pg_state
+            state = signaler.pg_state
             node = PauseNode(
                 node_id=len(self.pause_nodes),
                 device=switch.name,

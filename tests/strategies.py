@@ -12,6 +12,9 @@ One home for the generators that several suites were growing ad hoc:
   allocator.
 * :func:`maxmin_programs` -- (links, ops) mutation programs for the
   incremental solver (add / remove / set_weight / re-rate).
+* :func:`switch_walk_programs` -- (config, ops) programs over one
+  switch wired to stub stations (frames, pause frames, live config
+  changes, run horizons) for the per-hop walk's reference twin.
 * :func:`two_tier_dims` -- small leaf/ToR fabric dimensions that boot
   fast enough for property tests.
 * :func:`fault_plans` -- random :class:`~repro.faults.FaultPlan`s
@@ -307,3 +310,112 @@ def validation_scenarios(max_seed=10**6):
     from repro.validation import scenario_strategy
 
     return scenario_strategy(max_seed=max_seed)
+
+
+# --- switch-walk programs ----------------------------------------------------
+
+#: Where a generated frame is headed, by the forwarding outcome it
+#: provokes on the switch under test.
+SWITCH_WALK_DESTINATIONS = (
+    "local",  # ARP + MAC known: l2-hit, MAC rewrite
+    "routed1",  # /24 over one uplink
+    "routedN",  # /16 over every uplink: ECMP memo
+    "noroute",  # no prefix (the default route, when the world has one)
+    "arpmiss",  # local subnet, never ARP-learned: drop
+    "incomplete",  # ARP known, MAC unknown: flood, or drop when lossless
+)
+
+
+@st.composite
+def switch_walk_programs(draw, min_rounds=2, max_rounds=12):
+    """``(config, ops)``: one four-to-eight-port switch wired to stub
+    stations and a program of frames, pause frames, live config changes
+    and interleaved ``run`` horizons, for differential tests of the
+    per-hop walk (``tests/test_switch_walk_reference.py`` interprets
+    both halves).
+
+    The buffer is a few frames deep and egress links are slow, so XOFF,
+    headroom spill, headroom overflow, lossy drops and the egress cap
+    all fire inside a few dozen frames.  Priorities 3 and 4 start out
+    lossless; 0 and 1 are lossy.
+    """
+    n_ports = draw(st.integers(4, 8))
+    n_server = draw(st.integers(2, n_ports - 2))
+    port = st.integers(0, n_ports - 1)
+    priority = st.sampled_from([0, 1, 3, 3, 4])
+    config = {
+        "n_ports": n_ports,
+        "n_server": n_server,
+        "vlan_mode": draw(st.booleans()),
+        "pcp_preserved": draw(st.booleans()),
+        "server_port_mode": draw(st.sampled_from([None] * 6 + ["access", "trunk"])),
+        "dwrr": draw(st.booleans()),
+        "alpha": draw(st.sampled_from([None, 1.0 / 64, 1.0 / 16, 0.5, 2.0])),
+        "shared_bytes": draw(st.sampled_from([4_000, 12_000, 60_000])),
+        "guaranteed_bytes": draw(st.sampled_from([0, 1_200])),
+        "lossy_egress_cap": draw(st.sampled_from([None, None, 2_500, 6_000])),
+        "ecn": draw(st.booleans()),
+        "drop_on_incomplete": draw(st.booleans()),
+        "drop_flood_at_head": draw(st.booleans()),
+        "default_route": draw(st.booleans()),
+        "honour_pause": draw(st.booleans()),
+        "pause_quanta": draw(st.sampled_from([40, 400, 0xFFFF])),
+        "rates_gbps": [draw(st.sampled_from([1, 1, 10, 40])) for _ in range(n_ports)],
+        "delays_ns": [draw(st.sampled_from([10, 500, 1500])) for _ in range(n_ports)],
+    }
+    frame_shape = (
+        st.sampled_from(SWITCH_WALK_DESTINATIONS + ("local", "routed1", "routedN")),
+        st.integers(0, 7),  # destination selector within the kind
+        priority,
+        st.sampled_from([0, 200, 1024, 1024]),  # payload bytes
+        st.sampled_from([1, 2, 4, 8, 16, 32]),  # burst length
+        # 802.1Q-tagged: mostly, where the tag carries the priority.
+        st.sampled_from([True, True, True, False]) if config["vlan_mode"] else st.booleans(),
+        st.sampled_from([64] * 7 + [1]),  # TTL
+        st.booleans(),  # ECN-capable
+        st.sampled_from([0, 0, 0, 0xFF, 0x1FF]),  # IP ID (the section 4.1 filter keys on it)
+        st.integers(49152, 49159),  # UDP source port: ECMP entropy
+    )
+    # One station sends a burst; or every station sends it at once (the
+    # incast that fills one egress queue from many ingress PGs).
+    frames = st.tuples(st.just("frames"), port, *frame_shape)
+    incast = st.tuples(st.just("incast"), *frame_shape)
+    run = st.one_of(
+        st.tuples(st.just("run"), st.sampled_from([0, 1, 300, 4_000, 40_000, 400_000])),
+        st.tuples(st.just("run"), st.integers(0, 100_000)),
+    )
+    rare = st.one_of(
+        st.tuples(st.just("cap"), st.sampled_from([None, 2_500, 6_000])),
+        st.tuples(st.just("watchdog"), port, st.booleans()),
+        st.tuples(st.just("expire_mac"), st.integers(0, n_server - 1)),
+        st.tuples(st.just("filter"), st.booleans()),
+        st.tuples(st.just("port_mode"), st.sampled_from([None, None, "access", "trunk"])),
+    )
+    disturbance = st.one_of(
+        st.none(),
+        # A station pauses (or, with zero quanta, resumes) the switch's egress.
+        st.tuples(st.just("pause"), port, priority, st.sampled_from([0, 0, 30, 3_000, 0xFFFF])),
+        # pfc_config replaced wholesale, the way deployment steps and
+        # fault injection do it (variants in the interpreter).
+        st.tuples(st.just("pfc"), st.integers(0, 7)),
+        # buffer.config drifted under a live buffer (section 6.2).
+        st.tuples(st.just("alpha"), st.sampled_from([None, 1.0 / 64, 1.0 / 16, 0.5, 2.0])),
+        rare,
+    )
+    # A program is a list of rounds -- traffic, something changing under
+    # it, more traffic, a run horizon -- so every example carries load;
+    # a flat list of ops mostly draws config changes over an idle switch.
+    rounds = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(frames, incast),
+                disturbance,
+                st.one_of(st.none(), frames, incast),
+                disturbance,
+                run,
+            ),
+            min_size=min_rounds,
+            max_size=max_rounds,
+        )
+    )
+    return config, [op for round_ in rounds for op in round_ if op is not None]

@@ -75,8 +75,11 @@ class TestStaticThreshold:
     def test_release_underflow_raises(self):
         buf = make_buffer()
         buf.admit(0, 3, KB, lossless=True)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=r"underflow at pg\(0, 3\): 2048 > 1024"):
             buf.release(0, 3, 2 * KB)
+        # The state-taking body the switch calls names the PG too.
+        with pytest.raises(RuntimeError, match=r"underflow at pg\(5, 0\)"):
+            buf.release_state(buf.pg(5, 0), 1)
 
 
 class TestDynamicThreshold:
@@ -164,3 +167,40 @@ class TestConfigValidation:
         config = BufferConfig(total_bytes=1 * MB, headroom_per_pg_bytes=1 * MB)
         with pytest.raises(ValueError):
             SharedBuffer(config, n_ports=8, lossless_priorities=(3, 4))
+
+
+class TestPgRange:
+    """A buffer has ``n_ports x 8`` PGs and no others: the index-taking
+    entry points refuse the rest instead of fabricating state (a PG for
+    a port the switch does not have) or aliasing it (a negative index
+    reading the last row)."""
+
+    CALLS = {
+        "pg": lambda buf, port, priority: buf.pg(port, priority),
+        "admit": lambda buf, port, priority: buf.admit(port, priority, 1000, True),
+        "release": lambda buf, port, priority: buf.release(port, priority, 0),
+        "evaluate_pause": lambda buf, port, priority: buf.evaluate_pause(port, priority),
+        "occupancy": lambda buf, port, priority: buf.occupancy(port, priority),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("port, priority", [(4, 3), (9, 3), (-1, 3), (0, 8), (0, 11), (0, -1)])
+    def test_out_of_range_refused(self, name, port, priority):
+        buf = SharedBuffer(BufferConfig(), n_ports=4)
+        with pytest.raises(ValueError, match=r"no PG \(%d, %d\) in a 4-port buffer" % (port, priority)):
+            self.CALLS[name](buf, port, priority)
+        assert buf.total_occupancy == 0
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("port, priority", [(0, 0), (3, 7)])
+    def test_corners_accepted(self, name, port, priority):
+        buf = SharedBuffer(BufferConfig(), n_ports=4)
+        self.CALLS[name](buf, port, priority)
+
+    def test_iter_pgs_covers_exactly_the_rows(self):
+        buf = SharedBuffer(BufferConfig(), n_ports=4)
+        buf.admit(2, 5, 700, False)
+        seen = {(port, priority): state for port, priority, state in buf.iter_pgs()}
+        assert sorted(seen) == [(port, priority) for port in range(4) for priority in range(8)]
+        assert seen[(2, 5)] is buf.pg(2, 5)
+        assert [key for key, state in seen.items() if state.occupancy] == [(2, 5)]
