@@ -14,14 +14,14 @@ import sys
 
 from repro.bench.harness import (
     build_report,
-    collect_telemetry,
-    collect_traces,
+    collect_artifacts,
     load_baseline,
     run_benchmarks,
     write_baseline,
     write_report,
 )
 from repro.bench.scenarios import SCENARIOS
+from repro.obs import TELEMETRY, TRACE
 
 
 def main(argv=None):
@@ -99,29 +99,22 @@ def main(argv=None):
     comparing = not args.write_baseline and load_baseline(args.baseline) is not None
     repeat = args.repeat if args.repeat is not None else (5 if comparing else 3)
 
+    def progress(line):
+        print(line, file=sys.stderr)
+
     scenarios = run_benchmarks(
         names,
         seed=args.seed,
         repeat=repeat,
-        progress=lambda line: print(line, file=sys.stderr),
+        progress=progress,
         warmup=not args.no_warmup,
     )
 
-    if args.telemetry:
-        collect_telemetry(
-            scenarios,
-            args.telemetry,
-            seed=args.seed,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-
-    if args.trace:
-        collect_traces(
-            scenarios,
-            args.trace,
-            seed=args.seed,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
+    for hub, out_dir in ((TELEMETRY, args.telemetry), (TRACE, args.trace)):
+        if out_dir:
+            collect_artifacts(
+                hub, scenarios, out_dir, seed=args.seed, progress=progress
+            )
 
     if args.write_baseline:
         path = write_baseline(scenarios, args.write_baseline)

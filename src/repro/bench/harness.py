@@ -77,92 +77,24 @@ def run_benchmarks(names=None, seed=1, repeat=3, progress=None, warmup=True):
     return results
 
 
-def collect_telemetry(scenarios, out_dir, seed=1, progress=None):
-    """One extra *untimed* instrumented pass per already-benchmarked scenario.
+def collect_artifacts(hub, scenarios, out_dir, seed=1, progress=None):
+    """One extra *untimed* observed pass per already-benchmarked scenario.
 
-    The timing loop in :func:`run_benchmarks` never runs with telemetry
-    enabled: an armed hub adds poll-timer events, which would shift both
-    the wall clocks and the determinism fingerprints that
-    ``tests/test_bench.py`` pins.  So artifact collection is always this
-    separate pass -- arm, re-run once, drain, write
-    ``<scenario>-<i>.telemetry.jsonl`` under ``out_dir``.
-
-    Annotates each scenario entry with a ``telemetry`` block (artifact
-    paths + incident count, landing in the report as extra keys the
-    ``repro-bench/1`` schema permits) and returns the mapping.
+    ``hub`` is :data:`repro.obs.TELEMETRY` or :data:`repro.obs.TRACE`.
+    The timing loop in :func:`run_benchmarks` never runs with a plane
+    armed -- telemetry's poll timer would shift the wall clocks and the
+    fingerprints ``tests/test_bench.py`` pins; tracing is neutral but
+    memory-heavy -- so collection is always this separate pass, writing
+    ``<scenario>-<i>.<plane>.jsonl`` under ``out_dir``.  Each scenario
+    entry gains a block named after the plane (artifact paths + the
+    plane's headline counts; extra keys ``repro-bench/1`` permits).
     """
-    from repro import telemetry
-
     for name, entry in scenarios.items():
-        telemetry.arm(telemetry.TelemetryConfig(label="bench:%s" % name))
-        try:
+        with hub.collect("bench:%s" % name, out_dir, name) as collection:
             SCENARIOS[name].run(seed)
-        finally:
-            telemetry.disarm()
-        sessions = telemetry.drain()
-        paths = telemetry.write_artifacts(sessions, out_dir, name)
-        incidents = telemetry.incident_count(sessions)
-        entry["telemetry"] = {"artifacts": paths, "incidents": incidents}
+        entry[hub.name] = dict(collection.headline(), artifacts=collection.paths)
         if progress:
-            progress(
-                "%-14s telemetry: %d artifact(s), %d incident(s)"
-                % (name, len(paths), incidents)
-            )
-    return scenarios
-
-
-def collect_traces(scenarios, out_dir, seed=1, progress=None, config=None):
-    """One extra *untimed* traced pass per already-benchmarked scenario.
-
-    The mirror of :func:`collect_telemetry` for the causal tracing
-    plane: arm the trace hub, re-run once, drain, write
-    ``<scenario>-<i>.trace.jsonl`` under ``out_dir``.  (Tracing itself
-    is fingerprint-neutral even while armed, but it is a memory-heavy
-    observer, so it stays out of the timing loop just like telemetry.)
-
-    Annotates each scenario entry with a ``trace`` block (artifact
-    paths + op/pause counts) and returns the mapping.  ``config`` is an
-    optional :class:`repro.tracing.TraceConfig` template whose sampling
-    fields are reused per scenario.
-    """
-    from repro import tracing
-
-    for name, entry in scenarios.items():
-        if config is not None:
-            scenario_config = tracing.TraceConfig(
-                label="bench:%s" % name,
-                sample_rate=config.sample_rate,
-                sample_seed=config.sample_seed,
-                max_ops=config.max_ops,
-                max_packets=config.max_packets,
-                packets_per_op=config.packets_per_op,
-            )
-        else:
-            scenario_config = tracing.TraceConfig(label="bench:%s" % name)
-        tracing.arm(scenario_config)
-        try:
-            SCENARIOS[name].run(seed)
-        finally:
-            tracing.disarm()
-        sessions = tracing.drain()
-        paths = tracing.write_artifacts(sessions, out_dir, name)
-        ops = completed = pauses = 0
-        for records in sessions:
-            summary = tracing.summary_of(records)
-            ops += summary.get("ops_traced", 0)
-            completed += summary.get("ops_completed", 0)
-            pauses += summary.get("pause_nodes", 0)
-        entry["trace"] = {
-            "artifacts": paths,
-            "ops": ops,
-            "ops_completed": completed,
-            "pause_nodes": pauses,
-        }
-        if progress:
-            progress(
-                "%-14s trace: %d artifact(s), %d op(s), %d pause episode(s)"
-                % (name, len(paths), ops, pauses)
-            )
+            progress("%-14s %s" % (name, collection.describe()))
     return scenarios
 
 

@@ -14,6 +14,7 @@ The flow of one campaign::
         --store---> runs/<id>.jsonl + csv/<id>.csv + manifest.json
 """
 
+import contextlib
 import time
 
 from repro.campaign import pool
@@ -22,6 +23,7 @@ from repro.campaign.registry import DEFAULT_REGISTRY
 from repro.campaign.spec import SweepSpec
 from repro.campaign.store import CampaignStore
 from repro.experiments.catalog import resolve_ref
+from repro.obs import TELEMETRY
 
 #: run statuses recorded in the manifest
 OK = pool.OK
@@ -47,17 +49,13 @@ def execute_run(payload):
     kwargs = dict(payload["params"])
     if payload.get("seed") is not None:
         kwargs["seed"] = payload["seed"]
-    collect = bool(payload.get("telemetry"))
-    if collect:
-        from repro import telemetry
-
-        telemetry.arm(telemetry.TelemetryConfig(label=payload["run_id"]))
-    started = time.monotonic()
-    try:
+    with (
+        TELEMETRY.collect(payload["run_id"])
+        if payload.get("telemetry")
+        else contextlib.nullcontext()
+    ) as collection:
+        started = time.monotonic()
         result = runner(**kwargs)
-    finally:
-        if collect:
-            telemetry.disarm()
     duration_s = time.monotonic() - started
     schema = result.check_schema()
     rows = result.normalized_rows()
@@ -69,8 +67,8 @@ def execute_run(payload):
         "duration_s": duration_s,
         "violations": _violation_count(rows),
     }
-    if collect:
-        out["telemetry_sessions"] = telemetry.drain()
+    if collection:
+        out["telemetry_sessions"] = collection.sessions
     return out
 
 

@@ -20,6 +20,8 @@ import json
 import os
 import tempfile
 
+from repro.artifact import encode_line
+
 MANIFEST_NAME = "manifest.json"
 RUNS_DIR = "runs"
 CSV_DIR = "csv"
@@ -86,9 +88,7 @@ class CampaignStore:
                 self.out_dir, TELEMETRY_DIR,
                 "%s-%d.telemetry.jsonl" % (run_id, index),
             )
-            _atomic_write(path, "".join(
-                json.dumps(record, sort_keys=True) + "\n" for record in records
-            ))
+            _atomic_write(path, "".join(map(encode_line, records)))
             paths.append(path)
         return paths
 

@@ -24,9 +24,11 @@ Static analyzer
     root-cause in graph form.
 """
 
-import networkx as nx
-
 from repro.switch.switch import Switch
+
+# networkx (~150 ms to import) is loaded by the four functions that
+# build or walk a graph, not at module load: ``repro.core`` is imported
+# by every topology builder, and most runs never scan for deadlock.
 
 
 class DeadlockReport:
@@ -55,6 +57,8 @@ class DeadlockReport:
 def build_wait_graph(switches):
     """The runtime pause wait-for graph over PG nodes
     ``(switch_name, ingress_port_idx, priority)``."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     by_name = {s.name: s for s in switches}
     for switch in switches:
@@ -87,6 +91,8 @@ def detect_deadlock(switches):
     on the cycle to be pause-asserting, which :func:`build_wait_graph`
     already enforces edge by edge, so any directed cycle qualifies.
     """
+    import networkx as nx
+
     graph = build_wait_graph(switches)
     cycles = list(nx.simple_cycles(graph))
     return DeadlockReport(cycles, graph)
@@ -108,6 +114,8 @@ def static_channel_dependencies(switches, assume_lossless_flooding=False):
     *every* port, including routed uplinks -- the paper's failure mode,
     and exactly what closes the cycle in the figure 4 topology.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     by_name = {s.name for s in switches}
 
@@ -164,5 +172,7 @@ def static_channel_dependencies(switches, assume_lossless_flooding=False):
 
 def is_statically_deadlock_free(switches, assume_lossless_flooding=False):
     """True when the channel-dependency graph is acyclic."""
+    import networkx as nx
+
     graph = static_channel_dependencies(switches, assume_lossless_flooding)
     return nx.is_directed_acyclic_graph(graph)

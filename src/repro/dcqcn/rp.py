@@ -27,8 +27,8 @@ sent).  Counting events since the last CNP as ``T`` (timer) and ``B``
 
 from repro.sim.timer import Timer
 from repro.sim.units import MB, US
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 
 
 class DcqcnConfig:

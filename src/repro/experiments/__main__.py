@@ -11,11 +11,13 @@ the same catalogue, use ``python -m repro.campaign`` instead.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 
 from repro.experiments.catalog import CATALOG, resolve_tokens
+from repro.obs import TELEMETRY, TRACE
 
 
 def main(argv=None):
@@ -59,51 +61,19 @@ def main(argv=None):
         entry = CATALOG[exp_id]
         runner = entry.resolve()
         started = time.time()
-        if args.telemetry_dir:
-            from repro import telemetry
-
-            telemetry.arm(telemetry.TelemetryConfig(label=exp_id))
-            try:
-                result = runner()
-            finally:
-                telemetry.disarm()
-            sessions = telemetry.drain()
-            paths = telemetry.write_artifacts(
-                sessions, args.telemetry_dir, exp_id.lower()
-            )
-        elif args.trace_dir:
-            from repro import tracing
-
-            tracing.arm(tracing.TraceConfig(label=exp_id))
-            try:
-                result = runner()
-            finally:
-                tracing.disarm()
-            trace_sessions = tracing.drain()
-            trace_paths = tracing.write_artifacts(
-                trace_sessions, args.trace_dir, exp_id.lower()
-            )
-            sessions, paths = [], []
-        else:
-            sessions, paths = [], []
+        with contextlib.ExitStack() as stack:
+            collections = [
+                stack.enter_context(hub.collect(exp_id, out_dir, exp_id.lower()))
+                for hub, out_dir in (
+                    (TELEMETRY, args.telemetry_dir), (TRACE, args.trace_dir))
+                if out_dir
+            ]
             result = runner()
         print(result.format_table())
         print("[%s finished in %.1fs]" % (exp_id, time.time() - started))
         print()
-        if paths:
-            print(
-                "telemetry: %d artifact(s), %d incident(s) -> %s"
-                % (len(paths), telemetry.incident_count(sessions), args.telemetry_dir)
-            )
-        if args.trace_dir and not args.telemetry_dir:
-            ops = sum(
-                tracing.summary_of(records).get("ops_traced", 0)
-                for records in trace_sessions
-            )
-            print(
-                "trace: %d artifact(s), %d op(s) -> %s"
-                % (len(trace_paths), ops, args.trace_dir)
-            )
+        for collection in collections:
+            print(collection.describe())
         if args.csv_dir:
             path = os.path.join(args.csv_dir, "%s.csv" % exp_id.lower())
             result.to_csv(path)

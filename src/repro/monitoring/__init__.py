@@ -25,10 +25,10 @@ E10) reproduce the paper's figures from these components.
 :mod:`repro.telemetry` is the other way around -- an out-of-band
 observability layer for the simulator itself (hot-path hooks, a metric
 catalog, online detectors, JSONL artifacts) that never injects traffic
-or perturbs a run.  The polling half of :mod:`~repro.monitoring.counters`
-has been absorbed into the telemetry session (same sampling
-semantics, a richer catalog); see that module's notes for migration
-pointers.
+or perturbs a run.  Both read device counters through the one reader in
+:mod:`~repro.monitoring.counters` (``switch_counters`` /
+``host_counters``), so the two planes cannot disagree on what a counter
+means.
 """
 
 from repro.monitoring.config_mgmt import ConfigDrift, ConfigMonitor, DesiredConfig

@@ -6,20 +6,17 @@ intervals.  The paper monitors exactly these ("we monitor the number of
 pause frames been sent and received by the switches and servers.  We
 further monitor the pause intervals at the server side").
 
-.. note:: absorbed by :mod:`repro.telemetry`
-
-   The unified telemetry subsystem polls the same counters the same
-   way (``port.paused_interval_ns()`` books the open pause interval
-   before it is read) but against a declared metric catalog, with ring
-   series, online detectors and JSONL/CSV/Prometheus exporters on top.
-   New code should prefer ``telemetry.arm()`` + ``Fabric.boot()`` (or
-   the ``--telemetry`` flags of the bench/campaign/validation CLIs); the
-   re-exports below point migrating callers at the replacements.
-
-   :class:`CounterCollector` itself stays: it is the *in-model*
-   management-plane collector the paper-section-5 experiments drive
-   explicitly, needs no global hub, and its query helpers
-   (:meth:`~CounterCollector.rate_series`, ...) are used by
+Relation to :mod:`repro.telemetry`
+   Both planes read devices through :func:`switch_counters` and
+   :func:`host_counters` below, so a counter means the same thing in a
+   :class:`CounterCollector` snapshot and in a telemetry sample.  The
+   telemetry session adds a declared metric catalog, ring series, online
+   detectors and exporters on top, out of band (``telemetry.arm()`` +
+   ``Fabric.boot()``, or the ``--telemetry`` flags of the
+   bench/campaign/validation CLIs).  :class:`CounterCollector` is the
+   *in-model* management-plane collector the paper-section-5
+   experiments drive explicitly; it needs no global hub, and its query
+   helpers (:meth:`~CounterCollector.rate_series`, ...) are used by
    :mod:`repro.monitoring.incidents` for the offline section-6.2 scans.
 """
 
@@ -28,14 +25,58 @@ import collections
 from repro.sim.timer import Timer
 from repro.sim.units import MS
 
-# Migration re-exports: the telemetry layer that absorbed this module's
-# polling role (kept importable from here so call sites that grew up on
-# ``monitoring.counters`` find the successor in the obvious place).
-from repro.telemetry.registry import CATALOG as TELEMETRY_CATALOG  # noqa: F401
-from repro.telemetry.session import (  # noqa: F401
-    TelemetryConfig,
-    TelemetrySession,
-)
+
+#: The values below that are instantaneous gauges; every other one is a
+#: cumulative counter, so consumers take deltas of it between polls.
+GAUGES = frozenset((
+    "queued_bytes", "shared_in_use", "headroom_in_use", "paused_pgs",
+    "shared_size",
+))
+
+
+def switch_counters(switch):
+    """One switch's cumulative counters and current gauges.
+
+    ``paused_ns`` books every port's open pause interval before it is
+    read (``Port.paused_interval_ns``); the buffer gauges are 0 until the
+    switch is finalized.
+    """
+    ports = switch.ports
+    buffer = switch.buffer
+    return {
+        "pause_tx": sum(p.stats.pause_tx for p in ports),
+        "pause_rx": sum(p.stats.pause_rx for p in ports),
+        "resume_tx": sum(p.stats.resume_tx for p in ports),
+        "resume_rx": sum(p.stats.resume_rx for p in ports),
+        "paused_ns": sum(p.paused_interval_ns() for p in ports),
+        "tx_bytes": sum(p.stats.total_tx_bytes for p in ports),
+        "rx_bytes": sum(p.stats.total_rx_bytes for p in ports),
+        "ecn_marked": switch.counters.ecn_marked,
+        "drops": switch.counters.total_drops,
+        "queued_bytes": switch.queued_bytes(),
+        "shared_in_use": buffer.shared_in_use if buffer else 0,
+        "headroom_in_use": buffer.headroom_in_use if buffer else 0,
+        "paused_pgs": buffer.paused_pgs if buffer else 0,
+        "shared_size": buffer.shared_size if buffer else 0,
+        "watchdog_trips": switch.watchdog_trips(),
+    }
+
+
+def host_counters(host):
+    """One server's cumulative counters, read at its NIC and port."""
+    nic = host.nic
+    port = nic.port
+    return {
+        "pause_tx": nic.stats.pause_generated,
+        "resume_tx": nic.stats.resume_generated,
+        "pause_rx": port.stats.pause_rx,
+        "resume_rx": port.stats.resume_rx,
+        "paused_ns": port.paused_interval_ns(),
+        "tx_bytes": port.stats.total_tx_bytes,
+        "rx_bytes": port.stats.total_rx_bytes,
+        "rx_processed": nic.stats.rx_processed,
+        "watchdog_trips": nic.watchdog_trips,
+    }
 
 
 class Snapshot:
@@ -72,36 +113,11 @@ class CounterCollector:
     def _collect(self):
         now = self.sim.now
         for switch in self.fabric.switches:
-            self.snapshots.append(Snapshot(now, switch.name, self._switch_values(switch)))
+            self.snapshots.append(Snapshot(now, switch.name, switch_counters(switch)))
         for host in self.fabric.hosts:
-            self.snapshots.append(Snapshot(now, host.name, self._host_values(host)))
+            self.snapshots.append(Snapshot(now, host.name, host_counters(host)))
         if self._running:
             self._timer.start(self.interval_ns)
-
-    @staticmethod
-    def _switch_values(switch):
-        return {
-            "pause_tx": sum(p.stats.pause_tx for p in switch.ports),
-            "pause_rx": sum(p.stats.pause_rx for p in switch.ports),
-            "resume_tx": sum(p.stats.resume_tx for p in switch.ports),
-            "tx_bytes": sum(p.stats.total_tx_bytes for p in switch.ports),
-            "rx_bytes": sum(p.stats.total_rx_bytes for p in switch.ports),
-            "drops": switch.counters.total_drops,
-            "ecn_marked": switch.counters.ecn_marked,
-            "queued_bytes": switch.queued_bytes(),
-        }
-
-    @staticmethod
-    def _host_values(host):
-        port = host.nic.port
-        return {
-            "pause_tx": host.nic.stats.pause_generated,
-            "pause_rx": port.stats.pause_rx,
-            "tx_bytes": port.stats.total_tx_bytes,
-            "rx_bytes": port.stats.total_rx_bytes,
-            "rx_processed": host.nic.stats.rx_processed,
-            "paused_interval_ns": port.paused_interval_ns(),
-        }
 
     # -- queries -----------------------------------------------------------------
 

@@ -26,8 +26,6 @@ any other op, so a slow probe's RTT decomposes into the same
 queue/pause/serialization components as a real flow's FCT.
 """
 
-import json
-
 from repro.rdma.qp import QpConfig
 from repro.rdma.verbs import connect_qp_pair, post_send
 from repro.sim.timer import Timer
@@ -180,20 +178,20 @@ class Pingmesh:
         "error"}`` -- read back with :func:`read_probe_jsonl` or fed to
         ``python -m repro.tracing pingmesh``.
         """
-        with open(path, "w") as handle:
-            for result in self.results:
-                handle.write(json.dumps(result.as_record()) + "\n")
-        return path
+        from repro.artifact import write_jsonl
+
+        return write_jsonl([result.as_record() for result in self.results], path)
 
 
 def read_probe_jsonl(path):
-    """Read an exported probe log back into a list of record dicts."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    """Read an exported probe log back into a list of record dicts
+    (:class:`repro.artifact.ArtifactError` when it is not one)."""
+    from repro.artifact import ArtifactError, read_jsonl
+
+    records = read_jsonl(path)
+    for number, record in enumerate(records, 1):
+        if "rtt_ns" not in record or "error" not in record:
+            raise ArtifactError(path, number, "not a pingmesh probe record")
     return records
 
 

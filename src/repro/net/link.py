@@ -15,7 +15,7 @@ A link joins exactly two ports.  Each direction models:
 """
 
 from repro.sim.units import propagation_delay_ns, serialization_delay_ns
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TRACE as _TRACE
 
 
 class Link:

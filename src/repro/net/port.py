@@ -22,8 +22,8 @@ import collections
 from repro.packets.pause import N_PRIORITIES, pause_quanta_to_ns
 from repro.sim.timer import Timer
 from repro.sim.units import serialization_delay_ns
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 
 
 #: Strict-priority service order.

@@ -34,8 +34,8 @@ from repro.net.device import Device
 from repro.nic.mtt import MttCache
 from repro.sim.timer import Timer
 from repro.sim.units import KB, MS
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 
 
 class NicWatchdogConfig:
@@ -249,12 +249,11 @@ class Nic(Device):
         self._rx_bytes -= packet.size_bytes
         self.stats.rx_processed += 1
         self._check_xon()
-        traced = _TRACE.enabled
-        if traced:
+        if _TRACE.enabled:
             _TRACE.session.on_nic_rx_done(self, packet)
         if self.rx_handler is not None:
             self.rx_handler(packet)
-        if traced:
+        if _TRACE.enabled:
             _TRACE.session.on_nic_rx_dispatched(self)
         self._process_next()
 

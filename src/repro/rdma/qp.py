@@ -39,8 +39,8 @@ from repro.packets.udp import UDP_HEADER_BYTES, UdpHeader
 from repro.rdma.recovery import GoBackN
 from repro.sim.timer import Timer
 from repro.sim.units import SEC, US
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 
 
 class TrafficClass:

@@ -22,7 +22,7 @@ below the threshold in force at release-evaluation time.
 
 from repro.packets.pause import N_PRIORITIES
 from repro.sim.units import KB, MB, SEC, propagation_delay_ns, serialization_delay_ns
-from repro.telemetry.hooks import HUB as _TELEMETRY
+from repro.obs import TELEMETRY as _TELEMETRY
 
 
 def headroom_bytes(rate_bps, cable_meters, mtu_bytes=1100, response_ns=1000):

@@ -14,7 +14,7 @@ threshold is hit, so DCQCN's Kmin/Kmax sit well below XOFF.
 """
 
 from repro.sim.units import KB
-from repro.telemetry.hooks import HUB as _TELEMETRY
+from repro.obs import TELEMETRY as _TELEMETRY
 
 
 class EcnConfig:

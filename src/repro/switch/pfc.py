@@ -10,8 +10,8 @@ the XON threshold -- exactly the mechanism of the paper's figure 2.
 from repro.packets.packet import Packet, PriorityMode
 from repro.packets.pause import MAX_QUANTA, PfcPauseFrame, pause_quanta_to_ns
 from repro.sim.timer import Timer
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 
 
 class PfcConfig:

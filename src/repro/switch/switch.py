@@ -41,8 +41,8 @@ from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardingTables
 from repro.switch.pfc import PauseSignaler, PfcConfig
 from repro.switch.watchdog import PortStormWatchdog, SwitchWatchdogConfig
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 
 
 class _BufferClaim:

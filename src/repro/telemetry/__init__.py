@@ -4,10 +4,12 @@ This package is the simulator's counterpart of the paper's §4 operations
 story -- the continuously collected pause/ECN/buffer/transport signals
 and the incident detection built on top of them.  It has four parts:
 
-``hooks``
-    The process-global :data:`~repro.telemetry.hooks.HUB` whose single
-    ``enabled`` flag gates every hot-path probe (disabled costs one
-    attribute load + branch; nothing else runs).
+``HUB``
+    The plane's :class:`repro.obs.Hub` (``repro.obs.TELEMETRY``), whose
+    single ``enabled`` flag gates every hot-path probe (disabled costs
+    one attribute load + branch; nothing else runs).  ``arm``,
+    ``disarm``, ``drain``, ``collect``, ``read_jsonl`` and
+    ``write_artifacts`` below are its bound methods.
 ``registry`` / ``session``
     Metric primitives (counters/gauges/histograms + ring series behind a
     declared catalog) and the per-run collection session that polls the
@@ -25,41 +27,45 @@ CLI's ``--telemetry-dir`` do)::
 
     from repro import telemetry
 
-    telemetry.arm(telemetry.TelemetryConfig(label="my-run"))
-    ...build fabrics and run (Fabric.boot auto-attaches a session)...
-    for records in telemetry.drain():
-        telemetry.write_jsonl(records, path)
+    with telemetry.collect("my-run", "artifacts/", "my-run") as collection:
+        ...build fabrics and run (Fabric.boot auto-attaches a session)...
+    print(collection.describe())
 
 See docs/telemetry.md for the operator's handbook and ``python -m
 repro.telemetry --help`` for the artifact CLI.
 """
 
+from repro.artifact import write_jsonl
+from repro.obs import TELEMETRY as HUB
 from repro.telemetry.detectors import (
     DetectorThresholds,
     Incident,
     build_detectors,
 )
 from repro.telemetry.export import (
-    incident_count,
+    headline,
     prometheus_text,
-    read_jsonl,
     replay_detectors,
     split_records,
     summarize,
-    write_artifacts,
     write_csv,
-    write_jsonl,
 )
-from repro.telemetry.hooks import HUB, arm, disarm, drain, maybe_attach
 from repro.telemetry.registry import CATALOG, MetricRegistry
 from repro.telemetry.session import TelemetryConfig, TelemetrySession
+
+arm = HUB.arm
+disarm = HUB.disarm
+drain = HUB.drain
+collect = HUB.collect
+read_jsonl = HUB.read_jsonl
+write_artifacts = HUB.write_artifacts
 
 __all__ = [
     "HUB",
     "arm",
     "disarm",
     "drain",
-    "maybe_attach",
+    "collect",
     "TelemetryConfig",
     "TelemetrySession",
     "DetectorThresholds",
@@ -70,7 +76,7 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "write_artifacts",
-    "incident_count",
+    "headline",
     "write_csv",
     "prometheus_text",
     "summarize",

@@ -18,16 +18,21 @@ Commands:
     The worked §4.3 pause-storm demo: runs the storm experiment with
     telemetry armed, writes one artifact per scenario leg into DIR and
     summarizes them (see docs/telemetry.md for the triage walkthrough).
+
+An ARTIFACT that is missing, empty, truncated, corrupt or of another
+plane's schema is answered with one ``path:line: reason`` line on stderr
+and exit status 2.
 """
 
 import argparse
 import os
 import sys
 
+from repro.artifact import ArtifactError
+from repro.obs import TELEMETRY
 from repro.telemetry.detectors import DetectorThresholds
 from repro.telemetry.export import (
     prometheus_text,
-    read_jsonl,
     replay_detectors,
     summarize,
     write_csv,
@@ -36,7 +41,7 @@ from repro.telemetry.registry import CATALOG
 
 
 def _cmd_summarize(args):
-    print(summarize(read_jsonl(args.artifact)))
+    print(summarize(TELEMETRY.read_jsonl(args.artifact)))
     return 0
 
 
@@ -47,7 +52,7 @@ def _cmd_replay(args):
         storm_min_windows=args.storm_min_windows,
         watermark_fraction=args.watermark_fraction,
     )
-    incidents = replay_detectors(read_jsonl(args.artifact), thresholds)
+    incidents = replay_detectors(TELEMETRY.read_jsonl(args.artifact), thresholds)
     if not incidents:
         print("replay: no incidents")
         return 0
@@ -64,7 +69,7 @@ def _cmd_replay(args):
 
 
 def _cmd_export(args):
-    records = read_jsonl(args.artifact)
+    records = TELEMETRY.read_jsonl(args.artifact)
     if args.format == "csv":
         out = args.out or (os.path.splitext(args.artifact)[0] + ".csv")
         write_csv(records, out)
@@ -90,24 +95,14 @@ def _cmd_catalog(args):
 
 
 def _cmd_storm(args):
-    from repro import telemetry
     from repro.experiments.storm import run_storm
 
-    os.makedirs(args.out, exist_ok=True)
-    telemetry.arm(telemetry.TelemetryConfig(label="storm seed=%d" % args.seed))
-    try:
+    with TELEMETRY.collect(
+        "storm seed=%d" % args.seed, args.out, "storm"
+    ) as collection:
         run_storm(seed=args.seed)
-    finally:
-        artifacts = telemetry.drain()
-        telemetry.disarm()
-    paths = []
-    for i, records in enumerate(artifacts):
-        path = os.path.join(args.out, "storm-%d.telemetry.jsonl" % i)
-        telemetry.write_jsonl(records, path)
-        paths.append(path)
     storms = 0
-    for path in paths:
-        records = read_jsonl(path)
+    for path, records in zip(collection.paths, collection.sessions):
         storms += sum(1 for r in records
                       if r.get("type") == "incident"
                       and r.get("kind") == "pause_storm")
@@ -119,7 +114,7 @@ def _cmd_storm(args):
               file=sys.stderr)
         return 1
     print("storm demo: %d pause_storm incident(s) across %d artifact(s)"
-          % (storms, len(paths)))
+          % (storms, len(collection.paths)))
     return 0
 
 
@@ -162,7 +157,11 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_storm)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ArtifactError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,60 +14,23 @@ CSV and Prometheus text are derived views: CSV flattens the sample
 records (one row per (t_ns, device, metric)), Prometheus renders the
 summary totals in exposition format for scraping-style consumers.
 Everything round-trips through plain dicts so ``python -m
-repro.telemetry replay`` can re-run the detectors offline.
+repro.telemetry replay`` can re-run the detectors offline.  Reading and
+writing the JSONL itself is :mod:`repro.artifact`'s job, reached through
+the plane's hub (``repro.telemetry.read_jsonl`` / ``write_artifacts``).
 """
 
-import json
-import os
 
-
-def write_jsonl(records, path):
-    """Write one artifact (list of record dicts) as JSONL."""
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
-
-
-def read_jsonl(path):
-    """Load an artifact back into a list of record dicts."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def write_artifacts(record_lists, out_dir, stem):
-    """Write one ``<stem>-<i>.telemetry.jsonl`` per drained session.
-
-    ``record_lists`` is what :func:`repro.telemetry.drain` returns (one
-    record list per collection session).  This is the common tail of
-    every CLI integration -- bench, campaign, validation and the
-    experiment runner all funnel their drained sessions through here so
-    artifacts look the same no matter which harness produced them.
-    Returns the written paths (empty when no session attached, e.g. a
-    flowsim-only run that never boots a packet fabric).
-    """
-    paths = []
-    for index, records in enumerate(record_lists):
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "%s-%d.telemetry.jsonl" % (stem, index))
-        write_jsonl(records, path)
-        paths.append(path)
-    return paths
-
-
-def incident_count(record_lists):
-    """Total incident records across drained sessions (for CLI summaries)."""
-    return sum(
-        1
-        for records in record_lists
-        for record in records
-        if record.get("type") == "incident"
-    )
+def headline(record_lists):
+    """Headline counts over drained sessions, for CLI summaries and the
+    bench report: ``{"incidents": n}``."""
+    return {
+        "incidents": sum(
+            1
+            for records in record_lists
+            for record in records
+            if record.get("type") == "incident"
+        )
+    }
 
 
 def split_records(records):
@@ -204,6 +167,7 @@ def replay_detectors(records, thresholds=None):
     repro.telemetry replay`` and the detector tests.
     """
     from repro.telemetry.detectors import DetectorThresholds, build_detectors
+    from repro.telemetry.session import device_window
 
     groups = split_records(records)
     # Reconstruct adjacency is impossible offline; propagation detection
@@ -224,15 +188,8 @@ def replay_detectors(records, thresholds=None):
                   "devices": {}}
         for device, sample in by_time[t_ns].items():
             values = sample["values"]
-            deltas = {"is_host": sample.get("is_host", False)}
-            before = prev.get(device, {})
-            for key, value in values.items():
-                if key in ("queued_bytes", "shared_in_use",
-                           "headroom_in_use", "paused_pgs", "shared_size"):
-                    deltas[key] = value
-                else:
-                    deltas[key] = value - before.get(key, 0)
-            window["devices"][device] = deltas
+            window["devices"][device] = device_window(
+                values, prev.get(device, {}), sample.get("is_host", False))
             prev[device] = values
         if window["interval_ns"] > 0:
             for detector in detectors:

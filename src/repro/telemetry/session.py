@@ -4,11 +4,11 @@ A :class:`TelemetrySession` binds one fabric to one metric registry plus
 the standard detector stack for the lifetime of a run:
 
 * a self-rearming :class:`~repro.sim.timer.Timer` polls every device's
-  counters each ``interval_ns`` (absorbing the sampling semantics of the
-  old ``monitoring/counters.py`` collector);
-* hot-path hooks (see :mod:`repro.telemetry.hooks`) push the few signals
-  polling cannot see -- pause-grant durations, ECN mark-time queue
-  depths, headroom spills, CNP/NAK emission, DCQCN rate decreases,
+  counters each ``interval_ns`` (through the one device-counter reader
+  it shares with ``monitoring/counters.py``'s in-model collector);
+* hot-path hooks (behind the :data:`repro.obs.TELEMETRY` gate) push the
+  few signals polling cannot see -- pause-grant durations, ECN mark-time
+  queue depths, headroom spills, CNP/NAK emission, DCQCN rate decreases,
   watchdog trips and injected faults;
 * each poll closes a *window* of per-device deltas and feeds it to the
   online detectors (:mod:`repro.telemetry.detectors`);
@@ -21,19 +21,20 @@ change a run's event-count fingerprint; the disabled path (no session)
 schedules nothing, which is what the telemetry-off bench guard pins.
 """
 
+from repro.monitoring.counters import GAUGES, host_counters, switch_counters
+from repro.obs import TELEMETRY as HUB
 from repro.sim.timer import Timer
 from repro.sim.units import MS
-from repro.telemetry import hooks
 from repro.telemetry.detectors import DetectorThresholds, build_detectors
 from repro.telemetry.registry import CATALOG, MetricRegistry
 
-#: Counter-like sample keys (windows take deltas); everything else in a
-#: sample is a gauge and passes through as-is.
-_DELTA_KEYS = (
-    "pause_tx", "pause_rx", "resume_tx", "resume_rx", "paused_ns",
-    "tx_bytes", "rx_bytes", "ecn_marked", "drops", "rx_processed",
-    "watchdog_trips",
-)
+def device_window(values, prev, is_host):
+    """One device's entry in a detector window: counter deltas since
+    ``prev`` (the previous poll's values), gauges as read."""
+    window = {"is_host": is_host}
+    for key, value in values.items():
+        window[key] = value if key in GAUGES else value - prev.get(key, 0)
+    return window
 
 
 class TelemetryConfig:
@@ -107,7 +108,7 @@ class TelemetrySession:
         sim = self.fabric.sim
         self.records.append({
             "type": "meta",
-            "schema": "repro-telemetry/1",
+            "schema": HUB.schema,
             "label": self.config.label,
             "t_start_ns": sim.now,
             "interval_ns": self.config.interval_ns,
@@ -117,11 +118,13 @@ class TelemetrySession:
         for spec in CATALOG:
             self.records.append(spec.as_record())
         # Baseline snapshot so the first window's deltas are exact.
-        self._prev = self._collect_values()
+        self._prev = {
+            device: values for device, _is_host, values in self._read_devices()
+        }
         self._prev_t = sim.now
         self._timer.start(self.config.interval_ns)
-        hooks.HUB.session = self
-        hooks.HUB.enabled = True
+        HUB.session = self
+        HUB.enabled = True
         return self
 
     def stop(self):
@@ -131,9 +134,9 @@ class TelemetrySession:
             return self
         self._stopped = True
         self._timer.cancel()
-        if hooks.HUB.session is self:
-            hooks.HUB.session = None
-            hooks.HUB.enabled = False
+        if HUB.session is self:
+            HUB.session = None
+            HUB.enabled = False
         now = self.fabric.sim.now
         self._close_window(now)  # capture the tail since the last poll
         for detector in self.detectors:
@@ -144,7 +147,7 @@ class TelemetrySession:
         for incident in self.incidents:
             self.records.append(incident.as_record())
         self.records.append(self._summary(now))
-        hooks.HUB.completed.append(self)
+        HUB.completed.append(self)
         return self
 
     def artifact_records(self):
@@ -169,49 +172,16 @@ class TelemetrySession:
         self._close_window(self.fabric.sim.now)
         self._timer.start(self.config.interval_ns)
 
-    def _collect_values(self):
-        """Cumulative counters + gauges per device, CounterCollector
-        style."""
-        values = {}
+    def _read_devices(self):
+        """``(name, is_host, values)`` per device: cumulative counters +
+        gauges as the shared reader returns them (a host is named by its
+        NIC)."""
         for switch in self.fabric.switches:
-            ports = switch.ports
-            buffer = switch.buffer
-            values[switch.name] = {
-                "is_host": False,
-                "pause_tx": sum(p.stats.pause_tx for p in ports),
-                "pause_rx": sum(p.stats.pause_rx for p in ports),
-                "resume_tx": sum(p.stats.resume_tx for p in ports),
-                "resume_rx": sum(p.stats.resume_rx for p in ports),
-                "paused_ns": sum(p.paused_interval_ns() for p in ports),
-                "tx_bytes": sum(p.stats.total_tx_bytes for p in ports),
-                "rx_bytes": sum(p.stats.total_rx_bytes for p in ports),
-                "ecn_marked": switch.counters.ecn_marked,
-                "drops": switch.counters.total_drops,
-                "queued_bytes": switch.queued_bytes(),
-                "shared_in_use": buffer.shared_in_use if buffer else 0,
-                "headroom_in_use": buffer.headroom_in_use if buffer else 0,
-                "paused_pgs": buffer.paused_pgs if buffer else 0,
-                "shared_size": buffer.shared_size if buffer else 0,
-                "watchdog_trips": switch.watchdog_trips(),
-            }
+            yield switch.name, False, switch_counters(switch)
         for host in self.fabric.hosts:
-            nic = host.nic
-            port = nic.port
-            values[nic.name] = {
-                "is_host": True,
-                "pause_tx": nic.stats.pause_generated,
-                "resume_tx": nic.stats.resume_generated,
-                "pause_rx": port.stats.pause_rx,
-                "resume_rx": port.stats.resume_rx,
-                "paused_ns": port.paused_interval_ns(),
-                "tx_bytes": port.stats.total_tx_bytes,
-                "rx_bytes": port.stats.total_rx_bytes,
-                "rx_processed": nic.stats.rx_processed,
-                "watchdog_trips": nic.watchdog_trips,
-            }
-        return values
+            yield host.nic.name, True, host_counters(host)
 
-    #: sample-value key -> catalog metric mirrored into the registry.
+    #: reader key -> catalog metric mirrored into the registry each poll.
     _POLLED = {
         "pause_tx": "port.pause_tx",
         "pause_rx": "port.pause_rx",
@@ -222,8 +192,6 @@ class TelemetrySession:
         "rx_bytes": "port.rx_bytes",
         "ecn_marked": "switch.ecn_marked",
         "rx_processed": "nic.rx_processed",
-    }
-    _POLLED_GAUGES = {
         "queued_bytes": "switch.queued_bytes",
         "shared_in_use": "switch.shared_in_use",
         "headroom_in_use": "switch.headroom_in_use",
@@ -231,38 +199,29 @@ class TelemetrySession:
     }
 
     def _close_window(self, t_ns):
-        current = self._collect_values()
         registry = self.registry
         window = {"t_ns": t_ns, "interval_ns": 0, "devices": {}}
-        for device, values in current.items():
-            prev = self._prev.get(device, {})
-            deltas = {"is_host": values["is_host"]}
-            for key in _DELTA_KEYS:
-                if key in values:
-                    deltas[key] = values[key] - prev.get(key, 0)
-            for key in ("queued_bytes", "shared_in_use", "headroom_in_use",
-                        "paused_pgs", "shared_size"):
-                if key in values:
-                    deltas[key] = values[key]
-            window["devices"][device] = deltas
+        current = {}
+        for device, is_host, values in self._read_devices():
+            current[device] = values
+            window["devices"][device] = device_window(
+                values, self._prev.get(device, {}), is_host)
             for key, metric_name in self._POLLED.items():
                 if key in values:
-                    registry.get(metric_name, device).set_absolute(values[key])
-                    registry.record_sample(t_ns, metric_name, device,
-                                           values[key])
-            for key, metric_name in self._POLLED_GAUGES.items():
-                if key in values:
-                    registry.get(metric_name, device).set(values[key])
+                    metric = registry.get(metric_name, device)
+                    if key in GAUGES:
+                        metric.set(values[key])
+                    else:
+                        metric.set_absolute(values[key])
                     registry.record_sample(t_ns, metric_name, device,
                                            values[key])
             if self.config.capture_samples:
-                sample = {k: v for k, v in values.items() if k != "is_host"}
                 self.records.append({
                     "type": "sample",
                     "t_ns": t_ns,
                     "device": device,
-                    "is_host": values["is_host"],
-                    "values": sample,
+                    "is_host": is_host,
+                    "values": values,
                 })
         t_prev = self._prev_t if self._prev_t is not None else t_ns
         window["interval_ns"] = max(0, t_ns - t_prev)

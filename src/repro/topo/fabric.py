@@ -14,6 +14,7 @@ it finalizes every switch's shared buffer once wiring is complete.
 
 from repro.net.link import Link
 from repro.nic.host import AddressDirectory, Host
+from repro.obs import HUBS
 from repro.sim import SeededRng, Simulator
 from repro.sim.units import gbps
 from repro.switch.switch import Switch
@@ -117,23 +118,16 @@ class Fabric:
         """Finalize, announce every host (gratuitous ARP) and run the
         simulator briefly so switch tables populate.
 
-        When the telemetry hub is armed (``repro.telemetry.arm``) a
-        collection session attaches to this fabric here -- that is how
-        the bench/campaign/validation/experiment CLIs opt whole runs
-        into telemetry without threading flags through every runner.
-        The trace hub (``repro.tracing.arm``) attaches the same way.
-        With both hubs disarmed (the default) this is a no-op.
+        Every armed observability hub (``repro.telemetry.arm``,
+        ``repro.tracing.arm``) attaches a session to this fabric here --
+        that is how the bench/campaign/validation/experiment CLIs opt
+        whole runs into collection without threading flags through
+        every runner.  With the hubs disarmed (the default) this is a
+        no-op.
         """
         self.finalize()
-        from repro.telemetry.hooks import HUB, maybe_attach
-
-        if HUB.armed is not None:
-            maybe_attach(self)
-        from repro.tracing.hooks import HUB as TRACE_HUB
-        from repro.tracing.hooks import maybe_attach as trace_attach
-
-        if TRACE_HUB.armed is not None:
-            trace_attach(self)
+        for hub in HUBS:
+            hub.maybe_attach(self)
         for host in self.hosts:
             host.boot()
         self.sim.run(until=self.sim.now + settle_ns)

@@ -10,11 +10,8 @@ Two tools share this package:
   run, and analyse online or via ``python -m repro.tracing``.
   See docs/tracing.md.
 
-* The original **packet capture** (:class:`PacketTracer`), absorbed
-  from the old top-level ``repro/tracing.py`` module as
-  :mod:`repro.tracing.capture`.  The historical import surface is
-  preserved: ``from repro.tracing import PacketTracer, TraceRecord,
-  summarize`` keeps working.
+* The per-frame **packet capture** (:class:`PacketTracer`,
+  :mod:`repro.tracing.capture`).
 
 Quick start::
 
@@ -28,14 +25,21 @@ Quick start::
         attributions = tracing.attribute_records(records)
         dag = tracing.build_dag(records, attributions)
 
+``HUB`` is the plane's :class:`repro.obs.Hub` (``repro.obs.TRACE``);
+``arm``, ``disarm``, ``drain``, ``collect``, ``read_jsonl`` and
+``write_artifacts`` are its bound methods, the same lifecycle and
+artifact I/O the telemetry plane has (``with tracing.collect(label,
+out_dir, stem): ...`` is the sequence above plus the write).
+
 The dark path is a single disabled-bool check per probe: with the hub
 unarmed every bench fingerprint in benchmarks/BASELINE.json stays
 byte-identical (CI's dark-path gate), and because a session schedules
 no events, fingerprints stay identical even while armed.
 """
 
+from repro.artifact import write_jsonl
+from repro.obs import TRACE as HUB
 from repro.tracing.capture import PacketTracer, TraceRecord, summarize
-from repro.tracing.hooks import HUB, TraceHub, arm, disarm, drain, maybe_attach
 from repro.tracing.session import TraceConfig, TraceSession
 from repro.tracing.attribution import (
     COMPONENTS,
@@ -49,25 +53,29 @@ from repro.tracing.causality import StormDag, build_dag, render_text
 from repro.tracing.export import (
     chrome_trace,
     filter_window,
-    read_jsonl,
+    headline,
     summary_of,
     windows_from_telemetry,
-    write_artifacts,
-    write_jsonl,
 )
 
+arm = HUB.arm
+disarm = HUB.disarm
+drain = HUB.drain
+collect = HUB.collect
+read_jsonl = HUB.read_jsonl
+write_artifacts = HUB.write_artifacts
+
 __all__ = [
-    # packet capture (legacy surface)
+    # packet capture
     "PacketTracer",
     "TraceRecord",
     "summarize",
     # hub lifecycle
     "HUB",
-    "TraceHub",
     "arm",
     "disarm",
     "drain",
-    "maybe_attach",
+    "collect",
     "TraceConfig",
     "TraceSession",
     # attribution
@@ -84,6 +92,7 @@ __all__ = [
     # artifacts
     "chrome_trace",
     "filter_window",
+    "headline",
     "read_jsonl",
     "summary_of",
     "windows_from_telemetry",

@@ -21,34 +21,30 @@ Commands:
 ``pingmesh PROBES.jsonl``
     Summarize an exported pingmesh probe log: RTT percentiles
     (p50/p90/p99/p999) and the per-error-code breakdown.
+
+An ARTIFACT that is missing, empty, truncated, corrupt or of another
+plane's schema is answered with one ``path:line: reason`` line on stderr
+and exit status 2.
 """
 
 import argparse
 import json
-import os
 import sys
 
+from repro.artifact import ArtifactError
+from repro.obs import TELEMETRY, TRACE
 from repro.tracing.attribution import COMPONENTS, aggregate, attribute_records
 from repro.tracing.causality import build_dag, render_text
 from repro.tracing.export import (
     chrome_trace,
     filter_window,
-    read_jsonl,
     summary_of,
     windows_from_telemetry,
-    write_jsonl,
 )
 
 
-def _meta_of(records):
-    for record in records:
-        if record.get("type") == "meta":
-            return record
-    return {}
-
-
 def _render_summary(records):
-    meta = _meta_of(records)
+    meta = records[0]  # the reader vouches for the meta record
     summary = summary_of(records)
     lines = []
     label = (meta.get("config") or {}).get("label") or "-"
@@ -103,13 +99,13 @@ def _render_summary(records):
 
 def _cmd_summarize(args):
     for artifact in args.artifact:
-        print(_render_summary(read_jsonl(artifact)))
+        print(_render_summary(TRACE.read_jsonl(artifact)))
         print("  artifact %s" % artifact)
     return 0
 
 
 def _cmd_attribute(args):
-    records = read_jsonl(args.artifact)
+    records = TRACE.read_jsonl(args.artifact)
     attributions = attribute_records(records)
     if args.json:
         for attribution in attributions:
@@ -158,23 +154,16 @@ def _storm_dag(records):
 
 def _cmd_storm(args):
     if args.demo:
-        from repro import tracing
         from repro.experiments.storm import run_storm
 
-        tracing.arm(tracing.TraceConfig(label="storm seed=%d" % args.seed))
-        try:
+        with TRACE.collect(
+            "storm seed=%d" % args.seed, args.out, "storm"
+        ) as collection:
             run_storm(seed=args.seed)
-        finally:
-            artifacts = tracing.drain()
-            tracing.disarm()
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
         status = 1
-        for index, records in enumerate(artifacts):
-            if args.out:
-                path = os.path.join(args.out, "storm-%d.trace.jsonl" % index)
-                write_jsonl(records, path)
-                print("artifact %s" % path)
+        for index, records in enumerate(collection.sessions):
+            if collection.paths:
+                print("artifact %s" % collection.paths[index])
             dag = _storm_dag(records)
             print(render_text(dag, max_trees=None if args.full else 8))
             print()
@@ -192,7 +181,7 @@ def _cmd_storm(args):
     if not args.artifact:
         print("storm: need an ARTIFACT or --demo", file=sys.stderr)
         return 2
-    records = read_jsonl(args.artifact)
+    records = TRACE.read_jsonl(args.artifact)
     dag = _storm_dag(records)
     if args.json:
         print(
@@ -211,10 +200,11 @@ def _cmd_storm(args):
 
 
 def _cmd_export(args):
-    records = read_jsonl(args.artifact)
+    records = TRACE.read_jsonl(args.artifact)
     if args.window_from_telemetry:
         windows = windows_from_telemetry(
-            read_jsonl(args.window_from_telemetry), pad_ns=args.pad_us * 1000
+            TELEMETRY.read_jsonl(args.window_from_telemetry),
+            pad_ns=args.pad_us * 1000,
         )
         if not windows:
             print("no incidents in %s; exporting the full trace"
@@ -314,7 +304,11 @@ def main(argv=None):
     p.set_defaults(fn=_cmd_pingmesh)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ArtifactError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,27 +14,13 @@ and usable from tests to assert on wire-level behaviour.
 Records are plain dicts, cheap to filter and serialize.  Tracing is
 strictly observational: attaching never changes simulation behaviour.
 
-The tracer is one of four granularities of the same observability
-story (see ARCHITECTURE.md): telemetry aggregates *counters*
-fabric-wide on a poll interval and runs incident detectors over them;
-the causal tracing plane (:mod:`repro.tracing.session`) follows
-*sampled ops* end to end and attributes their latency; this module
-captures *every frame* on chosen links (a packet capture -- exact but
-heavy, bounded by ``max_records``); and pingmesh measures *end-to-end
-probe RTTs* from the outside.  Triage typically starts from a
-telemetry incident ("pause_storm on P0T0-S0.nic at t=2ms"), narrows to
-a trace window (``python -m repro.tracing export
---window-from-telemetry``), and only then drops down to a tracer
-attached around the implicated links to see the individual pause
-frames; docs/telemetry.md and docs/tracing.md walk through exactly
-that.  Note one behavioural difference: telemetry's poll timer does
-add events to the simulation schedule (changing determinism
-fingerprints), whereas an attached tracer or trace session never does.
+The tracer is the heaviest of the four observability granularities
+(telemetry counters, sampled causal traces, this per-frame capture,
+pingmesh probes): ARCHITECTURE.md compares them and docs/tracing.md
+walks the triage path from a telemetry incident down to a capture.
 """
 
-import json
-
-from repro.packets.packet import Packet
+from repro.artifact import write_jsonl
 
 
 class TraceRecord:
@@ -157,11 +143,8 @@ class PacketTracer:
         return counts
 
     def to_jsonl(self, path):
-        """Write one JSON object per captured frame."""
-        with open(path, "w") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record.as_dict()) + "\n")
-        return path
+        """Write one JSON object per captured frame; returns the path."""
+        return write_jsonl([record.as_dict() for record in self.records], path)
 
     def __len__(self):
         return len(self.records)

@@ -22,45 +22,23 @@ give it a *telemetry* artifact's records and it returns the incident
 time windows (padded), ready for :func:`filter_window` -- the
 "telemetry incident -> trace window" triage step docs/telemetry.md and
 docs/tracing.md walk through.
+
+Reading and writing the JSONL itself is :mod:`repro.artifact`'s job,
+reached through the plane's hub (``repro.tracing.read_jsonl`` /
+``write_artifacts``).
 """
 
-import json
 
-
-def write_jsonl(records, path):
-    """Write records (dicts) as JSON Lines; returns the path."""
-    with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-    return path
-
-
-def read_jsonl(path):
-    """Read a JSONL artifact back into a list of dicts."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def write_artifacts(record_lists, out_dir, stem):
-    """Write one ``<stem>-<i>.trace.jsonl`` per drained session.
-
-    ``record_lists`` is what :func:`repro.tracing.hooks.drain` returns.
-    Returns the list of paths written.
-    """
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for index, records in enumerate(record_lists):
-        path = os.path.join(out_dir, "%s-%d.trace.jsonl" % (stem, index))
-        write_jsonl(records, path)
-        paths.append(path)
-    return paths
+def headline(record_lists):
+    """Headline counts over drained sessions, for CLI summaries and the
+    bench report: ops traced, ops completed, pause episodes."""
+    counts = {"ops": 0, "ops_completed": 0, "pause_nodes": 0}
+    for records in record_lists:
+        summary = summary_of(records)
+        counts["ops"] += summary.get("ops_traced", 0)
+        counts["ops_completed"] += summary.get("ops_completed", 0)
+        counts["pause_nodes"] += summary.get("pause_nodes", 0)
+    return counts
 
 
 def summary_of(records):

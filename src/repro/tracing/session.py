@@ -1,7 +1,7 @@
 """The live trace session: life-of-an-op spans and pause causality.
 
 A :class:`TraceSession` attaches to one fabric (usually via the armed
-hub from ``Fabric.boot``, see :mod:`repro.tracing.hooks`) and receives
+hub from ``Fabric.boot``, see :mod:`repro.obs`) and receives
 the ``on_*`` probe calls the device layers make behind their single
 ``_TRACE.enabled`` check.  It follows three kinds of state:
 
@@ -37,6 +37,7 @@ runs and processes.
 
 import zlib
 
+from repro.obs import TRACE as HUB
 from repro.tracing.spans import (
     OpTrace,
     PacketTrace,
@@ -46,7 +47,6 @@ from repro.tracing.spans import (
 )
 
 _N_PRIORITIES = 8
-_SCHEMA = "repro-trace/1"
 
 
 class TraceConfig:
@@ -118,8 +118,6 @@ class TraceSession:
     # ------------------------------------------------------------- lifecycle
 
     def start(self):
-        from repro.tracing.hooks import HUB
-
         if HUB.session is not None:
             raise RuntimeError("a trace session is already active")
         self.t_start_ns = self.sim.now
@@ -128,8 +126,6 @@ class TraceSession:
         return self
 
     def stop(self):
-        from repro.tracing.hooks import HUB
-
         if HUB.session is not self:
             return self
         self.t_stop_ns = self.sim.now
@@ -443,7 +439,7 @@ class TraceSession:
         records = [
             {
                 "type": "meta",
-                "schema": _SCHEMA,
+                "schema": HUB.schema,
                 "t_start_ns": self.t_start_ns,
                 "t_stop_ns": t_stop,
                 "hosts": len(self.fabric.hosts),

@@ -12,8 +12,10 @@ or any mutation goes uncaught / any baseline is unclean (mutation-check).
 """
 
 import argparse
+import contextlib
 import sys
 
+from repro.obs import TELEMETRY
 from repro.validation import flowsim_lane
 from repro.validation.flowsim_lane import run_flowsim_differential_sweep
 from repro.validation.harness import (
@@ -89,11 +91,11 @@ def _cmd_sweep(args):
         "validation sweep: %d scenario(s) from seed %d%s"
         % (args.seeds, args.start, "" if args.no_metamorphic else " (+metamorphic)")
     )
-    if args.telemetry:
-        from repro import telemetry
-
-        telemetry.arm(telemetry.TelemetryConfig(label="validation-sweep"))
-    try:
+    with (
+        TELEMETRY.collect("validation-sweep", args.telemetry, "sweep")
+        if args.telemetry
+        else contextlib.nullcontext()
+    ) as collection:
         result = run_validation_sweep(
             seeds=args.seeds,
             start=args.start,
@@ -103,16 +105,8 @@ def _cmd_sweep(args):
             fail_fast=args.fail_fast,
             progress=progress,
         )
-    finally:
-        if args.telemetry:
-            telemetry.disarm()
-    if args.telemetry:
-        sessions = telemetry.drain()
-        paths = telemetry.write_artifacts(sessions, args.telemetry, "sweep")
-        print(
-            "telemetry: %d artifact(s), %d incident(s) -> %s"
-            % (len(paths), telemetry.incident_count(sessions), args.telemetry)
-        )
+    if collection:
+        print(collection.describe())
     if args.jsonl:
         result.to_jsonl(args.jsonl)
         print("rows -> %s" % args.jsonl)

@@ -70,8 +70,8 @@ from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardingTables
 from repro.switch.pfc import PfcConfig
 from repro.switch.switch import Switch, SwitchCounters, _clone_for_flood
-from repro.telemetry.hooks import HUB as _TELEMETRY
-from repro.tracing.hooks import HUB as _TRACE
+from repro.obs import TELEMETRY as _TELEMETRY
+from repro.obs import TRACE as _TRACE
 from tests.strategies import switch_walk_programs
 
 # =============================================================================

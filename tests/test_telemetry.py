@@ -28,8 +28,9 @@ import os
 import pytest
 
 from repro import telemetry
-from repro.bench.harness import collect_telemetry, load_baseline, run_benchmarks
+from repro.bench.harness import collect_artifacts, load_baseline, run_benchmarks
 from repro.bench.scenarios import SCENARIOS
+from repro.obs import TELEMETRY as HUB
 from repro.telemetry import __main__ as telemetry_cli
 from repro.telemetry.detectors import (
     DetectorThresholds,
@@ -39,7 +40,6 @@ from repro.telemetry.detectors import (
     QueueWatermarkDetector,
     VictimFlowDetector,
 )
-from repro.telemetry.hooks import HUB
 from repro.telemetry.registry import (
     CATALOG,
     CATALOG_BY_NAME,
@@ -164,14 +164,6 @@ class TestDisabledByDefault:
         # Identical event counts: the disabled path must schedule nothing.
         assert run.events == recorded["events"]
         assert run.packets == recorded["packets"]
-
-    def test_arm_disarm_without_boot_is_clean(self):
-        telemetry.arm(telemetry.TelemetryConfig(label="never-attached"))
-        assert HUB.armed is not None
-        assert HUB.enabled is False  # arming alone must not enable hooks
-        telemetry.disarm()
-        assert HUB.armed is None
-        assert telemetry.drain() == []
 
 
 # -- 3. detector semantics on synthetic windows ------------------------------
@@ -480,7 +472,7 @@ class TestBenchTelemetryPass:
     def test_collect_telemetry_annotates_and_writes(self, tmp_path):
         scenarios = run_benchmarks(["single_flow"], seed=1, repeat=1)
         out_dir = str(tmp_path / "artifacts")
-        collect_telemetry(scenarios, out_dir, seed=1)
+        collect_artifacts(HUB, scenarios, out_dir, seed=1)
         block = scenarios["single_flow"]["telemetry"]
         assert block["artifacts"], "instrumented pass wrote no artifact"
         for path in block["artifacts"]:

@@ -27,8 +27,8 @@ import pytest
 from repro import tracing
 from repro.bench.harness import load_baseline
 from repro.bench.scenarios import SCENARIOS
+from repro.obs import TRACE as HUB
 from repro.tracing import __main__ as tracing_cli
-from repro.tracing.hooks import HUB
 from repro.tracing.session import TraceSession
 
 pytestmark = pytest.mark.tracing
@@ -90,14 +90,6 @@ class TestDarkPath:
         baseline = load_baseline(BASELINE_PATH)
         run, _records = _trace_scenario(name)
         assert run.fingerprint == baseline["scenarios"][name]["fingerprint"]
-
-    def test_arm_disarm_without_boot_is_clean(self):
-        tracing.arm(tracing.TraceConfig(label="never-attached"))
-        assert HUB.armed is not None
-        assert HUB.enabled is False  # arming alone must not enable hooks
-        tracing.disarm()
-        assert HUB.armed is None
-        assert tracing.drain() == []
 
 
 # -- 2. exact-sum attribution ------------------------------------------------
