@@ -8,6 +8,7 @@ written with sorted keys, one record per line, and read back through
 :func:`read_jsonl`, which answers anything that is not such a file with
 one :class:`ArtifactError` naming the path and line -- so a CLI can
 print ``path:line: reason`` and exit instead of dumping a traceback.
+The validation lab's repro artifacts are read through it too.
 """
 
 import json

@@ -30,16 +30,14 @@ events per completed flow.  Their fingerprints digest the engine's
 integer-only run tuple (completion CRC included), pinned exactly like
 the packet scenarios'.
 
-Cross-process determinism: every scenario pins each switch's ECMP seed
-to ``crc32(name)`` before traffic starts (the constructor default uses
-``hash()``, which varies per process under hash randomization) and all
-flow keys are integers, so fingerprints are stable across processes,
-machines and Python versions — which is what lets the baseline file be
-checked in at all.
+Cross-process determinism: every switch's ECMP seed is a pure function
+of its name (:func:`repro.switch.ecmp.ecmp_seed`) and all flow keys are
+integers, so fingerprints are stable across processes, machines and
+Python versions — which is what lets the baseline file be checked in at
+all.
 """
 
 import hashlib
-import zlib
 
 from repro.sim import SeededRng, Simulator
 from repro.sim.timer import Timer
@@ -86,14 +84,6 @@ class BenchScenario:
 def digest(fingerprint_tuple):
     """A short stable digest of a nested int/str tuple."""
     return hashlib.sha256(repr(fingerprint_tuple).encode()).hexdigest()[:16]
-
-
-def _pin_ecmp_seeds(topo):
-    """Replace per-process ``hash(name)`` ECMP seeds with ``crc32(name)``
-    so multi-path scenarios fingerprint identically across processes."""
-    for switch in topo.fabric.switches:
-        switch.ecmp_seed = zlib.crc32(switch.name.encode())
-    return topo
 
 
 def _link_counters(fabric):
@@ -155,7 +145,7 @@ def single_flow(seed):
     from repro.rdma import GoBackN, QpConfig, connect_qp_pair, post_send
     from repro.topo import single_switch
 
-    topo = _pin_ecmp_seeds(single_switch(n_hosts=2, seed=seed)).boot()
+    topo = single_switch(n_hosts=2, seed=seed).boot()
     link = topo.fabric.links[0]
     link.loss_rate = 0.01
     link._loss_rng = SeededRng(seed, "bench/loss")
@@ -191,12 +181,10 @@ def incast_tor(seed):
     from repro.topo import single_switch
     from repro.workloads import ClosedLoopSender, RdmaChannel
 
-    topo = _pin_ecmp_seeds(
-        single_switch(
-            n_hosts=8,
-            seed=seed,
-            buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
-        )
+    topo = single_switch(
+        n_hosts=8,
+        seed=seed,
+        buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
     ).boot()
     rng = SeededRng(seed, "bench/incast")
     victim = topo.hosts[0]
@@ -237,17 +225,15 @@ def pause_storm(seed):
             stall_threshold_ns=1 * MS, poll_interval_ns=250 * US
         )
     )
-    topo = _pin_ecmp_seeds(
-        three_tier_clos(
-            n_podsets=2,
-            tors_per_podset=2,
-            hosts_per_tor=2,
-            leaves_per_podset=2,
-            n_spines=2,
-            seed=seed,
-            nic_config=nic_config,
-            buffer_config=BufferConfig(alpha=None, xoff_static_bytes=96 * KB),
-        )
+    topo = three_tier_clos(
+        n_podsets=2,
+        tors_per_podset=2,
+        hosts_per_tor=2,
+        leaves_per_podset=2,
+        n_spines=2,
+        seed=seed,
+        nic_config=nic_config,
+        buffer_config=BufferConfig(alpha=None, xoff_static_bytes=96 * KB),
     ).boot()
     for podset in topo.podsets:
         for tor in podset["tors"]:
@@ -293,15 +279,13 @@ def clos_slice(seed):
     from repro.topo import three_tier_clos
     from repro.experiments.common import saturate_pairs
 
-    topo = _pin_ecmp_seeds(
-        three_tier_clos(
-            n_podsets=2,
-            tors_per_podset=2,
-            hosts_per_tor=2,
-            leaves_per_podset=2,
-            n_spines=2,
-            seed=seed,
-        )
+    topo = three_tier_clos(
+        n_podsets=2,
+        tors_per_podset=2,
+        hosts_per_tor=2,
+        leaves_per_podset=2,
+        n_spines=2,
+        seed=seed,
     ).boot()
     sim = topo.sim
     rng = SeededRng(seed, "bench/clos")
@@ -336,15 +320,13 @@ def clos_pod(seed):
     from repro.topo import three_tier_clos
     from repro.experiments.common import saturate_pairs
 
-    topo = _pin_ecmp_seeds(
-        three_tier_clos(
-            n_podsets=2,
-            tors_per_podset=4,
-            hosts_per_tor=4,
-            leaves_per_podset=4,
-            n_spines=4,
-            seed=seed,
-        )
+    topo = three_tier_clos(
+        n_podsets=2,
+        tors_per_podset=4,
+        hosts_per_tor=4,
+        leaves_per_podset=4,
+        n_spines=4,
+        seed=seed,
     ).boot()
     sim = topo.sim
     rng = SeededRng(seed, "bench/pod")
@@ -380,12 +362,10 @@ def tcp_baseline(seed):
     from repro.topo import single_switch
     from repro.workloads import ClosedLoopSender, TcpChannel
 
-    topo = _pin_ecmp_seeds(
-        single_switch(
-            n_hosts=6,
-            seed=seed,
-            buffer_config=BufferConfig(lossy_egress_cap_bytes=120 * KB),
-        )
+    topo = single_switch(
+        n_hosts=6,
+        seed=seed,
+        buffer_config=BufferConfig(lossy_egress_cap_bytes=120 * KB),
     ).boot()
     rng = SeededRng(seed, "bench/tcp")
     victim = topo.hosts[0]

@@ -12,9 +12,9 @@ a 3-tier Clos) using :mod:`repro.flowsim`:
   performance is tracked by :mod:`repro.bench` instead.
 * :func:`run_flowsim_figure7` (F2) -- the figure 7 fabric cross-check:
   flowsim run directly over :class:`repro.flows.clos_model.ClosFlowModel`
-  paths must reproduce the analytic max-min aggregate exactly, and the
-  flowsim-native ECMP topology must land in the same utilization
-  regime.
+  paths must reproduce the analytic max-min aggregate exactly (the
+  model's paths are the flow tier's own ECMP draws over the one fabric
+  spec, so this compares two solvers over one placement).
 """
 
 import hashlib
@@ -161,15 +161,11 @@ def run_flowsim_scale(
 def run_flowsim_figure7(seed=1, rate_update_interval_us=0):
     """F2: two views of figure 7's fabric, cross-checked.
 
-    Row ``model-paths``: flowsim driven over the *exact* flow paths the
-    analytic :class:`ClosFlowModel` hashed out -- its steady-state rates
-    must reproduce the model's max-min allocation to float precision
-    (``max_rel_err``), so the aggregate matches exactly.
-
-    Row ``native-ecmp``: flowsim's own Clos topology with 8 saturating
-    QPs per server, its own ECMP draws.  Different hash outcomes land a
-    different (but statistically similar) hash-imbalance utilization --
-    the same regime, not the same number.
+    Row ``analytic-maxmin`` is :class:`ClosFlowModel`'s reference
+    max-min allocation; row ``model-paths`` is flowsim driven over the
+    same flow paths -- its steady-state rates must reproduce the
+    model's allocation to float precision (``max_rel_err``), so the
+    aggregate matches exactly.
     """
     model = ClosFlowModel(seed=seed)
     ideal = model.run("maxmin")
@@ -206,38 +202,4 @@ def run_flowsim_figure7(seed=1, rate_update_interval_us=0):
             "max_rel_err": max_rel_err,
         },
     ]
-
-    # -- flowsim-native topology, own ECMP draws ---------------------------
-    topology = clos_flow(
-        n_podsets=2,
-        tors_per_podset=model.tor_pairs,
-        hosts_per_tor=model.servers_per_tor,
-        leaves_per_podset=model.leaves_per_podset,
-        n_spines=model.n_spines,
-        rate_bps=model.link_bps,
-    )
-    native = FlowSim.from_topology(topology, efficiency=1.0)
-    rng = SeededRng(seed, "flowsim/figure7")
-    per_podset = topology.n_hosts // 2
-    native_ids = []
-    for src in range(topology.n_hosts):
-        dst = (src + per_podset) % topology.n_hosts
-        for _qp in range(model.qps_per_server):
-            native_ids.append(
-                native.add_host_flow(
-                    src, dst, 10 ** 15, sport=rng.randint(49152, 65535)
-                )
-            )
-    native.run(until_ns=1)
-    native_rates = native.current_rates()
-    native_agg = sum(native_rates[fid] for fid in native_ids)
-    rows.append(
-        {
-            "view": "native-ecmp",
-            "qps": len(native_ids),
-            "aggregate_tbps": native_agg / 1e12,
-            "utilization": native_agg / leaf_spine_cap,
-            "max_rel_err": None,
-        }
-    )
     return FlowsimFigure7Result(rows)

@@ -21,23 +21,21 @@ The leaf-spine hops are the stated bottleneck; ToR uplinks are included
 too (they are also oversubscribed).  Rates come from max-min fairness.
 """
 
-from repro.sim.units import GBPS
-from repro.switch.ecmp import ecmp_select
-from repro.sim.rng import SeededRng
 from repro.flows.maxmin import link_utilization, max_min_allocation
-
-ROCEV2_PORT = 4791
-UDP_PROTO = 17
+from repro.flowsim.topo import clos_flow, link_id
+from repro.sim.rng import SeededRng
+from repro.sim.units import GBPS
 
 
 class ClosFlowResult:
     """Outcome of one direction-pair evaluation."""
 
-    def __init__(self, rates_bps, paths, link_capacities, n_leaf_spine_links):
+    def __init__(self, rates_bps, paths, link_capacities, leaf_spine_links):
         self.rates_bps = rates_bps
         self.paths = paths
         self.link_capacities = link_capacities
-        self.n_leaf_spine_links = n_leaf_spine_links
+        #: ``[(leaf>spine id, spine>leaf id), ...]``, one pair per physical link.
+        self.leaf_spine_links = leaf_spine_links
 
     @property
     def aggregate_bps(self):
@@ -49,9 +47,7 @@ class ClosFlowResult:
         physical leaf-spine links at 40 Gb/s each (each direction of
         traffic can use at most one side's uplinks + the other side's
         downlinks, so physical-links x rate is the right denominator)."""
-        return sum(
-            cap for link, cap in self.link_capacities.items() if link[0] == "leaf-spine"
-        )
+        return sum(self.link_capacities[up] for up, _down in self.leaf_spine_links)
 
     @property
     def utilization(self):
@@ -72,20 +68,25 @@ class ClosFlowResult:
         return self.aggregate_bps / (8 * payload_bytes)
 
     def leaf_spine_link_loads(self):
+        """Utilization of every leaf-spine link, both directions."""
         loads = link_utilization(
             self.link_capacities,
             self.paths,
             self.rates_bps,
         )
-        return {
-            link: value
-            for link, value in loads.items()
-            if link[0] in ("leaf-spine", "spine-leaf")
-        }
+        return {link: loads[link] for pair in self.leaf_spine_links for link in pair}
 
 
 class ClosFlowModel:
-    """Parameterized figure 7 model."""
+    """Parameterized figure 7 model.
+
+    Links and paths are the flow tier's: ``topology`` is
+    ``clos_flow(2, tor_pairs, servers_per_tor, leaves_per_podset,
+    n_spines)``, so a QP rides the links its packets would ride on the
+    packet fabric of that shape, under the same per-switch ECMP seeds.
+    ``seed`` varies the QPs' UDP source ports -- which is what varies
+    hash collisions on a real fabric too.
+    """
 
     def __init__(
         self,
@@ -94,87 +95,39 @@ class ClosFlowModel:
         qps_per_server=8,
         leaves_per_podset=4,
         n_spines=64,
-        tor_uplinks=4,
         link_bps=40 * GBPS,
         seed=1,
         bidirectional=True,
     ):
-        if n_spines % leaves_per_podset:
-            raise ValueError("n_spines must divide evenly across leaves")
+        self.topology = clos_flow(
+            2, tor_pairs, servers_per_tor, leaves_per_podset, n_spines, rate_bps=link_bps
+        )
         self.tor_pairs = tor_pairs
         self.servers_per_tor = servers_per_tor
         self.qps_per_server = qps_per_server
         self.leaves_per_podset = leaves_per_podset
         self.n_spines = n_spines
-        self.spines_per_leaf = n_spines // leaves_per_podset
-        self.tor_uplinks = tor_uplinks
         self.link_bps = link_bps
         self.seed = seed
         self.bidirectional = bidirectional
-
-    # -- link naming ------------------------------------------------------------
-    # ("server", podset, tor, server, direction)
-    # ("tor-leaf", podset, tor, leaf)       ToR uplink toward a leaf
-    # ("leaf-tor", podset, tor, leaf)       leaf downlink toward a ToR
-    # ("leaf-spine", podset, leaf, spine)   leaf uplink
-    # ("spine-leaf", podset, leaf, spine)   spine downlink into a podset
-
-    def _build_links(self):
-        links = {}
-        for podset in (0, 1):
-            for tor in range(self.tor_pairs):
-                for server in range(self.servers_per_tor):
-                    links[("server", podset, tor, server, "up")] = self.link_bps
-                    links[("server", podset, tor, server, "down")] = self.link_bps
-                for leaf in range(self.leaves_per_podset):
-                    links[("tor-leaf", podset, tor, leaf)] = self.link_bps
-                    links[("leaf-tor", podset, tor, leaf)] = self.link_bps
-            for leaf in range(self.leaves_per_podset):
-                for spine in range(
-                    leaf * self.spines_per_leaf, (leaf + 1) * self.spines_per_leaf
-                ):
-                    links[("leaf-spine", podset, leaf, spine)] = self.link_bps
-                    links[("spine-leaf", podset, leaf, spine)] = self.link_bps
-        return links
+        spec = self.topology.spec
+        self._leaf_spine_links = [
+            (link_id(lower, upper), link_id(upper, lower))
+            for lower, upper, _cable_m in spec.trunks()
+            if (spec.tiers[lower], spec.tiers[upper]) == (1, 2)
+        ]
 
     def _flow_paths(self, src_podset):
-        """Hash every QP of one traffic direction onto its path."""
+        """Hash every QP of one traffic direction onto its path: server
+        ``i`` of the source podset sends to server ``i`` of the other."""
         rng = SeededRng(self.seed, "sports/%d" % src_podset)
-        dst_podset = 1 - src_podset
-        # Per-switch hash seeds (deterministic from the model seed).
-        tor_seed = {}
-        leaf_seed = {}
-        for podset in (0, 1):
-            for tor in range(self.tor_pairs):
-                tor_seed[(podset, tor)] = (self.seed * 7919 + podset * 131 + tor) & 0xFFFFFFFF
-            for leaf in range(self.leaves_per_podset):
-                leaf_seed[(podset, leaf)] = (self.seed * 104729 + podset * 17 + leaf) & 0xFFFFFFFF
-        paths = []
-        for tor in range(self.tor_pairs):
-            for server in range(self.servers_per_tor):
-                src_ip = (10 << 24) | (src_podset << 16) | (tor << 8) | (server + 1)
-                dst_ip = (10 << 24) | (dst_podset << 16) | (tor << 8) | (server + 1)
-                for _qp in range(self.qps_per_server):
-                    sport = rng.randint(49152, 65535)
-                    tup = (src_ip, dst_ip, UDP_PROTO, sport, ROCEV2_PORT)
-                    leaf = ecmp_select(tup, self.tor_uplinks, tor_seed[(src_podset, tor)])
-                    spine_local = ecmp_select(
-                        tup, self.spines_per_leaf, leaf_seed[(src_podset, leaf)]
-                    )
-                    spine = leaf * self.spines_per_leaf + spine_local
-                    # The spine serves the same leaf index in the other
-                    # podset; the leaf reaches the target ToR directly.
-                    paths.append(
-                        [
-                            ("server", src_podset, tor, server, "up"),
-                            ("tor-leaf", src_podset, tor, leaf),
-                            ("leaf-spine", src_podset, leaf, spine),
-                            ("spine-leaf", dst_podset, leaf, spine),
-                            ("leaf-tor", dst_podset, tor, leaf),
-                            ("server", dst_podset, tor, server, "down"),
-                        ]
-                    )
-        return paths
+        per_podset = self.tor_pairs * self.servers_per_tor
+        src_base, dst_base = src_podset * per_podset, (1 - src_podset) * per_podset
+        return [
+            self.topology.path(src_base + i, dst_base + i, rng.randint(49152, 65535))
+            for i in range(per_podset)
+            for _qp in range(self.qps_per_server)
+        ]
 
     def run(self, allocation="pfc-uniform"):
         """Place flows and compute rates under an allocation model.
@@ -196,7 +149,7 @@ class ClosFlowModel:
             collisions alone cost far less than the coupled system
             loses.
         """
-        links = self._build_links()
+        links = self.topology.links
         paths = self._flow_paths(src_podset=0)
         if self.bidirectional:
             paths.extend(self._flow_paths(src_podset=1))
@@ -208,8 +161,7 @@ class ClosFlowModel:
             rates = self._per_packet_allocation(paths)
         else:
             raise ValueError("unknown allocation model: %r" % (allocation,))
-        n_leaf_spine = 2 * self.leaves_per_podset * self.spines_per_leaf
-        return ClosFlowResult(rates, paths, links, n_leaf_spine)
+        return ClosFlowResult(rates, paths, links, self._leaf_spine_links)
 
     def _per_packet_allocation(self, paths):
         """Idealized per-packet load balancing (the paper's section 8.1
@@ -219,7 +171,7 @@ class ClosFlowModel:
         capacity, bounded by its 40G NIC.
         """
         per_direction_flows = len(paths) // (2 if self.bidirectional else 1)
-        layer_capacity = self.leaves_per_podset * self.spines_per_leaf * self.link_bps
+        layer_capacity = self.n_spines * self.link_bps
         fair = layer_capacity / per_direction_flows
         nic_share = self.link_bps / self.qps_per_server
         rate = min(fair, nic_share)

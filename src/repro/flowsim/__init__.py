@@ -11,8 +11,9 @@ in :mod:`repro.validation.flowsim_lane`.  Model fidelity and its limits
 are documented in docs/flowsim.md.
 
 * :mod:`~repro.flowsim.engine` -- the event loop (:class:`FlowSim`).
-* :mod:`~repro.flowsim.topo` -- analytic topologies mirroring
-  :mod:`repro.topo.builders` (:class:`FlowTopology`).
+* :mod:`~repro.flowsim.topo` -- capacity graphs and ECMP path walks
+  derived from the fabric spec the packet builders instantiate
+  (:mod:`repro.topo.spec`; :class:`FlowTopology`).
 * :mod:`~repro.flowsim.models` -- the DCQCN utilization factor and the
   PFC pause-fraction / congestion-spreading model.
 * ``python -m repro.flowsim`` -- scale scenarios from the command line.

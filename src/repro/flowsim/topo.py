@@ -1,42 +1,29 @@
 """Analytic topologies for the flow-level simulator.
 
-A :class:`FlowTopology` is just a capacity graph plus a path function:
+A :class:`FlowTopology` is a capacity graph plus a path function:
 directed links (identified by ``"A>B"`` strings), each with a wire rate,
 and ``path(src, dst, sport)`` resolving the links a five-tuple's packets
-would traverse.  The builders mirror the wiring and routing of the
-packet-level builders in :mod:`repro.topo.builders` -- same device
-names, same host IP plan (:func:`repro.topo.fabric.host_ip`), same
-up-down routing, and the same CRC five-tuple ECMP hash
-(:func:`repro.switch.ecmp.ecmp_select`) with a per-switch seed -- but
-no devices are instantiated, so a 4096-host Clos costs a dict, not a
-packet simulator.
-
-ECMP seeds are pinned to ``crc32(switch_name)`` (the convention
-:mod:`repro.bench` uses to pin live fabrics for cross-process
-determinism), so path selection is a pure function of (topology shape,
-five-tuple) -- no live-fabric RNG draw order involved.  Paths therefore
-match a *seed-pinned* packet fabric, not an arbitrary one; the
-differential lane (:mod:`repro.validation.flowsim_lane`) sidesteps this
-entirely by feeding flowsim the paths traced from the live fabric.
+would traverse.  Both are derived from the same
+:class:`~repro.topo.spec.FabricSpec` the packet builders instantiate --
+links from its host and trunk steps, paths by walking its routes with
+the switches' own hash (:func:`repro.switch.ecmp.ecmp_select` under
+:func:`~repro.switch.ecmp.ecmp_seed`) -- so a flow takes the links its
+packets take on the packet fabric of the same shape, but no devices are
+instantiated: a 4096-host Clos costs a dict, not a packet simulator.
 """
 
-import zlib
-
+from repro.packets.ip import IPPROTO_UDP
+from repro.packets.rocev2 import ROCEV2_UDP_PORT
 from repro.sim.units import gbps
-from repro.switch.ecmp import ecmp_select
-from repro.topo.fabric import host_ip
+from repro.switch.ecmp import ecmp_seed, ecmp_select
+from repro.topo.spec import clos_spec, single_switch_spec, two_tier_spec
 
-#: Goodput payload bytes per wire byte, identical to the differential
-#: harness constant (1024-byte MTU payload in a 1086-byte framed slot).
+#: Goodput payload bytes per wire byte: a 1086-byte frame (preamble +
+#: IPG included) carries a 1024-byte MTU payload.  The one definition --
+#: the differential harness imports it.
 EFFICIENCY = 1024 / 1086.0
 
-UDP_PROTO = 17
-ROCEV2_PORT = 4791
-
-
-def _seed(name):
-    """Per-switch ECMP seed: stable across processes and runs."""
-    return zlib.crc32(name.encode("ascii"))
+_MAX_HOPS = 16
 
 
 def link_id(a, b):
@@ -47,22 +34,57 @@ def link_id(a, b):
 class FlowTopology:
     """Capacity graph + path resolver for :class:`repro.flowsim.FlowSim`.
 
+    ``spec``
+        The :class:`~repro.topo.spec.FabricSpec` this was derived from.
     ``links``
         Mapping directed-link id -> wire rate (bits/second).
     ``hosts``
         List of host names; flows address endpoints by index.
     ``host_ips``
-        Parallel list of IPv4 ints (the packet fabric's address plan).
+        Parallel list of IPv4 ints (the spec's address plan).
     """
 
-    __slots__ = ("name", "links", "hosts", "host_ips", "_path_fn")
+    __slots__ = ("name", "spec", "links", "hosts", "host_ips", "_first_hop", "_tables")
 
-    def __init__(self, name, links, hosts, host_ips, path_fn):
-        self.name = name
-        self.links = links
-        self.hosts = hosts
-        self.host_ips = host_ips
-        self._path_fn = path_fn
+    def __init__(self, spec, rate_bps=None):
+        rate = rate_bps or gbps(40)
+        self.name = spec.name
+        self.spec = spec
+        self.links = links = {}
+        self.hosts, self.host_ips, self._first_hop = [], [], []
+        # switch -> {prefix_len: {prefix: (egress link ids, next switches)}};
+        # an attached host is a /32 whose next "switch" is None.
+        levels = {name: {} for name in spec.tiers}
+        for step in spec.build:
+            if step[0] == "host":
+                _, name, ip, tor = step
+                up, down = link_id(name, tor), link_id(tor, name)
+                links[up] = links[down] = rate
+                self.hosts.append(name)
+                self.host_ips.append(ip)
+                self._first_hop.append((up, tor))
+                levels[tor].setdefault(32, {})[ip] = ((down,), (None,))
+            elif step[0] == "trunk":
+                _, lower, upper, _cable_m = step
+                links[link_id(lower, upper)] = links[link_id(upper, lower)] = rate
+        for name, routes in spec.routes.items():
+            for prefix, prefix_len, neighbours in routes:
+                # First installed wins, as in the switch's stable route sort.
+                levels[name].setdefault(prefix_len, {}).setdefault(
+                    prefix,
+                    (tuple(link_id(name, hop) for hop in neighbours), tuple(neighbours)),
+                )
+        # switch -> (ECMP seed, [(mask, {prefix: ...}), ...] longest prefix first)
+        self._tables = {
+            name: (
+                ecmp_seed(name),
+                [
+                    ((0xFFFFFFFF << (32 - prefix_len)) & 0xFFFFFFFF, by_len[prefix_len])
+                    for prefix_len in sorted(by_len, reverse=True)
+                ],
+            )
+            for name, by_len in levels.items()
+        }
 
     @property
     def n_hosts(self):
@@ -73,14 +95,43 @@ class FlowTopology:
         return len(self.links)
 
     def five_tuple(self, src, dst, sport):
-        return (self.host_ips[src], self.host_ips[dst], UDP_PROTO,
-                sport, ROCEV2_PORT)
+        return (self.host_ips[src], self.host_ips[dst], IPPROTO_UDP,
+                sport, ROCEV2_UDP_PORT)
 
     def path(self, src, dst, sport):
-        """Directed link ids the flow ``(src, dst, sport)`` traverses."""
+        """Directed link ids the flow ``(src, dst, sport)`` traverses:
+        at every switch the longest matching prefix of the spec's routes,
+        then the five-tuple hash over its neighbours."""
+        n_hosts = len(self.hosts)
+        if not (0 <= src < n_hosts and 0 <= dst < n_hosts):
+            raise IndexError(
+                "flow %r -> %r: host index outside range(%d)" % (src, dst, n_hosts)
+            )
         if src == dst:
             raise ValueError("flow from host %r to itself" % (src,))
-        return self._path_fn(src, dst, self.five_tuple(src, dst, sport))
+        five_tuple = self.five_tuple(src, dst, sport)
+        dst_ip = five_tuple[1]
+        link, switch = self._first_hop[src]
+        path = [link]
+        tables = self._tables
+        while switch is not None:
+            seed, by_mask = tables[switch]
+            for mask, entries in by_mask:
+                hop = entries.get(dst_ip & mask)
+                if hop is not None:
+                    break
+            else:
+                raise ValueError("%s has no route to %s" % (switch, self.hosts[dst]))
+            egress, neighbours = hop
+            choice = ecmp_select(five_tuple, len(egress), seed) if len(egress) > 1 else 0
+            path.append(egress[choice])
+            switch = neighbours[choice]
+            if len(path) > _MAX_HOPS:
+                raise ValueError(
+                    "no path from %s to %s within %d hops (routing loop?)"
+                    % (self.hosts[src], self.hosts[dst], _MAX_HOPS)
+                )
+        return tuple(path)
 
     def goodput_capacities(self, efficiency=EFFICIENCY, factor=1.0):
         """Link capacities in goodput bits/second (for the rate solver)."""
@@ -94,61 +145,15 @@ class FlowTopology:
 
 
 def single_switch_flow(n_hosts=2, rate_bps=None):
-    """N hosts under one ToR -- mirrors :func:`repro.topo.single_switch`."""
-    rate = rate_bps or gbps(40)
-    tor = "T0"
-    hosts = ["S%d" % i for i in range(n_hosts)]
-    host_ips = [host_ip(0, 0, i) for i in range(n_hosts)]
-    links = {}
-    for name in hosts:
-        links[link_id(name, tor)] = rate
-        links[link_id(tor, name)] = rate
-
-    def path_fn(src, dst, five_tuple):
-        return (link_id(hosts[src], tor), link_id(tor, hosts[dst]))
-
-    return FlowTopology("single_switch/%d" % n_hosts, links, hosts, host_ips, path_fn)
+    """N hosts under one ToR -- the flow tier of :func:`repro.topo.single_switch`."""
+    return FlowTopology(single_switch_spec(n_hosts), rate_bps)
 
 
 def two_tier_flow(n_tors=2, hosts_per_tor=4, n_leaves=4, rate_bps=None):
-    """ToRs each uplinked to every leaf -- mirrors :func:`repro.topo.two_tier`.
-
-    Routing: same-ToR traffic turns around at the ToR; cross-ToR traffic
-    ECMPs over all leaves at the source ToR (default route up) and comes
-    straight down at the leaf (direct subnet route).
-    """
-    rate = rate_bps or gbps(40)
-    tors = ["T%d" % t for t in range(n_tors)]
-    leaves = ["L%d" % l for l in range(n_leaves)]
-    hosts, host_ips, host_tor = [], [], []
-    for t in range(n_tors):
-        for h in range(hosts_per_tor):
-            hosts.append("T%d-S%d" % (t, h))
-            host_ips.append(host_ip(0, t, h))
-            host_tor.append(t)
-    links = {}
-    for idx, name in enumerate(hosts):
-        tor = tors[host_tor[idx]]
-        links[link_id(name, tor)] = rate
-        links[link_id(tor, name)] = rate
-    for tor in tors:
-        for leaf in leaves:
-            links[link_id(tor, leaf)] = rate
-            links[link_id(leaf, tor)] = rate
-    tor_seeds = [_seed(t) for t in tors]
-
-    def path_fn(src, dst, five_tuple):
-        t_src, t_dst = host_tor[src], host_tor[dst]
-        up = link_id(hosts[src], tors[t_src])
-        down = link_id(tors[t_dst], hosts[dst])
-        if t_src == t_dst:
-            return (up, down)
-        leaf = leaves[ecmp_select(five_tuple, n_leaves, tor_seeds[t_src])]
-        return (up, link_id(tors[t_src], leaf), link_id(leaf, tors[t_dst]), down)
-
-    return FlowTopology(
-        "two_tier/%dx%d" % (n_tors, hosts_per_tor), links, hosts, host_ips, path_fn
-    )
+    """ToRs each uplinked to every leaf -- the flow tier of
+    :func:`repro.topo.two_tier`: same-ToR traffic turns around at the ToR,
+    cross-ToR traffic ECMPs over the leaves and comes straight down."""
+    return FlowTopology(two_tier_spec(n_tors, hosts_per_tor, n_leaves), rate_bps)
 
 
 def clos_flow(
@@ -159,81 +164,9 @@ def clos_flow(
     n_spines=4,
     rate_bps=None,
 ):
-    """3-tier Clos -- mirrors :func:`repro.topo.three_tier_clos`.
-
-    Wiring: leaf ``l`` of every podset connects to spines
-    ``[l*spl, (l+1)*spl)`` where ``spl = n_spines / leaves_per_podset``.
-    Routing: ToR ECMPs up over its podset's leaves; a leaf routes its
-    own podset's ToR subnets straight down and ECMPs remote traffic over
-    its ``spl`` spines; a spine reaches every podset through the one
-    leaf it is wired to.
-    """
-    if n_spines % leaves_per_podset:
-        raise ValueError("n_spines must be a multiple of leaves_per_podset")
-    spl = n_spines // leaves_per_podset
-    rate = rate_bps or gbps(40)
-    spines = ["SP%d" % s for s in range(n_spines)]
-    tor_name = lambda p, t: "P%dT%d" % (p, t)
-    leaf_name = lambda p, l: "P%dL%d" % (p, l)
-    hosts, host_ips, host_loc = [], [], []
-    links = {}
-    for p in range(n_podsets):
-        for t in range(tors_per_podset):
-            tor = tor_name(p, t)
-            for h in range(hosts_per_tor):
-                name = "P%dT%d-S%d" % (p, t, h)
-                hosts.append(name)
-                host_ips.append(host_ip(p, t, h))
-                host_loc.append((p, t))
-                links[link_id(name, tor)] = rate
-                links[link_id(tor, name)] = rate
-            for l in range(leaves_per_podset):
-                leaf = leaf_name(p, l)
-                links[link_id(tor, leaf)] = rate
-                links[link_id(leaf, tor)] = rate
-        for l in range(leaves_per_podset):
-            leaf = leaf_name(p, l)
-            for s in range(l * spl, (l + 1) * spl):
-                links[link_id(leaf, spines[s])] = rate
-                links[link_id(spines[s], leaf)] = rate
-    tor_seeds = {
-        (p, t): _seed(tor_name(p, t))
-        for p in range(n_podsets) for t in range(tors_per_podset)
-    }
-    leaf_seeds = {
-        (p, l): _seed(leaf_name(p, l))
-        for p in range(n_podsets) for l in range(leaves_per_podset)
-    }
-
-    def path_fn(src, dst, five_tuple):
-        p_src, t_src = host_loc[src]
-        p_dst, t_dst = host_loc[dst]
-        src_tor, dst_tor = tor_name(p_src, t_src), tor_name(p_dst, t_dst)
-        up = link_id(hosts[src], src_tor)
-        down = link_id(dst_tor, hosts[dst])
-        if (p_src, t_src) == (p_dst, t_dst):
-            return (up, down)
-        # ToR: ECMP over the podset's leaves (default route up).
-        l = ecmp_select(five_tuple, leaves_per_podset, tor_seeds[(p_src, t_src)])
-        src_leaf = leaf_name(p_src, l)
-        if p_src == p_dst:
-            # The leaf routes its own podset's ToR subnets directly.
-            return (up, link_id(src_tor, src_leaf),
-                    link_id(src_leaf, dst_tor), down)
-        # Leaf: ECMP over its spine group; the spine descends through the
-        # single leaf (same index l) it is wired to in the target podset.
-        s = l * spl + ecmp_select(five_tuple, spl, leaf_seeds[(p_src, l)])
-        dst_leaf = leaf_name(p_dst, l)
-        return (
-            up,
-            link_id(src_tor, src_leaf),
-            link_id(src_leaf, spines[s]),
-            link_id(spines[s], dst_leaf),
-            link_id(dst_leaf, dst_tor),
-            down,
-        )
-
+    """3-tier Clos -- the flow tier of :func:`repro.topo.three_tier_clos`
+    (wiring and routing: :func:`repro.topo.spec.clos_spec`)."""
     return FlowTopology(
-        "clos/%dx%dx%d" % (n_podsets, tors_per_podset, hosts_per_tor),
-        links, hosts, host_ips, path_fn,
+        clos_spec(n_podsets, tors_per_podset, hosts_per_tor, leaves_per_podset, n_spines),
+        rate_bps,
     )

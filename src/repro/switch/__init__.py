@@ -21,7 +21,7 @@ This subpackage reproduces the switch behaviour the paper depends on:
 """
 
 from repro.switch.buffer import BufferConfig, SharedBuffer, headroom_bytes
-from repro.switch.ecmp import ecmp_hash, ecmp_select
+from repro.switch.ecmp import ecmp_hash, ecmp_seed, ecmp_select
 from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardingTables
 from repro.switch.pfc import PfcConfig
@@ -36,6 +36,7 @@ __all__ = [
     "EcnConfig",
     "ForwardingTables",
     "ecmp_hash",
+    "ecmp_seed",
     "ecmp_select",
     "Switch",
     "SwitchWatchdogConfig",

@@ -15,6 +15,17 @@ import struct
 import zlib
 
 
+def ecmp_seed(name):
+    """The per-device seed of switch ``name``: the one seeding rule.
+
+    A pure function of the name, so a path is the same in every process
+    (the builtin ``hash()`` varies with ``PYTHONHASHSEED``) and in every
+    tier: the packet switch, the flow-level path walk and the figure 7
+    model all hash with this seed.
+    """
+    return zlib.crc32(name.encode())
+
+
 def ecmp_hash(five_tuple, seed=0):
     """A stable 32-bit hash of ``(src, dst, proto, sport, dport)``."""
     src, dst, proto, sport, dport = five_tuple

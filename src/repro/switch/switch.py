@@ -36,6 +36,7 @@ from repro.packets.packet import Packet, compile_priority_resolver
 from repro.packets.pause import N_PRIORITIES
 from repro.net.device import Device
 from repro.switch.buffer import BufferConfig, SharedBuffer
+from repro.switch.ecmp import ecmp_seed as _name_seed
 from repro.switch.ecmp import ecmp_select
 from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardingTables
@@ -111,9 +112,9 @@ class Switch(Device):
         self.tables = ForwardingTables(
             sim, local_subnet=local_subnet, **(forwarding_kwargs or {})
         )
-        self.ecmp_seed = hash(name) & 0xFFFFFFFF if ecmp_seed is None else ecmp_seed
+        self.ecmp_seed = _name_seed(name) if ecmp_seed is None else ecmp_seed
         self._mark_rng = mark_rng
-        self.base_mac = base_mac if base_mac is not None else (hash(name) & 0xFFFF) << 16
+        self.base_mac = base_mac if base_mac is not None else (_name_seed(name) & 0xFFFF) << 16
         self.counters = SwitchCounters()
         self.buffer = None  # built by finalize() once port count is known
         self._signalers = []  # [port_idx][priority] -> PauseSignaler or None
@@ -130,7 +131,7 @@ class Switch(Device):
         self._classify = None
         self._lossless_set = frozenset()
         # ECMP choice cache: (five_tuple, n_choices) -> index, valid for
-        # one seed (bench scenarios re-seed switches before booting).
+        # one seed (``ecmp_seed`` is assignable after construction).
         self._ecmp_cache = {}
         self._ecmp_cache_seed = None
 

@@ -1,51 +1,98 @@
 """Builders for the paper's topologies.
 
-Every builder returns a topology object exposing the :class:`Fabric`
-plus named elements (ToRs, leaves, spines, hosts) so experiments can
-address "S1" or "T1.p4" the way the paper's figures do.  Scale
-parameters default to tractable packet-level sizes; figure 7's full
-1152-server fabric is reproduced with the flow-level model in
-:mod:`repro.flows` instead.
+Every builder instantiates one :class:`~repro.topo.spec.FabricSpec` as a
+:class:`Topology` -- the :class:`Fabric` plus named elements (ToRs,
+leaves, spines, hosts) so experiments can address "S1" or "T1.p4" the
+way the paper's figures do.  Scale parameters default to tractable
+packet-level sizes; figure 7's full 1152-server fabric is reproduced
+with the flow-level model in :mod:`repro.flows` instead, derived from
+the same spec.
 """
 
 from repro.sim.units import gbps
 from repro.switch.buffer import BufferConfig
 from repro.switch.ecn import EcnConfig
 from repro.switch.pfc import PfcConfig
-from repro.topo.fabric import Fabric, host_ip, tor_subnet
+from repro.topo.fabric import Fabric
+from repro.topo.spec import (
+    clos_spec,
+    deadlock_quad_spec,
+    single_switch_spec,
+    two_tier_spec,
+)
 
 
-class _Topology:
-    """Base: common construction helpers."""
+class Topology:
+    """The packet fabric of a spec.
 
-    def __init__(self, fabric):
-        self.fabric = fabric
+    ``fabric`` / ``sim``
+        The live :class:`Fabric` and its simulator.
+    ``nodes``
+        Spec name -> :class:`Switch` or :class:`Host`.
+    ``hosts``
+        Every host, in build order.
+
+    The builders below add their figure's named elements.
+    """
+
+    def __init__(self, spec, rate_bps=None, pfc_config=None, buffer_config=None,
+                 ecn_config=None, nic_config=None, seed=1, forwarding_kwargs=None):
+        self.spec = spec
+        self.fabric = fabric = Fabric(seed=seed, default_rate_bps=rate_bps or gbps(40))
         self.sim = fabric.sim
+        self.nodes = nodes = {}
+        pfc_config = pfc_config or PfcConfig()
+        port_toward = {}  # (switch, neighbour) -> port index on switch
+        for step in spec.build:
+            kind, name = step[0], step[1]
+            if kind == "switch":
+                nodes[name] = fabric.add_switch(
+                    name,
+                    pfc_config=pfc_config,
+                    buffer_config=buffer_config or BufferConfig(),
+                    ecn_config=ecn_config or EcnConfig(enabled=False),
+                    local_subnet=step[2],
+                    mark_rng=fabric.rng.child("ecn/%s" % name),
+                    forwarding_kwargs=dict(forwarding_kwargs or {}),
+                )
+            elif kind == "host":
+                nodes[name] = fabric.add_host(
+                    name, ip=step[2], nic_config=nic_config, pfc_config=pfc_config
+                )
+                fabric.connect_host(nodes[step[3]], nodes[name])
+            else:
+                _, lower, upper, cable_m = step
+                lower_port, upper_port, _ = fabric.connect_switches(
+                    nodes[lower], nodes[upper], cable_meters=cable_m
+                )
+                port_toward[lower, upper] = lower_port.index
+                port_toward[upper, lower] = upper_port.index
+        for name, routes in spec.routes.items():
+            for prefix, prefix_len, neighbours in routes:
+                nodes[name].tables.add_route(
+                    prefix, prefix_len, [port_toward[name, hop] for hop in neighbours]
+                )
+        self._port_idx = port_toward
+        self.hosts = list(fabric.hosts)
+
+    def port_toward(self, switch, neighbour):
+        """The :class:`Port` of ``switch`` cabled to ``neighbour`` (spec names)."""
+        return self.nodes[switch].ports[self._port_idx[switch, neighbour]]
 
     def boot(self, settle_ns=100_000):
         self.fabric.boot(settle_ns)
         return self
 
+    def tier(self, tier):
+        """The switches of one tier (0 ToR, 1 leaf, 2 spine), in build order."""
+        return [self.nodes[name] for name, t in self.spec.tiers.items() if t == tier]
 
-def _switch_kwargs(fabric, name, pfc_config, buffer_config, ecn_config, local_subnet=None,
-                   forwarding_kwargs=None):
-    return dict(
-        pfc_config=pfc_config,
-        buffer_config=buffer_config or BufferConfig(),
-        ecn_config=ecn_config or EcnConfig(enabled=False),
-        local_subnet=local_subnet,
-        mark_rng=fabric.rng.child("ecn/%s" % name),
-        forwarding_kwargs=dict(forwarding_kwargs or {}),
-    )
-
-
-class SingleSwitchTopo(_Topology):
-    """N servers under one ToR -- the livelock testbed of section 4.1."""
-
-    def __init__(self, fabric, tor, hosts):
-        super().__init__(fabric)
-        self.tor = tor
-        self.hosts = hosts
+    def hosts_under(self, tors):
+        """``[[Host, ...], ...]``: each ToR's servers, in ``tors`` order."""
+        by_tor = {tor.name: [] for tor in tors}
+        for name, _ip, tor in self.spec.hosts():
+            by_tor[tor].append(self.nodes[name])
+        return list(by_tor.values())
 
 
 def single_switch(
@@ -58,38 +105,12 @@ def single_switch(
     seed=1,
     forwarding_kwargs=None,
 ):
-    """Servers S0..S(n-1) on one ToR, subnet 10.0.0.0/24."""
-    fabric = Fabric(seed=seed, default_rate_bps=rate_bps or gbps(40))
-    pfc_config = pfc_config or PfcConfig()
-    tor = fabric.add_switch(
-        "T0",
-        **_switch_kwargs(
-            fabric, "T0", pfc_config, buffer_config, ecn_config,
-            local_subnet=tor_subnet(0, 0), forwarding_kwargs=forwarding_kwargs,
-        )
-    )
-    hosts = []
-    for i in range(n_hosts):
-        host = fabric.add_host(
-            "S%d" % i, ip=host_ip(0, 0, i), nic_config=nic_config, pfc_config=pfc_config
-        )
-        fabric.connect_host(tor, host)
-        hosts.append(host)
-    return SingleSwitchTopo(fabric, tor, hosts)
-
-
-class TwoTierTopo(_Topology):
-    """ToRs x Leaves -- the figure 8 testbed."""
-
-    def __init__(self, fabric, tors, leaves, hosts_by_tor):
-        super().__init__(fabric)
-        self.tors = tors
-        self.leaves = leaves
-        self.hosts_by_tor = hosts_by_tor
-
-    @property
-    def hosts(self):
-        return [h for hosts in self.hosts_by_tor for h in hosts]
+    """Servers S0..S(n-1) on one ToR, subnet 10.0.0.0/24 -- the livelock
+    testbed of section 4.1.  Adds ``tor``."""
+    topo = Topology(single_switch_spec(n_hosts), rate_bps, pfc_config, buffer_config,
+                    ecn_config, nic_config, seed, forwarding_kwargs)
+    (topo.tor,) = topo.tier(0)
+    return topo
 
 
 def two_tier(
@@ -104,72 +125,17 @@ def two_tier(
     seed=1,
     forwarding_kwargs=None,
 ):
-    """ToRs each uplinked to every leaf; up-down ECMP routing.
+    """ToRs each uplinked to every leaf; up-down ECMP routing.  Adds
+    ``tors``, ``leaves`` and ``hosts_by_tor``.
 
     The paper's figure 8 testbed is ``two_tier(n_tors=2, hosts_per_tor=24,
     n_leaves=4)`` -- a 6:1 oversubscription at the ToR.
     """
-    fabric = Fabric(seed=seed, default_rate_bps=rate_bps or gbps(40))
-    pfc_config = pfc_config or PfcConfig()
-    leaves = [
-        fabric.add_switch(
-            "L%d" % i,
-            **_switch_kwargs(fabric, "L%d" % i, pfc_config, buffer_config, ecn_config,
-                             forwarding_kwargs=forwarding_kwargs)
-        )
-        for i in range(n_leaves)
-    ]
-    tors = []
-    hosts_by_tor = []
-    for t in range(n_tors):
-        tor = fabric.add_switch(
-            "T%d" % t,
-            **_switch_kwargs(
-                fabric, "T%d" % t, pfc_config, buffer_config, ecn_config,
-                local_subnet=tor_subnet(0, t), forwarding_kwargs=forwarding_kwargs,
-            )
-        )
-        tors.append(tor)
-        hosts = []
-        for h in range(hosts_per_tor):
-            host = fabric.add_host(
-                "T%d-S%d" % (t, h),
-                ip=host_ip(0, t, h),
-                nic_config=nic_config,
-                pfc_config=pfc_config,
-            )
-            fabric.connect_host(tor, host)
-            hosts.append(host)
-        hosts_by_tor.append(hosts)
-    # Uplinks + routing: ToR default-routes up over all leaves (ECMP);
-    # each leaf routes each ToR subnet down its direct port.
-    for tor_idx, tor in enumerate(tors):
-        uplink_ports = []
-        for leaf in leaves:
-            tor_port, leaf_port, _ = fabric.connect_switches(tor, leaf, cable_meters=20)
-            uplink_ports.append(tor_port.index)
-            prefix, plen = tor_subnet(0, tor_idx)
-            leaf.tables.add_route(prefix, plen, [leaf_port.index])
-        tor.tables.add_route(0, 0, uplink_ports)
-    return TwoTierTopo(fabric, tors, leaves, hosts_by_tor)
-
-
-class ThreeTierTopo(_Topology):
-    """Podsets of ToR+Leaf, joined by a Spine layer (figures 1 and 7)."""
-
-    def __init__(self, fabric, podsets, spines):
-        super().__init__(fabric)
-        self.podsets = podsets  # list of dicts: {"tors", "leaves", "hosts_by_tor"}
-        self.spines = spines
-
-    @property
-    def hosts(self):
-        return [
-            h
-            for podset in self.podsets
-            for hosts in podset["hosts_by_tor"]
-            for h in hosts
-        ]
+    topo = Topology(two_tier_spec(n_tors, hosts_per_tor, n_leaves), rate_bps, pfc_config,
+                    buffer_config, ecn_config, nic_config, seed, forwarding_kwargs)
+    topo.tors, topo.leaves = topo.tier(0), topo.tier(1)
+    topo.hosts_by_tor = topo.hosts_under(topo.tors)
+    return topo
 
 
 def three_tier_clos(
@@ -186,98 +152,26 @@ def three_tier_clos(
     seed=1,
     forwarding_kwargs=None,
 ):
-    """A 3-tier Clos with up-down routing.
-
-    Each leaf connects to ``n_spines / leaves_per_podset`` spines (the
-    paper's podsets have 4 leaves fanning out to 64 spines, 16 each);
-    spine ``s`` connects to leaf ``s // (n_spines/leaves_per_podset)`` of
-    every podset.
+    """A 3-tier Clos with up-down routing (figures 1 and 7); the wiring
+    is :func:`repro.topo.spec.clos_spec`'s.  Adds ``spines`` and
+    ``podsets``, a list of ``{"tors", "leaves", "hosts_by_tor"}`` dicts.
     """
-    if n_spines % leaves_per_podset:
-        raise ValueError("n_spines must be a multiple of leaves_per_podset")
-    spines_per_leaf = n_spines // leaves_per_podset
-    fabric = Fabric(seed=seed, default_rate_bps=rate_bps or gbps(40))
-    pfc_config = pfc_config or PfcConfig()
-    spines = [
-        fabric.add_switch(
-            "SP%d" % s,
-            **_switch_kwargs(fabric, "SP%d" % s, pfc_config, buffer_config, ecn_config,
-                             forwarding_kwargs=forwarding_kwargs)
-        )
-        for s in range(n_spines)
+    topo = Topology(
+        clos_spec(n_podsets, tors_per_podset, hosts_per_tor, leaves_per_podset, n_spines),
+        rate_bps, pfc_config, buffer_config, ecn_config, nic_config, seed, forwarding_kwargs,
+    )
+    tors, leaves = topo.tier(0), topo.tier(1)
+    hosts_by_tor = topo.hosts_under(tors)
+    topo.spines = topo.tier(2)
+    topo.podsets = [
+        {
+            "tors": tors[p * tors_per_podset:(p + 1) * tors_per_podset],
+            "leaves": leaves[p * leaves_per_podset:(p + 1) * leaves_per_podset],
+            "hosts_by_tor": hosts_by_tor[p * tors_per_podset:(p + 1) * tors_per_podset],
+        }
+        for p in range(n_podsets)
     ]
-    podsets = []
-    for p in range(n_podsets):
-        leaves = [
-            fabric.add_switch(
-                "P%dL%d" % (p, l),
-                **_switch_kwargs(fabric, "P%dL%d" % (p, l), pfc_config, buffer_config,
-                                 ecn_config, forwarding_kwargs=forwarding_kwargs)
-            )
-            for l in range(leaves_per_podset)
-        ]
-        tors = []
-        hosts_by_tor = []
-        for t in range(tors_per_podset):
-            tor = fabric.add_switch(
-                "P%dT%d" % (p, t),
-                **_switch_kwargs(
-                    fabric, "P%dT%d" % (p, t), pfc_config, buffer_config, ecn_config,
-                    local_subnet=tor_subnet(p, t), forwarding_kwargs=forwarding_kwargs,
-                )
-            )
-            tors.append(tor)
-            hosts = []
-            for h in range(hosts_per_tor):
-                host = fabric.add_host(
-                    "P%dT%d-S%d" % (p, t, h),
-                    ip=host_ip(p, t, h),
-                    nic_config=nic_config,
-                    pfc_config=pfc_config,
-                )
-                fabric.connect_host(tor, host)
-                hosts.append(host)
-            hosts_by_tor.append(hosts)
-        # ToR <-> Leaf wiring within the podset.
-        for t, tor in enumerate(tors):
-            uplinks = []
-            for leaf in leaves:
-                tor_port, leaf_port, _ = fabric.connect_switches(tor, leaf, cable_meters=20)
-                uplinks.append(tor_port.index)
-                prefix, plen = tor_subnet(p, t)
-                leaf.tables.add_route(prefix, plen, [leaf_port.index])
-            tor.tables.add_route(0, 0, uplinks)
-        podsets.append({"tors": tors, "leaves": leaves, "hosts_by_tor": hosts_by_tor})
-    # Leaf <-> Spine wiring: leaf l of each podset connects to spines
-    # [l*spines_per_leaf, (l+1)*spines_per_leaf).
-    for p, podset in enumerate(podsets):
-        for l, leaf in enumerate(podset["leaves"]):
-            spine_uplinks = []
-            for s in range(l * spines_per_leaf, (l + 1) * spines_per_leaf):
-                leaf_port, spine_port, _ = fabric.connect_switches(
-                    leaf, spines[s], cable_meters=300
-                )
-                spine_uplinks.append(leaf_port.index)
-                # The spine reaches every ToR of podset p via this leaf.
-                for t in range(tors_per_podset):
-                    prefix, plen = tor_subnet(p, t)
-                    spines[s].tables.add_route(prefix, plen, [spine_port.index])
-            # The leaf reaches remote podsets via its spines.
-            leaf.tables.add_route(0, 0, spine_uplinks)
-    return ThreeTierTopo(fabric, podsets, spines)
-
-
-class DeadlockQuadTopo(_Topology):
-    """Figure 4's arrangement: T0, T1 ToRs cross-connected by La, Lb."""
-
-    def __init__(self, fabric, t0, t1, la, lb, hosts, ports):
-        super().__init__(fabric)
-        self.t0 = t0
-        self.t1 = t1
-        self.la = la
-        self.lb = lb
-        self.hosts = hosts  # dict name -> Host (S1, S2 on T0; S3, S4, S5 on T1)
-        self.ports = ports  # dict like "T0->La" -> Port
+    return topo
 
 
 def deadlock_quad(
@@ -289,72 +183,20 @@ def deadlock_quad(
     force_figure4_paths=True,
     forwarding_kwargs=None,
 ):
-    """Figure 4: S1,S2 (+S6 helper) under T0; S3,S4,S5 under T1.
+    """Figure 4: S1,S2 (+S6 helper) under T0; S3,S4,S5 under T1, the ToRs
+    cross-connected by La, Lb (:func:`repro.topo.spec.deadlock_quad_spec`
+    has the cast and what ``force_figure4_paths`` pins).
 
-    With ``force_figure4_paths`` the routes are pinned to the figure's
-    paths -- T0 reaches T1's subnet only via La, and T1 reaches T0's
-    subnet only via Lb -- so the cyclic dependency forms deterministically
-    instead of depending on an ECMP draw.
+    Adds ``t0``, ``t1``, ``la``, ``lb``; ``hosts`` is a dict name -> Host
+    and ``ports`` a dict like ``"T0-La:down"`` (the ToR's port) /
+    ``"T0-La:up"`` (the leaf's) -> Port.
     """
-    fabric = Fabric(seed=seed, default_rate_bps=rate_bps or gbps(40))
-    pfc_config = pfc_config or PfcConfig()
-
-    def mk_switch(name, subnet=None):
-        return fabric.add_switch(
-            name,
-            **_switch_kwargs(
-                fabric, name, pfc_config, buffer_config, None,
-                local_subnet=subnet, forwarding_kwargs=forwarding_kwargs,
-            )
-        )
-
-    t0 = mk_switch("T0", tor_subnet(0, 0))
-    t1 = mk_switch("T1", tor_subnet(0, 1))
-    la = mk_switch("La")
-    lb = mk_switch("Lb")
-    hosts = {}
-    for name, tor, podset_tor, idx in (
-        ("S1", t0, (0, 0), 0),
-        ("S2", t0, (0, 0), 1),
-        ("S6", t0, (0, 0), 2),
-        ("S3", t1, (0, 1), 0),
-        ("S4", t1, (0, 1), 1),
-        ("S5", t1, (0, 1), 2),
-        # S7 is the figure's "other sources" of the incast congesting
-        # T1's port to S5: a T1-local sender that oversubscribes the
-        # S5 egress no matter what the uplinks carry.
-        ("S7", t1, (0, 1), 3),
-    ):
-        host = fabric.add_host(
-            name,
-            ip=host_ip(podset_tor[0], podset_tor[1], idx),
-            nic_config=nic_config,
-            pfc_config=pfc_config,
-        )
-        fabric.connect_host(tor, host)
-        hosts[name] = host
-    ports = {}
-    for lower, upper, tag in ((t0, la, "T0-La"), (t0, lb, "T0-Lb"), (t1, la, "T1-La"), (t1, lb, "T1-Lb")):
-        lo_port, up_port, _ = fabric.connect_switches(lower, upper, cable_meters=20)
-        ports["%s:down" % tag] = lo_port
-        ports["%s:up" % tag] = up_port
-    t0_subnet, t1_subnet = tor_subnet(0, 0), tor_subnet(0, 1)
-    if force_figure4_paths:
-        # T0 -> T1 subnet via La only; T1 -> T0 subnet via Lb only.
-        t0.tables.add_route(t1_subnet[0], t1_subnet[1], [ports["T0-La:down"].index])
-        t1.tables.add_route(t0_subnet[0], t0_subnet[1], [ports["T1-Lb:down"].index])
-    else:
-        t0.tables.add_route(
-            t1_subnet[0], t1_subnet[1],
-            [ports["T0-La:down"].index, ports["T0-Lb:down"].index],
-        )
-        t1.tables.add_route(
-            t0_subnet[0], t0_subnet[1],
-            [ports["T1-La:down"].index, ports["T1-Lb:down"].index],
-        )
-    # Leaves route each subnet down its direct ToR port.
-    la.tables.add_route(t0_subnet[0], t0_subnet[1], [ports["T0-La:up"].index])
-    la.tables.add_route(t1_subnet[0], t1_subnet[1], [ports["T1-La:up"].index])
-    lb.tables.add_route(t0_subnet[0], t0_subnet[1], [ports["T0-Lb:up"].index])
-    lb.tables.add_route(t1_subnet[0], t1_subnet[1], [ports["T1-Lb:up"].index])
-    return DeadlockQuadTopo(fabric, t0, t1, la, lb, hosts, ports)
+    topo = Topology(deadlock_quad_spec(force_figure4_paths), rate_bps, pfc_config,
+                    buffer_config, None, nic_config, seed, forwarding_kwargs)
+    topo.t0, topo.t1, topo.la, topo.lb = (topo.nodes[n] for n in ("T0", "T1", "La", "Lb"))
+    topo.hosts = {host.name: host for host in topo.hosts}
+    topo.ports = {}
+    for lower, upper, _cable_m in topo.spec.trunks():
+        topo.ports["%s-%s:down" % (lower, upper)] = topo.port_toward(lower, upper)
+        topo.ports["%s-%s:up" % (lower, upper)] = topo.port_toward(upper, lower)
+    return topo

@@ -1,11 +1,8 @@
 """The Fabric: a container wiring hosts, switches and links together.
 
-Addressing convention (matches the paper's "servers connected to the same
-ToR are in the same IP subnet"):
-
-* ToR ``t`` of podset ``p`` owns subnet ``10.p.t.0/24``;
-* host ``h`` under it gets ``10.p.t.(h+1)``;
-* MACs are allocated sequentially under the locally administered prefix.
+IP addresses follow the address plan of :mod:`repro.topo.spec`
+(``host_ip`` / ``tor_subnet``, importable from here too); MACs are
+allocated sequentially under the locally administered prefix.
 
 The fabric knows which side of a link is a server and which is a switch,
 so the right port types (server-facing vs routed uplink) are created, and
@@ -18,16 +15,7 @@ from repro.obs import HUBS
 from repro.sim import SeededRng, Simulator
 from repro.sim.units import gbps
 from repro.switch.switch import Switch
-
-
-def host_ip(podset, tor, host):
-    """The conventional address of a host: ``10.podset.tor.(host+1)``."""
-    return (10 << 24) | (podset << 16) | (tor << 8) | (host + 1)
-
-
-def tor_subnet(podset, tor):
-    """``(prefix, prefix_len)`` of a ToR's server subnet."""
-    return ((10 << 24) | (podset << 16) | (tor << 8), 24)
+from repro.topo.spec import host_ip, tor_subnet  # noqa: F401  (perfbench and tests import them here)
 
 
 class Fabric:

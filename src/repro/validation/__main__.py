@@ -8,13 +8,16 @@ Subcommands::
     replay          re-run a recorded JSONL repro artifact
 
 Exit status is non-zero when any oracle violates (sweep/replay/flowsim)
-or any mutation goes uncaught / any baseline is unclean (mutation-check).
+or any mutation goes uncaught / any baseline is unclean (mutation-check);
+``replay`` answers an artifact it cannot read with one ``path:line:
+reason`` line and exit status 2.
 """
 
 import argparse
 import contextlib
 import sys
 
+from repro.artifact import ArtifactError
 from repro.obs import TELEMETRY
 from repro.validation import flowsim_lane
 from repro.validation.flowsim_lane import run_flowsim_differential_sweep
@@ -199,7 +202,11 @@ def _cmd_mutation_check(args):
 
 
 def _cmd_replay(args):
-    report = replay_artifact(args.artifact, prefer_minimized=not args.original)
+    try:
+        report = replay_artifact(args.artifact, prefer_minimized=not args.original)
+    except ArtifactError as error:
+        print(error, file=sys.stderr)
+        return 2
     print("replayed %s" % report.scenario.describe())
     if report.violations:
         print("%d violation(s):" % len(report.violations))

@@ -20,6 +20,9 @@ from repro.faults.invariants import (
     install_default_auditors,
 )
 from repro.flows.maxmin import max_min_allocation
+from repro.flowsim.topo import EFFICIENCY
+from repro.packets.ip import IPPROTO_UDP
+from repro.packets.rocev2 import ROCEV2_UDP_PORT
 from repro.rdma.qp import QpConfig
 from repro.rdma.recovery import GoBack0
 from repro.rdma.verbs import connect_qp_pair
@@ -29,16 +32,11 @@ from repro.switch.buffer import BufferConfig
 from repro.switch.ecmp import ecmp_select
 from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardDecision
-from repro.topo import deadlock_quad, single_switch, three_tier_clos, two_tier
+from repro.topo.builders import Topology
+from repro.validation.scenarios import fabric_spec
 from repro.workloads import ClosedLoopSender, RdmaChannel
 
-UDP_PROTO = 17
-ROCEV2_PORT = 4791
 MTU_PAYLOAD = 1024
-#: Goodput bytes per wire byte: a 1086-byte frame (preamble + IPG
-#: included) carries a 1024-byte MTU payload -- same constant the
-#: figure 7 flow model uses.
-EFFICIENCY = MTU_PAYLOAD / 1086.0
 
 _DRAIN_CHUNK_NS = 500 * US
 _SETTLE_NS = 100 * US
@@ -117,30 +115,24 @@ class RunOutcome:
 
 
 def build_topology(scenario):
-    """Instantiate (and boot) the scenario's fabric."""
-    rate = gbps(scenario.link_gbps)
-    ecn = EcnConfig() if scenario.ecn else None
-    dims = scenario.dims
-    if scenario.kind == "single":
-        topo = single_switch(rate_bps=rate, ecn_config=ecn, seed=scenario.seed, **dims)
-    elif scenario.kind == "two_tier":
-        topo = two_tier(rate_bps=rate, ecn_config=ecn, seed=scenario.seed, **dims)
-    elif scenario.kind == "clos":
-        topo = three_tier_clos(rate_bps=rate, ecn_config=ecn, seed=scenario.seed, **dims)
-    elif scenario.kind == "deadlock":
+    """Instantiate (and boot) the scenario's fabric from its spec."""
+    if scenario.kind == "deadlock":
         # Figure 4's quad, with the paper's static-threshold buffers; the
         # ARP-drop fix is ON unless the mutation under test disables it.
-        topo = deadlock_quad(
-            rate_bps=rate,
-            seed=scenario.seed,
-            buffer_config=BufferConfig(
+        config = {
+            "buffer_config": BufferConfig(
                 alpha=None, xoff_static_bytes=96 * KB, headroom_per_pg_bytes=40 * KB
             ),
-            forwarding_kwargs={"drop_lossless_on_incomplete_arp": True},
-        )
+            "forwarding_kwargs": {"drop_lossless_on_incomplete_arp": True},
+        }
     else:
-        raise ValueError("unknown scenario kind: %r" % (scenario.kind,))
-    return topo.boot()
+        config = {"ecn_config": EcnConfig() if scenario.ecn else None}
+    return Topology(
+        fabric_spec(scenario.kind, scenario.dims),
+        rate_bps=gbps(scenario.link_gbps),
+        seed=scenario.seed,
+        **config
+    ).boot()
 
 
 def _drop_ip_id_ff(packet):
@@ -152,8 +144,8 @@ def _hosts_of(topo, scenario):
     """Flow endpoints: list-indexed for generated kinds, named for the
     deadlock quad."""
     if scenario.kind == "deadlock":
-        return topo.hosts  # dict name -> Host
-    return {i: host for i, host in enumerate(topo.hosts)}
+        return {host.name: host for host in topo.hosts}
+    return dict(enumerate(topo.hosts))
 
 
 # -- static path tracing ------------------------------------------------------
@@ -272,7 +264,7 @@ def run_scenario(scenario, mutation=None, tolerances=None):
         qp_a, _qp_b = connect_qp_pair(hosts[src], hosts[dst], rng, config_a, config_b)
         flow = FlowOutcome(src, dst, message_kb)
         flow.dead_dst = dst in dead
-        five_tuple = (hosts[src].ip, hosts[dst].ip, UDP_PROTO, qp_a.src_udp_port, ROCEV2_PORT)
+        five_tuple = (hosts[src].ip, hosts[dst].ip, IPPROTO_UDP, qp_a.src_udp_port, ROCEV2_UDP_PORT)
         if scenario.kind != "deadlock":
             flow.path = [link_id for link_id, _rate in
                          trace_flow_path(hosts[src], hosts[dst], five_tuple)]
@@ -285,8 +277,8 @@ def run_scenario(scenario, mutation=None, tolerances=None):
     if scenario.kind != "deadlock":
         paths = [
             trace_flow_path(hosts[src], hosts[dst], (hosts[src].ip, hosts[dst].ip,
-                                                     UDP_PROTO, qp.src_udp_port,
-                                                     ROCEV2_PORT))
+                                                     IPPROTO_UDP, qp.src_udp_port,
+                                                     ROCEV2_UDP_PORT))
             for (src, dst, _kb), qp in zip(scenario.flows, qps)
         ]
         shares, uniform, bottlenecks = expected_allocation(paths)

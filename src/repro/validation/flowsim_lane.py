@@ -39,8 +39,9 @@ import os
 
 from repro.experiments.common import ExperimentResult
 from repro.flowsim.engine import FlowSim
+from repro.flowsim.topo import EFFICIENCY
 from repro.sim.units import gbps
-from repro.validation.differential import EFFICIENCY, run_scenario
+from repro.validation.differential import run_scenario
 from repro.validation.oracles import Tolerances
 from repro.validation.scenarios import generate_scenario
 

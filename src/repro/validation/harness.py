@@ -21,6 +21,7 @@ The harness is what turns the oracles into a usable subsystem:
 import json
 import os
 
+from repro.artifact import ArtifactError, read_jsonl
 from repro.experiments.common import ExperimentResult
 from repro.validation.differential import run_scenario
 from repro.validation.oracles import metamorphic_checks
@@ -196,31 +197,29 @@ def write_artifact(path, scenario, violations, minimized=None,
     return path
 
 
-def load_artifact(path):
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def replay_artifact(path, prefer_minimized=True, metamorphic=False):
     """Re-run the scenario recorded in an artifact; returns the fresh
-    :class:`SeedReport` (violations and all)."""
-    records = load_artifact(path)
+    :class:`SeedReport` (violations and all).  An artifact that cannot
+    be read, or holds no well-formed scenario record, raises
+    :class:`repro.artifact.ArtifactError`."""
     chosen = None
-    for record in records:
+    for number, record in enumerate(read_jsonl(path), 1):
+        if "record" not in record:
+            raise ArtifactError(path, number, "not a validation repro record")
         if record["record"] == "minimized" and prefer_minimized:
-            chosen = record
+            chosen = number, record
         elif record["record"] == "scenario" and chosen is None:
-            chosen = record
+            chosen = number, record
     if chosen is None:
-        raise ValueError("no scenario record in %s" % path)
-    scenario = ValidationScenario.from_dict(chosen["scenario"])
+        raise ArtifactError(path, 0, "no scenario record")
+    number, record = chosen
+    try:
+        scenario = ValidationScenario.from_dict(record["scenario"])
+        scenario.host_count()  # builds the spec: unknown kind, bad dims
+    except (KeyError, TypeError, ValueError):
+        raise ArtifactError(path, number, "malformed scenario record") from None
     return validate_scenario(
-        scenario, metamorphic=metamorphic, mutation=chosen.get("mutation")
+        scenario, metamorphic=metamorphic, mutation=record.get("mutation")
     )
 
 

@@ -19,6 +19,12 @@ JSON), which is what makes repro artifacts replayable.
 """
 
 from repro.sim.rng import SeededRng
+from repro.topo.spec import (
+    clos_spec,
+    deadlock_quad_spec,
+    single_switch_spec,
+    two_tier_spec,
+)
 
 #: Line-rate menu (Gb/s): the NIC generations the paper's fleet mixes.
 LINK_GBPS_MENU = (10, 25, 40, 100)
@@ -37,6 +43,15 @@ MAX_FLOWS_PER_DST = 2
 MAX_FLOWS = 6
 
 _KIND_MENU = ("single", "single", "two_tier", "two_tier", "clos")
+
+#: Scenario kind -> the spec generator its ``dims`` are the arguments of
+#: ("deadlock" is figure 4's fixed quad: no dims, the cast S1..S7).
+KIND_SPECS = {
+    "single": single_switch_spec,
+    "two_tier": two_tier_spec,
+    "clos": clos_spec,
+    "deadlock": deadlock_quad_spec,
+}
 
 
 class ValidationScenario:
@@ -136,16 +151,15 @@ class ValidationScenario:
         )
 
 
+def fabric_spec(kind, dims):
+    """The :class:`~repro.topo.spec.FabricSpec` of a scenario's fabric."""
+    if kind not in KIND_SPECS:
+        raise ValueError("unknown scenario kind: %r" % (kind,))
+    return KIND_SPECS[kind](**dims)
+
+
 def host_count(kind, dims):
-    if kind == "single":
-        return dims["n_hosts"]
-    if kind == "two_tier":
-        return dims["n_tors"] * dims["hosts_per_tor"]
-    if kind == "clos":
-        return dims["n_podsets"] * dims["tors_per_podset"] * dims["hosts_per_tor"]
-    if kind == "deadlock":
-        return 7  # figure 4's fixed cast: S1..S7
-    raise ValueError("unknown scenario kind: %r" % (kind,))
+    return len(fabric_spec(kind, dims).hosts())
 
 
 def generate_scenario(seed):

@@ -17,6 +17,9 @@ One home for the generators that several suites were growing ad hoc:
   changes, run horizons) for the per-hop walk's reference twin.
 * :func:`two_tier_dims` -- small leaf/ToR fabric dimensions that boot
   fast enough for property tests.
+* :func:`fabric_shapes` -- ``(kind, dims)`` over the single-switch,
+  two-tier and Clos shapes; :data:`FABRIC_BUILDERS` maps a kind to its
+  packet and flow entry points.
 * :func:`fault_plans` -- random :class:`~repro.faults.FaultPlan`s
   (flap / drop / corrupt / reorder) over a fabric's links.
 * :func:`drive_incast` -- the canonical closed-loop incast driver
@@ -35,8 +38,10 @@ from functools import partial
 
 from hypothesis import strategies as st
 
+from repro.flowsim import clos_flow, single_switch_flow, two_tier_flow
 from repro.rdma import QpConfig, connect_qp_pair
 from repro.sim.units import KB
+from repro.topo import single_switch, three_tier_clos, two_tier
 from repro.workloads import ClosedLoopSender, RdmaChannel
 
 # --- event-engine programs ---------------------------------------------------
@@ -237,6 +242,34 @@ def two_tier_dims(max_tors=2, max_hosts_per_tor=3, max_leaves=2):
             "n_leaves": st.integers(1, max_leaves),
         }
     )
+
+
+#: Shape kind (the validation lab's names) -> (packet builder, flow
+#: builder); both take the ``dims`` :func:`fabric_shapes` draws.
+FABRIC_BUILDERS = {
+    "single": (single_switch, single_switch_flow),
+    "two_tier": (two_tier, two_tier_flow),
+    "clos": (three_tier_clos, clos_flow),
+}
+
+
+@st.composite
+def fabric_shapes(draw, max_podsets=3, max_tors=3, max_hosts_per_tor=3, max_leaves=2):
+    """``(kind, dims)``: a connected fabric of one of the three generated
+    shapes, small enough to boot inside a property test."""
+    kind = draw(st.sampled_from(sorted(FABRIC_BUILDERS)))
+    if kind == "single":
+        return kind, {"n_hosts": draw(st.integers(1, 2 * max_hosts_per_tor))}
+    if kind == "two_tier":
+        return kind, draw(two_tier_dims(max_tors, max_hosts_per_tor, max_leaves + 1))
+    leaves = draw(st.integers(1, max_leaves))
+    return kind, {
+        "n_podsets": draw(st.integers(1, max_podsets)),
+        "tors_per_podset": draw(st.integers(1, max_tors - 1)),
+        "hosts_per_tor": draw(st.integers(1, max_hosts_per_tor - 1)),
+        "leaves_per_podset": leaves,
+        "n_spines": leaves * draw(st.integers(1, 2)),
+    }
 
 
 @st.composite

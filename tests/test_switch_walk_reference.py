@@ -65,6 +65,7 @@ from repro.sim import Simulator
 from repro.sim.timer import Timer
 from repro.sim.units import MS, gbps
 from repro.switch.buffer import BufferConfig, PgState
+from repro.switch.ecmp import ecmp_seed as _name_seed
 from repro.switch.ecmp import ecmp_select
 from repro.switch.ecn import EcnConfig
 from repro.switch.forwarding import ForwardingTables
@@ -900,9 +901,9 @@ class ReferenceSwitch(Device):
         self.tables = ForwardingTables(
             sim, local_subnet=local_subnet, **(forwarding_kwargs or {})
         )
-        self.ecmp_seed = hash(name) & 0xFFFFFFFF if ecmp_seed is None else ecmp_seed
+        self.ecmp_seed = _name_seed(name) if ecmp_seed is None else ecmp_seed
         self._mark_rng = mark_rng
-        self.base_mac = base_mac if base_mac is not None else (hash(name) & 0xFFFF) << 16
+        self.base_mac = base_mac if base_mac is not None else (_name_seed(name) & 0xFFFF) << 16
         self.counters = SwitchCounters()
         self.buffer = None  # built lazily once port count is known
         self._signalers = {}

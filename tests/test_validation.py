@@ -13,6 +13,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.artifact import read_jsonl
 from repro.validation import (
     MUTATIONS,
     RunOutcome,
@@ -26,7 +27,8 @@ from repro.validation import (
     shrink_scenario,
     validate_seed,
 )
-from repro.validation.harness import load_artifact, validate_scenario, write_artifact
+from repro.validation.__main__ import main as validation_cli
+from repro.validation.harness import validate_scenario, write_artifact
 from repro.validation.scenarios import (
     MAX_FLOWS,
     MAX_FLOWS_PER_DST,
@@ -156,7 +158,7 @@ class TestMutationAndReplay:
             minimized=minimized,
             minimized_violations=[],
         )
-        records = load_artifact(path)
+        records = read_jsonl(path)
         assert [r["record"] for r in records] == [
             "scenario",
             "violations",
@@ -166,3 +168,61 @@ class TestMutationAndReplay:
 
     def test_mutation_registry_names_both_paper_bugs(self):
         assert set(MUTATIONS) == {"go-back-0", "no-arp-drop"}
+
+    def test_replay_cli_on_every_byte_prefix_replays_or_exits_2(self, tmp_path, capsys):
+        """A repro artifact cut at any byte is either replayed (what
+        survived is whole records) or refused with one ``path:line:
+        reason`` line on stderr and exit status 2 -- never a traceback."""
+        scenario = ValidationScenario(
+            seed=0, kind="two_tier", dims={"n_tors": 2, "hosts_per_tor": 1, "n_leaves": 1},
+            link_gbps=40, flows=[(0, 1, 64)], warmup_us=50, measure_us=100, drain_ms=2,
+        )
+        artifact = write_artifact(
+            str(tmp_path / "full.jsonl"),
+            scenario,
+            [{"oracle": "x", "subject": "s", "detail": "d"}],
+            minimized=scenario.replace(measure_us=80),
+            minimized_violations=[],
+        )
+        with open(artifact, "rb") as handle:
+            data = handle.read()
+        path = str(tmp_path / "cut.jsonl")
+        replays = refusals = 0
+        for cut in range(len(data) + 1):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            status = validation_cli(["replay", path])
+            out, err = capsys.readouterr()
+            if status == 2:
+                assert out == "" and err.startswith(path + ":") and err.count("\n") == 1
+                refusals += 1
+            else:
+                assert status in (0, 1) and out.startswith("replayed seed=0 two_tier")
+                assert err == ""
+                replays += 1
+        # Whole-record prefixes: after each of the three lines, with and
+        # without its newline.
+        assert replays == 6 and refusals == len(data) + 1 - replays
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (None, "No such file"),
+            (b"", "empty artifact"),
+            (b'{"record":"scenario","mutation":null,"scen', "not a JSON record"),
+            (b'{"type":"meta"}\n', "not a validation repro record"),
+            (b'{"record":"violations","violations":[]}\n', "no scenario record"),
+            (b'{"record":"scenario","scenario":{"seed":1}}\n', "malformed scenario"),
+            (b'{"record":"scenario","scenario":{"seed":1,"kind":"ring","dims":{},'
+             b'"link_gbps":40,"flows":[]}}\n', "malformed scenario"),
+        ],
+    )
+    def test_replay_cli_refuses_unreadable_artifacts(self, tmp_path, capsys, content, reason):
+        path = str(tmp_path / "artifact.jsonl")
+        if content is not None:
+            with open(path, "wb") as handle:
+                handle.write(content)
+        assert validation_cli(["replay", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(path + ":") and reason in err
+        assert err.count("\n") == 1
