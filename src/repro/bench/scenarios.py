@@ -418,7 +418,7 @@ def flowsim_churn(seed):
         packets=run.n_completed,
         sim_ns=run.sim_ns,
         fingerprint_tuple=run.fingerprint(),
-        detail={"recomputes": run.n_recomputes},
+        detail={"recomputes": run.n_recomputes, "superseded": run.n_superseded},
     )
 
 
@@ -446,7 +446,7 @@ def flowsim_clos(seed):
         packets=run.n_completed,
         sim_ns=run.sim_ns,
         fingerprint_tuple=run.fingerprint(),
-        detail={"recomputes": run.n_recomputes},
+        detail={"recomputes": run.n_recomputes, "superseded": run.n_superseded},
     )
 
 

@@ -112,46 +112,57 @@ def max_min_allocation(link_capacities, flow_paths, weights=None):
 class MaxMinSolver:
     """Incremental max-min state: add/remove flows without rebuilding.
 
+    Link ids (any hashable; the flow tier uses strings) stay at the API
+    edge.  Inside, every link is a *dense index*: its position in the
+    capacity map the solver was built from (for the flow tier that is
+    ``FabricSpec`` build order), :meth:`add_link` appending new ones.
+    :meth:`add_flow` translates a path to indices once -- an unknown
+    link is the ``KeyError`` of that lookup -- and :meth:`path`
+    translates back; capacity, membership and load are lists indexed by
+    it, so the water-fill never hashes a link id.
+
     Two indexes are maintained across mutations, each in O(path length)
     per :meth:`add_flow` / :meth:`remove_flow` / :meth:`set_weight`:
     the per-link membership (which flows cross which link) and the
-    per-link *load* (total weight crossing it, :meth:`link_load`;
-    entries only for links in use).  :meth:`solve` starts from a copy of
-    the load map and never re-walks the registered paths, so a churny
-    caller -- the flow-level simulator recomputing rates at every
-    arrival/completion -- pays for the links in use and the flows it
-    freezes, not for indexing.  Weights are positive integers (k
-    same-path flows collapse into one weight-k entry), which is what
-    keeps the running load equal to a recount.
+    per-link *load* (total weight crossing it, :meth:`link_load`), with
+    the links whose load is non-zero kept as an ordered set.
+    :meth:`solve` starts from copies of the load and capacity lists and
+    a heap over the links in use, and never re-walks the registered
+    paths, so a churny caller -- the flow-level simulator recomputing
+    rates at every arrival/completion -- pays for the links in use and
+    the flows it freezes, not for indexing.  Weights are positive
+    integers (k same-path flows collapse into one weight-k entry), which
+    is what keeps the running load equal to a recount.
 
-    :meth:`solve` runs progressive filling with a lazy min-share heap:
-    each active link is pushed with its current fair share; stale heap
-    entries (the link's membership changed since the push) are skipped
-    via a version counter; the fill stops as soon as every flow froze,
-    so links that are never anyone's bottleneck are never frozen.  The
-    result matches :func:`max_min_allocation` (same fixpoint; float
-    rounding may differ in the last bits because links freeze in heap
-    order rather than scan order).
+    :meth:`solve` runs progressive filling with a lazy min-share heap of
+    ``(share, version, link index)``: each link in use is pushed with
+    its current fair share; stale heap entries (the link's membership
+    changed since the push) are skipped via a version counter; the fill
+    stops as soon as every flow froze, so links that are never anyone's
+    bottleneck are never frozen.  **Tie-break:** links whose share and
+    version are exactly equal freeze in dense-index order, i.e. in the
+    order of the capacity map -- not by comparing link ids.  The result
+    matches :func:`max_min_allocation` (same fixpoint; float rounding
+    may differ in the last bits because links freeze in heap order
+    rather than scan order).
     """
 
     __slots__ = (
-        "_capacity", "_members", "_weights", "_paths", "_load", "_pathless",
-        "_next_id",
+        "_index", "_links", "_capacity", "_members", "_load", "_in_use",
+        "_weights", "_paths", "_pathless", "_next_id",
     )
 
     def __init__(self, link_capacities):
-        self._capacity = {}
-        self._members = {}
+        self._index = {}  # link id -> dense index
+        self._links = []  # dense index -> link id
+        self._capacity = []
+        self._members = []  # per link: ids of the flows crossing it
+        self._load = []  # per link: total weight crossing it
+        self._in_use = {}  # ordered set: indices with non-zero load
         for link, capacity in link_capacities.items():
-            if not capacity > 0:
-                raise ValueError(
-                    "link %r has non-positive capacity %r" % (link, capacity)
-                )
-            self._capacity[link] = capacity
-            self._members[link] = set()
+            self.add_link(link, capacity)
         self._weights = {}
-        self._paths = {}
-        self._load = {}  # link -> total weight crossing it; no zero entries
+        self._paths = {}  # flow id -> tuple of link indices
         self._pathless = {}  # ids of zero-length-path flows (rate 0.0)
         self._next_id = 0
 
@@ -161,19 +172,28 @@ class MaxMinSolver:
         """Add (or re-rate) one link; existing flows keep their paths."""
         if not capacity > 0:
             raise ValueError("link %r has non-positive capacity %r" % (link, capacity))
-        self._capacity[link] = capacity
-        self._members.setdefault(link, set())
+        index = self._index.get(link)
+        if index is not None:
+            self._capacity[index] = capacity
+            return
+        self._index[link] = len(self._links)
+        self._links.append(link)
+        self._capacity.append(capacity)
+        self._members.append(set())
+        self._load.append(0)
 
     def add_flow(self, path, weight=1):
         """Register one flow (or ``weight`` identical flows); returns its id."""
         if not weight > 0:
             raise ValueError("non-positive weight %r" % (weight,))
-        # Dedup while preserving order: a link crossed "twice" constrains
-        # the flow once (the reference's per-link membership is a set).
-        path = tuple(dict.fromkeys(path))
-        for link in path:
-            if link not in self._capacity:
-                raise KeyError("flow uses unknown link %r" % (link,))
+        index = self._index
+        try:
+            # Dedup while preserving order: a link crossed "twice"
+            # constrains the flow once (the reference's per-link
+            # membership is a set).
+            path = tuple(dict.fromkeys([index[link] for link in path]))
+        except KeyError as exc:
+            raise KeyError("flow uses unknown link %r" % (exc.args[0],)) from None
         flow_id = self._next_id
         self._next_id += 1
         self._paths[flow_id] = path
@@ -184,7 +204,9 @@ class MaxMinSolver:
         load = self._load
         for link in path:
             members[link].add(flow_id)
-            load[link] = load.get(link, 0) + weight
+            if not load[link]:
+                self._in_use[link] = None
+            load[link] += weight
         return flow_id
 
     def remove_flow(self, flow_id):
@@ -197,11 +219,9 @@ class MaxMinSolver:
         load = self._load
         for link in path:
             members[link].discard(flow_id)
-            left = load[link] - weight
-            if left:
-                load[link] = left
-            else:
-                del load[link]
+            load[link] -= weight
+            if not load[link]:
+                del self._in_use[link]
 
     def set_weight(self, flow_id, weight):
         """Change a flow's weight in place (k arrivals on one path)."""
@@ -219,11 +239,13 @@ class MaxMinSolver:
         return self._weights[flow_id]
 
     def path(self, flow_id):
-        return self._paths[flow_id]
+        links = self._links
+        return tuple([links[index] for index in self._paths[flow_id]])
 
     def link_load(self, link):
         """Total weight of the registered flows crossing ``link`` (0 if none)."""
-        return self._load.get(link, 0)
+        index = self._index.get(link)
+        return 0 if index is None else self._load[index]
 
     def flow_ids(self):
         return list(self._paths)
@@ -244,27 +266,27 @@ class MaxMinSolver:
         unfrozen = len(paths) - len(rates)
         if not unfrozen:
             return rates
-        # Per-link unfrozen weight, only for links someone crosses.
-        link_weight = dict(self._load)
-        capacity = self._capacity
-        remaining = {link: capacity[link] for link in link_weight}
+        # Per-link unfrozen weight and unclaimed capacity, by link index.
+        link_weight = self._load[:]
+        remaining = self._capacity[:]
         # Lazy share heap: (share, version, link).  A popped entry is
         # live only if its version matches the link's current one.
-        version = dict.fromkeys(link_weight, 0)
+        version = [0] * len(link_weight)
         heap = [
-            (remaining[link] / total, 0, link)
-            for link, total in link_weight.items()
+            (remaining[link] / link_weight[link], 0, link)
+            for link in self._in_use
         ]
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
         members = self._members
-        frozen = set()
         while unfrozen and heap:
             share, ver, link = heappop(heap)
             if version[link] != ver or link_weight[link] <= 0:
                 continue
             # Freeze every still-unfrozen flow on this link at `share`.
+            # None of them crosses an already-frozen link: freezing that
+            # link would have frozen the flow.
             touched = {}
             for flow_id in members[link]:
                 if flow_id in rates:
@@ -275,8 +297,6 @@ class MaxMinSolver:
                 taken = share * flow_weight
                 for other in paths[flow_id]:
                     if other == link:
-                        continue
-                    if other in frozen:
                         continue
                     link_weight[other] -= flow_weight
                     left = remaining[other] - taken
@@ -290,7 +310,6 @@ class MaxMinSolver:
                 total = link_weight[other]
                 if total > 0:
                     heappush(heap, (remaining[other] / total, version[other], other))
-            frozen.add(link)
             link_weight[link] = 0
             remaining[link] = 0.0
         if unfrozen:
@@ -298,7 +317,7 @@ class MaxMinSolver:
             # lost all competitors get their path's remaining minimum.
             for flow_id, path in paths.items():
                 if flow_id not in rates:
-                    rates[flow_id] = min(remaining.get(link, 0.0) for link in path)
+                    rates[flow_id] = min(remaining[link] for link in path)
         return rates
 
 

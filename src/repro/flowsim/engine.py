@@ -15,9 +15,15 @@ seconds, not hours):
   ``B`` completes exactly when ``S(t) == S(t0) + B`` -- a constant
   threshold computed once at arrival.  Thresholds live in a per-group
   min-heap; only each group's minimum needs a scheduled event.
-* **Lazy predicted completions** -- a completion event carries the
-  group's rate *version*; any rate change bumps the version and pushes a
-  fresh prediction, so stale events are dropped in O(1) on pop.
+* **Predictions replaced, not superseded** -- a recompute re-rates
+  every responsive group, so every responsive prediction made before it
+  is dead.  Those predictions live in their own heap of ``(t, seq, group,
+  version)``, which each recompute builds as a list and heapifies
+  wholesale; the old heap is dropped unpopped.  Arrivals, ticks and
+  fixed-rate groups' checks (re-rated only when the fixed set changes)
+  stay in the event heap, and :meth:`FlowSim.run` merges the two heads
+  on ``(t, seq)`` with one shared ``seq`` counter, so events fire in
+  exactly the order one heap would give them.
 * **Batched rate updates** -- with ``rate_update_interval_ns=0`` (exact
   mode) rates are recomputed after every batch of same-instant events
   and the simulator's steady-state rates are *exactly* the solver's
@@ -28,9 +34,15 @@ seconds, not hours):
 * **Bookkeeping done once** -- per-link load lives in the solver only
   (``MaxMinSolver.link_load``; the provisional rate reads it), the
   run summary (bytes, FCT sum/max, completion CRC) is folded in per
-  completion so ``run(until_ns=...)`` in slices returns in O(1), and a
-  completion check superseded by a rate change is dropped -- and
-  counted, ``n_superseded`` -- on the version compare in the event loop.
+  completion so ``run(until_ns=...)`` in slices returns in O(1).
+* **What the version compare still drops** -- a check carries its
+  group's rate *version* and is dropped, and counted in
+  ``n_superseded``, when the group has been re-rated since: a fixed-rate
+  group's check outlived by a change of the fixed set, or the duplicate
+  left between two recomputes when an arrival lowers a group's minimum
+  threshold and the group then empties.  Dropped checks do not move the
+  clock: ``FlowSim.now`` is the time of the last event that did
+  something.
 
 Congestion-control models: responsive flows split capacities already
 scaled by the first-order DCQCN factor
@@ -95,9 +107,11 @@ class FlowsimRun:
     """Summary of one :meth:`FlowSim.run`: counters + determinism digest.
 
     ``n_superseded`` is the simulator reporting on itself: how many of
-    the ``n_events`` pops were completion checks a later rate change had
-    already replaced.  It is a cost figure, not a simulated outcome, so
-    it is in neither :meth:`fingerprint` nor :meth:`to_dict`.
+    the ``n_events`` pops were completion checks whose group had been
+    re-rated since (the few a recompute's wholesale rebuild of the check
+    heap does not already discard unpopped).  It is a cost figure, not a
+    simulated outcome, so it is in neither :meth:`fingerprint` nor
+    :meth:`to_dict`.
     """
 
     __slots__ = (
@@ -166,7 +180,11 @@ class FlowSim:
         self._interval = rate_update_interval_ns
         self._pfc_hops = pfc_propagation_hops
         self.topology = topology
+        # Two heaps, one seq counter: arrivals, ticks and fixed-rate
+        # groups' checks wait in _heap; responsive groups' checks wait in
+        # _checks, which every _recompute replaces wholesale.
         self._heap = []  # (t_ns, seq, kind, a, b)
+        self._checks = []  # (t_ns, seq, group index, group version)
         self._seq = 0
         self._groups = {}  # (path, fixed_rate) -> _Group
         self._group_list = []
@@ -259,7 +277,13 @@ class FlowSim:
             t_check += 1
         if t_check < from_ns:
             t_check = from_ns
-        self._push(t_check, _CHECK, group.index, group.version)
+        if group.fixed_rate is None:
+            self._seq += 1
+            heapq.heappush(
+                self._checks, (t_check, self._seq, group.index, group.version)
+            )
+        else:
+            self._push(t_check, _CHECK, group.index, group.version)
 
     def _mark_dirty(self, t_ns):
         self._dirty = True
@@ -384,8 +408,11 @@ class FlowSim:
             self._refresh_fixed(t_ns)
             self._fixed_dirty = False
         rates = self._solver.solve()
-        heap = self._heap
-        heappush = heapq.heappush
+        # Every responsive group in the solver is re-rated below, and an
+        # empty one left its last version behind when it emptied: each
+        # prediction now in _checks is dead, so the heap is rebuilt, not
+        # added to.
+        checks = []
         seq = self._seq
         # Per responsive group: advance(), re-rate, _predict() -- inlined,
         # same arithmetic and same seq order as the methods.
@@ -408,7 +435,9 @@ class FlowSim:
             if t_check < t_ns:
                 t_check = t_ns
             seq += 1
-            heappush(heap, (t_check, seq, _CHECK, group.index, group.version))
+            checks.append((t_check, seq, group.index, group.version))
+        heapq.heapify(checks)
+        self._checks = checks
         self._seq = seq
         self._dirty = False
         self.n_recomputes += 1
@@ -418,20 +447,39 @@ class FlowSim:
     def run(self, until_ns=None):
         """Process events (up to ``until_ns``, inclusive); returns a
         :class:`FlowsimRun`."""
-        heap = self._heap
+        events = self._heap
         groups = self._group_list
-        while heap and (until_ns is None or heap[0][0] <= until_ns):
-            t_ns = heap[0][0]
-            self.now = t_ns
+        heappop = heapq.heappop
+        while True:
+            checks = self._checks  # replaced by every _recompute
+            # The next instant: the earlier head of the two heaps.
+            if events and checks:
+                t_ns = min(events[0][0], checks[0][0])
+            elif events or checks:
+                t_ns = (events or checks)[0][0]
+            else:
+                break
+            if until_ns is not None and t_ns > until_ns:
+                break
             tick = False
-            while heap and heap[0][0] == t_ns:
-                _t, _seq, kind, a, b = heapq.heappop(heap)
+            while True:
+                # Pop this instant's entries off both heaps in seq order
+                # (seq is unique, so the tuples compare on (t_ns, seq)).
+                if (checks and checks[0][0] == t_ns
+                        and not (events and events[0] < checks[0])):
+                    _t, _seq, a, b = heappop(checks)
+                    kind = _CHECK
+                elif events and events[0][0] == t_ns:
+                    _t, _seq, kind, a, b = heappop(events)
+                else:
+                    break
                 self.n_events += 1
+                if kind == _CHECK and b != groups[a].version:
+                    self.n_superseded += 1  # re-rated since; not an event
+                    continue
+                self.now = t_ns
                 if kind == _CHECK:
-                    if b != groups[a].version:
-                        self.n_superseded += 1  # replaced by a rate change
-                    else:
-                        self._on_check(t_ns, a)
+                    self._on_check(t_ns, a)
                 elif kind == _ARRIVAL:
                     self._on_arrival(t_ns, a, b)
                 else:

@@ -38,7 +38,7 @@ from functools import partial
 
 from hypothesis import strategies as st
 
-from repro.flowsim import clos_flow, single_switch_flow, two_tier_flow
+from repro.flowsim import EFFICIENCY, clos_flow, single_switch_flow, two_tier_flow
 from repro.rdma import QpConfig, connect_qp_pair
 from repro.sim.units import KB
 from repro.topo import single_switch, three_tier_clos, two_tier
@@ -228,6 +228,47 @@ def maxmin_programs(draw, max_links=6, max_ops=30, max_capacity=100, max_weight=
         )
     )
     return links, ops
+
+
+@st.composite
+def flow_programs(draw, max_links=4, max_paths=3, max_flows=10):
+    """(links, flows): a whole simulated life for the flow-level engine.
+
+    ``links`` maps string ids to goodput capacities shaped like the ones
+    ``FlowSim.from_topology`` hands over (whole Gb/s scaled by the wire
+    efficiency, so finish times do not sit exactly on a nanosecond).
+    ``flows`` is a list of ``(path, size_bytes, start_ns, fixed_rate)``:
+    paths come from a small pool, so path groups gain several members;
+    arrivals come from a handful of instants, so flows arrive together
+    and, sizes being small against the gaps, groups empty and refill.
+    ``fixed_rate`` is ``None`` for a responsive flow; the fixed rates
+    together stay under a quarter of the smallest link, which keeps the
+    PFC model in its no-overload regime (fixed flows run at their rate
+    and simply take it off the links they cross).
+    """
+    n_links = draw(st.integers(1, max_links))
+    names = ["l%d" % i for i in range(n_links)]
+    links = {name: draw(st.integers(1, 100)) * 1e9 * EFFICIENCY for name in names}
+    pool = draw(
+        st.lists(
+            st.lists(st.sampled_from(names), min_size=1, max_size=n_links, unique=True),
+            min_size=1,
+            max_size=max_paths,
+        )
+    )
+    n_flows = draw(st.integers(1, max_flows))
+    fixed_unit = min(links.values()) / (16 * n_flows)
+    fixed_rates = st.integers(1, 4).map(lambda k: k * fixed_unit)
+    flows = [
+        (
+            tuple(draw(st.sampled_from(pool))),
+            draw(st.integers(1, 200_000)),
+            draw(st.sampled_from([0, 1_000, 40_000, 3_000_000, 50_000_000])),
+            draw(st.one_of(st.none(), st.none(), fixed_rates)),
+        )
+        for _ in range(n_flows)
+    ]
+    return links, flows
 
 
 # --- topologies and fault plans ----------------------------------------------

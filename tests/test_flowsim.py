@@ -10,10 +10,14 @@ job, not here.
 Run alone with ``pytest -m flowsim``.
 """
 
+import importlib.util
+import os
 import struct
 import zlib
 
 import pytest
+
+from repro.bench.scenarios import flowsim_churn, flowsim_clos
 
 from repro.dcqcn import DcqcnConfig
 from repro.flows.maxmin import max_min_allocation
@@ -195,19 +199,94 @@ class TestRunSummary:
     def test_superseded_checks_are_counted_not_fingerprinted(self):
         # Exact mode, 1 byte/ns, two 1000-byte flows on one link in two
         # groups.  Every arrival pushes a provisional prediction and the
-        # same-instant recompute replaces it; B's arrival at 500 also
-        # replaces A's.  Pops: 2 arrivals, 2 live checks (A done at 1500,
-        # B at 2000) and 4 superseded ones (A's two at 1000, B's two at
-        # 2500).
+        # same-instant recompute rebuilds the check heap without it; B's
+        # arrival at 500 rebuilds A's too.  Pops: 2 arrivals and 2 live
+        # checks (A done at 1500, B at 2000).  The four predictions the
+        # recomputes replaced (A's two at 1000, B's two at 2500) are
+        # never popped, so the run ends at 2000, not 2500.
         sim = FlowSim({"l": 8e9, "m": 8e9})
         sim.add_flow(("l",), 1000, start_ns=0)
         sim.add_flow(("l", "m"), 1000, start_ns=500)
         run = sim.run()
         assert [done[2] for done in sim.completed] == [1500, 2000]
-        assert run.n_events == 8
-        assert run.n_superseded == 4
+        assert run.sim_ns == 2000
+        assert run.n_events == 4
+        assert run.n_superseded == 0
         assert "n_superseded" not in run.to_dict()
         assert len(run.fingerprint()) == 9
+
+    def test_a_dropped_check_does_not_move_the_clock(self):
+        # Fixed-rate checks stay in the event heap, version-stamped.  A
+        # runs alone at 1 byte/ns (check at 4000); B joins "l" at 1000
+        # and the 2x overload halves both (A re-predicted for 7000); B
+        # done at 3000, A back to full rate and done at 5000.  A's check
+        # for 7000 is popped afterwards and dropped on its version.
+        sim = FlowSim({"l": 8e9, "m": 8e9})
+        sim.add_flow(("l",), 4000, start_ns=0, fixed_rate_bps=8e9)
+        sim.add_flow(("l", "m"), 1000, start_ns=1000, fixed_rate_bps=8e9)
+        run = sim.run()
+        assert [done[2] for done in sim.completed] == [3000, 5000]
+        assert run.n_superseded >= 1
+        assert run.sim_ns == 5000
+
+    def test_same_instant_entries_pop_in_seq_order_across_both_heaps(self):
+        # 1 byte/ns links, 1 ms ticks.  R runs alone at full rate and its
+        # check for 2000 sits in the check heap; C joins "l" at 1000 but
+        # no tick re-rates R before 2000.  B is admitted between two
+        # slices, so its arrival at 2000 waits in the event heap with a
+        # *later* seq than R's check.  Check first: R leaves, B refills
+        # the group fresh at the provisional rate -- half of "l", shared
+        # with C -- and finishes at 4000.  Arrival first, B would join R's
+        # full-rate group and finish at 3000.
+        sim = FlowSim({"l": 8e9, "m": 8e9}, rate_update_interval_ns=1 * MS)
+        sim.add_flow(("l",), 2000, start_ns=0)
+        sim.add_flow(("l", "m"), 10 ** 7, start_ns=1000)
+        sim.run(until_ns=1500)
+        late = sim.add_flow(("l",), 1000, start_ns=2000)
+        sim.run(until_ns=5000)
+        assert [(done[0], done[2]) for done in sim.completed] == [
+            (0, 2000), (late, 4000),
+        ]
+
+
+def tiny_flowsim_dc_live_events():
+    """perfbench's ``flowsim_dc`` job at its ``tiny`` size, seed 1, run
+    the way the benchmark runs it (8 ms slices)."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench", "workloads.py",
+    )
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workload = module.FlowsimDc()
+    ctx = workload.build(1, tiny=True)
+    workload.boot(ctx)
+    workload.wire(ctx)
+    for _ in workload.slices(ctx):
+        pass
+    return ctx.result.n_events - ctx.result.n_superseded
+
+
+def bench_live_events(scenario):
+    run = scenario(1)
+    return run.events - run.detail["superseded"]
+
+
+class TestLiveEvents:
+    """``n_events - n_superseded`` is what the engine *did*: arrivals,
+    ticks and checks that found their group as predicted.  Which dead
+    checks get popped besides is an implementation matter (PR 21 stopped
+    popping nearly all of them) and moves ``n_events``; this count was
+    recorded on the commit before that change and must repeat exactly."""
+
+    @pytest.mark.parametrize("count_live, recorded", [
+        (lambda: bench_live_events(flowsim_churn), 8000),
+        (lambda: bench_live_events(flowsim_clos), 13649),
+        (tiny_flowsim_dc_live_events, 791),
+    ], ids=["flowsim_churn", "flowsim_clos", "flowsim_dc-tiny"])
+    def test_live_event_count_is_conserved(self, count_live, recorded):
+        assert count_live() == recorded
 
 
 class TestCongestionModels:

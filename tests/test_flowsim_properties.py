@@ -8,8 +8,16 @@ Plus determinism (identical seeded builds give identical integer
 fingerprints) and conservation (no link ever carries more than its
 capacity).
 
+The whole engine -- path groups, service thresholds, the two event
+heaps, versions -- has a semantic twin here as well:
+:func:`fluid_reference` is a per-flow fluid model with none of those,
+built on ``max_min_allocation`` alone, and exact mode must complete the
+same flows at the same nanosecond.
+
 Run alone with ``pytest -m flowsim``.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +28,7 @@ from repro.flowsim import EFFICIENCY, FlowSim, two_tier_flow
 from repro.sim.rng import SeededRng
 from repro.sim.units import MS, gbps
 
-from tests.strategies import maxmin_problems, two_tier_dims
+from tests.strategies import flow_programs, maxmin_problems, two_tier_dims
 
 pytestmark = pytest.mark.flowsim
 
@@ -138,3 +146,105 @@ def test_equal_split_completion_time(n_flows, size_kb):
     assert run.n_completed == n_flows
     assert run.sim_ns == pytest.approx(expected_ns, rel=1e-6, abs=2)
     assert run.total_bytes == n_flows * size
+
+
+def fluid_reference(links, flows):
+    """Exact mode as a per-flow fluid model: ``{flow index: finish_ns}``.
+
+    No groups, thresholds, heaps or versions.  At every arrival or
+    completion the rates are re-solved from scratch -- a fixed-rate flow
+    runs at its rate and takes it off its links, ``max_min_allocation``
+    splits what is left -- and every flow drains at its rate up to the
+    next arrival or the next analytic finish.  The clock is integer
+    nanoseconds, as the engine's is: a finish is seen at the first whole
+    nanosecond at or after it.
+    """
+    arrivals = sorted(range(len(flows)), key=lambda i: flows[i][2])
+    left, finish, now = {}, {}, 0
+    while arrivals or left:
+        while arrivals and flows[arrivals[0]][2] <= now:
+            index = arrivals.pop(0)
+            left[index] = float(flows[index][1])
+        if not left:
+            now = flows[arrivals[0]][2]
+            continue
+        caps = dict(links)
+        rate = {}
+        for index in left:
+            path, _size, _start, fixed = flows[index]
+            if fixed is not None:
+                rate[index] = fixed
+                for link in path:
+                    caps[link] -= fixed
+        responsive = [index for index in left if index not in rate]
+        rate.update(zip(responsive, max_min_allocation(
+            caps, [flows[index][0] for index in responsive]
+        )))
+        done_at = {
+            index: now + math.ceil(left[index] * 8e9 / rate[index]) for index in left
+        }
+        until = min(done_at.values())
+        if arrivals:
+            until = min(until, flows[arrivals[0]][2])
+        for index in list(left):
+            if done_at[index] <= until:
+                finish[index] = until
+                del left[index]
+            else:
+                left[index] -= rate[index] * (until - now) / 8e9
+        now = until
+    return finish
+
+
+def admit(sim, flows):
+    return [
+        sim.add_flow(path, size, start_ns=start, fixed_rate_bps=fixed)
+        for path, size, start, fixed in flows
+    ]
+
+
+@given(program=flow_programs())
+@settings(max_examples=150, deadline=None)
+def test_exact_mode_matches_a_per_flow_fluid_reference(program):
+    links, flows = program
+    sim = FlowSim(links, rate_update_interval_ns=0)
+    ids = admit(sim, flows)
+    run = sim.run()
+    assert run.n_active == 0
+    finished = {flow_id: finish_ns for flow_id, _t0, finish_ns, _size in sim.completed}
+    reference = fluid_reference(links, flows)
+    assert set(finished) == set(ids)
+    for index, flow_id in enumerate(ids):
+        assert abs(finished[flow_id] - reference[index]) <= 2, (
+            "flow %d: engine %d vs fluid reference %d"
+            % (index, finished[flow_id], reference[index])
+        )
+    assert run.sim_ns == max(finished.values())
+
+
+@given(
+    program=flow_programs(),
+    interval_ns=st.sampled_from([0, 700, 50_000]),
+    n_slices=st.integers(1, 9),
+)
+@settings(max_examples=100, deadline=None)
+def test_sliced_run_equals_the_one_shot_run(program, interval_ns, n_slices):
+    links, flows = program
+    one_shot = FlowSim(links, rate_update_interval_ns=interval_ns)
+    admit(one_shot, flows)
+    whole = one_shot.run()
+    sliced = FlowSim(links, rate_update_interval_ns=interval_ns)
+    admit(sliced, flows)
+    # Horizons strictly inside the run: a horizon past the last event
+    # would (rightly) leave the clock at the horizon.
+    step = max(1, whole.sim_ns // (n_slices + 1))
+    for until in range(step, whole.sim_ns, step):
+        part = sliced.run(until_ns=until)
+        assert part.sim_ns == until
+        assert sliced.completed == [
+            done for done in one_shot.completed if done[2] <= until
+        ]
+    final = sliced.run()
+    assert final.fingerprint() == whole.fingerprint()
+    assert final.n_superseded == whole.n_superseded
+    assert sliced.completed == one_shot.completed

@@ -8,12 +8,16 @@ Every solve must land on the same max-min fixpoint as
 arbitrary churn and weight changes, which is exactly the life the
 flowsim engine subjects it to.
 
-`_reference_solve` is the solver's previous water-fill, kept verbatim:
-it recounts per-link load from every path on every call and pushes a
-heap entry at every touch.  The solver now carries the load across
-mutations and pushes once per touched link; `TestAgainstPreviousSolve`
+`_reference_solve` is the solver's first water-fill, kept verbatim:
+it recounts per-link load from every path on every call, keeps its
+working state in dicts and pushes a heap entry at every touch.  The
+solver now carries the load across mutations in lists indexed by dense
+link index and pushes once per touched link; `TestAgainstPreviousSolve`
 pins the two to *exactly* equal floats in the same freeze order, which
-is what keeps every flowsim fingerprint where it was.
+is what keeps every flowsim fingerprint where it was.  The reference
+reads the solver's dense containers (`_paths` holds link indices;
+`_capacity` and `_members` are lists), so its heap breaks exact ties
+the way the solver does: by link index, i.e. capacity-map order.
 """
 
 import heapq
@@ -41,9 +45,9 @@ def assert_rates_match(solver_rates, reference_rates, flow_ids):
 
 def _reference_solve(solver):
     """The water-fill as it was before the solver carried per-link load
-    (``self`` spelled ``solver``, otherwise untouched).  It reads the
-    solver's own membership sets, so both sides freeze a link's flows in
-    the same order."""
+    (``self`` spelled ``solver``, otherwise untouched; ``link`` is now a
+    dense index).  It reads the solver's own membership sets, so both
+    sides freeze a link's flows in the same order."""
     weights = solver._weights
     paths = solver._paths
     rates = {}
@@ -112,13 +116,18 @@ def _reference_solve(solver):
 
 
 def assert_load_is_a_recount(solver, links):
-    recount = {}
+    recount = dict.fromkeys(links, 0)
     for flow_id in solver.flow_ids():
         for link in solver.path(flow_id):
-            recount[link] = recount.get(link, 0) + solver.weight(flow_id)
+            recount[link] += solver.weight(flow_id)
     for link in links:
-        assert solver.link_load(link) == recount.get(link, 0), link
-    assert solver._load == recount  # in particular: no zero entries
+        assert solver.link_load(link) == recount[link], link
+    # The dense side: one load per link in capacity-map order, and the
+    # in-use set is exactly the links with load.
+    assert solver._load == [recount[link] for link in solver._links]
+    assert set(solver._in_use) == {
+        index for index, load in enumerate(solver._load) if load
+    }
 
 
 class TestUnit:
@@ -177,7 +186,7 @@ class TestUnit:
         solver.remove_flow(first)
         assert [solver.link_load(l) for l in "abc"] == [0, 1, 0]
         solver.remove_flow(second)
-        assert solver._load == {}
+        assert solver._load == [0, 0, 0] and not solver._in_use
         assert solver.link_load("never-added") == 0
 
     def test_empty_path_rate_zero(self):
@@ -191,12 +200,20 @@ class TestUnit:
         assert solver.path(fid) == ("l",)
         assert solver.solve()[fid] == pytest.approx(10.0)
 
+    def test_path_round_trips_link_ids(self):
+        solver = MaxMinSolver({"z": 10.0, ("tor", 3): 10.0})
+        fid = solver.add_flow([("tor", 3), "z"])
+        assert solver.path(fid) == (("tor", 3), "z")
+        solver.add_link("late", 5.0)
+        assert solver.path(solver.add_flow(["late", "z"])) == ("late", "z")
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             MaxMinSolver({"l": 0.0})
         solver = MaxMinSolver({"l": 10.0})
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown link 'nope'"):
             solver.add_flow(["nope"])
+        assert len(solver) == 0 and solver.link_load("l") == 0
         with pytest.raises(ValueError):
             solver.add_flow(["l"], weight=0)
         fid = solver.add_flow(["l"])
@@ -324,3 +341,17 @@ class TestAgainstPreviousSolve:
         rates = solver.solve()
         assert list(rates) == [0, 1, 3, 2, 4]
         assert list(rates.items()) == list(_reference_solve(solver).items())
+
+    @pytest.mark.parametrize("order", [("z", "a"), ("a", "z")])
+    def test_exact_ties_break_by_capacity_map_order_not_by_id(self, order):
+        # Two disjoint links, equal capacity, one flow each: both shares
+        # are 10.0 at version 0, so which link freezes first rests on the
+        # last tuple field alone.  That field is the link's position in
+        # the capacity map, so "z" listed first freezes first -- an id
+        # comparison would always freeze "a" first.
+        solver = MaxMinSolver({link: 10.0 for link in order})
+        flow_on = {link: solver.add_flow([link]) for link in sorted(order)}
+        rates = solver.solve()
+        assert list(rates) == [flow_on[link] for link in order]
+        assert list(rates.items()) == list(_reference_solve(solver).items())
+        assert set(rates.values()) == {10.0}
