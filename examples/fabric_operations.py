@@ -8,14 +8,15 @@ safety profile, then walks the management loop:
 2. inject the section 6.2 misconfiguration (a new switch model running
    alpha = 1/64) and catch it as drift;
 3. run RDMA Pingmesh continuously and read fleet latency percentiles;
-4. watch PFC counters (pause frames and pause intervals).
+4. read the PFC counters (pause frames and pause intervals).
 
 Run:  python examples/fabric_operations.py
 """
 
 from repro.core import DscpPfcDesign, paper_safe_profile
 from repro.faults import install_default_auditors
-from repro.monitoring import ConfigMonitor, CounterCollector, DesiredConfig, Pingmesh
+from repro.monitoring import ConfigMonitor, DesiredConfig, Pingmesh
+from repro.monitoring.counters import host_counters, switch_counters
 from repro.rdma import connect_qp_pair
 from repro.sim import SeededRng
 from repro.sim.units import KB, MS, US
@@ -64,10 +65,8 @@ def main():
     pingmesh = Pingmesh(sim, rng.child("pm"), interval_ns=1 * MS)
     pingmesh.add_pair(t0_hosts[3], t1_hosts[3])
     pingmesh.start()
-    collector = CounterCollector(sim, fabric, interval_ns=2 * MS).start()
     sim.run(until=sim.now + 40 * MS)
     pingmesh.stop()
-    collector.stop()
 
     print("3. Pingmesh over 40 ms of production-like load:")
     print("     probes  : %d (error rate %.1f%%)"
@@ -76,7 +75,9 @@ def main():
     print("     RTT p99 : %6.1f us" % pingmesh.rtt_percentile_us(99))
 
     print("4. PFC counters (cumulative):")
-    for device, pauses in collector.totals_at_end("pause_tx").items():
+    pause_tx = [(s.name, switch_counters(s)["pause_tx"]) for s in fabric.switches]
+    pause_tx += [(h.name, host_counters(h)["pause_tx"]) for h in fabric.hosts]
+    for device, pauses in pause_tx:
         if pauses:
             print("     %-8s sent %5d pause frames" % (device, pauses))
     host = t1_hosts[0]

@@ -5,8 +5,9 @@ One server's NIC receive pipeline dies while its pause generator keeps
 running -- the exact bug behind the paper's production incident (figure
 9).  The demo shows the monitoring story end to end:
 
-1. counters collected fleet-wide catch servers drowning in pause frames;
-2. the incident detector traces the storm to its single origin server;
+1. a telemetry session polls every switch and server each millisecond
+   and catches the servers starved by pause frames (``victim_flow``);
+2. its ``pause_storm`` incident names the single origin server;
 3. with the NIC and switch watchdogs armed, the same fault is confined
    to the victim instead of freezing the fabric.
 
@@ -14,12 +15,12 @@ Run:  python examples/storm_watchdogs.py
 """
 
 from repro.faults import install_default_auditors
-from repro.monitoring import CounterCollector, IncidentDetector
 from repro.nic.nic import NicConfig, NicWatchdogConfig
 from repro.sim import SeededRng
 from repro.sim.units import KB, MB, MS
 from repro.switch.buffer import BufferConfig
 from repro.switch.watchdog import SwitchWatchdogConfig
+from repro.telemetry import TelemetrySession
 from repro.topo import three_tier_clos
 from repro.experiments.common import saturate_pairs
 
@@ -53,7 +54,7 @@ def run(watchdogs):
     pairs = [(hosts[4], victim), (hosts[6], victim), (hosts[2], victim)]
     pairs += [(hosts[1], hosts[5]), (hosts[5], hosts[1]), (hosts[3], hosts[7]), (hosts[7], hosts[3])]
     senders = saturate_pairs(sim, pairs, 1 * MB, rng)
-    collector = CounterCollector(sim, topo.fabric, interval_ns=MS).start()
+    session = TelemetrySession(topo.fabric).start()
 
     sim.run(until=sim.now + 2 * MS)  # healthy baseline
     victim.nic.break_rx_pipeline()
@@ -61,15 +62,17 @@ def run(watchdogs):
     before = [s.completed_bytes for s in senders]
     sim.run(until=sim.now + 2 * MS)
     window = [(s.completed_bytes - b) * 8.0 / (2 * MS) for s, b in zip(senders, before)]
-    collector.stop()
+    session.stop()
 
-    detector = IncidentDetector(collector, pause_rate_threshold=2)
+    storms = [i for i in session.incidents if i.kind == "pause_storm"]
     return {
         "goodput": sum(window),
         "blocked": sum(1 for g in window if g < 0.1),
         "flows": len(senders),
-        "origin": detector.trace_origin(),
-        "victims": len(detector.pause_storms()),
+        "broken": victim.nic.name,
+        "origins": sorted({i.device for i in storms}),
+        "storm_windows": sum(i.details["windows"] for i in storms),
+        "victims": sum(1 for i in session.incidents if i.kind == "victim_flow"),
         "nic_tripped": victim.nic.watchdog_trips,
         "audit": audit.summary(),
         "audit_clean": audit.clean,
@@ -81,9 +84,11 @@ def main():
         r = run(watchdogs)
         print("watchdogs %-3s: %d/%d flows blocked, aggregate %.1f Gb/s"
               % ("on" if watchdogs else "off", r["blocked"], r["flows"], r["goodput"]))
-        print("              incident detector traced origin -> %s "
-              "(%d devices saw pause storms, NIC watchdog trips: %d)"
-              % (r["origin"], r["victims"], r["nic_tripped"]))
+        print("              pause_storm incident traced origin -> %s over %d windows "
+              "(%d servers starved by it, NIC watchdog trips: %d)"
+              % (", ".join(r["origins"]), r["storm_windows"], r["victims"],
+                 r["nic_tripped"]))
+        assert r["origins"] == [r["broken"]], r["origins"]
         print("              invariant auditors: %s" % r["audit"])
         if watchdogs:
             assert r["audit_clean"], r["audit"]

@@ -81,17 +81,21 @@ def collect_artifacts(hub, scenarios, out_dir, seed=1, progress=None):
     """One extra *untimed* observed pass per already-benchmarked scenario.
 
     ``hub`` is :data:`repro.obs.TELEMETRY` or :data:`repro.obs.TRACE`.
-    The timing loop in :func:`run_benchmarks` never runs with a plane
-    armed -- telemetry's poll timer would shift the wall clocks and the
-    fingerprints ``tests/test_bench.py`` pins; tracing is neutral but
-    memory-heavy -- so collection is always this separate pass, writing
-    ``<scenario>-<i>.<plane>.jsonl`` under ``out_dir``.  Each scenario
+    An armed run is the dark run byte for byte -- the telemetry poll is
+    an engine observer tick, not an event, and the hooks only read -- so
+    the observed pass must reproduce the timed pass's fingerprint, and
+    this function asserts it.  Collection is still a separate pass
+    because the receivers cost wall time (and tracing memory) the timing
+    loop in :func:`run_benchmarks` should not include.  Artifacts land
+    as ``<scenario>-<i>.<plane>.jsonl`` under ``out_dir``; each scenario
     entry gains a block named after the plane (artifact paths + the
     plane's headline counts; extra keys ``repro-bench/1`` permits).
     """
     for name, entry in scenarios.items():
         with hub.collect("bench:%s" % name, out_dir, name) as collection:
-            SCENARIOS[name].run(seed)
+            run = SCENARIOS[name].run(seed)
+        assert run.fingerprint == entry["fingerprint"], (
+            "%s: observation perturbed the run (%s armed)" % (name, hub.name))
         entry[hub.name] = dict(collection.headline(), artifacts=collection.paths)
         if progress:
             progress("%-14s %s" % (name, collection.describe()))

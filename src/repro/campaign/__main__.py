@@ -161,7 +161,7 @@ def _add_exec_options(parser):
                         help="recompute everything; do not read or write the cache")
     parser.add_argument("--telemetry", action="store_true",
                         help="collect telemetry per run (writes telemetry/*.jsonl "
-                        "into the campaign dir; implies --no-cache semantics)")
+                        "into the campaign dir)")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache location (default: $REPRO_CAMPAIGN_CACHE or %s)"
                         % default_cache_dir())

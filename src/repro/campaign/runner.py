@@ -128,12 +128,8 @@ class Campaign:
         self.store = CampaignStore(out_dir)
         self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None else ResultCache()
-        # Telemetry-enabled runs bypass the cache entirely: the artifact
-        # is a side product the cached row payload does not carry, and
-        # the instrumented event schedule differs from the plain one, so
-        # neither direction of reuse would be honest.
         self.telemetry = telemetry
-        self.use_cache = use_cache and not telemetry
+        self.use_cache = use_cache
         self.jobs = jobs or pool.default_jobs()
         self.timeout_s = timeout_s
         self.retries = retries
@@ -183,7 +179,12 @@ class Campaign:
         for run in todo:
             key = run_key(run) if self.use_cache else None
             payload = self.cache.get(key) if key else None
-            if payload is not None:
+            # An armed run is the dark run plus its artifacts, so either
+            # kind fills the cache; only an entry that carries the
+            # sessions can stand in for an armed run (a dark-filled one
+            # re-runs and is overwritten).
+            if payload is not None and (
+                    not self.telemetry or "telemetry_sessions" in payload):
                 self._record_success(manifest, run.run_id, payload, cache_hit=True)
                 progress.done(run.run_id, 0.0, cached=True)
             else:
@@ -268,7 +269,7 @@ class Campaign:
             run_id, payload["schema"], payload["rows"]
         )
         telemetry_paths = None
-        if payload.get("telemetry_sessions"):
+        if self.telemetry and payload.get("telemetry_sessions"):
             telemetry_paths = self.store.write_telemetry_artifacts(
                 run_id, payload["telemetry_sessions"]
             )

@@ -7,14 +7,12 @@ capabilities the paper describes:
 * :mod:`~repro.monitoring.config_mgmt` -- desired-vs-running
   configuration monitoring (the section 6.2 alpha incident is a config
   drift this catches);
-* :mod:`~repro.monitoring.counters` -- periodic collection of PFC pause
-  and per-priority traffic counters from switches and servers, including
-  the *pause interval* metric the paper asked its ASIC vendors for;
+* :mod:`~repro.monitoring.counters` -- the readers for the PFC pause
+  and traffic counters of switches and servers, including the *pause
+  interval* metric the paper asked its ASIC vendors for;
 * :mod:`~repro.monitoring.pingmesh` -- RDMA Pingmesh: active latency
   probes (512-byte payloads) between server pairs, logging RTT or an
-  error code;
-* :mod:`~repro.monitoring.incidents` -- detectors over the collected
-  counters (pause storms, unavailable servers).
+  error code.
 
 Relation to :mod:`repro.telemetry`
 ----------------------------------
@@ -25,16 +23,15 @@ E10) reproduce the paper's figures from these components.
 :mod:`repro.telemetry` is the other way around -- an out-of-band
 observability layer for the simulator itself (hot-path hooks, a metric
 catalog, online detectors, JSONL artifacts) that never injects traffic
-or perturbs a run.  Both read device counters through the one reader in
-:mod:`~repro.monitoring.counters` (``switch_counters`` /
-``host_counters``), so the two planes cannot disagree on what a counter
-means.
+or perturbs a run.  The paper's periodic counter collection and its
+pause-storm diagnosis ("trace ... to a single server", section 6.2) are
+that layer's :class:`~repro.telemetry.TelemetrySession` and
+``pause_storm`` detector, reading devices through
+:mod:`~repro.monitoring.counters`.
 """
 
 from repro.monitoring.config_mgmt import ConfigDrift, ConfigMonitor, DesiredConfig
-from repro.monitoring.counters import CounterCollector
 from repro.monitoring.health import HealthTracker, ServerState
-from repro.monitoring.incidents import IncidentDetector, PauseStormIncident
 from repro.monitoring.pingmesh import (
     Pingmesh,
     ProbeResult,
@@ -46,13 +43,10 @@ __all__ = [
     "DesiredConfig",
     "ConfigMonitor",
     "ConfigDrift",
-    "CounterCollector",
     "Pingmesh",
     "ProbeResult",
     "read_probe_jsonl",
     "summarize_probe_records",
-    "IncidentDetector",
-    "PauseStormIncident",
     "HealthTracker",
     "ServerState",
 ]

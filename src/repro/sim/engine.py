@@ -21,6 +21,15 @@ simulated packet costs several engine events):
   objects from a **free-list** (recycled after they fire, so
   steady-state dispatch allocates only the heap entry) and each carry
   their whole body: one Python frame per scheduled event.
+
+Observation (:meth:`Simulator.observe_every`) is not an event.  A
+periodic reader -- the telemetry poll -- registers an *observer*; the
+run loop clips its dispatch horizon to the next observer boundary and
+calls the observer between two dispatch passes, so a tick takes no
+``seq``, is not counted in ``events_fired`` / ``pending`` /
+``max_events`` and costs the per-event loop nothing.  A run with an
+observer is therefore the run without one, event for event, and an
+observer that schedules or cancels raises :class:`SimulationError`.
 """
 
 from heapq import heapify, heappop, heappush
@@ -80,6 +89,26 @@ class Event:
         return "Event(t=%d, seq=%d, %s)" % (self.time, self.seq, state)
 
 
+class Observer:
+    """A periodic read-only callback; returned by
+    :meth:`Simulator.observe_every`.  ``next_ns`` is the boundary the
+    next tick fires at."""
+
+    __slots__ = ("sim", "interval_ns", "next_ns", "fn")
+
+    def __init__(self, sim, interval_ns, fn):
+        self.sim = sim
+        self.interval_ns = interval_ns
+        self.next_ns = sim._now + interval_ns
+        self.fn = fn
+
+    def cancel(self):
+        """Stop ticking.  Idempotent."""
+        if self.sim is not None:
+            self.sim._observers.remove(self)
+            self.sim = None
+
+
 class Simulator:
     """A deterministic discrete-event simulator with a nanosecond clock.
 
@@ -91,6 +120,7 @@ class Simulator:
     * :meth:`schedule1` / :meth:`schedule0` -- allocation-light variants
       for hot internal callers (single argument / no argument);
     * :meth:`run` / :meth:`run_until_idle` / :meth:`step` -- dispatch;
+    * :meth:`observe_every` -- a periodic reader outside the event queue;
     * :attr:`now`, :attr:`events_fired`, :attr:`pending` -- observability.
     """
 
@@ -102,6 +132,7 @@ class Simulator:
         "_cancelled",
         "_heap",
         "_pool",
+        "_observers",
     )
 
     # Lazy deletion keeps cancels O(1), but a fault-heavy run that arms
@@ -118,6 +149,7 @@ class Simulator:
         self._cancelled = 0  # cancelled entries still in the heap
         self._heap = []  # (time, seq, Event)
         self._pool = []  # Event free-list (kind 1/2 only)
+        self._observers = []  # Observer, in registration order
 
     # -- observability -------------------------------------------------------
 
@@ -267,6 +299,50 @@ class Simulator:
         heapify(heap)
         self._cancelled = 0
 
+    # -- observation ---------------------------------------------------------
+
+    def observe_every(self, interval_ns, fn):
+        """Call ``fn()`` at every boundary ``now + k * interval_ns``
+        (k = 1, 2, ...) the clock reaches, with ``now`` equal to the
+        boundary, after every event at or before it and before any event
+        after it.  Returns an :class:`Observer`; ``cancel()`` stops it.
+
+        A tick is not an event: it takes no ``seq`` and is not counted in
+        :attr:`events_fired`, :attr:`pending` or ``max_events``, so a run
+        with an observer fires the same events in the same order as the
+        run without.  ``run(until=...)`` ticks every boundary up to
+        ``until``, idle gaps included; an unbounded run ticks a boundary
+        only when a later event carries the clock past it, so an observer
+        never keeps :meth:`run_until_idle` alive.  ``fn`` must only read:
+        scheduling or cancelling an event from it raises
+        :class:`SimulationError`.
+        """
+        interval_ns = int(interval_ns)
+        if interval_ns <= 0:
+            raise SimulationError(
+                "observer interval must be positive: %r" % (interval_ns,)
+            )
+        if self._running:
+            # The pass in progress was clipped without this observer.
+            raise SimulationError("cannot register an observer inside run()")
+        observer = Observer(self, interval_ns, fn)
+        self._observers.append(observer)
+        return observer
+
+    def _tick(self, boundary):
+        """Fire every observer due at ``boundary``, in registration order."""
+        self._now = boundary
+        for observer in tuple(self._observers):
+            if observer.next_ns == boundary and observer.sim is self:
+                observer.next_ns = boundary + observer.interval_ns
+                seq = self._seq
+                cancelled = self._cancelled
+                observer.fn()
+                if self._seq != seq or self._cancelled != cancelled:
+                    raise SimulationError(
+                        "observer %r scheduled or cancelled an event" % (observer.fn,)
+                    )
+
     # -- dispatch ------------------------------------------------------------
 
     def step(self):
@@ -280,7 +356,8 @@ class Simulator:
             Inclusive simulated-time horizon in nanoseconds.  Events at
             exactly ``until`` fire; the clock is advanced to ``until`` when
             the run ends early (idle), so back-to-back ``run`` calls
-            compose.
+            compose.  A run that ``max_events`` cut short of ``until``
+            leaves the clock at the last event it fired.
         ``max_events``
             Safety valve for experiments that can livelock *by design*
             (the paper's go-back-0 experiment never terminates on its own).
@@ -291,45 +368,80 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         fired = 0
-        heap = self._heap
-        pool = self._pool
+        observers = self._observers
         try:
-            while heap:
-                if max_events is not None and fired >= max_events:
+            # One dispatch pass per observer boundary inside the horizon,
+            # then the rest of the run: observation is paid for here, per
+            # boundary, and never inside the per-event loop.
+            while observers:
+                boundary = min(observer.next_ns for observer in observers)
+                if until is not None and boundary > until:
                     break
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                self._now = time
-                fn = event.fn
-                args = event.args
-                kind = event.kind
-                # Free references before the callback runs so callbacks
-                # that re-schedule themselves do not pin stale arguments.
-                event.fn = None
-                event.args = None
-                event.sim = None  # fired: a late cancel() must not miscount
-                self._events_fired += 1
-                fired += 1
-                if kind == 0:
-                    fn(*args)
-                elif kind == 1:
-                    fn(args)
-                else:
-                    fn()
-                if kind and len(pool) < _POOL_MAX:
-                    pool.append(event)
+                fired = self._dispatch(boundary, max_events, fired)
+                upcoming = self._next_live()
+                if upcoming is not None and (until is None or upcoming <= until):
+                    # The next event carries the clock past the boundary
+                    # only if this call may still fire it.
+                    if max_events is not None and fired >= max_events:
+                        break
+                elif until is None:
+                    break  # idle, and an unbounded run rests where it is
+                self._tick(boundary)
+            fired = self._dispatch(until, max_events, fired)
         finally:
             self._running = False
         if until is not None and self._now < until:
-            self._now = until
+            upcoming = self._next_live()
+            if upcoming is None or upcoming > until:
+                self._now = until
+        return fired
+
+    def _next_live(self):
+        """Time of the earliest live event (cancelled heads are dropped),
+        or None when nothing is queued."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
+
+    def _dispatch(self, until, max_events, fired):
+        """The per-event loop: fire events up to ``until`` (None: all)
+        until ``fired`` reaches ``max_events``; returns the new count."""
+        heap = self._heap
+        pool = self._pool
+        while heap:
+            if max_events is not None and fired >= max_events:
+                break
+            entry = heap[0]
+            event = entry[2]
+            if event.cancelled:
+                heappop(heap)
+                self._cancelled -= 1
+                continue
+            time = entry[0]
+            if until is not None and time > until:
+                break
+            heappop(heap)
+            self._now = time
+            fn = event.fn
+            args = event.args
+            kind = event.kind
+            # Free references before the callback runs so callbacks
+            # that re-schedule themselves do not pin stale arguments.
+            event.fn = None
+            event.args = None
+            event.sim = None  # fired: a late cancel() must not miscount
+            self._events_fired += 1
+            fired += 1
+            if kind == 0:
+                fn(*args)
+            elif kind == 1:
+                fn(args)
+            else:
+                fn()
+            if kind and len(pool) < _POOL_MAX:
+                pool.append(event)
         return fired
 
     def run_until_idle(self, max_events=None):

@@ -9,7 +9,7 @@ the cascading-pause analysis of §4.1/§5, ECN mark-rate and queue
 watermark track the §3 congestion signals, and the victim-flow detector
 captures the collateral-damage flows §4.3 calls victims.
 
-Window shape (produced by ``TelemetrySession._poll``)::
+Window shape (produced by ``TelemetrySession._close_window``)::
 
     {
       "t_ns": <window end>, "interval_ns": <window length>,
@@ -29,10 +29,7 @@ Window shape (produced by ``TelemetrySession._poll``)::
 Detectors never reach into the simulator; replaying the same windows
 (``python -m repro.telemetry replay``) reproduces the same incidents.
 
-Relation to older modules: ``monitoring/incidents.py`` keeps its
-offline, snapshot-list based ``IncidentDetector``; the detectors here
-are the online equivalents that run *during* the simulation and cover
-more signal classes.  ``faults/invariants.py`` audits correctness
+Relation to other modules: ``faults/invariants.py`` audits correctness
 invariants (conservation, monotonicity) and raises on violation;
 telemetry detectors record operational pathologies without failing the
 run.

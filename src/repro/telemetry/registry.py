@@ -4,7 +4,7 @@ The registry is the passive half of the telemetry subsystem: it owns the
 metric objects and their declared metadata (unit, source module, paper
 counterpart) but never touches the simulator.  The active half --
 :mod:`repro.telemetry.session` -- feeds it from hot-path hooks and from
-the periodic poll timer, and the detectors/exporters read it back out.
+the periodic poll, and the detectors/exporters read it back out.
 
 Design notes
 ------------

@@ -3,9 +3,10 @@
 A :class:`TelemetrySession` binds one fabric to one metric registry plus
 the standard detector stack for the lifetime of a run:
 
-* a self-rearming :class:`~repro.sim.timer.Timer` polls every device's
-  counters each ``interval_ns`` (through the one device-counter reader
-  it shares with ``monitoring/counters.py``'s in-model collector);
+* an engine observer tick (:meth:`Simulator.observe_every
+  <repro.sim.engine.Simulator.observe_every>`) polls every device's
+  counters each ``interval_ns``, through the device-counter readers in
+  ``monitoring/counters.py``;
 * hot-path hooks (behind the :data:`repro.obs.TELEMETRY` gate) push the
   few signals polling cannot see -- pause-grant durations, ECN mark-time
   queue depths, headroom spills, CNP/NAK emission, DCQCN rate decreases,
@@ -16,14 +17,15 @@ the standard detector stack for the lifetime of a run:
   samples, events, incidents, summary) that the exporters in
   :mod:`repro.telemetry.export` serialize.
 
-Polling schedules real simulator events, so an *enabled* session does
-change a run's event-count fingerprint; the disabled path (no session)
-schedules nothing, which is what the telemetry-off bench guard pins.
+The poll is not a simulator event and the hooks only read, so an armed
+run is the dark run byte for byte -- same fingerprint, same
+``events_fired``, same ``seq`` on every event (the armed-vs-dark matrix
+in ``tests/test_obs.py`` pins it; the engine raises if a poll ever
+schedules or cancels).
 """
 
 from repro.monitoring.counters import GAUGES, host_counters, switch_counters
 from repro.obs import TELEMETRY as HUB
-from repro.sim.timer import Timer
 from repro.sim.units import MS
 from repro.telemetry.detectors import DetectorThresholds, build_detectors
 from repro.telemetry.registry import CATALOG, MetricRegistry
@@ -75,7 +77,7 @@ class TelemetrySession:
         self.registry = MetricRegistry(self.config.series_capacity)
         self.records = []
         self._prev = {}
-        self._timer = Timer(fabric.sim, self._poll, name="telemetry")
+        self._tick = None
         self._started = False
         self._stopped = False
         self._prev_t = None
@@ -104,6 +106,8 @@ class TelemetrySession:
         """Install as the hub's live session and begin polling."""
         if self._started:
             return self
+        if HUB.session is not None:
+            raise RuntimeError("a telemetry session is already active")
         self._started = True
         sim = self.fabric.sim
         self.records.append({
@@ -122,7 +126,7 @@ class TelemetrySession:
             device: values for device, _is_host, values in self._read_devices()
         }
         self._prev_t = sim.now
-        self._timer.start(self.config.interval_ns)
+        self._tick = sim.observe_every(self.config.interval_ns, self._close_window)
         HUB.session = self
         HUB.enabled = True
         return self
@@ -133,12 +137,12 @@ class TelemetrySession:
             self._stopped = True
             return self
         self._stopped = True
-        self._timer.cancel()
+        self._tick.cancel()
         if HUB.session is self:
             HUB.session = None
             HUB.enabled = False
         now = self.fabric.sim.now
-        self._close_window(now)  # capture the tail since the last poll
+        self._close_window()  # capture the tail since the last poll
         for detector in self.detectors:
             for incident in detector.finish(now):
                 if incident not in self.incidents:
@@ -168,10 +172,6 @@ class TelemetrySession:
 
     # -- polling -------------------------------------------------------------
 
-    def _poll(self):
-        self._close_window(self.fabric.sim.now)
-        self._timer.start(self.config.interval_ns)
-
     def _read_devices(self):
         """``(name, is_host, values)`` per device: cumulative counters +
         gauges as the shared reader returns them (a host is named by its
@@ -198,7 +198,9 @@ class TelemetrySession:
         "paused_pgs": "switch.paused_pgs",
     }
 
-    def _close_window(self, t_ns):
+    def _close_window(self):
+        """One poll: read every device, close the window since the last."""
+        t_ns = self.fabric.sim.now
         registry = self.registry
         window = {"t_ns": t_ns, "interval_ns": 0, "devices": {}}
         current = {}

@@ -4,7 +4,7 @@ One home for the generators that several suites were growing ad hoc:
 
 * :func:`sim_programs` / :func:`apply_sim_program` -- random scheduler
   programs (schedule / schedule1 / schedule0 / at / chain / cancel /
-  run / step) used by the engine ordering suite and anything else that
+  run / step / cut) used by the engine ordering suite and anything else that
   differentials the event engine.
 * :func:`buffer_ops` -- admit/release op streams for shared-buffer
   conservation properties.
@@ -77,6 +77,9 @@ def sim_program_ops():
         st.tuples(st.just("cancel"), st.integers(0, 10**6)),
         st.tuples(st.just("run"), st.integers(0, WINDOW_NS)),
         st.tuples(st.just("step"), st.just(0)),
+        # run(until=now + offset, max_events=n): a bounded run that the
+        # safety valve may cut short of its horizon.
+        st.tuples(st.just("cut"), st.integers(0, WINDOW_NS), st.integers(0, 4)),
     )
 
 
@@ -137,6 +140,9 @@ def apply_sim_program(sim, ops):
         elif kind == "step":
             sim.step()
             trace.append(("stepped", sim.now, sim.events_fired))
+        elif kind == "cut":
+            sim.run(until=sim.now + op[1], max_events=op[2])
+            trace.append(("cut", sim.now, sim.events_fired))
     sim.run_until_idle()
     return trace
 

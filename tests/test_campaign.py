@@ -349,3 +349,55 @@ class TestCampaignDeterminism:
             for line in open(entry["jsonl"])
         ]
         assert len(rows) == entry["rows"]
+
+
+class TestCampaignTelemetryCache:
+    """An armed run is the dark run plus its artifacts, so it fills and
+    hits the result cache like any other."""
+
+    SPEC = {
+        "name": "tel",
+        "targets": [{"experiment": "FAULTS", "ref": FAULT_REF, "seeds": [5, 6]}],
+    }
+
+    def _run(self, tmp_path, out, cache, telemetry):
+        report = _campaign(
+            tmp_path, self.SPEC, jobs=2, cache=cache, out=str(tmp_path / out),
+            telemetry=telemetry,
+        ).run()
+        assert report.all_ok and report.total == 2
+        return report
+
+    @staticmethod
+    def _files(directory):
+        return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+    def test_armed_rerun_is_all_hits_with_identical_artifacts(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        cold = self._run(tmp_path, "cold", cache, telemetry=True)
+        assert cold.cache_hits == 0
+        warm = self._run(tmp_path, "warm", cache, telemetry=True)
+        assert warm.cache_hits == 2
+        artifacts = self._files(tmp_path / "cold" / "telemetry")
+        assert sorted(artifacts) == [
+            "FAULTS-s5-0.telemetry.jsonl", "FAULTS-s6-0.telemetry.jsonl"]
+        assert self._files(tmp_path / "warm" / "telemetry") == artifacts
+        assert self._files(tmp_path / "warm" / "runs") == self._files(
+            tmp_path / "cold" / "runs")
+
+    def test_dark_and_armed_entries_are_told_apart(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        self._run(tmp_path, "dark", cache, telemetry=False)
+        # A dark-filled entry carries no sessions: an armed run re-runs
+        # (and overwrites it) ...
+        armed = self._run(tmp_path, "armed", cache, telemetry=True)
+        assert armed.cache_hits == 0
+        assert (tmp_path / "armed" / "telemetry").is_dir()
+        # ... and reads the rows the dark run read.
+        assert self._files(tmp_path / "armed" / "runs") == self._files(
+            tmp_path / "dark" / "runs")
+        # A dark hit on the armed-filled entry writes no telemetry.
+        dark_again = self._run(tmp_path, "dark2", cache, telemetry=False)
+        assert dark_again.cache_hits == 2
+        assert not (tmp_path / "dark2" / "telemetry").exists()
+        assert "telemetry" not in dark_again.manifest["runs"]["FAULTS-s5"]

@@ -13,7 +13,7 @@ sequences and agree on ``now``, ``events_fired`` and ``pending``.
 `ReferenceSimulator` below is a minimal transliteration of the seed
 heapq engine (lazy cancellation, FIFO tie-break by sequence number,
 inclusive ``run(until=...)`` horizon, clock advanced to the horizon when
-idle).  It has no pooled path: the programs' ``sched1`` / ``sched0`` ops
+nothing live at or before it is left).  It has no pooled path: the programs' ``sched1`` / ``sched0`` ops
 reach it as plain ``schedule``.
 """
 
@@ -21,6 +21,7 @@ import heapq
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.sim.engine import SimulationError
@@ -117,7 +118,11 @@ class ReferenceSimulator:
             fn(*args)
             fired += 1
         if until is not None and self._now < until:
-            self._now = until
+            # Only an idle run reaches its horizon: one that max_events
+            # cut short leaves the clock at the last event it fired.
+            live = [entry[0] for entry in self._queue if not entry[2].cancelled]
+            if not live or min(live) > until:
+                self._now = until
         return fired
 
     def run_until_idle(self, max_events=None):
@@ -266,3 +271,138 @@ def test_pooled_negative_delay_rejected(schedule):
     assert sim.pending == 0
     sim.run_until_idle()
     assert sim.now == 10
+
+
+# -- the observer tick --------------------------------------------------------
+# Simulator.observe_every: a periodic reader outside the event queue.  The
+# contract is that it is invisible to the run -- same events, same order,
+# same seq numbers, same clock -- and that each tick reads a settled
+# instant: everything at or before its boundary has fired, nothing after.
+
+
+def _observed(ops, interval_ns, cancel_after=None):
+    """Apply ``ops`` to a Simulator carrying one observer; returns the
+    sim, the trace and the boundaries it ticked.  The observer checks its
+    own instant; ``cancel_after`` cancels it from inside the n-th tick."""
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        boundary = interval_ns * (len(ticks) + 1)
+        assert sim.now == boundary, "ticks fire once each, in boundary order"
+        live = [time for time, _seq, event in sim._heap if not event.cancelled]
+        assert all(time > boundary for time in live), "an event <= B is still queued"
+        ticks.append(boundary)
+        if len(ticks) == cancel_after:
+            observer.cancel()
+
+    observer = sim.observe_every(interval_ns, tick)
+    trace = _apply_program(sim, ops)
+    return sim, trace, ticks
+
+
+def _assert_invisible(ops, interval_ns):
+    dark = Simulator()
+    dark_trace = _apply_program(dark, ops)
+    sim, trace, ticks = _observed(ops, interval_ns)
+    assert trace == dark_trace  # event order, and now/events_fired per run
+    assert (sim.now, sim.events_fired, sim.pending, sim._seq) == (
+        dark.now, dark.events_fired, dark.pending, dark._seq)
+    # Every boundary the clock passed was ticked, none beyond it; one the
+    # final unbounded run came to rest on exactly waits for the next run.
+    assert len(ticks) >= (sim.now - 1) // interval_ns
+    assert not ticks or ticks[-1] <= sim.now
+    return ticks
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=sim_programs(), interval_ns=st.integers(500, 2 * _WINDOW_NS))
+def test_an_observer_is_invisible_to_the_run(ops, interval_ns):
+    _assert_invisible(ops, interval_ns)
+
+
+@pytest.mark.parametrize(
+    "ops, ticked",
+    [
+        # Events exactly on a boundary fire before its tick, including one
+        # a same-instant callback schedules with delay 0.
+        ([("sched", 100), ("chain", 100, 0), ("run", 250)], [100, 200]),
+        # A run ending exactly on a boundary ticks it; idle boundaries tick.
+        ([("run", 100), ("run", 100), ("run", 99)], [100, 200]),
+        # max_events cuts the run before the boundary: the clock stays at
+        # 60, and the closing idle run (event at 90) never gets to 100.
+        ([("sched", 60), ("sched", 90), ("cut", 300, 1)], []),
+        # ... and a cut with nothing left before the horizon reaches it;
+        # the closing idle run then crosses 400..800 on its way to 900.
+        ([("sched", 60), ("sched", 900), ("cut", 300, 1)],
+         [100, 200, 300, 400, 500, 600, 700, 800]),
+        # step() crosses boundaries only with the event that carries the
+        # clock past them.
+        ([("sched", 250), ("step", 0)], [100, 200]),
+    ],
+)
+def test_observer_boundaries_pinned(ops, ticked):
+    # Hypothesis rarely lands an event or a horizon on a boundary.
+    assert _assert_invisible(ops, 100) == ticked
+
+
+def test_observer_never_keeps_an_idle_run_alive():
+    sim = Simulator()
+    ticks = []
+    sim.observe_every(10, lambda: ticks.append(sim.now))
+    sim.schedule(35, lambda: None)
+    assert sim.run_until_idle() == 1
+    assert (sim.now, sim.pending, ticks) == (35, 0, [10, 20, 30])
+    assert sim.run_until_idle() == 0 and sim.now == 35
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda sim, event: sim.schedule(1, lambda: None),
+        lambda sim, event: sim.schedule0(0, lambda: None),
+        lambda sim, event: event.cancel(),
+    ],
+    ids=["schedule", "schedule0", "cancel"],
+)
+def test_observer_that_schedules_or_cancels_raises(perturb):
+    sim = Simulator()
+    event = sim.schedule(1000, lambda: None)
+    sim.observe_every(10, lambda: perturb(sim, event))
+    with pytest.raises(SimulationError, match="observer"):
+        sim.run(until=100)
+
+
+def test_observer_cancel_mid_run_stops_further_ticks():
+    ops = [("sched", 50 * k) for k in range(1, 20)] + [("run", 2000)]
+    sim, _trace, ticks = _observed(ops, 100, cancel_after=3)
+    assert ticks == [100, 200, 300]
+    assert sim.now == 2000 and sim._observers == []
+
+
+def test_observer_cancelled_from_an_event_stops_at_once():
+    sim = Simulator()
+    ticks = []
+    observer = sim.observe_every(100, lambda: ticks.append(sim.now))
+    sim.schedule(250, observer.cancel)
+    sim.run(until=1000)
+    observer.cancel()  # idempotent
+    assert ticks == [100, 200]
+
+
+def test_observers_share_a_boundary_in_registration_order():
+    sim = Simulator()
+    ticks = []
+    sim.observe_every(20, lambda: ticks.append(("a", sim.now)))
+    sim.observe_every(30, lambda: ticks.append(("b", sim.now)))
+    sim.run(until=60)
+    assert ticks == [("a", 20), ("b", 30), ("a", 40), ("a", 60), ("b", 60)]
+
+
+def test_observer_registration_is_checked():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.observe_every(0, lambda: None)
+    sim.schedule(5, sim.observe_every, 10, lambda: None)
+    with pytest.raises(SimulationError, match="inside run"):
+        sim.run_until_idle()

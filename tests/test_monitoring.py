@@ -1,12 +1,12 @@
-"""Tests for monitoring: counters, config drift, pingmesh, incidents."""
+"""Tests for monitoring: config drift, pingmesh, and the paper's counter
+collection and pause-storm diagnosis as the telemetry session runs them."""
 
 import pytest
 
+from repro import telemetry
 from repro.monitoring import (
     ConfigMonitor,
-    CounterCollector,
     DesiredConfig,
-    IncidentDetector,
     Pingmesh,
     read_probe_jsonl,
     summarize_probe_records,
@@ -18,8 +18,17 @@ from repro.sim import SeededRng
 from repro.sim.units import KB, MB, MS, US
 from repro.switch.buffer import BufferConfig
 from repro.switch.pfc import PfcConfig
+from repro.telemetry import TelemetrySession
 from repro.topo import single_switch
 from repro.workloads import ClosedLoopSender, RdmaChannel
+
+
+@pytest.fixture(autouse=True)
+def _hub_hygiene():
+    """Hand-started sessions retire into the hub; leave it empty."""
+    yield
+    telemetry.disarm()
+    telemetry.drain()
 
 
 def desired():
@@ -62,33 +71,23 @@ class TestConfigMonitor:
         assert ConfigMonitor(config).check_fabric(topo.fabric) == []
 
 
-class TestCounterCollector:
-    def test_collects_series(self):
+class TestCounterCollection:
+    """Section 5: counters polled from every switch and server."""
+
+    def test_session_collects_nondecreasing_series(self):
         topo = single_switch(n_hosts=2).boot()
-        collector = CounterCollector(topo.sim, topo.fabric, interval_ns=1 * MS).start()
+        session = TelemetrySession(topo.fabric).start()
         rng = SeededRng(1, "cc")
         qp, _ = connect_qp_pair(topo.hosts[0], topo.hosts[1], rng)
         post_send(qp, 1 * MB)
         topo.sim.run(until=topo.sim.now + 5 * MS)
-        collector.stop()
-        series = collector.series("T0", "rx_bytes")
+        session.stop()
+        series = session.registry.series("port.rx_bytes", "T0").items()
         assert len(series) >= 4
-        assert series[-1][1] > 0
-
-    def test_rate_series_deltas(self):
-        topo = single_switch(n_hosts=2).boot()
-        collector = CounterCollector(topo.sim, topo.fabric, interval_ns=1 * MS).start()
-        topo.sim.run(until=topo.sim.now + 3 * MS)
-        deltas = collector.rate_series("T0", "rx_bytes")
-        assert all(d >= 0 for _, d in deltas)
-
-    def test_devices_cover_switches_and_hosts(self):
-        topo = single_switch(n_hosts=2).boot()
-        collector = CounterCollector(topo.sim, topo.fabric, interval_ns=1 * MS).start()
-        topo.sim.run(until=topo.sim.now + 1 * MS)
-        devices = collector.devices()
-        assert "T0" in devices
-        assert "S0" in devices
+        values = [value for _t_ns, value in series]
+        assert values == sorted(values) and values[-1] > 0
+        sampled = {r["device"] for r in session.records if r["type"] == "sample"}
+        assert {"T0", "S0.nic", "S1.nic"} <= sampled
 
 
 class TestPingmesh:
@@ -194,96 +193,30 @@ class TestPingmeshSummary:
         )
 
 
-class _StubSnapshot:
-    def __init__(self, device, t_ns, values):
-        self.device = device
-        self.t_ns = t_ns
-        self.values = values
+class TestPauseStormDiagnosis:
+    """Section 6.2: "trace down the origin of the PFC pause frames to a
+    single server".  (Window, min-windows, still-open-at-finish and
+    host-before-switch semantics are pinned on ``PauseStormDetector`` in
+    tests/test_telemetry.py.)"""
 
-
-class _StubCollector:
-    """Minimal CounterCollector stand-in: canned rate series."""
-
-    def __init__(self, rates, server_devices=()):
-        # rates: {device: [(t_ns, delta), ...]} applied to both metrics
-        self._rates = rates
-        self.snapshots = [
-            _StubSnapshot(
-                device,
-                series[-1][0],
-                {"rx_processed": 0} if device in server_devices else {},
-            )
-            for device, series in rates.items()
-        ]
-
-    def devices(self):
-        return sorted(self._rates)
-
-    def rate_series(self, device, metric):
-        return self._rates[device]
-
-
-class TestIncidentDetectorWindows:
-    def test_window_boundaries_and_peak(self):
-        collector = _StubCollector(
-            {"T0": [(1, 0), (2, 9), (3, 12), (4, 0), (5, 0)]}
-        )
-        detector = IncidentDetector(collector, pause_rate_threshold=5)
-        storms = detector.pause_storms()
-        assert len(storms) == 1
-        storm = storms[0]
-        assert (storm.start_ns, storm.end_ns) == (2, 4)
-        assert storm.peak_rate == 12
-        assert storm.metric == "pause_rx"
-
-    def test_still_open_storm_closes_at_last_snapshot(self):
-        collector = _StubCollector({"T0": [(1, 0), (2, 9), (3, 9)]})
-        detector = IncidentDetector(collector, pause_rate_threshold=5)
-        (storm,) = detector.pause_storms()
-        assert storm.end_ns == 3
-
-    def test_trace_origin_prefers_servers_over_switches(self):
-        # The paper's diagnosis: switches relay and amplify pauses, so a
-        # storming *server* is the origin even when a switch peaks higher.
-        collector = _StubCollector(
-            {
-                "T0": [(1, 50), (2, 50)],
-                "H0": [(1, 10), (2, 10)],
-            },
-            server_devices={"H0"},
-        )
-        detector = IncidentDetector(collector, pause_rate_threshold=5)
-        assert detector.trace_origin() == "H0"
-
-    def test_trace_origin_falls_back_to_peak_switch(self):
-        collector = _StubCollector(
-            {"T0": [(1, 50)], "T1": [(1, 80)], "H0": [(1, 0)]},
-            server_devices={"H0"},
-        )
-        detector = IncidentDetector(collector, pause_rate_threshold=5)
-        assert detector.trace_origin() == "T1"
-
-
-class TestIncidentDetector:
     def test_traces_storm_to_origin(self):
         topo = single_switch(n_hosts=3, buffer_config=BufferConfig(
             alpha=None, xoff_static_bytes=48 * KB)).boot()
-        collector = CounterCollector(topo.sim, topo.fabric, interval_ns=1 * MS).start()
+        session = TelemetrySession(topo.fabric).start()
         victim = topo.hosts[0]
         victim.nic.break_rx_pipeline()
         rng = SeededRng(5, "storm")
         qp, _ = connect_qp_pair(topo.hosts[1], victim, rng)
         ClosedLoopSender(RdmaChannel(qp), 1 * MB).start()
         topo.sim.run(until=topo.sim.now + 20 * MS)
-        collector.stop()
-        detector = IncidentDetector(collector, pause_rate_threshold=3)
-        assert detector.trace_origin() == victim.name
-        assert detector.pause_sources()
+        session.stop()
+        storms = [i for i in session.incidents if i.kind == "pause_storm"]
+        assert [i.device for i in storms] == [victim.nic.name]
+        assert storms[0].details["is_host"] and storms[0].severity == "critical"
 
     def test_quiet_fabric_has_no_incidents(self):
         topo = single_switch(n_hosts=2).boot()
-        collector = CounterCollector(topo.sim, topo.fabric, interval_ns=1 * MS).start()
+        session = TelemetrySession(topo.fabric).start()
         topo.sim.run(until=topo.sim.now + 5 * MS)
-        detector = IncidentDetector(collector, pause_rate_threshold=3)
-        assert detector.pause_storms() == []
-        assert detector.trace_origin() is None
+        session.stop()
+        assert session.incidents == []

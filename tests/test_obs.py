@@ -2,7 +2,8 @@
 
 1. **Hub contract** -- one class, parametrised over both hubs: the
    arm / maybe_attach / disarm / drain lifecycle, and a completion
-   callback that disarms the plane mid-run.
+   callback that disarms the plane mid-run, a second hand-started
+   session refused.
 2. **Reader robustness** -- every byte-prefix truncation of a real
    artifact reads as a shorter record list or raises ``ArtifactError``;
    every artifact-reading subcommand answers bad input with exit status
@@ -10,7 +11,12 @@
 3. **Collect path** -- the experiments CLI feeds both planes in one run.
 4. **Dark imports** -- the module sets perfbench's workloads import
    load neither plane nor ``networkx``.
+5. **Armed == dark** -- every fast pinned scenario, inside either hub's
+   ``collect`` and inside both, reproduces its ``BASELINE.json``
+   fingerprint and event count (CI's armed-path gate runs the slow ones).
 """
+
+import contextlib
 
 import subprocess
 import sys
@@ -19,12 +25,17 @@ import pytest
 
 from repro import SeededRng, connect_qp_pair, post_send, single_switch
 from repro.artifact import ArtifactError, read_jsonl, write_jsonl
+from repro.bench.harness import load_baseline
+from repro.bench.scenarios import SCENARIOS
 from repro.experiments import __main__ as experiments_cli
 from repro.experiments.catalog import CATALOG, CatalogEntry
 from repro.experiments.common import ExperimentResult
 from repro.obs import HUBS, TELEMETRY, TRACE
+from repro.telemetry import TelemetrySession
 from repro.telemetry import __main__ as telemetry_cli
+from repro.tracing import TraceSession
 from repro.tracing import __main__ as tracing_cli
+from tests.test_bench import BASELINE_PATH, FAST_SCENARIOS
 
 MS = 1_000_000
 
@@ -109,6 +120,18 @@ class TestHubContract:
         _send()
         assert all(each.enabled for each in HUBS)
         assert [len(each.drain()) for each in HUBS] == [1, 1]
+
+    def test_a_second_hand_started_session_is_refused(self, hub):
+        # maybe_attach stops the previous session first; a session started
+        # by hand beside a live one would steal its hooks silently.
+        new_session = {TELEMETRY: TelemetrySession, TRACE: TraceSession}[hub]
+        live = new_session(single_switch(n_hosts=2).boot().fabric).start()
+        other = new_session(single_switch(n_hosts=2).boot().fabric)
+        with pytest.raises(RuntimeError, match="already active"):
+            other.start()
+        assert hub.session is live
+        live.stop()
+        assert hub.completed == [live]
 
     def test_callback_that_disarms_lets_the_run_finish(self, hub, tmp_path):
         # A probe pair brackets the receive handler; the handler runs the
@@ -298,3 +321,19 @@ def test_a_dark_run_imports_no_plane(modules):
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+# -- 5. armed == dark --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "armed", [(TELEMETRY,), (TRACE,), HUBS],
+    ids=lambda hubs: "+".join(each.name for each in hubs))
+@pytest.mark.parametrize("name", FAST_SCENARIOS)
+def test_an_armed_run_is_the_dark_run(name, armed):
+    pinned = load_baseline(BASELINE_PATH)["scenarios"][name]
+    with contextlib.ExitStack() as stack:
+        for each in armed:
+            stack.enter_context(each.collect("armed:%s" % name))
+        run = SCENARIOS[name].run(seed=1)
+    assert (run.fingerprint, run.events) == (pinned["fingerprint"], pinned["events"])

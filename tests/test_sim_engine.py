@@ -129,6 +129,31 @@ def test_max_events_stops_runaway_loop():
     assert fired == 1000
 
 
+def test_run_cut_by_max_events_does_not_pass_pending_events():
+    # A bounded run that max_events cut short must leave the clock at the
+    # last event it fired: advancing to the horizon would strand the
+    # t=20 event in the past and order a later schedule(0) after it.
+    sim = Simulator()
+    seen = []
+    sim.at(10, lambda: seen.append(sim.now))
+    sim.at(20, lambda: seen.append(sim.now))
+    assert sim.run(until=100, max_events=1) == 1
+    assert sim.now == 10
+    sim.schedule(0, lambda: seen.append(("late", sim.now)))
+    sim.run_until_idle()
+    assert seen == [10, ("late", 10), 20]
+
+
+def test_run_cut_by_max_events_reaches_the_horizon_when_idle_before_it():
+    sim = Simulator()
+    sim.at(10, lambda: None)
+    cancelled = sim.at(50, lambda: None)
+    sim.at(200, lambda: None)
+    cancelled.cancel()
+    assert sim.run(until=100, max_events=1) == 1
+    assert sim.now == 100  # nothing live at or before the horizon is left
+
+
 def test_step_fires_single_event():
     sim = Simulator()
     fired = []
