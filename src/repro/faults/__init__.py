@@ -21,6 +21,7 @@ from repro.faults.invariants import (
     InvariantViolation,
     LosslessQueueAgeAuditor,
     NicRxConservationAuditor,
+    NicTxReadyAuditor,
     PauseProgressAuditor,
     PsnMonotonicityAuditor,
     Violation,
@@ -50,6 +51,7 @@ __all__ = [
     "LosslessQueueAgeAuditor",
     "MATCHERS",
     "NicRxConservationAuditor",
+    "NicTxReadyAuditor",
     "PauseProgressAuditor",
     "PsnMonotonicityAuditor",
     "ScenarioOutcome",

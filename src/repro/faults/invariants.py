@@ -27,6 +27,7 @@ from repro.sim.units import MS, US, fmt_time
 CONSERVATION_INVARIANTS = (
     "buffer-conservation",
     "nic-rx-conservation",
+    "nic-tx-ready",
     "psn-monotonic",
 )
 
@@ -146,6 +147,32 @@ class NicRxConservationAuditor:
                 self.nic.name,
                 "rx occupancy %dB outside buffer of %dB"
                 % (claimed, self.nic.config.rx_buffer_bytes),
+            )
+
+
+class NicTxReadyAuditor:
+    """No wake-up is lost: a registered source with work to send is in
+    its NIC's ready set.
+
+    The NIC's transmit scheduler probes only the ready set; a source
+    enters it by calling ``notify_tx_ready`` when it gains work.  One
+    that becomes ready without notifying is never looked at again, and
+    its traffic hangs with every counter at rest -- so the auditor asks
+    each source directly.  (A dead NIC does not transmit, but keeps its
+    ready set for the repair; it is checked all the same.)
+    """
+
+    invariant = "nic-tx-ready"
+
+    def __init__(self, nic):
+        self.nic = nic
+
+    def audit(self, now, report):
+        for source in self.nic.audit_tx_ready():
+            report(
+                self.nic.name,
+                "%r can send but is not in the ready set (a missing "
+                "notify_tx_ready)" % (source,),
             )
 
 
@@ -407,8 +434,9 @@ def install_default_auditors(
     """An :class:`AuditorRegistry` covering every device in ``fabric``.
 
     Registers buffer conservation + pause liveness + queue age on every
-    switch, rx-buffer conservation + pause liveness + queue age on every
-    NIC, and fabric-wide PSN monotonicity.  Call ``.start()`` on the
+    switch, rx-buffer conservation + tx ready-set completeness + pause
+    liveness + queue age on every NIC, and fabric-wide PSN
+    monotonicity.  Call ``.start()`` on the
     returned registry (not started automatically so tests can also drive
     ``audit_now`` by hand).
     """
@@ -419,6 +447,7 @@ def install_default_auditors(
         registry.register(LosslessQueueAgeAuditor(switch, max_age_ns=max_age_ns))
     for host in fabric.hosts:
         registry.register(NicRxConservationAuditor(host.nic))
+        registry.register(NicTxReadyAuditor(host.nic))
         registry.register(PauseProgressAuditor(host.nic, max_stall_ns=max_stall_ns))
         registry.register(LosslessQueueAgeAuditor(host.nic, max_age_ns=max_age_ns))
     registry.register(PsnMonotonicityAuditor(fabric))

@@ -91,19 +91,17 @@ class Host:
         self.boot()
 
     def _dispatch(self, packet):
-        if packet.is_arp:
-            handler = self._handlers.get("arp")
-            if handler is not None:
-                handler(packet)
-            return
-        if packet.is_rocev2:
-            handler = self._handlers.get("rocev2")
-        elif packet.is_tcp:
-            handler = self._handlers.get("tcp")
+        if packet.bth is not None:
+            kind = "rocev2"
+        elif packet.tcp is not None:
+            kind = "tcp"
+        elif packet.arp is not None:
+            kind = "arp"
         elif packet.udp is not None:
-            handler = self._handlers.get("raw-udp")
+            kind = "raw-udp"
         else:
-            handler = None
+            return
+        handler = self._handlers.get(kind)
         if handler is not None:
             handler(packet)
 

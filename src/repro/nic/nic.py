@@ -24,9 +24,13 @@ Transmit side
     scheduler pulls one packet at a time from whichever source is ready
     (its pacing gate open), keeping the port queue shallow so that PFC
     pause back-pressures the sources rather than an unbounded queue.
+    The scheduler does not poll: it keeps the *ready set*, the sources
+    that may have work, and a source tells it when it gains some
+    (:meth:`Nic.notify_tx_ready`).
 """
 
 import collections
+from bisect import bisect_left, insort
 
 from repro.packets.packet import Packet, resolve_priority
 from repro.packets.pause import MAX_QUANTA, PfcPauseFrame, pause_quanta_to_ns
@@ -130,8 +134,12 @@ class Nic(Device):
         self._watchdog = Timer(sim, self._watchdog_poll, name="%s.wdog" % name)
         if config.watchdog_config.enabled:
             self._watchdog.start(config.watchdog_config.poll_interval_ns)
-        # Transmit scheduling.
+        # Transmit scheduling.  ``_sources[slot]`` in registration order;
+        # ``_ready`` is the ascending list of slots that may have work, a
+        # superset of those whose next_ready_ns() is not None.
         self._sources = []
+        self._slot_of = {}
+        self._ready = []
         self._rr_index = 0
         # The NIC assigns IP IDs sequentially from a device-global counter
         # (section 4.1 exploits this: dropping IDs ending 0xff gives a
@@ -166,6 +174,10 @@ class Nic(Device):
         self._stalled_since = None
         self._release_pause()
         self._process_next()
+        # The transmit side was stopped too.  The resume frame above
+        # restarted the port; work the sources were handed while the
+        # pump refused to run is picked up here.
+        self._pump_tx()
 
     def die(self):
         """The server goes completely silent (dead host in the deadlock
@@ -189,6 +201,17 @@ class Nic(Device):
         The invariant auditors assert these never diverge."""
         return self._rx_bytes, sum(p.size_bytes for p in self._rx_queue)
 
+    def audit_tx_ready(self):
+        """Registered sources that could send but are missing from the
+        ready set: lost wake-ups.  The invariant auditors assert there
+        are none."""
+        ready = self._ready
+        return [
+            source
+            for slot, source in enumerate(self._sources)
+            if slot not in ready and source.next_ready_ns() is not None
+        ]
+
     # -- receive path ------------------------------------------------------------
 
     def handle_packet(self, port, packet):
@@ -202,11 +225,12 @@ class Nic(Device):
         if self._dead:
             self.stats.rx_dropped_dead += 1
             return
-        if packet.is_pause:
-            port.receive_pause(packet.pause)
+        pause = packet.pause
+        if pause is not None:
+            port.receive_pause(pause)
             self._pump_tx()
             return
-        if packet.is_arp:
+        if packet.arp is not None:
             if self.rx_handler is not None:
                 self.rx_handler(packet)
             return
@@ -215,7 +239,9 @@ class Nic(Device):
             # MAC does not match").
             self.stats.rx_dropped_mac += 1
             return
-        if self._rx_bytes + packet.size_bytes > self.config.rx_buffer_bytes:
+        config = self.config
+        occupancy = self._rx_bytes + packet.size_bytes
+        if occupancy > config.rx_buffer_bytes:
             # Receive buffer overrun: with working PFC this only happens
             # when pause generation has been watchdog-disabled.
             self.stats.rx_dropped_buffer += 1
@@ -223,18 +249,20 @@ class Nic(Device):
                 _TRACE.session.on_nic_rx_drop(self, packet, "buffer")
             return
         self._rx_queue.append(packet)
-        self._rx_bytes += packet.size_bytes
+        self._rx_bytes = occupancy
         if _TRACE.enabled:
             _TRACE.session.on_nic_rx(self, packet)
-        self._check_xoff()
-        self._process_next()
+        if not self._rx_paused_upstream and occupancy > config.rx_xoff_bytes:
+            self._assert_pause()
+        if not self._rx_busy:
+            self._process_next()
 
     def _process_next(self):
         if self._rx_busy or self._pipeline_broken or not self._rx_queue:
             return
         packet = self._rx_queue[0]
         service_ns = self.config.rx_base_ns_per_packet
-        if self.mtt is not None and packet.is_rocev2 and packet.payload_bytes:
+        if self.mtt is not None and packet.bth is not None and packet.payload_bytes:
             stall = self.mtt.touch(self._rx_vaddr(packet), packet.payload_bytes)
             self.stats.mtt_stall_ns += stall
             service_ns += stall
@@ -248,14 +276,20 @@ class Nic(Device):
         packet = self._rx_queue.popleft()
         self._rx_bytes -= packet.size_bytes
         self.stats.rx_processed += 1
-        self._check_xon()
+        if (
+            self._rx_paused_upstream
+            and not self._pipeline_broken
+            and self._rx_bytes <= self.config.rx_xon_bytes
+        ):
+            self._release_pause()
         if _TRACE.enabled:
             _TRACE.session.on_nic_rx_done(self, packet)
         if self.rx_handler is not None:
             self.rx_handler(packet)
         if _TRACE.enabled:
             _TRACE.session.on_nic_rx_dispatched(self)
-        self._process_next()
+        if self._rx_queue:
+            self._process_next()
 
     def _rx_vaddr(self, packet):
         """Synthetic receive-buffer address for the MTT access pattern:
@@ -268,18 +302,6 @@ class Nic(Device):
         return base + offset
 
     # -- PFC generation ------------------------------------------------------------
-
-    def _check_xoff(self):
-        if not self._rx_paused_upstream and self._rx_bytes > self.config.rx_xoff_bytes:
-            self._assert_pause()
-
-    def _check_xon(self):
-        if (
-            self._rx_paused_upstream
-            and not self._pipeline_broken
-            and self._rx_bytes <= self.config.rx_xon_bytes
-        ):
-            self._release_pause()
 
     def _assert_pause(self):
         if self.pause_generation_disabled:
@@ -367,46 +389,108 @@ class Nic(Device):
         A source exposes ``next_ready_ns()`` (absolute time it could send
         next, or ``None`` when idle) and ``pull()`` returning
         ``(packet, priority)``.
+
+        The scheduler does not poll idle sources.  A source is probed
+        from registration until it first answers ``None``; after that it
+        is probed again only once it has called
+        ``notify_tx_ready(source)``, which it owes the NIC whenever
+        something other than its own ``pull()`` may have turned its
+        ``next_ready_ns()`` from ``None`` into a time (work posted, an
+        ACK opening the window, a retransmission timer rewinding it).
+        Notifying too often costs one probe; not notifying strands the
+        work (:class:`~repro.faults.invariants.NicTxReadyAuditor`).
         """
+        if source in self._slot_of:
+            raise ValueError("source registered twice: %r" % (source,))
+        self._slot_of[source] = len(self._sources)
         self._sources.append(source)
-        self._pump_tx()
+        self.notify_tx_ready(source)
 
     def unregister_source(self, source):
-        """Remove a previously registered packet source (no-op if absent)."""
-        if source in self._sources:
-            self._sources.remove(source)
+        """Remove a previously registered packet source (no-op if absent).
 
-    def notify_tx_ready(self):
-        """Called by sources when new work arrives."""
+        Later sources move down one slot; the round-robin pointer and
+        the ready set follow them, so whoever was next in turn still is.
+        """
+        slot = self._slot_of.pop(source, None)
+        if slot is None:
+            return
+        del self._sources[slot]
+        for later in self._sources[slot:]:
+            self._slot_of[later] -= 1
+        self._ready[:] = [s - (s > slot) for s in self._ready if s != slot]
+        if self._rr_index > slot:
+            self._rr_index -= 1
+        if self._rr_index >= len(self._sources):
+            self._rr_index = 0
+
+    def notify_tx_ready(self, source):
+        """Called by ``source`` when it may have gained work to send (see
+        :meth:`register_source`); ignored from a source not registered."""
+        slot = self._slot_of.get(source)
+        if slot is None:
+            return
+        if slot not in self._ready:
+            insort(self._ready, slot)
         self._pump_tx()
 
-    def _tx_queue_has_room(self):
-        return self.port.total_queued_packets < self.config.tx_queue_target_packets
-
     def _pump_tx(self):
-        if self._dead or not self._sources:
+        """Fill the port queue up to its target depth, one packet from
+        one source at a time.
+
+        Arbitration is a round-robin poll of every source from
+        ``_rr_index``: the first whose ready time has come is pulled and
+        the pointer moves past it; if none has, the tx timer is armed at
+        the earliest future ready time.  Only members of the ready set
+        are actually probed -- any other source would answer ``None``
+        and be stepped over -- and one that answers ``None`` leaves it.
+        """
+        ready = self._ready
+        if self._dead or not ready:
             return
-        while self._tx_queue_has_room():
+        port = self.port
+        sources = self._sources
+        while port.total_queued_packets < self.config.tx_queue_target_packets:
             now = self.sim.now
             earliest_future = None
             pulled = False
-            n = len(self._sources)
-            for step in range(n):
-                source = self._sources[(self._rr_index + step) % n]
-                ready = source.next_ready_ns()
-                if ready is None:
-                    continue
-                if ready <= now:
-                    self._rr_index = (self._rr_index + step + 1) % n
-                    packet, priority = source.pull()
-                    if packet is None:
-                        continue
-                    self.stats.tx_packets += 1
-                    self.port.enqueue(packet, priority)
-                    pulled = True
+            done_steps = 0
+            while True:
+                base = self._rr_index
+                split = bisect_left(ready, base)
+                # A copy: enqueue() below re-enters this method through
+                # the port's dequeue callback, and idle sources leave
+                # mid-walk.
+                order = ready[split:] + ready[:split]
+                if done_steps:
+                    n = len(sources)
+                    order = [s for s in order if (s - base) % n >= done_steps]
+                for slot in order:
+                    source = sources[slot]
+                    ready_ns = source.next_ready_ns()
+                    if ready_ns is None:
+                        ready.remove(slot)
+                    elif ready_ns <= now:
+                        self._rr_index = (slot + 1) % len(sources)
+                        packet, priority = source.pull()
+                        if packet is not None:
+                            self.stats.tx_packets += 1
+                            port.enqueue(packet, priority)
+                            pulled = True
+                        break
+                    elif earliest_future is None or ready_ns < earliest_future:
+                        earliest_future = ready_ns
+                else:
                     break
-                if earliest_future is None or ready < earliest_future:
-                    earliest_future = ready
+                if pulled:
+                    break
+                # pull() had nothing after all (a TCP retransmission that
+                # was acked while it waited).  The poll this walk stands
+                # for reads _rr_index afresh at every step: having moved
+                # it at step k, it goes on at step k + 1 *from the new
+                # pointer*, so it steps over k + 1 sources and ends by
+                # looking at the first k + 1 a second time.
+                done_steps = (slot - base) % len(sources) + 1
             if not pulled:
                 if earliest_future is not None:
                     self._tx_timer.start_at(earliest_future)

@@ -22,7 +22,14 @@ Simulator conveniences, documented deviations from the IB spec:
 """
 
 from repro.packets.ethernet import VlanTag
-from repro.packets.ip import ECN_ECT0, ECN_NOT_ECT, IPV4_HEADER_BYTES, Ipv4Header
+from repro.packets.ip import (
+    ECN_CE,
+    ECN_ECT0,
+    ECN_NOT_ECT,
+    IPPROTO_UDP,
+    IPV4_HEADER_BYTES,
+    Ipv4Header,
+)
 from repro.packets.packet import Packet
 from repro.packets.rocev2 import (
     AETH_BYTES,
@@ -211,20 +218,19 @@ class QpStats:
         self.stale_naks_discarded = 0
 
 
-_OPCODES = {
-    ("send", "only"): BthOpcode.SEND_ONLY,
-    ("send", "first"): BthOpcode.SEND_FIRST,
-    ("send", "middle"): BthOpcode.SEND_MIDDLE,
-    ("send", "last"): BthOpcode.SEND_LAST,
-    ("write", "only"): BthOpcode.RDMA_WRITE_ONLY,
-    ("write", "first"): BthOpcode.RDMA_WRITE_FIRST,
-    ("write", "middle"): BthOpcode.RDMA_WRITE_MIDDLE,
-    ("write", "last"): BthOpcode.RDMA_WRITE_LAST,
-    ("read_response", "only"): BthOpcode.RDMA_READ_RESPONSE_ONLY,
-    ("read_response", "first"): BthOpcode.RDMA_READ_RESPONSE_FIRST,
-    ("read_response", "middle"): BthOpcode.RDMA_READ_RESPONSE_MIDDLE,
-    ("read_response", "last"): BthOpcode.RDMA_READ_RESPONSE_LAST,
-}
+# Segment opcodes, indexed [is_first][is_last] (middle, last / first, only).
+_SEND_OPCODES = (
+    (BthOpcode.SEND_MIDDLE, BthOpcode.SEND_LAST),
+    (BthOpcode.SEND_FIRST, BthOpcode.SEND_ONLY),
+)
+_WRITE_OPCODES = (
+    (BthOpcode.RDMA_WRITE_MIDDLE, BthOpcode.RDMA_WRITE_LAST),
+    (BthOpcode.RDMA_WRITE_FIRST, BthOpcode.RDMA_WRITE_ONLY),
+)
+_READ_RESPONSE_OPCODES = (
+    (BthOpcode.RDMA_READ_RESPONSE_MIDDLE, BthOpcode.RDMA_READ_RESPONSE_LAST),
+    (BthOpcode.RDMA_READ_RESPONSE_FIRST, BthOpcode.RDMA_READ_RESPONSE_ONLY),
+)
 
 
 class QueuePair:
@@ -314,7 +320,7 @@ class QueuePair:
         self._enqueue_message(message)
         if _TRACE.enabled:
             _TRACE.session.on_post(self, wr, message)
-        self.host.nic.notify_tx_ready()
+        self.host.nic.notify_tx_ready(self)
         return wr
 
     def _enqueue_message(self, message):
@@ -333,63 +339,55 @@ class QueuePair:
     # ----------------------------------------------------------- tx source API
 
     def next_ready_ns(self):
-        """NIC scheduler probe: when can this QP transmit next?"""
+        """NIC scheduler probe: when can this QP transmit next?  Control
+        packets go at once; data needs a PSN not yet on the wire and room
+        in the send window, and then waits for the pacing gate."""
         if self._ctrl_queue:
             return 0
-        if self._can_send_data():
+        send_ptr = self.send_ptr
+        if send_ptr < self._total_end and send_ptr - self.una < self.config.window_packets:
             return self._next_allowed_ns
         return None
-
-    def _can_send_data(self):
-        if self.send_ptr >= self._total_end:
-            return False
-        return self.outstanding_packets < self.config.window_packets
 
     def pull(self):
         """NIC scheduler: take the next packet.  Returns (packet, priority)."""
         if self._ctrl_queue:
-            packet, priority = self._ctrl_queue.pop(0)
-            return packet, priority
-        if not self._can_send_data():
+            return self._ctrl_queue.pop(0)
+        psn = self.send_ptr
+        config = self.config
+        if psn >= self._total_end or psn - self.una >= config.window_packets:
             return None, 0
-        packet = self._build_data_packet(self.send_ptr)
+        now = self.sim.now
+        packet = self._build_data_packet(psn, now)
         if _TRACE.enabled:
-            _TRACE.session.on_data_tx(
-                self, packet, self.send_ptr, self.send_ptr < self.high_sent
-            )
-        if self.send_ptr < self.high_sent:
+            _TRACE.session.on_data_tx(self, packet, psn, psn < self.high_sent)
+        if psn < self.high_sent:
             self.stats.retransmitted_packets += 1
             # A retransmitted probe would alias queueing with recovery.
-            self._rtt_probes.pop(self.send_ptr, None)
+            self._rtt_probes.pop(psn, None)
         else:
-            self.high_sent = self.send_ptr + 1
+            self.high_sent = psn + 1
             if self.on_rtt_sample is not None and packet.bth.ack_req:
-                self._rtt_probes[self.send_ptr] = self.sim.now
-        self.send_ptr += 1
+                self._rtt_probes[psn] = now
+        self.send_ptr = psn + 1
         self.stats.data_packets_sent += 1
-        self._pace(packet)
-        if self.rp is not None:
-            self.rp.on_bytes_sent(packet.wire_bytes)
-        if not self._rto.armed:
-            self._rto.start(self.config.rto_ns)
-        return packet, self.config.traffic_class.priority
-
-    def _pace(self, packet):
-        rate = self.effective_rate_bps()
-        now = self.sim.now
+        # Pacing: the gate reopens one packet time after it last opened
+        # (or after now, if it stood open) at DCQCN's RC if attached, else
+        # the static rate; with neither the NIC port is the only limiter.
+        rp = self.rp
+        rate = self.rate_bps if rp is None else rp.rate_bps
         if rate is None:
             self._next_allowed_ns = now
-            return
-        gap_ns = packet.wire_bytes * 8 * SEC // max(1, int(rate))
-        base = max(now, self._next_allowed_ns)
-        self._next_allowed_ns = base + gap_ns
-
-    def effective_rate_bps(self):
-        """The pacing rate: DCQCN's RC if attached, else the static rate,
-        else None (line rate -- NIC port is the only limiter)."""
-        if self.rp is not None:
-            return self.rp.rate_bps
-        return self.rate_bps
+        else:
+            rate = int(rate)
+            gap_ns = packet.wire_bytes * 8 * SEC // (rate if rate > 1 else 1)
+            gate = self._next_allowed_ns
+            self._next_allowed_ns = (gate if gate > now else now) + gap_ns
+        if rp is not None:
+            rp.on_bytes_sent(packet.wire_bytes)
+        if not self._rto.armed:
+            self._rto.start(config.rto_ns)
+        return packet, config.traffic_class.priority
 
     # ------------------------------------------------------------ packet build
 
@@ -399,102 +397,85 @@ class QueuePair:
                 return message
         raise LookupError("PSN %d not in any active message on qp%d" % (psn, self.qpn))
 
-    def _build_data_packet(self, psn):
-        message = self._message_for(psn)
-        index = psn - message.start_psn
-        if message.kind == _Message.READ_REQUEST:
+    def _build_data_packet(self, psn, now):
+        messages = self._messages
+        # Usually the oldest unacknowledged message is the one on the
+        # wire; with several in flight, scan for the one holding ``psn``.
+        message = messages[0] if messages else None
+        if message is None or not 0 <= psn - message.start_psn < message.n_packets:
+            message = self._message_for(psn)
+        config = self.config
+        kind = message.kind
+        if kind == _Message.READ_REQUEST:
             opcode = BthOpcode.RDMA_READ_REQUEST
             payload = 0
             is_first = True
             is_last = True
+            read_size = message.wr.size_bytes
         else:
-            payload = min(
-                self.config.mtu_payload,
-                message.payload_total - index * self.config.mtu_payload,
-            )
-            if message.n_packets == 1:
-                position = "only"
-            elif index == 0:
-                position = "first"
-            elif index == message.n_packets - 1:
-                position = "last"
+            index = psn - message.start_psn
+            mtu = config.mtu_payload
+            payload = message.payload_total - index * mtu
+            if payload > mtu:
+                payload = mtu
+            is_first = index == 0
+            is_last = index == message.n_packets - 1
+            if kind == _Message.READ_RESPONSE:
+                opcode = _READ_RESPONSE_OPCODES[is_first][is_last]
+            elif message.wr is not None and message.wr.kind == "send":
+                opcode = _SEND_OPCODES[is_first][is_last]
             else:
-                position = "middle"
-            kind = "send" if message.kind == _Message.DATA and message.wr is not None and message.wr.kind == "send" else None
-            if message.kind == _Message.READ_RESPONSE:
-                opcode = _OPCODES[("read_response", position)]
-            elif kind == "send":
-                opcode = _OPCODES[("send", position)]
-            else:
-                opcode = _OPCODES[("write", position)]
-            is_first = position in ("only", "first")
-            is_last = position in ("only", "last")
-        tc = self.config.traffic_class
-        total_length = (
-            IPV4_HEADER_BYTES + UDP_HEADER_BYTES + BTH_BYTES + payload + ICRC_BYTES
-        )
-        ip = Ipv4Header(
-            src=self.host.ip,
-            dst=self.remote_ip,
-            dscp=tc.dscp,
-            ecn=ECN_ECT0 if self.config.ecn_capable else ECN_NOT_ECT,
-            total_length=total_length,
-            identification=self.host.nic.next_ip_id(),
-        )
-        udp = UdpHeader(
-            src_port=self.src_udp_port,
-            dst_port=ROCEV2_UDP_PORT,
-            length=UDP_HEADER_BYTES + BTH_BYTES + payload + ICRC_BYTES,
-        )
-        bth = BaseTransportHeader(
-            opcode=opcode, dest_qp=self.remote_qpn, psn=psn & PSN_MASK, ack_req=is_last
-        )
-        ctx = _PacketCtx(
-            psn=psn,
-            kind=message.kind,
-            is_msg_first=is_first,
-            is_msg_last=is_last,
-            read_id=message.read_id,
-            read_size=message.wr.size_bytes if message.kind == _Message.READ_REQUEST else None,
-        )
+                opcode = _WRITE_OPCODES[is_first][is_last]
+            read_size = None
+        tc = config.traffic_class
+        host = self.host
+        transport_bytes = UDP_HEADER_BYTES + BTH_BYTES + payload + ICRC_BYTES
         return Packet.rocev2(
-            dst_mac=self.remote_mac,
-            src_mac=self.host.mac,
-            ip=ip,
-            udp=udp,
-            bth=bth,
-            payload_bytes=payload,
-            vlan=tc.vlan_tag(),
-            created_ns=self.sim.now,
-            flow=(self.host.ip, self.qpn),
-            context=ctx,
+            self.remote_mac,
+            host.mac,
+            Ipv4Header(
+                host.ip,
+                self.remote_ip,
+                IPPROTO_UDP,
+                tc.dscp,
+                ECN_ECT0 if config.ecn_capable else ECN_NOT_ECT,
+                IPV4_HEADER_BYTES + transport_bytes,
+                host.nic.next_ip_id(),
+            ),
+            UdpHeader(self.src_udp_port, ROCEV2_UDP_PORT, transport_bytes),
+            BaseTransportHeader(opcode, self.remote_qpn, psn & PSN_MASK, is_last),
+            None,  # no AETH
+            payload,
+            None if tc.vlan_id is None else tc.vlan_tag(),
+            now,
+            (host.ip, self.qpn),
+            _PacketCtx(psn, kind, is_first, is_last, message.read_id, read_size),
         )
 
     def _build_control(self, opcode, aeth, ctx, dscp=None, priority=None):
         tc = self.config.traffic_class
-        dscp = tc.dscp if dscp is None else dscp
+        host = self.host
         extra = AETH_BYTES if aeth is not None else 0
-        ip = Ipv4Header(
-            src=self.host.ip,
-            dst=self.remote_ip,
-            dscp=dscp,
-            ecn=ECN_NOT_ECT,
-            total_length=IPV4_HEADER_BYTES + UDP_HEADER_BYTES + BTH_BYTES + extra + ICRC_BYTES,
-            identification=self.host.nic.next_ip_id(),
-        )
-        udp = UdpHeader(src_port=self.src_udp_port, dst_port=ROCEV2_UDP_PORT)
-        bth = BaseTransportHeader(opcode=opcode, dest_qp=self.remote_qpn, psn=self.epsn & PSN_MASK)
         packet = Packet.rocev2(
-            dst_mac=self.remote_mac,
-            src_mac=self.host.mac,
-            ip=ip,
-            udp=udp,
-            bth=bth,
-            aeth=aeth,
-            vlan=tc.vlan_tag(),
-            created_ns=self.sim.now,
-            flow=(self.host.ip, self.qpn),
-            context=ctx,
+            self.remote_mac,
+            host.mac,
+            Ipv4Header(
+                host.ip,
+                self.remote_ip,
+                IPPROTO_UDP,
+                tc.dscp if dscp is None else dscp,
+                ECN_NOT_ECT,
+                IPV4_HEADER_BYTES + UDP_HEADER_BYTES + BTH_BYTES + extra + ICRC_BYTES,
+                host.nic.next_ip_id(),
+            ),
+            UdpHeader(self.src_udp_port, ROCEV2_UDP_PORT),
+            BaseTransportHeader(opcode, self.remote_qpn, self.epsn & PSN_MASK),
+            aeth,
+            0,  # no payload
+            None if tc.vlan_id is None else tc.vlan_tag(),
+            self.sim.now,
+            (host.ip, self.qpn),
+            ctx,
         )
         return packet, tc.priority if priority is None else priority
 
@@ -502,28 +483,27 @@ class QueuePair:
         if _TRACE.enabled:
             _TRACE.session.on_ctrl_created(self, packet)
         self._ctrl_queue.append((packet, priority))
-        self.host.nic.notify_tx_ready()
+        self.host.nic.notify_tx_ready(self)
 
     # -------------------------------------------------------------- rx dispatch
 
     def on_network_packet(self, packet):
         """Engine upcall for any packet addressed to this QP."""
         opcode = packet.bth.opcode
-        if opcode == BthOpcode.CNP:
+        if opcode is BthOpcode.CNP:
             self.stats.cnps_received += 1
             if self.rp is not None:
                 self.rp.on_cnp()
-            return
-        if opcode == BthOpcode.ACKNOWLEDGE:
+        elif opcode is BthOpcode.ACKNOWLEDGE:
             self._on_ack(packet)
-            return
-        self._on_data(packet)
+        else:
+            self._on_data(packet)
 
     # responder ---------------------------------------------------------------
 
     def _on_data(self, packet):
         ctx = packet.context
-        if packet.ip.ce_marked:
+        if packet.ip.ecn == ECN_CE:
             self._maybe_send_cnp()
         psn = ctx.psn
         if psn == self.epsn:
@@ -569,7 +549,7 @@ class QueuePair:
                     read_id=ctx.read_id,
                 )
             )
-            self.host.nic.notify_tx_ready()
+            self.host.nic.notify_tx_ready(self)
             self._send_ack()
             return
         self._ack_backlog += 1
@@ -645,7 +625,7 @@ class QueuePair:
             self.send_ptr = min(self.send_ptr, nak_psn)
             self._next_allowed_ns = self.sim.now + self.config.rnr_retry_delay_ns
             self._restart_rto()
-            self.host.nic.notify_tx_ready()
+            self.host.nic.notify_tx_ready(self)
             return
         if packet.aeth is not None and packet.aeth.is_nak:
             self.stats.naks_received += 1
@@ -669,7 +649,7 @@ class QueuePair:
                     # Stateless restart: the send window references the
                     # fresh pass, not progress from abandoned ones.
                     self.una = min(self.una, resume)
-                self.host.nic.notify_tx_ready()
+                self.host.nic.notify_tx_ready(self)
             self._restart_rto()
         else:
             self._advance_una(ctx.ack_psn + 1)
@@ -690,7 +670,7 @@ class QueuePair:
             if message.kind == _Message.READ_RESPONSE:
                 self.stats.messages_completed += 1
         self._restart_rto()
-        self.host.nic.notify_tx_ready()
+        self.host.nic.notify_tx_ready(self)
 
     def _complete_wr(self, wr):
         wr.completed_ns = self.sim.now
@@ -722,7 +702,7 @@ class QueuePair:
         else:
             self.send_ptr = max(self.una, self.send_ptr)
         self._rto.start(self.config.rto_ns)
-        self.host.nic.notify_tx_ready()
+        self.host.nic.notify_tx_ready(self)
 
     def __repr__(self):
         return "QueuePair(qp%d -> qp%s, una=%d, sent=%d, epsn=%d)" % (

@@ -17,9 +17,16 @@ deliberately simple elsewhere:
 
 import collections
 
-from repro.packets.ip import IPPROTO_TCP, IPV4_HEADER_BYTES, Ipv4Header
+from repro.packets.ip import (
+    ECN_CE,
+    ECN_ECT0,
+    ECN_NOT_ECT,
+    IPPROTO_TCP,
+    IPV4_HEADER_BYTES,
+    Ipv4Header,
+)
 from repro.packets.packet import Packet
-from repro.packets.tcp import FLAG_ACK, TCP_HEADER_BYTES, TcpHeader
+from repro.packets.tcp import FLAG_ACK, FLAG_ECE, TCP_HEADER_BYTES, TcpHeader
 from repro.sim.timer import Timer
 from repro.sim.units import MS, US
 
@@ -142,20 +149,19 @@ class TcpConnection:
     def _kernel_send_done(self, nbytes):
         self._pending_kernel -= nbytes
         self.snd_buffer_end += nbytes
-        self.host.nic.notify_tx_ready()
+        self.host.nic.notify_tx_ready(self)
 
     # -- NIC source API -------------------------------------------------------------
 
     def next_ready_ns(self):
+        """NIC scheduler probe: an ACK or a retransmission is owed, or
+        there is new data and room in the congestion window."""
         if self._acks_pending or self._retransmit_queue:
             return 0
-        if self._can_send_new():
+        snd_nxt = self.snd_nxt
+        if snd_nxt < self.snd_buffer_end and snd_nxt - self.snd_una < self.cwnd:
             return 0
         return None
-
-    def _can_send_new(self):
-        in_flight = self.snd_nxt - self.snd_una
-        return self.snd_nxt < self.snd_buffer_end and in_flight < self.cwnd
 
     def pull(self):
         if self._acks_pending:
@@ -172,9 +178,9 @@ class TcpConnection:
                     self.stats.retransmits += 1
                     self._arm_rto()
                     return self._build_segment(seq, length), self.config.priority
-        if not self._can_send_new():
-            return None, 0
         seq = self.snd_nxt
+        if seq >= self.snd_buffer_end or seq - self.snd_una >= self.cwnd:
+            return None, 0
         length = min(self.config.mss_bytes, self.snd_buffer_end - seq)
         self.snd_nxt += length
         self._send_times[seq] = self.sim.now
@@ -183,36 +189,33 @@ class TcpConnection:
         return self._build_segment(seq, length), self.config.priority
 
     def _build_segment(self, seq, length, echo_ce=False):
-        from repro.packets.ip import ECN_ECT0, ECN_NOT_ECT
-        from repro.packets.tcp import FLAG_ECE
-
-        ecn = ECN_ECT0 if (self.config.ecn_enabled and length > 0) else ECN_NOT_ECT
-        ip = Ipv4Header(
-            src=self.host.ip,
-            dst=self.remote_ip,
-            protocol=IPPROTO_TCP,
-            dscp=self.config.dscp,
-            ecn=ecn,
-            total_length=IPV4_HEADER_BYTES + TCP_HEADER_BYTES + length,
-            identification=self.host.nic.next_ip_id(),
-        )
-        flags = FLAG_ACK | (FLAG_ECE if echo_ce else 0)
-        tcp = TcpHeader(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq & 0xFFFFFFFF,
-            ack=self.rcv_nxt & 0xFFFFFFFF,
-            flags=flags,
-        )
+        config = self.config
+        host = self.host
+        rcv_nxt = self.rcv_nxt
         return Packet.tcp_segment(
-            dst_mac=self.remote_mac,
-            src_mac=self.host.mac,
-            ip=ip,
-            tcp=tcp,
-            payload_bytes=length,
-            created_ns=self.sim.now,
-            flow=(self.host.ip, self.local_port),
-            context={"seq": seq, "len": length, "ack": self.rcv_nxt, "ece": echo_ce},
+            self.remote_mac,
+            host.mac,
+            Ipv4Header(
+                host.ip,
+                self.remote_ip,
+                IPPROTO_TCP,
+                config.dscp,
+                ECN_ECT0 if (config.ecn_enabled and length > 0) else ECN_NOT_ECT,
+                IPV4_HEADER_BYTES + TCP_HEADER_BYTES + length,
+                host.nic.next_ip_id(),
+            ),
+            TcpHeader(
+                self.local_port,
+                self.remote_port,
+                seq & 0xFFFFFFFF,
+                rcv_nxt & 0xFFFFFFFF,
+                FLAG_ACK | FLAG_ECE if echo_ce else FLAG_ACK,
+            ),
+            length,
+            None,  # untagged
+            self.sim.now,
+            (host.ip, self.local_port),
+            {"seq": seq, "len": length, "ack": rcv_nxt, "ece": echo_ce},
         )
 
     # -- receive path ------------------------------------------------------------------
@@ -222,8 +225,8 @@ class TcpConnection:
         self._process_ack(ctx["ack"], ece=ctx.get("ece", False))
         if ctx["len"] > 0:
             self._process_data(ctx["seq"], ctx["len"])
-            self._acks_pending.append(packet.ip.ce_marked)
-            self.host.nic.notify_tx_ready()
+            self._acks_pending.append(packet.ip.ecn == ECN_CE)
+            self.host.nic.notify_tx_ready(self)
 
     def _process_data(self, seq, length):
         if seq == self.rcv_nxt:
@@ -284,7 +287,7 @@ class TcpConnection:
                 self._rto_timer.cancel()
             else:
                 self._arm_rto()
-            self.host.nic.notify_tx_ready()
+            self.host.nic.notify_tx_ready(self)
         elif ack == self.snd_una and self.snd_nxt > self.snd_una:
             self._dupacks += 1
             if self._dupacks == config.dupack_threshold and not self._in_recovery:
@@ -296,7 +299,7 @@ class TcpConnection:
                 self._in_recovery = True
                 self._recover = self.snd_nxt
                 self._retransmit_queue.append(self.snd_una)
-                self.host.nic.notify_tx_ready()
+                self.host.nic.notify_tx_ready(self)
 
     def _dctcp_account(self, acked_bytes, ece):
         """DCTCP: track the fraction of CE-echoed bytes per window and
@@ -356,7 +359,7 @@ class TcpConnection:
         self._send_times.clear()
         self._rto_ns = min(self.config.max_rto_ns, self._rto_ns * 2)
         self._arm_rto()
-        self.host.nic.notify_tx_ready()
+        self.host.nic.notify_tx_ready(self)
 
     def __repr__(self):
         return "TcpConnection(:%d -> %d:%d, una=%d, nxt=%d, cwnd=%d)" % (

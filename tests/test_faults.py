@@ -164,6 +164,44 @@ class TestAuditors:
         registry.audit_now()
         assert registry.violations_for("nic-rx-conservation")
 
+    def test_tx_ready_auditor_catches_a_lost_wakeup(self):
+        # A source that gains work without telling its NIC is never
+        # probed again; the auditor asks it directly and names it.
+        from repro.rdma import post_send
+
+        topo = single_switch(n_hosts=2, seed=7).boot()
+        registry = install_default_auditors(topo.fabric)
+        a, b = topo.hosts
+        qp, _ = connect_qp_pair(a, b, SeededRng(7, "lost-wakeup"))
+        topo.sim.run(until=topo.sim.now + 10 * US)
+        assert registry.audit_now() == []
+        a.nic.notify_tx_ready = lambda source: None  # the dropped notify
+        wr = post_send(qp, 4 * KB)
+        del a.nic.notify_tx_ready
+        topo.sim.run(until=topo.sim.now + 1 * MS)
+        assert not wr.completed and qp.stats.data_packets_sent == 0
+        violations = registry.audit_now()
+        assert [v.invariant for v in violations] == ["nic-tx-ready"]
+        assert violations[0].subject == a.nic.name
+        assert repr(qp) in violations[0].detail
+        # Any later notify heals it.
+        a.nic.notify_tx_ready(qp)
+        topo.sim.run(until=topo.sim.now + 1 * MS)
+        assert wr.completed
+        assert registry.audit_now() == []
+
+    def test_tx_ready_auditor_is_clean_on_a_dead_host_with_work(self):
+        from repro.rdma import post_send
+
+        topo = single_switch(n_hosts=2, seed=7).boot()
+        registry = install_default_auditors(topo.fabric)
+        a, b = topo.hosts
+        qp, _ = connect_qp_pair(a, b, SeededRng(7, "dead"))
+        a.die()
+        post_send(qp, 4 * KB)
+        registry.audit_now()
+        assert not registry.violations_for("nic-tx-ready")
+
     def test_raise_mode_raises_on_first_violation(self):
         topo = single_switch(n_hosts=2, seed=7).boot()
         registry = install_default_auditors(topo.fabric, mode="raise")

@@ -6,6 +6,7 @@ import pytest
 from repro.nic.nic import Nic, NicConfig, NicWatchdogConfig
 from repro.net import Device, Link
 from repro.packets import Ipv4Header, Packet, UdpHeader
+from repro.packets.pause import MAX_QUANTA, PfcPauseFrame
 from repro.packets.rocev2 import BaseTransportHeader, BthOpcode, ROCEV2_UDP_PORT
 from repro.sim import Simulator
 from repro.sim.units import KB, MS, US, gbps
@@ -46,6 +47,12 @@ def make_nic(sim, **config_kwargs):
     tor = FakeTor(sim)
     Link(sim, nic.port, tor.add_port(), rate_bps=gbps(40), delay_ns=10)
     return nic, tor
+
+
+def pfc_frame(quanta_by_priority):
+    return Packet.pfc_pause(
+        dst_mac=0x0180C2000001, src_mac=0xBB, pause=PfcPauseFrame(quanta_by_priority)
+    )
 
 
 def data_packet(dst_mac=0xAA, payload=1024, psn=0):
@@ -259,3 +266,135 @@ class TestTxScheduler:
         nic._ip_id = 0xFFFF
         assert nic.next_ip_id() == 0xFFFF
         assert nic.next_ip_id() == 0
+
+    def test_unregister_keeps_the_next_source_next(self):
+        # [a, b, c] with c next in turn: removing a used to leave the
+        # pointer at 2 % 2 == 0, i.e. at b, and c's turn was skipped.
+        sim = Simulator()
+        nic, tor = make_nic(sim, tx_queue_target_packets=1)
+        nic.handle_packet(nic.port, pfc_frame({3: MAX_QUANTA}))
+        a, b, c = (_StubSource(nic, tag, 3) for tag in "abc")
+        for source in (a, b, c):
+            nic.register_source(source)
+        # One frame of a's fills the paused queue; b and c wait.
+        assert [len(s.pulled) for s in (a, b, c)] == [1, 0, 0]
+        nic._rr_index = 2
+        nic.unregister_source(a)
+        assert nic._sources[nic._rr_index] is c
+        nic.handle_packet(nic.port, pfc_frame({3: 0}))
+        sim.run(until=sim.now + 2 * MS)
+        assert [p.flow for p in tor.data] == ["a", "c", "b", "c", "b", "c", "b"]
+
+    def test_unregister_renumbers_the_ready_set(self):
+        sim = Simulator()
+        nic, tor = make_nic(sim, tx_queue_target_packets=1)
+        a, b, c = (_StubSource(nic, tag, 2) for tag in "abc")
+        for source in (a, b, c):
+            nic.register_source(source)
+        nic.unregister_source(b)
+        assert nic._ready == [0, 1]
+        assert [nic._sources[slot] for slot in nic._ready] == [a, c]
+        nic.unregister_source(b)  # absent: a no-op
+        sim.run(until=sim.now + 2 * MS)
+        assert sorted(p.flow for p in tor.data) == ["a", "a", "c", "c"]
+
+    def test_unregistering_the_last_slot_wraps_the_pointer(self):
+        sim = Simulator()
+        nic, _ = make_nic(sim, tx_queue_target_packets=1)
+        a, b, c = (_StubSource(nic, tag, 1) for tag in "abc")
+        for source in (a, b, c):
+            nic.register_source(source)
+        nic._rr_index = 2  # c next in turn
+        nic.unregister_source(c)
+        assert nic._rr_index == 0
+
+    def test_a_source_cannot_register_twice(self):
+        sim = Simulator()
+        nic, _ = make_nic(sim)
+        a = _StubSource(nic, "a", 1)
+        nic.register_source(a)
+        with pytest.raises(ValueError):
+            nic.register_source(a)
+
+    def test_notify_from_an_unregistered_source_is_ignored(self):
+        sim = Simulator()
+        nic, tor = make_nic(sim)
+        a = _StubSource(nic, "a", 5)
+        nic.notify_tx_ready(a)
+        assert a.pulled == []
+        nic.register_source(a)
+        pulled = len(a.pulled)
+        nic.unregister_source(a)
+        nic.notify_tx_ready(a)
+        sim.run(until=sim.now + 1 * MS)
+        # What was pulled before the removal still drains; nothing after.
+        assert len(a.pulled) == len(tor.data) == pulled < 5
+
+    def test_an_idle_source_is_probed_again_only_after_it_notifies(self):
+        sim = Simulator()
+        nic, tor = make_nic(sim)
+        a = _StubSource(nic, "a", 1)
+        nic.register_source(a)
+        sim.run(until=sim.now + 1 * MS)
+        assert len(tor.data) == 1 and nic._ready == []
+        a.remaining = 2
+        sim.run(until=sim.now + 1 * MS)
+        assert len(tor.data) == 1  # nobody told the NIC
+        nic.notify_tx_ready(a)
+        sim.run(until=sim.now + 1 * MS)
+        assert len(tor.data) == 3
+
+
+class TestRepairRestartsTransmit:
+    """`repair()` used to restart the receive side only: work posted to
+    a dead host was never pulled (nothing sent, so no RTO either)."""
+
+    @staticmethod
+    def _rack():
+        from repro.rdma import connect_qp_pair
+        from repro.sim.rng import SeededRng
+        from repro.topo import single_switch
+
+        topo = single_switch(n_hosts=2, seed=3).boot()
+        a, b = topo.hosts
+        qp, _ = connect_qp_pair(a, b, SeededRng(3, "repair"))
+        topo.sim.run(until=topo.sim.now + 100 * US)
+        return topo, a, qp
+
+    @pytest.mark.parametrize("path", ["host", "injector"])
+    def test_work_posted_while_dead_goes_out_after_repair(self, path):
+        from repro.faults import FaultInjector
+        from repro.rdma import post_send
+
+        topo, a, qp = self._rack()
+        sim = topo.sim
+        a.die()
+        wr = post_send(qp, 4096)
+        sim.run(until=sim.now + 1 * MS)
+        assert qp.stats.data_packets_sent == 0
+        if path == "host":
+            a.repair()
+        else:
+            FaultInjector(topo.fabric).repair_nic(a)  # no Host.boot() behind it
+        sim.run(until=sim.now + 20 * MS)
+        assert wr.completed
+        assert qp.stats.data_packets_sent == 4
+        assert qp.stats.timeouts == 0
+
+    def test_frames_the_port_held_at_die_go_out_after_repair(self):
+        # The resume frame repair() sends restarts the port transmitter,
+        # whose dequeue callback restarts the pump.
+        from repro.faults import FaultInjector
+        from repro.rdma import post_send
+
+        topo, a, qp = self._rack()
+        sim = topo.sim
+        wr = post_send(qp, 64 * 1024)
+        sim.run(until=sim.now + 2 * US)
+        a.die()
+        sim.run(until=sim.now + 1 * MS)
+        assert a.nic.port.total_queued_packets > 0
+        FaultInjector(topo.fabric).repair_nic(a)
+        sim.run(until=sim.now + 20 * MS)
+        assert wr.completed
+        assert a.nic.port.total_queued_packets == 0
