@@ -1,42 +1,18 @@
-"""Tracked simulator benchmarks: ``python -m repro.bench``.
+"""The determinism gate: ``python -m repro.bench``.
 
-The experiments under ``benchmarks/`` regenerate the *paper*; this
-package benchmarks the *simulator* — events/sec, packets/sec and wall
-time over a fixed set of canonical scenarios — and records the results
-to ``BENCH_simulator.json`` so every PR leaves a performance trajectory
-behind it.  A discrete-event packet simulator lives or dies on
-per-packet event cost, and the ROADMAP's "as fast as the hardware
-allows" goal is unenforceable without numbers.
+Nine closed, seeded scenarios (:mod:`repro.bench.scenarios`), each
+reduced to a fingerprint of every counter that could diverge between two
+runs, and one function -- :func:`repro.bench.gate.check` -- that runs
+them once and compares fingerprint, event count and packet count to the
+pins in ``benchmarks/BASELINE.json``.  A change that keeps all nine
+simulates what its parent simulated.
 
-Three pieces:
-
-* :mod:`repro.bench.scenarios` — the canonical scenario set (engine
-  churn, a single RDMA flow, a ToR incast, a PFC pause storm, a 3-tier
-  Clos slice, a TCP baseline), each returning a determinism fingerprint
-  alongside its counters;
-* :mod:`repro.bench.harness` — wall-clock measurement, optional
-  cProfile attribution per subsystem, baseline comparison, report
-  emission;
-* :mod:`repro.bench.schema` — the report's JSON shape, validated by a
-  dependency-free checker (the regression tests and CI both call it).
-
-See ``docs/benchmarking.md`` for how to run and read the results.
+Nothing here reads a clock: timing the simulator is ``perfbench/``'s job
+(``BENCHMARK.json``, ``perfbench/README.md``).  See
+``docs/benchmarking.md``.
 """
 
-from repro.bench.harness import (
-    load_baseline,
-    run_benchmarks,
-    write_report,
-)
-from repro.bench.scenarios import SCENARIOS, run_scenario
-from repro.bench.schema import SchemaViolation, validate_report
+from repro.bench.gate import GateError, check
+from repro.bench.scenarios import SCENARIOS
 
-__all__ = [
-    "SCENARIOS",
-    "SchemaViolation",
-    "load_baseline",
-    "run_benchmarks",
-    "run_scenario",
-    "validate_report",
-    "write_report",
-]
+__all__ = ["SCENARIOS", "GateError", "check"]

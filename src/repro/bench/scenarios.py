@@ -1,4 +1,4 @@
-"""The canonical benchmark scenarios.
+"""The nine pinned scenarios.
 
 Each scenario is a self-contained build-and-run function returning a
 :class:`ScenarioRun`: how many events fired, how many packets crossed a
@@ -6,8 +6,8 @@ link, how much simulated time elapsed — and a **fingerprint** digesting
 every counter that could diverge between two runs.  The fingerprint is
 the optimization safety net: a hot-path change that alters event
 ordering, drops accounting, or perturbs a single RNG draw produces a
-different fingerprint, and ``tests/test_bench.py`` pins the fingerprints
-against ``benchmarks/BASELINE.json``.
+different fingerprint, and :func:`repro.bench.gate.check` compares it,
+the event count and the packet count to ``benchmarks/BASELINE.json``.
 
 Scenarios are chosen to stress complementary parts of the packet path:
 
@@ -23,17 +23,15 @@ Scenarios are chosen to stress complementary parts of the packet path:
 ``flowsim_clos``          flow-level tier: 512-host Clos, interval batching
 ========================  ====================================================
 
-The two ``flowsim_*`` scenarios benchmark the *flow-level* simulator
-(:mod:`repro.flowsim`) -- there ``packets`` counts completed flows, so
-``packets_per_sec`` reads as flows/s, and ``events_per_packet`` as
-events per completed flow.  Their fingerprints digest the engine's
-integer-only run tuple (completion CRC included), pinned exactly like
-the packet scenarios'.
+The two ``flowsim_*`` scenarios run the *flow-level* simulator
+(:mod:`repro.flowsim`) -- there ``packets`` counts completed flows.
+Their fingerprints digest the engine's integer-only run tuple
+(completion CRC included), pinned exactly like the packet scenarios'.
 
 Cross-process determinism: every switch's ECMP seed is a pure function
 of its name (:func:`repro.switch.ecmp.ecmp_seed`) and all flow keys are
 integers, so fingerprints are stable across processes, machines and
-Python versions — which is what lets the baseline file be checked in at
+Python versions — which is what lets the pin file be checked in at
 all.
 """
 
@@ -45,21 +43,12 @@ from repro.sim.units import KB, MB, MS, US
 
 
 class ScenarioRun:
-    """The outcome of one scenario execution (simulated side only).
+    """The outcome of one scenario execution (simulated side only)."""
 
-    ``events`` is the engine's event count and participates in
-    fingerprints; ``dispatches`` is the same number (one callback per
-    event), kept as the ``repro-bench/1`` report field that
-    ``events_per_packet`` is derived from.
-    """
+    __slots__ = ("events", "packets", "sim_ns", "fingerprint", "detail")
 
-    __slots__ = ("events", "dispatches", "packets", "sim_ns", "fingerprint", "detail")
-
-    def __init__(
-        self, events, packets, sim_ns, fingerprint_tuple, dispatches=None, detail=None
-    ):
+    def __init__(self, events, packets, sim_ns, fingerprint_tuple, detail=None):
         self.events = events
-        self.dispatches = events if dispatches is None else dispatches
         self.packets = packets
         self.sim_ns = sim_ns
         self.fingerprint = digest(fingerprint_tuple)
@@ -132,7 +121,6 @@ def engine_churn(seed):
     sim.run_until_idle()
     return ScenarioRun(
         events=sim.events_fired,
-        dispatches=sim.dispatches,
         packets=0,
         sim_ns=sim.now,
         fingerprint_tuple=(sim.events_fired, sim.now),
@@ -158,7 +146,6 @@ def single_flow(seed):
     topo.sim.run(until=topo.sim.now + 25 * MS)
     return ScenarioRun(
         events=topo.sim.events_fired,
-        dispatches=topo.sim.dispatches,
         packets=_packets_delivered(topo.fabric),
         sim_ns=topo.sim.now,
         fingerprint_tuple=(
@@ -196,7 +183,6 @@ def incast_tor(seed):
     topo.sim.run(until=topo.sim.now + 5 * MS)
     return ScenarioRun(
         events=topo.sim.events_fired,
-        dispatches=topo.sim.dispatches,
         packets=_packets_delivered(topo.fabric),
         sim_ns=topo.sim.now,
         fingerprint_tuple=(
@@ -257,7 +243,6 @@ def pause_storm(seed):
     sim.run(until=sim.now + 6 * MS)
     return ScenarioRun(
         events=sim.events_fired,
-        dispatches=sim.dispatches,
         packets=_packets_delivered(topo.fabric),
         sim_ns=sim.now,
         fingerprint_tuple=(
@@ -299,7 +284,6 @@ def clos_slice(seed):
     total_bytes = sum(s.completed_bytes for s in senders)
     return ScenarioRun(
         events=sim.events_fired,
-        dispatches=sim.dispatches,
         packets=_packets_delivered(topo.fabric),
         sim_ns=sim.now,
         fingerprint_tuple=(
@@ -340,7 +324,6 @@ def clos_pod(seed):
     total_bytes = sum(s.completed_bytes for s in senders)
     return ScenarioRun(
         events=sim.events_fired,
-        dispatches=sim.dispatches,
         packets=_packets_delivered(topo.fabric),
         sim_ns=sim.now,
         fingerprint_tuple=(
@@ -377,7 +360,6 @@ def tcp_baseline(seed):
     topo.sim.run(until=topo.sim.now + 6 * MS)
     return ScenarioRun(
         events=topo.sim.events_fired,
-        dispatches=topo.sim.dispatches,
         packets=_packets_delivered(topo.fabric),
         sim_ns=topo.sim.now,
         fingerprint_tuple=(
@@ -511,13 +493,3 @@ SCENARIOS = {
     )
 }
 
-
-def run_scenario(name, seed=1):
-    """Execute one scenario by name; returns its :class:`ScenarioRun`."""
-    try:
-        scenario = SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            "unknown scenario %r (have: %s)" % (name, ", ".join(SCENARIOS))
-        )
-    return scenario.run(seed)

@@ -9,7 +9,7 @@ a 3-tier Clos) using :mod:`repro.flowsim`:
   (:mod:`repro.workloads.distributions`), paired cross-podset the way
   the paper's ToR-pair experiments are.  Emits only simulation-domain
   quantities (deterministic, machine-diffable rows); wall-clock
-  performance is tracked by :mod:`repro.bench` instead.
+  performance is tracked by perfbench's ``flowsim_dc`` workload instead.
 * :func:`run_flowsim_figure7` (F2) -- the figure 7 fabric cross-check:
   flowsim run directly over :class:`repro.flows.clos_model.ClosFlowModel`
   paths must reproduce the analytic max-min aggregate exactly (the

@@ -123,39 +123,23 @@ class Switch(Device):
         self._server_port_idxs = set()
         # Experiment hook: callable(packet) -> True to drop at ingress.
         self.ingress_drop_filter = None
-        # Per-config compiled classification caches.  pfc_config objects
-        # are replaced wholesale (deployment steps, fault injection),
-        # never mutated in place, so the caches key on object identity
-        # and recompile the moment a new config is installed.
-        self._classify_for = None
-        self._classify = None
-        self._lossless_set = frozenset()
-        # ECMP choice cache: (five_tuple, n_choices) -> index, valid for
-        # one seed (``ecmp_seed`` is assignable after construction).
-        self._ecmp_cache = {}
-        self._ecmp_cache_seed = None
 
-    def _classifier(self):
-        """The compiled ``packet -> priority`` function for the current
-        pfc_config (recompiled on config replacement)."""
-        pfc = self.pfc_config
-        if pfc is not self._classify_for:
-            self._classify = compile_priority_resolver(
-                pfc.priority_mode,
-                dscp_to_priority=pfc.dscp_to_priority,
-                default_priority=pfc.default_priority,
-            )
-            self._lossless_set = (
-                pfc.lossless_priorities if pfc.enabled else frozenset()
-            )
-            self._classify_for = pfc
-        return self._classify
+    @property
+    def pfc_config(self):
+        return self._pfc_config
 
-    def _lossless(self, priority):
-        """Live-config lossless check through the identity-keyed cache."""
-        if self.pfc_config is not self._classify_for:
-            self._classifier()
-        return priority in self._lossless_set
+    @pfc_config.setter
+    def pfc_config(self, pfc):
+        """Install a config: compile its ``packet -> priority`` function
+        and lossless set here, once.  Configs are replaced wholesale
+        (deployment steps, fault injection), never mutated in place."""
+        self._pfc_config = pfc
+        self._classify = compile_priority_resolver(
+            pfc.priority_mode,
+            dscp_to_priority=pfc.dscp_to_priority,
+            default_priority=pfc.default_priority,
+        )
+        self._lossless_set = pfc.lossless_priorities if pfc.enabled else frozenset()
 
     # -- construction --------------------------------------------------------
 
@@ -259,9 +243,7 @@ class Switch(Device):
             if mode == "access" and packet.vlan is not None:
                 self.counters.drops["vlan-port-mode"] += 1
                 return
-        pfc = self.pfc_config
-        classify = self._classify if pfc is self._classify_for else self._classifier()
-        priority = classify(packet)
+        priority = self._classify(packet)
         stats = port.stats
         stats.rx_packets[priority] += 1
         stats.rx_bytes[priority] += packet.size_bytes
@@ -292,19 +274,7 @@ class Switch(Device):
         ports = decision.ports
         n_choices = len(ports)
         if n_choices > 1:
-            # Flow-sticky by construction, so the (five_tuple, n) -> index
-            # mapping is memoizable; the CRC runs once per flow per path
-            # width instead of once per packet.
-            seed = self.ecmp_seed
-            cache = self._ecmp_cache
-            if seed != self._ecmp_cache_seed:
-                cache.clear()
-                self._ecmp_cache_seed = seed
-            key = (packet.five_tuple, n_choices)
-            choice = cache.get(key)
-            if choice is None:
-                choice = ecmp_select(key[0], n_choices, seed)
-                cache[key] = choice
+            choice = ecmp_select(packet.five_tuple, n_choices, self.ecmp_seed)
             egress_idx = ports[choice]
         else:
             egress_idx = ports[0]
@@ -316,7 +286,7 @@ class Switch(Device):
         elif (
             decision.reason == "l3-route"
             and packet.vlan is not None
-            and not pfc.vlan_pcp_preserved_across_l3
+            and not self._pfc_config.vlan_pcp_preserved_across_l3
         ):
             # Crossing a subnet boundary: the 802.1Q tag (and with it the
             # PCP priority) is not regenerated -- the section 3 failure
@@ -398,7 +368,7 @@ class Switch(Device):
         cap = self.buffer_config.lossy_egress_cap_bytes
         if (
             cap is not None
-            and not self._lossless(priority)
+            and priority not in self._lossless_set
             and egress._queue_bytes[priority] + packet.size_bytes > cap
         ):
             self.counters.drops["egress-lossy"] += 1
@@ -429,8 +399,6 @@ class Switch(Device):
             # A PG still asserting pause is asked even when a live config
             # push took its priority out of the lossless set, so it sends
             # its XON once drained instead of pausing upstream for good.
-            if self.pfc_config is not self._classify_for:
-                self._classifier()
             if (
                 state.paused or claim.priority in self._lossless_set
             ) and buffer.evaluate_pause_state(state):

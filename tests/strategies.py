@@ -399,7 +399,7 @@ def validation_scenarios(max_seed=10**6):
 SWITCH_WALK_DESTINATIONS = (
     "local",  # ARP + MAC known: l2-hit, MAC rewrite
     "routed1",  # /24 over one uplink
-    "routedN",  # /16 over every uplink: ECMP memo
+    "routedN",  # /16 over every uplink: ECMP pick
     "noroute",  # no prefix (the default route, when the world has one)
     "arpmiss",  # local subnet, never ARP-learned: drop
     "incomplete",  # ARP known, MAC unknown: flood, or drop when lossless

@@ -1,43 +1,33 @@
-"""Regression gate for the ``repro.bench`` harness.
+"""Regression gate for ``repro.bench``, the determinism gate.
 
 Two jobs:
 
-1. **Determinism pinning** -- every bench scenario's fingerprint must
-   equal the one recorded in ``benchmarks/BASELINE.json``.  The baseline
-   was captured *before* the hot-path optimizations, so these tests are
-   the proof that the optimizations changed speed and nothing else (the
+1. **Determinism pinning** -- every scenario run here must reproduce the
+   fingerprint, event count and packet count recorded in
+   ``benchmarks/BASELINE.json``, through the same
+   :func:`repro.bench.check` the CLI and CI call.  The pins are the
+   proof that an optimization changed speed and nothing else (the
    fingerprints digest event counts, per-QP stats, link and switch
    counters, and buffer peaks).
-2. **Report schema** -- ``BENCH_simulator.json`` must stay machine
-   readable; CI consumes it, so a malformed report fails here first.
+2. **A gate that can fail** -- ``python -m repro.bench`` exits 1 on
+   drift and 2 when no verdict is possible, never 0 by default.
 
 The slowest scenarios (``clos_slice``, ``pause_storm``) are exercised by
-``python -m repro.bench`` and CI's bench smoke job rather than here, to
-keep the tier-1 suite quick; their fingerprints are still pinned via the
-baseline comparison done by the CLI.  ``clos_pod`` (the fabric-scale
-check) *is* pinned here despite its cost: it is the only scenario that
-exercises cross-podset ECMP over the full three-tier path, so drift in
-it must fail tier-1, not just CI.
+``python -m repro.bench`` and CI's dark- and armed-path gates rather
+than here, to keep the tier-1 suite quick.  ``clos_pod`` (the
+fabric-scale check) *is* pinned here despite its cost: it is the only
+scenario that exercises cross-podset ECMP over the full three-tier path,
+so drift in it must fail tier-1, not just CI.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.bench import (
-    SCENARIOS,
-    SchemaViolation,
-    load_baseline,
-    run_benchmarks,
-    validate_report,
-    write_report,
-)
-from repro.bench.harness import build_report
+from repro.bench import SCENARIOS, check
+from repro.bench.__main__ import main
+from repro.bench.gate import PIN_PATH, load_pins
 from repro.bench.scenarios import digest
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "BASELINE.json")
 
 #: Scenarios cheap enough to re-run inside the tier-1 suite.  The two
 #: flowsim_* entries pin the flow-level tier the same way the packet
@@ -53,36 +43,24 @@ FAST_SCENARIOS = (
 )
 
 
-@pytest.fixture(scope="module")
-def baseline():
-    data = load_baseline(BASELINE_PATH)
-    assert data is not None, "benchmarks/BASELINE.json missing"
-    return data
+def assert_reproduces_pin(name, **observed):
+    """``check`` one scenario (``observed``: hubs / out_dir) and fail,
+    naming the fields, unless it reproduced its pin; returns the row."""
+    (row,) = check([name], **observed)
+    assert row.moved == (), (
+        "scenario %r drifted from benchmarks/BASELINE.json in %s -- a "
+        "change altered simulation behavior" % (name, ", ".join(row.moved))
+    )
+    return row
 
 
 class TestFingerprintPinning:
     @pytest.mark.parametrize("name", FAST_SCENARIOS)
-    def test_matches_checked_in_baseline(self, name, baseline):
-        run = SCENARIOS[name].run(seed=1)
-        recorded = baseline["scenarios"][name]
-        assert run.fingerprint == recorded["fingerprint"], (
-            "scenario %r drifted from the pre-optimization baseline -- "
-            "an optimization changed simulation behavior" % name
-        )
-        assert run.events == recorded["events"]
-        assert run.packets == recorded["packets"]
+    def test_matches_checked_in_baseline(self, name):
+        assert_reproduces_pin(name)
 
-    def test_clos_pod_matches_checked_in_baseline(self, baseline):
-        run = SCENARIOS["clos_pod"].run(seed=1)
-        recorded = baseline["scenarios"]["clos_pod"]
-        assert run.fingerprint == recorded["fingerprint"], (
-            "clos_pod drifted from the checked-in baseline -- engine "
-            "ordering or port scheduling changed simulation behavior"
-        )
-        assert run.events == recorded["events"]
-        assert run.packets == recorded["packets"]
-        # One callback per event: nothing is elided, nothing is extra.
-        assert run.dispatches == run.events
+    def test_clos_pod_matches_checked_in_baseline(self):
+        assert_reproduces_pin("clos_pod")
 
     def test_engine_reports_one_dispatch_per_event(self):
         # The two vestigial properties perfbench's sim.* counts read.
@@ -95,8 +73,10 @@ class TestFingerprintPinning:
         assert sim.dispatches == sim.events_fired == 3
         assert sim.elided_events == 0
 
-    def test_baseline_covers_every_scenario(self, baseline):
-        assert set(baseline["scenarios"]) == set(SCENARIOS)
+    def test_baseline_covers_every_scenario(self):
+        pins = load_pins()
+        assert pins["seed"] == 1
+        assert set(pins["scenarios"]) == set(SCENARIOS)
 
     def test_repeat_is_deterministic_in_process(self):
         first = SCENARIOS["single_flow"].run(seed=1)
@@ -113,55 +93,52 @@ class TestFingerprintPinning:
         )
 
 
-class TestReportSchema:
-    @pytest.fixture(scope="class")
-    def report(self, tmp_path_factory):
-        scenarios = run_benchmarks(["engine_churn"], seed=1, repeat=1)
-        report = build_report(
-            scenarios, baseline=load_baseline(BASELINE_PATH), repeat=1
-        )
-        path = tmp_path_factory.mktemp("bench") / "BENCH_simulator.json"
-        write_report(report, str(path))
-        return json.loads(path.read_text())
+class TestTheGateCanFail:
+    """Exit status through ``main``: 1 drift, 2 no verdict possible."""
 
-    def test_roundtrips_and_validates(self, report):
-        assert validate_report(report) is report
-        assert report["schema"] == "repro-bench/1"
-        entry = report["scenarios"]["engine_churn"]
-        assert entry["events"] > 0 and entry["events_per_sec"] > 0
+    @pytest.fixture
+    def pins(self):
+        return load_pins()
 
-    def test_comparison_against_baseline(self, report):
-        row = report["comparison"]["engine_churn"]
-        assert row["fingerprint_match"] is True
-        assert row["speedup"] > 0
-        assert row["baseline_events_per_sec"] > 0
+    def test_drift_is_exit_1_and_names_the_field(self, pins, tmp_path, capsys):
+        pins["scenarios"]["single_flow"]["fingerprint"] = "0" * 16
+        altered = tmp_path / "altered.json"
+        altered.write_text(json.dumps(pins))
+        assert main(["single_flow", "--baseline", str(altered)]) == 1
+        (row,) = capsys.readouterr().out.splitlines()
+        assert "DRIFT: fingerprint" in row and "events" not in row.split("DRIFT")[1]
 
-    def test_code_version_stamp(self, report):
-        from repro.campaign.cache import code_version
+    def test_missing_pin_file_is_exit_2_in_one_line(self, capsys):
+        assert main(["single_flow", "--baseline", "/nonexistent.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        (line,) = captured.err.splitlines()
+        assert "/nonexistent.json: " in line
 
-        assert report["code_version"] == code_version()
+    def test_unpinned_scenario_is_exit_2(self, pins, tmp_path, capsys):
+        del pins["scenarios"]["single_flow"]
+        incomplete = tmp_path / "incomplete.json"
+        incomplete.write_text(json.dumps(pins))
+        assert main(["single_flow", "--baseline", str(incomplete)]) == 2
+        assert "single_flow" in capsys.readouterr().err
 
-    def test_validator_rejects_missing_field(self, report):
-        broken = dict(report)
-        del broken["code_version"]
-        with pytest.raises(SchemaViolation, match="code_version"):
-            validate_report(broken)
+    def test_unknown_scenario_is_exit_2(self, capsys):
+        assert main(["no_such_scenario"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "no_such_scenario" in line
 
-    def test_validator_rejects_bad_fingerprint(self, report):
-        broken = json.loads(json.dumps(report))
-        broken["scenarios"]["engine_churn"]["fingerprint"] = "short"
-        with pytest.raises(SchemaViolation, match="fingerprint"):
-            validate_report(broken)
+    def test_unpinned_seed_has_no_verdict(self, capsys):
+        assert main(["single_flow", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "DRIFT" not in captured.out + captured.err
+        assert "no verdict" in captured.out
 
-    def test_validator_rejects_unknown_comparison(self, report):
-        broken = json.loads(json.dumps(report))
-        broken["comparison"]["made_up"] = {
-            "baseline_events_per_sec": 1.0,
-            "speedup": 1.0,
-            "fingerprint_match": True,
-        }
-        with pytest.raises(SchemaViolation, match="made_up"):
-            validate_report(broken)
+    def test_pin_rewrites_the_baseline_file(self, pins, tmp_path, capsys):
+        del pins["scenarios"]["engine_churn"]
+        target = tmp_path / "pins.json"
+        target.write_text(json.dumps(pins))
+        assert main(["engine_churn", "--pin", "--baseline", str(target)]) == 0
+        assert target.read_text() == open(PIN_PATH).read()  # merged, same bytes
 
 
 def test_digest_is_stable_and_order_sensitive():

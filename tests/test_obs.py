@@ -12,11 +12,9 @@
 4. **Dark imports** -- the module sets perfbench's workloads import
    load neither plane nor ``networkx``.
 5. **Armed == dark** -- every fast pinned scenario, inside either hub's
-   ``collect`` and inside both, reproduces its ``BASELINE.json``
-   fingerprint and event count (CI's armed-path gate runs the slow ones).
+   ``collect`` and inside both, reproduces its ``BASELINE.json`` pin
+   (CI's armed-path gate runs the slow ones).
 """
-
-import contextlib
 
 import subprocess
 import sys
@@ -25,8 +23,6 @@ import pytest
 
 from repro import SeededRng, connect_qp_pair, post_send, single_switch
 from repro.artifact import ArtifactError, read_jsonl, write_jsonl
-from repro.bench.harness import load_baseline
-from repro.bench.scenarios import SCENARIOS
 from repro.experiments import __main__ as experiments_cli
 from repro.experiments.catalog import CATALOG, CatalogEntry
 from repro.experiments.common import ExperimentResult
@@ -35,7 +31,7 @@ from repro.telemetry import TelemetrySession
 from repro.telemetry import __main__ as telemetry_cli
 from repro.tracing import TraceSession
 from repro.tracing import __main__ as tracing_cli
-from tests.test_bench import BASELINE_PATH, FAST_SCENARIOS
+from tests.test_bench import FAST_SCENARIOS, assert_reproduces_pin
 
 MS = 1_000_000
 
@@ -331,9 +327,4 @@ def test_a_dark_run_imports_no_plane(modules):
     ids=lambda hubs: "+".join(each.name for each in hubs))
 @pytest.mark.parametrize("name", FAST_SCENARIOS)
 def test_an_armed_run_is_the_dark_run(name, armed):
-    pinned = load_baseline(BASELINE_PATH)["scenarios"][name]
-    with contextlib.ExitStack() as stack:
-        for each in armed:
-            stack.enter_context(each.collect("armed:%s" % name))
-        run = SCENARIOS[name].run(seed=1)
-    assert (run.fingerprint, run.events) == (pinned["fingerprint"], pinned["events"])
+    assert_reproduces_pin(name, hubs=armed)

@@ -4,13 +4,9 @@ Four layers, mirroring the subsystem's structure:
 
 1. **Registry units** -- counters/gauges/histograms/ring series and the
    declared catalog's internal consistency.
-2. **Disabled-by-default purity** -- the telemetry-off bench guard: with
-   the hub disarmed, pinned scenarios reproduce their
-   ``benchmarks/BASELINE.json`` fingerprints *byte-identically* and fire
-   the exact same event counts.  (Events/s is wall-clock dependent and
-   asserted by the bench CLI against the baseline, not here -- a timing
-   assert in tier-1 would flake on loaded CI workers; identical events +
-   identical fingerprint proves identical work.)
+2. **Disabled by default** -- the hub starts dark.  (That a dark or an
+   armed run reproduces its ``benchmarks/BASELINE.json`` pin is
+   ``tests/test_bench.py`` and ``tests/test_obs.py``'s job.)
 3. **Detector semantics** -- synthetic windows driving every detector
    through fire / stay-silent / close transitions, including the
    calibration fact the thresholds encode: healthy congested fabrics
@@ -28,9 +24,9 @@ import os
 import pytest
 
 from repro import telemetry
-from repro.bench.harness import collect_artifacts, load_baseline, run_benchmarks
 from repro.bench.scenarios import SCENARIOS
 from repro.obs import TELEMETRY as HUB
+from repro.obs import TRACE
 from repro.telemetry import __main__ as telemetry_cli
 from repro.telemetry.detectors import (
     DetectorThresholds,
@@ -49,9 +45,9 @@ from repro.telemetry.registry import (
     MetricRegistry,
     RingSeries,
 )
+from tests.test_bench import assert_reproduces_pin
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "BASELINE.json")
 
 MS = 1_000_000
 
@@ -141,7 +137,7 @@ class TestCatalog:
                 spec.name, spec.source)
 
 
-# -- 2. disabled-by-default purity (the telemetry-off bench guard) -----------
+# -- 2. disabled by default ---------------------------------------------------
 
 
 class TestDisabledByDefault:
@@ -149,21 +145,6 @@ class TestDisabledByDefault:
         assert HUB.enabled is False
         assert HUB.session is None
         assert HUB.armed is None
-
-    @pytest.mark.parametrize("name", ("single_flow", "incast_tor"))
-    def test_fingerprints_byte_identical_to_baseline(self, name):
-        baseline = load_baseline(BASELINE_PATH)
-        assert baseline is not None, "benchmarks/BASELINE.json missing"
-        run = SCENARIOS[name].run(seed=1)
-        recorded = baseline["scenarios"][name]
-        assert run.fingerprint == recorded["fingerprint"], (
-            "telemetry instrumentation perturbed scenario %r with the hub "
-            "disabled -- a hook is doing work outside its enabled guard"
-            % name
-        )
-        # Identical event counts: the disabled path must schedule nothing.
-        assert run.events == recorded["events"]
-        assert run.packets == recorded["packets"]
 
 
 # -- 3. detector semantics on synthetic windows ------------------------------
@@ -470,14 +451,16 @@ class TestHealthyFabricStaysSilent:
 
 class TestBenchTelemetryPass:
     def test_collect_telemetry_annotates_and_writes(self, tmp_path):
-        scenarios = run_benchmarks(["single_flow"], seed=1, repeat=1)
+        # The observed run is the pinned run: one pass, both planes.
         out_dir = str(tmp_path / "artifacts")
-        collect_artifacts(HUB, scenarios, out_dir, seed=1)
-        block = scenarios["single_flow"]["telemetry"]
-        assert block["artifacts"], "instrumented pass wrote no artifact"
-        for path in block["artifacts"]:
-            records = telemetry.read_jsonl(path)
-            assert records[0]["type"] == "meta"
-            assert records[0]["label"] == "bench:single_flow"
-        assert block["incidents"] == 0  # single healthy flow
-        assert HUB.enabled is False and HUB.session is None
+        row = assert_reproduces_pin("single_flow", hubs=(HUB, TRACE), out_dir=out_dir)
+        assert [each.hub for each in row.collections] == [HUB, TRACE]
+        for collection in row.collections:
+            assert collection.paths, "%s wrote no artifact" % collection.hub.name
+            for path in collection.paths:
+                meta = collection.hub.read_jsonl(path)[0]
+                assert meta["type"] == "meta"
+                # Telemetry stamps the label on the meta record, tracing its config.
+                assert meta.get("config", meta)["label"] == "bench:single_flow"
+            assert not collection.hub.enabled and collection.hub.session is None
+        assert row.collections[0].headline() == {"incidents": 0}  # one healthy flow

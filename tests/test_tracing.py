@@ -2,11 +2,10 @@
 
 Mirrors the structure of tests/test_telemetry.py for its sibling plane:
 
-1. **Dark-path purity** -- with the hub disarmed, pinned scenarios
-   reproduce their ``benchmarks/BASELINE.json`` fingerprints
-   byte-identically; and because a trace session schedules no events
-   and draws no RNG, fingerprints stay identical even while *armed*
-   (a stronger guarantee than telemetry's).
+1. **Dark-path purity** -- the hub starts dark, and because a trace
+   session schedules no events and draws no RNG, a pinned scenario
+   reproduces its ``benchmarks/BASELINE.json`` pin while *armed* (the
+   dark run is ``tests/test_bench.py``'s).
 2. **Exact-sum attribution** -- every completed op's FCT decomposes
    into the seven components with zero residual on the canonical bench
    scenarios (the ISSUE's acceptance invariant).
@@ -20,21 +19,18 @@ Mirrors the structure of tests/test_telemetry.py for its sibling plane:
 """
 
 import json
-import os
 
 import pytest
 
 from repro import tracing
-from repro.bench.harness import load_baseline
 from repro.bench.scenarios import SCENARIOS
 from repro.obs import TRACE as HUB
 from repro.tracing import __main__ as tracing_cli
 from repro.tracing.session import TraceSession
+from tests.test_bench import assert_reproduces_pin
 
 pytestmark = pytest.mark.tracing
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "BASELINE.json")
 
 MS = 1_000_000
 
@@ -69,27 +65,10 @@ class TestDarkPath:
         assert HUB.session is None
         assert HUB.armed is None
 
-    @pytest.mark.parametrize("name", ("single_flow", "incast_tor"))
-    def test_fingerprints_byte_identical_to_baseline(self, name):
-        baseline = load_baseline(BASELINE_PATH)
-        assert baseline is not None, "benchmarks/BASELINE.json missing"
-        run = SCENARIOS[name].run(seed=1)
-        recorded = baseline["scenarios"][name]
-        assert run.fingerprint == recorded["fingerprint"], (
-            "tracing instrumentation perturbed scenario %r with the hub "
-            "disabled -- a probe is doing work outside its enabled guard"
-            % name
-        )
-        assert run.events == recorded["events"]
-        assert run.packets == recorded["packets"]
-
     @pytest.mark.parametrize("name", ("single_flow", "pause_storm"))
     def test_armed_fingerprints_still_identical(self, name):
-        # Stronger than telemetry: a trace session schedules no events
-        # of its own, so even an ARMED run reproduces the baseline.
-        baseline = load_baseline(BASELINE_PATH)
-        run, _records = _trace_scenario(name)
-        assert run.fingerprint == baseline["scenarios"][name]["fingerprint"]
+        # pause_storm is the one slow scenario tier-1 runs armed.
+        assert_reproduces_pin(name, hubs=(HUB,))
 
 
 # -- 2. exact-sum attribution ------------------------------------------------
