@@ -1,4 +1,4 @@
-"""The determinism gate: ``python -m repro.bench``.
+"""The determinism gate: ``python -m repro gate``.
 
 Nine closed, seeded scenarios (:mod:`repro.bench.scenarios`), each
 reduced to a fingerprint of every counter that could diverge between two

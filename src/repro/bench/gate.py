@@ -3,7 +3,8 @@
 ``benchmarks/BASELINE.json`` holds, for one seed, the fingerprint, event
 count and packet count of every scenario in
 :data:`repro.bench.scenarios.SCENARIOS`.  :func:`check` is the only code
-that compares a run to it; the CLI, the tests and CI all call it.
+that compares a run to it; ``python -m repro gate``, the tests and CI
+all call it.
 """
 
 import contextlib

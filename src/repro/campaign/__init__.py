@@ -19,7 +19,7 @@ Pieces:
   per-run timeout/retry and failure isolation;
 * :mod:`~repro.campaign.store` -- JSONL/CSV artifacts + the manifest;
 * :mod:`~repro.campaign.runner` -- the orchestrator gluing the above;
-* ``python -m repro.campaign`` -- the run/resume/list/clean CLI.
+* ``python -m repro run|resume|list|clean`` -- its verbs (docs/cli.md).
 
 Quickstart::
 

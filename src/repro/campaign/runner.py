@@ -12,6 +12,7 @@ The flow of one campaign::
         --cache?--> hits: artifacts written straight from cache
         --pool----> misses: execute_run() in isolated worker processes
         --store---> runs/<id>.jsonl + csv/<id>.csv + manifest.json
+                    (+ <plane>/<id>-<i>.<plane>.jsonl per armed hub)
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from repro.campaign.registry import DEFAULT_REGISTRY
 from repro.campaign.spec import SweepSpec
 from repro.campaign.store import CampaignStore
 from repro.experiments.catalog import resolve_ref
-from repro.obs import TELEMETRY
+from repro.obs import HUBS
 
 #: run statuses recorded in the manifest
 OK = pool.OK
@@ -40,20 +41,18 @@ def execute_run(payload):
     keyword, and the result is reduced to plain JSON-serializable data
     so it can cross the process boundary and land in the cache.
 
-    With ``payload["telemetry"]`` set, the run executes with the
-    telemetry hub armed (every fabric the runner boots gets a collection
-    session -- see :mod:`repro.telemetry`) and the drained session
-    records ride back in the result as ``telemetry_sessions``.
+    ``payload["hubs"]`` names the observation planes to arm (every
+    fabric the runner boots gets a session of each -- see
+    :mod:`repro.obs`); their drained session records ride back in the
+    result as ``sessions``, keyed by plane name.
     """
     runner = resolve_ref(payload["ref"])
     kwargs = dict(payload["params"])
     if payload.get("seed") is not None:
         kwargs["seed"] = payload["seed"]
-    with (
-        TELEMETRY.collect(payload["run_id"])
-        if payload.get("telemetry")
-        else contextlib.nullcontext()
-    ) as collection:
+    with contextlib.ExitStack() as stack:
+        collections = [stack.enter_context(hub.collect(payload["run_id"]))
+                       for hub in HUBS if hub.name in payload.get("hubs", ())]
         started = time.monotonic()
         result = runner(**kwargs)
     duration_s = time.monotonic() - started
@@ -67,8 +66,8 @@ def execute_run(payload):
         "duration_s": duration_s,
         "violations": _violation_count(rows),
     }
-    if collection:
-        out["telemetry_sessions"] = collection.sessions
+    if collections:
+        out["sessions"] = {c.hub.name: c.sessions for c in collections}
     return out
 
 
@@ -123,12 +122,13 @@ class Campaign:
 
     def __init__(self, spec, out_dir, registry=None, cache=None, use_cache=True,
                  jobs=None, timeout_s=900.0, retries=1, inline=False, echo=print,
-                 telemetry=False):
+                 hubs=()):
         self.spec = spec
         self.store = CampaignStore(out_dir)
         self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None else ResultCache()
-        self.telemetry = telemetry
+        #: the planes (``repro.obs.HUBS``) every run is armed with
+        self.hubs = tuple(hubs)
         self.use_cache = use_cache
         self.jobs = jobs or pool.default_jobs()
         self.timeout_s = timeout_s
@@ -181,10 +181,10 @@ class Campaign:
             payload = self.cache.get(key) if key else None
             # An armed run is the dark run plus its artifacts, so either
             # kind fills the cache; only an entry that carries the
-            # sessions can stand in for an armed run (a dark-filled one
-            # re-runs and is overwritten).
-            if payload is not None and (
-                    not self.telemetry or "telemetry_sessions" in payload):
+            # sessions of every armed plane can stand in for an armed run
+            # (any other re-runs and is overwritten).
+            if payload is not None and all(
+                    hub.name in payload.get("sessions", {}) for hub in self.hubs):
                 self._record_success(manifest, run.run_id, payload, cache_hit=True)
                 progress.done(run.run_id, 0.0, cached=True)
             else:
@@ -195,8 +195,7 @@ class Campaign:
         for run, key in misses:
             task_payload = run.describe()
             task_payload["run_id"] = run.run_id
-            if self.telemetry:
-                task_payload["telemetry"] = True
+            task_payload["hubs"] = [hub.name for hub in self.hubs]
             tasks.append((run.run_id, task_payload))
             keys[run.run_id] = key
 
@@ -268,12 +267,10 @@ class Campaign:
         jsonl, csv_path = self.store.write_run_artifacts(
             run_id, payload["schema"], payload["rows"]
         )
-        telemetry_paths = None
-        if self.telemetry and payload.get("telemetry_sessions"):
-            telemetry_paths = self.store.write_telemetry_artifacts(
-                run_id, payload["telemetry_sessions"]
-            )
         entry = manifest["runs"][run_id]
+        for hub in self.hubs:
+            entry[hub.name] = hub.write_artifacts(
+                payload["sessions"][hub.name], self.store.plane_dir(hub.name), run_id)
         entry.update(
             status=OK,
             cache_hit=cache_hit,
@@ -286,8 +283,6 @@ class Campaign:
             jsonl=jsonl,
             csv=csv_path,
         )
-        if telemetry_paths is not None:
-            entry["telemetry"] = telemetry_paths
         manifest["updated"] = _now_iso()
         self.store.save_manifest(manifest)
 

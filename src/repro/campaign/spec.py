@@ -146,23 +146,33 @@ class SweepSpec:
                     "target %r has unknown keys: %s"
                     % (raw["experiment"], ", ".join(sorted(unknown)))
                 )
+            seeds = raw.get("seeds")
+            if seeds is not None and not (
+                    isinstance(seeds, list)
+                    and all(type(seed) is int for seed in seeds)):
+                raise SpecError(
+                    "target %r: 'seeds' must be a list of integers, got %r"
+                    % (raw["experiment"], seeds)
+                )
             entries.append(
                 SweepEntry(
                     raw["experiment"],
                     ref=raw.get("ref"),
                     grid=raw.get("grid"),
-                    seeds=raw.get("seeds"),
+                    seeds=seeds,
                 )
             )
         return cls(data.get("name", "campaign"), entries)
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as handle:
-            try:
+        try:
+            with open(path) as handle:
                 data = json.load(handle)
-            except ValueError as exc:
-                raise SpecError("%s: invalid JSON: %s" % (path, exc))
+        except OSError as exc:
+            raise SpecError("%s: %s" % (path, exc.strerror or exc))
+        except ValueError as exc:
+            raise SpecError("%s: invalid JSON: %s" % (path, exc))
         return cls.from_dict(data)
 
     def to_dict(self):
@@ -190,12 +200,17 @@ class SweepSpec:
                 if target is None:
                     raise SpecError(
                         "unknown experiment %r (and no 'ref' given); "
-                        "see `python -m repro.campaign list`" % entry.experiment
+                        "see `python -m repro list`" % entry.experiment
                     )
                 ref = target.ref
                 known = target.parameters()
                 seedable = target.seedable
-                bad = [name for name in entry.grid if name not in known or name == "seed"]
+                if "seed" in entry.grid:
+                    raise SpecError(
+                        "%s: seed is not a grid parameter; use --seeds "
+                        "(a spec target's 'seeds' list)" % entry.experiment
+                    )
+                bad = [name for name in entry.grid if name not in known]
                 if bad:
                     raise SpecError(
                         "%s: runner %s does not sweep parameter(s) %s (accepts: %s)"
@@ -203,7 +218,7 @@ class SweepSpec:
                             entry.experiment,
                             target.runner_name,
                             ", ".join(sorted(bad)),
-                            ", ".join(sorted(known)) or "none",
+                            ", ".join(sorted(set(known) - {"seed"})) or "none",
                         )
                     )
             seeds = entry.seeds if (entry.seeds and seedable) else [None]

@@ -6,8 +6,8 @@ A campaign directory is self-describing::
       manifest.json      # spec, code version, per-run status/timings/violations
       runs/<run_id>.jsonl  # one canonical JSON object per result row
       csv/<run_id>.csv     # the same rows for spreadsheet consumption
-      telemetry/<run_id>-<i>.telemetry.jsonl  # with --telemetry: one per
-                                              # fabric the run booted
+      <plane>/<run_id>-<i>.<plane>.jsonl  # per armed plane (telemetry,
+                                          # trace): one per fabric booted
 
 The manifest is rewritten atomically after every run completion, so an
 interrupted campaign (ctrl-C, OOM, power) can always be ``resume``\\ d:
@@ -20,12 +20,9 @@ import json
 import os
 import tempfile
 
-from repro.artifact import encode_line
-
 MANIFEST_NAME = "manifest.json"
 RUNS_DIR = "runs"
 CSV_DIR = "csv"
-TELEMETRY_DIR = "telemetry"
 
 
 def _atomic_write(path, text):
@@ -61,6 +58,10 @@ class CampaignStore:
     def run_csv_path(self, run_id):
         return os.path.join(self.out_dir, CSV_DIR, run_id + ".csv")
 
+    def plane_dir(self, plane):
+        """Where an armed plane's artifacts go (``plane`` is a hub name)."""
+        return os.path.join(self.out_dir, plane)
+
     def write_run_artifacts(self, run_id, schema, rows):
         """Write the JSONL + CSV artifacts for one finished run."""
         jsonl_path = self.run_jsonl_path(run_id)
@@ -73,24 +74,6 @@ class CampaignStore:
             for row in rows:
                 writer.writerow(row)
         return jsonl_path, csv_path
-
-    def write_telemetry_artifacts(self, run_id, session_record_lists):
-        """Write one telemetry JSONL per collection session of a run.
-
-        A run may boot several fabrics (each gets its own session), so
-        artifacts are suffixed ``-<i>`` in boot order.  The format is
-        the canonical ``repro-telemetry/1`` JSONL readable by ``python
-        -m repro.telemetry summarize``.  Returns the written paths.
-        """
-        paths = []
-        for index, records in enumerate(session_record_lists):
-            path = os.path.join(
-                self.out_dir, TELEMETRY_DIR,
-                "%s-%d.telemetry.jsonl" % (run_id, index),
-            )
-            _atomic_write(path, "".join(map(encode_line, records)))
-            paths.append(path)
-        return paths
 
     def read_run_rows(self, run_id):
         """Rows from a run's JSONL artifact (None when absent/corrupt)."""

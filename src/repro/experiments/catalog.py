@@ -1,10 +1,9 @@
 """The experiment catalogue as data: one registry-friendly entry per runner.
 
-Historically the id -> runner mapping lived as a private dict inside
-``repro.experiments.__main__``; the campaign orchestrator
-(:mod:`repro.campaign`) needs the same information -- plus which
-parameters each runner accepts and whether it is seeded -- so the
-catalogue now lives here as first-class objects both CLIs share.
+The campaign orchestrator (:mod:`repro.campaign`) and ``python -m
+repro run`` need the id -> runner mapping plus which parameters each
+runner accepts and whether it is seeded, so the catalogue lives here as
+first-class objects.
 
 An entry names its runner by *importable reference* (``module:attr``)
 rather than by function object so that campaign worker processes can

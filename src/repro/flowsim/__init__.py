@@ -16,7 +16,8 @@ are documented in docs/flowsim.md.
   (:mod:`repro.topo.spec`; :class:`FlowTopology`).
 * :mod:`~repro.flowsim.models` -- the DCQCN utilization factor and the
   PFC pause-fraction / congestion-spreading model.
-* ``python -m repro.flowsim`` -- scale scenarios from the command line.
+* ``python -m repro run F1`` / ``F2`` -- the scale run and the figure-7
+  cross-check from the command line.
 """
 
 from repro.flowsim.engine import FlowSim, FlowsimRun

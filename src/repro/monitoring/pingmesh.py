@@ -20,7 +20,7 @@ will therefore see the probe traffic in its port counters.
 Probe logs export to JSONL (:meth:`Pingmesh.to_jsonl`) and summarize to
 the paper's operator view -- RTT p50/p90/p99/p999 plus the per-error-code
 breakdown (:meth:`Pingmesh.summary`, or offline via
-``python -m repro.tracing pingmesh PROBES.jsonl``).  When the causal
+``python -m repro pingmesh PROBES.jsonl``).  When the causal
 tracing plane (:mod:`repro.tracing`) is armed, probe ops are traced like
 any other op, so a slow probe's RTT decomposes into the same
 queue/pause/serialization components as a real flow's FCT.
@@ -176,7 +176,7 @@ class Pingmesh:
 
         One object per probe: ``{"t_ns", "src", "dst", "rtt_ns",
         "error"}`` -- read back with :func:`read_probe_jsonl` or fed to
-        ``python -m repro.tracing pingmesh``.
+        ``python -m repro pingmesh``.
         """
         from repro.artifact import write_jsonl
 

@@ -31,8 +31,8 @@ CLI's ``--telemetry-dir`` do)::
         ...build fabrics and run (Fabric.boot auto-attaches a session)...
     print(collection.describe())
 
-See docs/telemetry.md for the operator's handbook and ``python -m
-repro.telemetry --help`` for the artifact CLI.
+See docs/telemetry.md for the operator's handbook and docs/cli.md for
+the artifact verbs (``python -m repro summarize|replay|export|metrics``).
 """
 
 from repro.artifact import write_jsonl

@@ -27,7 +27,7 @@ Window shape (produced by ``TelemetrySession._close_window``)::
     }
 
 Detectors never reach into the simulator; replaying the same windows
-(``python -m repro.telemetry replay``) reproduces the same incidents.
+(``python -m repro replay``) reproduces the same incidents.
 
 Relation to other modules: ``faults/invariants.py`` audits correctness
 invariants (conservation, monotonicity) and raises on violation;

@@ -49,7 +49,7 @@ class MetricSpec:
 
 
 #: The full metric catalog.  Every metric the session emits is declared
-#: here; docs/telemetry.md and ``python -m repro.telemetry catalog``
+#: here; docs/telemetry.md and ``python -m repro metrics``
 #: render from this list, and tests assert the two stay in sync.
 CATALOG = [
     # -- port / link layer (net/port.py) --------------------------------

@@ -6,8 +6,8 @@ Two tools share this package:
   attribution with an exact-sum invariant, and pause-causality graphs
   whose roots are the DCFIT-style initial triggers.  Arm it like
   telemetry (``repro.tracing.arm()`` before ``Fabric.boot``, or
-  ``--trace`` on the bench/experiment CLIs), drain artifacts after the
-  run, and analyse online or via ``python -m repro.tracing``.
+  ``--trace`` on ``python -m repro gate|run``), drain artifacts after
+  the run, and analyse online or via ``python -m repro`` (docs/cli.md).
   See docs/tracing.md.
 
 * The per-frame **packet capture** (:class:`PacketTracer`,

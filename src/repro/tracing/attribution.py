@@ -48,7 +48,7 @@ cases.
 
 Everything here is a pure function over artifact records (dicts), so it
 works identically online (tests draining a session) and offline (the
-``python -m repro.tracing attribute`` CLI reading JSONL).
+``python -m repro attribute`` verb reading JSONL).
 """
 
 COMPONENTS = (

@@ -23,7 +23,7 @@ Cycles (the section 4.2 CBD deadlock) have no root by definition;
 arbitrarily.
 
 Pure functions over artifact records, shared by the tests and the
-``python -m repro.tracing storm`` CLI.
+``python -m repro storm`` verb.
 """
 
 

@@ -49,6 +49,39 @@ def summary_of(records):
     return {}
 
 
+def render_summary(records):
+    """Human-readable multi-line summary of one artifact: run span,
+    op/packet counts, pause episodes, the latency-attribution aggregate."""
+    from repro.tracing.attribution import COMPONENTS, aggregate, attribute_records
+
+    meta = records[0]
+    summary = summary_of(records)
+    lines = [
+        "trace %s: %.3f..%.3f ms, %d hosts, %d switches" % (
+            (meta.get("config") or {}).get("label") or "-",
+            meta.get("t_start_ns", 0) / 1e6, meta.get("t_stop_ns", 0) / 1e6,
+            meta.get("hosts", 0), meta.get("switches", 0)),
+        "  ops      %d traced (%d completed, %d sampled out, %d dropped)" % (
+            summary.get("ops_traced", 0), summary.get("ops_completed", 0),
+            summary.get("ops_sampled_out", 0), summary.get("dropped_ops", 0)),
+        "  packets  %d traced (%d dropped)" % (
+            summary.get("packets_traced", 0), summary.get("dropped_packets", 0)),
+        "  pauses   %d episodes, %d rx intervals; %d events, %d rate decreases" % (
+            summary.get("pause_nodes", 0), summary.get("pause_intervals", 0),
+            summary.get("events", 0), summary.get("rate_decreases", 0)),
+    ]
+    attributions = attribute_records(records)
+    if attributions:
+        agg = aggregate(attributions)
+        lines.append("  latency  %d/%d ops attributed, mean FCT %.3f ms"
+                     % (agg["complete"], agg["ops"], agg["fct_mean_ns"] / 1e6))
+        lines.extend(
+            "    %-16s %6.1f%%  (%.3f ms total)"
+            % (name[:-3], 100.0 * agg[name.replace("_ns", "_share")], agg[name] / 1e6)
+            for name in COMPONENTS if agg[name])
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------- windows
 
 

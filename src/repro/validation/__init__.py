@@ -15,12 +15,12 @@ run through the packet engine *and* the flow-level simulator
 (flowsim's steady rates match the max-min shares to float precision;
 packet-measured goodput sits in the flowsim-anchored band).
 
-CLI::
+Command line (docs/cli.md)::
 
-    python -m repro.validation sweep --seeds 200
-    python -m repro.validation mutation-check
-    python -m repro.validation replay artifacts/validation/seed42.jsonl
-    python -m repro.validation flowsim --seeds 100
+    python -m repro validate --seeds 200
+    python -m repro mutation-check
+    python -m repro replay artifacts/validation/seed42.jsonl
+    python -m repro differential --seeds 100
 """
 
 from repro.validation.scenarios import (

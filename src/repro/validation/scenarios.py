@@ -9,7 +9,7 @@ optional deterministic ingress loss process (the section 4.1 testbed's
 The same generator serves two masters:
 
 * a standalone deterministic enumerator -- ``generate_scenario(seed)``
-  for the ``python -m repro.validation`` sweep and the campaign target;
+  for the ``python -m repro validate`` sweep and the campaign target;
 * a Hypothesis strategy -- ``scenario_strategy()`` maps drawn integers
   through the same function, so shrinking a hypothesis failure shrinks
   the seed, and any seed it finds replays verbatim in the CLI.

@@ -27,8 +27,8 @@ One home for the generators that several suites were growing ad hoc:
   suites.
 * :func:`validation_scenarios` -- the differential-validation scenario
   generator re-exported as a strategy (seed-mapped, so any failing
-  example replays as ``python -m repro.validation sweep --seeds 1
-  --start <seed>``).
+  example replays as ``python -m repro validate --seeds 1 --start
+  <seed>``).
 
 Strategies take bounds as arguments so suites can tighten or widen them
 without forking the generator.
@@ -386,7 +386,7 @@ def drive_incast(topo, n_senders, rng, message_bytes=256 * KB, config=None):
 def validation_scenarios(max_seed=10**6):
     """Randomized-fabric validation scenarios (seed-mapped: shrinking
     shrinks the seed, and any example replays verbatim in the
-    ``python -m repro.validation`` CLI)."""
+    ``python -m repro validate``)."""
     from repro.validation import scenario_strategy
 
     return scenario_strategy(max_seed=max_seed)

@@ -9,11 +9,11 @@ Two jobs:
    proof that an optimization changed speed and nothing else (the
    fingerprints digest event counts, per-QP stats, link and switch
    counters, and buffer peaks).
-2. **A gate that can fail** -- ``python -m repro.bench`` exits 1 on
+2. **A gate that can fail** -- ``python -m repro gate`` exits 1 on
    drift and 2 when no verdict is possible, never 0 by default.
 
 The slowest scenarios (``clos_slice``, ``pause_storm``) are exercised by
-``python -m repro.bench`` and CI's dark- and armed-path gates rather
+``python -m repro gate`` and CI's dark- and armed-path gates rather
 than here, to keep the tier-1 suite quick.  ``clos_pod`` (the
 fabric-scale check) *is* pinned here despite its cost: it is the only
 scenario that exercises cross-podset ECMP over the full three-tier path,
@@ -24,8 +24,8 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench import SCENARIOS, check
-from repro.bench.__main__ import main
 from repro.bench.gate import PIN_PATH, load_pins
 from repro.bench.scenarios import digest
 
@@ -94,7 +94,7 @@ class TestFingerprintPinning:
 
 
 class TestTheGateCanFail:
-    """Exit status through ``main``: 1 drift, 2 no verdict possible."""
+    """Exit status through ``python -m repro gate``: 1 drift, 2 no verdict possible."""
 
     @pytest.fixture
     def pins(self):
@@ -104,12 +104,12 @@ class TestTheGateCanFail:
         pins["scenarios"]["single_flow"]["fingerprint"] = "0" * 16
         altered = tmp_path / "altered.json"
         altered.write_text(json.dumps(pins))
-        assert main(["single_flow", "--baseline", str(altered)]) == 1
+        assert main(["gate", "single_flow", "--baseline", str(altered)]) == 1
         (row,) = capsys.readouterr().out.splitlines()
         assert "DRIFT: fingerprint" in row and "events" not in row.split("DRIFT")[1]
 
     def test_missing_pin_file_is_exit_2_in_one_line(self, capsys):
-        assert main(["single_flow", "--baseline", "/nonexistent.json"]) == 2
+        assert main(["gate", "single_flow", "--baseline", "/nonexistent.json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing ran
         (line,) = captured.err.splitlines()
@@ -119,16 +119,16 @@ class TestTheGateCanFail:
         del pins["scenarios"]["single_flow"]
         incomplete = tmp_path / "incomplete.json"
         incomplete.write_text(json.dumps(pins))
-        assert main(["single_flow", "--baseline", str(incomplete)]) == 2
+        assert main(["gate", "single_flow", "--baseline", str(incomplete)]) == 2
         assert "single_flow" in capsys.readouterr().err
 
     def test_unknown_scenario_is_exit_2(self, capsys):
-        assert main(["no_such_scenario"]) == 2
+        assert main(["gate", "no_such_scenario"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert "no_such_scenario" in line
 
     def test_unpinned_seed_has_no_verdict(self, capsys):
-        assert main(["single_flow", "--seed", "2"]) == 0
+        assert main(["gate", "single_flow", "--seed", "2"]) == 0
         captured = capsys.readouterr()
         assert "DRIFT" not in captured.out + captured.err
         assert "no verdict" in captured.out
@@ -137,7 +137,7 @@ class TestTheGateCanFail:
         del pins["scenarios"]["engine_churn"]
         target = tmp_path / "pins.json"
         target.write_text(json.dumps(pins))
-        assert main(["engine_churn", "--pin", "--baseline", str(target)]) == 0
+        assert main(["gate", "engine_churn", "--pin", "--baseline", str(target)]) == 0
         assert target.read_text() == open(PIN_PATH).read()  # merged, same bytes
 
 

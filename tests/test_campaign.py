@@ -26,6 +26,7 @@ from repro.campaign import (
 from repro.campaign.spec import RunSpec
 from repro.experiments.common import ExperimentResult, SchemaError
 from repro.faults import FaultPlan, install_default_auditors
+from repro.obs import TELEMETRY
 from repro.rdma.verbs import connect_qp_pair
 from repro.sim import SeededRng
 from repro.sim.units import KB, MS
@@ -363,7 +364,7 @@ class TestCampaignTelemetryCache:
     def _run(self, tmp_path, out, cache, telemetry):
         report = _campaign(
             tmp_path, self.SPEC, jobs=2, cache=cache, out=str(tmp_path / out),
-            telemetry=telemetry,
+            hubs=(TELEMETRY,) if telemetry else (),
         ).run()
         assert report.all_ok and report.total == 2
         return report

@@ -1,0 +1,94 @@
+"""The front door, ``python -m repro <verb>``: its exit-code map.
+
+0 passed (or the verb gives no verdict), 1 the verdict failed, 2 nothing
+could be judged -- said in one stderr line, with nothing run and no
+directory left behind.  The artifact verbs' reader matrix lives in
+``tests/test_obs.py::TestReaderClis``; each subsystem's own tests drive
+its verbs through :func:`repro.__main__.main` too.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.__main__ import main
+
+
+def _assert_exit_2(argv, capsys, *needles):
+    capsys.readouterr()
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    for needle in needles:
+        assert needle in line, line
+
+
+class TestNothingToJudge:
+    @pytest.mark.parametrize("argv", [[], ["frob"], ["list", "--bogus"], ["gate", "--seed", "x"]],
+                             ids=["no-verb", "unknown-verb", "unknown-option", "bad-value"])
+    def test_usage_errors_are_one_line(self, argv, capsys):
+        _assert_exit_2(argv, capsys, "python -m repro")
+
+    @pytest.mark.parametrize("verb", ["validate", "differential"])
+    def test_zero_seeds_is_no_verdict(self, verb, capsys):
+        _assert_exit_2([verb, "--seeds", "0"], capsys, "nothing to check")
+
+    def test_storm_needs_an_artifact_or_the_demo(self, capsys):
+        _assert_exit_2(["storm"], capsys, "--demo")
+
+    def test_clean_with_nothing_named(self, capsys):
+        _assert_exit_2(["clean"], capsys, "nothing to clean")
+
+    def test_clean_checks_every_dir_before_deleting_any(self, tmp_path, capsys):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.mkdir()
+        (good / "manifest.json").write_text("{}")
+        bad.mkdir()
+        _assert_exit_2(["clean", str(good), str(bad)], capsys, str(bad), "no manifest.json")
+        assert (good / "manifest.json").exists()
+
+
+class TestBadSpecs:
+    """A bad sweep spec is one line and exit 2 before anything runs."""
+
+    def _refused(self, tmp_path, capsys, argv, *needles):
+        out = tmp_path / "campaign"
+        _assert_exit_2(["run"] + argv + ["--out", str(out), "--inline"], capsys, *needles)
+        assert not out.exists()
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, ["--spec", "/nonexistent.json"], "/nonexistent.json")
+
+    def test_seeds_that_are_not_a_list_of_ints(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"targets": [{"experiment": "E1", "seeds": "abc"}]}))
+        self._refused(tmp_path, capsys, ["--spec", str(spec)], "seeds", "list of integers")
+
+    def test_unknown_parameter(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, ["E1", "--param", "nosuch=1"], "nosuch")
+
+    def test_seed_as_a_parameter_points_at_seeds(self, tmp_path, capsys):
+        self._refused(tmp_path, capsys, ["E1", "--param", "seed=1"], "use --seeds")
+
+
+def test_importing_the_front_door_loads_no_subsystem():
+    """Each verb imports its subsystem in its handler: ``--help`` costs
+    about ``import repro``."""
+    script = (
+        "import sys\n"
+        "import repro.__main__\n"
+        "heavy = ('telemetry', 'tracing', 'campaign', 'validation', 'bench', 'flowsim')\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('repro.') and m.split('.')[1] in heavy))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    result = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                            capture_output=True, text=True, timeout=60)
+    assert result.stdout.strip() == "[]"

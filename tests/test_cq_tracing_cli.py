@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.__main__ import main
 from repro.rdma import CompletionQueue, WorkCompletion, connect_qp_pair, post_read, post_send
 from repro.sim import SeededRng
 from repro.sim.units import KB, MB, MS
@@ -168,28 +169,22 @@ class TestSummarize:
 
 
 class TestCli:
-    def test_list(self, capsys):
-        from repro.experiments.__main__ import main
+    """The experiment verbs of ``python -m repro``."""
 
-        assert main(["--list"]) == 0
+    def test_list(self, capsys):
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "E1" in out and "run_livelock" in out
 
     def test_run_by_id_with_csv(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["E10", "--csv-dir", str(tmp_path)]) == 0
-        assert (tmp_path / "e10.csv").exists()
+        assert main(["run", "E10", "--inline", "--no-cache", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "csv" / "E10.csv").exists()
         out = capsys.readouterr().out
         assert "CPU overhead" in out
 
-    def test_run_by_fragment(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["headroom"]) == 0
+    def test_run_by_fragment(self, tmp_path, capsys):
+        assert main(["run", "headroom", "--inline", "--no-cache", "--out", str(tmp_path)]) == 0
         assert "lossless_classes" in capsys.readouterr().out
 
-    def test_unknown_token(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["zzz-no-such"]) == 2
+    def test_unknown_token(self, tmp_path, capsys):
+        assert main(["run", "zzz-no-such", "--out", str(tmp_path / "c")]) == 2

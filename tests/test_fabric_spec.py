@@ -222,7 +222,7 @@ def _sweep_rows(tmp_path, hash_seed):
         + env.get("PYTHONPATH", "").split(os.pathsep)
     )
     subprocess.run(
-        [sys.executable, "-m", "repro.validation", "sweep", "--seeds", "1",
+        [sys.executable, "-m", "repro", "validate", "--seeds", "1",
          "--start", "34", "--no-metamorphic", "--no-shrink",
          "--artifacts", str(tmp_path / "artifacts"), "--jsonl", str(out)],
         env=env, check=True, capture_output=True, timeout=300,

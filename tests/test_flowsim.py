@@ -2,10 +2,10 @@
 
 The `flowsim` lane: exact-mode steady state against the max-min
 reference, byte-identical determinism, scale-mode (interval batching)
-agreement with exact mode, the first-order DCQCN and PFC models, and
-the analytic topologies' path discipline.  The datacenter-scale
-acceptance run (4096 hosts, 50k+ flows) lives in CI's flowsim smoke
-job, not here.
+agreement with exact mode, the first-order DCQCN and PFC models, the
+analytic topologies' path discipline, and F2's cross-check against the
+analytic Clos model.  The datacenter-scale acceptance run (4096 hosts,
+50k+ flows) lives in CI's flowsim smoke job, not here.
 
 Run alone with ``pytest -m flowsim``.
 """
@@ -445,3 +445,15 @@ class TestApiValidation:
         fid = sim.add_host_flow(0, 1, 10 ** 12)
         sim.run(until_ns=1)
         assert sim.active_flow_paths() == {fid: topology.path(0, 1, 49152)}
+
+
+class TestFigure7CrossCheck:
+    def test_flowsim_reproduces_the_analytic_maxmin_allocation(self):
+        """F2: flowsim over the figure-7 model's paths lands on the
+        analytic max-min rates to float precision, 5.120 Tb/s both ways."""
+        from repro.experiments.flowsim_scale import run_flowsim_figure7
+
+        rows = {row["view"]: row for row in run_flowsim_figure7(seed=1).rows()}
+        assert rows["model-paths"]["max_rel_err"] <= 1e-6
+        for row in rows.values():
+            assert "%.3f" % row["aggregate_tbps"] == "5.120"

@@ -6,9 +6,10 @@
    session refused.
 2. **Reader robustness** -- every byte-prefix truncation of a real
    artifact reads as a shorter record list or raises ``ArtifactError``;
-   every artifact-reading subcommand answers bad input with exit status
-   2 and one ``path:line: reason`` line.
-3. **Collect path** -- the experiments CLI feeds both planes in one run.
+   every artifact-reading verb of ``python -m repro`` answers bad input
+   with exit status 2 and one ``path:line: reason`` line.
+3. **Collect path** -- ``run --telemetry --trace`` feeds both planes in
+   one run.
 4. **Dark imports** -- the module sets perfbench's workloads import
    load neither plane nor ``networkx``.
 5. **Armed == dark** -- every fast pinned scenario, inside either hub's
@@ -22,15 +23,13 @@ import sys
 import pytest
 
 from repro import SeededRng, connect_qp_pair, post_send, single_switch
+from repro.__main__ import main
 from repro.artifact import ArtifactError, read_jsonl, write_jsonl
-from repro.experiments import __main__ as experiments_cli
 from repro.experiments.catalog import CATALOG, CatalogEntry
 from repro.experiments.common import ExperimentResult
 from repro.obs import HUBS, TELEMETRY, TRACE
 from repro.telemetry import TelemetrySession
-from repro.telemetry import __main__ as telemetry_cli
 from repro.tracing import TraceSession
-from repro.tracing import __main__ as tracing_cli
 from tests.test_bench import FAST_SCENARIOS, assert_reproduces_pin
 
 MS = 1_000_000
@@ -207,11 +206,14 @@ class TestReader:
             assert handle.read() == '{"a": {"c": 3, "d": 2}, "b": 1}\n'
 
 
-def _bad_inputs(tmp_path, good, wrong_plane):
-    """name -> path of each kind of unreadable input for ``good``'s plane."""
+def _bad_inputs(tmp_path, good, unknown_kind=None):
+    """name -> path of each input no verb can judge, made from ``good``:
+    missing, truncated, corrupt, empty, and one of an unknown kind."""
     with open(good, "rb") as handle:
         data = handle.read()
-    cases = {"missing": str(tmp_path / "nope.jsonl"), "wrong-plane": wrong_plane}
+    cases = {"missing": str(tmp_path / "nope.jsonl"),
+             "unknown-kind": unknown_kind or write_jsonl(
+                 [{"sends": 1}], str(tmp_path / "rows.jsonl"))}
     for name, content in (
         ("truncated", data[: len(data) - 7]),
         ("corrupt", data[:40] + b"\x00}{" + data[40:]),
@@ -223,7 +225,7 @@ def _bad_inputs(tmp_path, good, wrong_plane):
     return cases
 
 
-def _assert_one_line_exit_2(main, argv, path, capsys):
+def _assert_one_line_exit_2(argv, path, capsys):
     capsys.readouterr()
     assert main(argv) == 2, argv
     captured = capsys.readouterr()
@@ -233,36 +235,56 @@ def _assert_one_line_exit_2(main, argv, path, capsys):
 
 
 class TestReaderClis:
+    """Every path-reading verb of ``python -m repro`` x {missing, empty,
+    truncated, corrupt, unknown kind}, cut from each plane's artifact."""
+
     @pytest.mark.parametrize("command", ["summarize", "replay", "export"])
     def test_telemetry_cli(self, command, artifacts, tmp_path, capsys):
-        bad = _bad_inputs(tmp_path, artifacts[TELEMETRY], artifacts[TRACE])
-        for path in bad.values():
-            _assert_one_line_exit_2(telemetry_cli.main, [command, path], path, capsys)
+        for path in _bad_inputs(tmp_path, artifacts[TELEMETRY]).values():
+            _assert_one_line_exit_2([command, path], path, capsys)
 
     @pytest.mark.parametrize("command", ["summarize", "attribute", "storm", "export"])
     def test_tracing_cli(self, command, artifacts, tmp_path, capsys):
-        bad = _bad_inputs(tmp_path, artifacts[TRACE], artifacts[TELEMETRY])
-        extra = ["--chrome", str(tmp_path / "out.json")] if command == "export" else []
-        for path in bad.values():
-            _assert_one_line_exit_2(
-                tracing_cli.main, [command, path] + extra, path, capsys)
+        for path in _bad_inputs(tmp_path, artifacts[TRACE]).values():
+            _assert_one_line_exit_2([command, path], path, capsys)
 
     def test_tracing_export_window_from_bad_telemetry(self, artifacts, tmp_path, capsys):
-        bad = _bad_inputs(tmp_path, artifacts[TELEMETRY], artifacts[TRACE])
-        for path in bad.values():
-            argv = ["export", artifacts[TRACE], "--chrome",
-                    str(tmp_path / "out.json"), "--window-from-telemetry", path]
-            _assert_one_line_exit_2(tracing_cli.main, argv, path, capsys)
+        bad = _bad_inputs(tmp_path, artifacts[TELEMETRY])
+        for path in list(bad.values()) + [artifacts[TRACE]]:
+            argv = ["export", artifacts[TRACE], "--out", str(tmp_path / "out.json"),
+                    "--window-from-telemetry", path]
+            _assert_one_line_exit_2(argv, path, capsys)
 
     def test_pingmesh_cli(self, artifacts, tmp_path, capsys):
         probes = write_jsonl(
             [{"t_ns": 5, "src": "H0", "dst": "H1", "rtt_ns": 9000, "error": None}] * 3,
             str(tmp_path / "probes.jsonl"),
         )
-        assert tracing_cli.main(["pingmesh", probes]) == 0
-        bad = _bad_inputs(tmp_path, probes, artifacts[TELEMETRY])
-        for path in bad.values():
-            _assert_one_line_exit_2(tracing_cli.main, ["pingmesh", path], path, capsys)
+        assert main(["pingmesh", probes]) == 0
+        for path in _bad_inputs(tmp_path, probes, artifacts[TELEMETRY]).values():
+            _assert_one_line_exit_2(["pingmesh", path], path, capsys)
+
+    @pytest.mark.parametrize("argv,plane", [
+        (["export", "--format", "chrome"], TELEMETRY),
+        (["attribute"], TELEMETRY),
+        (["storm"], TELEMETRY),
+        (["replay", "--original"], TELEMETRY),
+        (["export", "--max-ops", "3"], TELEMETRY),
+        (["export", "--format", "prom"], TRACE),
+        (["replay"], TRACE),
+    ], ids=lambda value: getattr(value, "name", None) or "-".join(value))
+    def test_a_verb_given_the_wrong_kind_is_exit_2(self, argv, plane, artifacts, capsys):
+        path = artifacts[plane]
+        _assert_one_line_exit_2(argv[:1] + [path] + argv[1:], path, capsys)
+
+    def test_summarize_reads_every_artifact_before_printing(self, artifacts, tmp_path, capsys):
+        for path in _bad_inputs(tmp_path, artifacts[TELEMETRY]).values():
+            _assert_one_line_exit_2(["summarize", artifacts[TRACE], path], path, capsys)
+
+    def test_summarize_reads_either_plane(self, artifacts, capsys):
+        assert main(["summarize", artifacts[TELEMETRY], artifacts[TRACE]]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry artifact: small" in out and "trace small:" in out
 
 
 # -- 3. collect path ---------------------------------------------------------
@@ -281,14 +303,13 @@ class TestExperimentsCli:
             CatalogEntry("T0", "run_tiny_experiment", "one SEND on one rack",
                          ref="tests.test_obs:run_tiny_experiment"),
         )
-        telemetry_dir, trace_dir = tmp_path / "tel", tmp_path / "tr"
-        assert experiments_cli.main(
-            ["T0", "--telemetry-dir", str(telemetry_dir), "--trace-dir", str(trace_dir)]
-        ) == 0
-        assert [p.name for p in telemetry_dir.iterdir()] == ["t0-0.telemetry.jsonl"]
-        assert [p.name for p in trace_dir.iterdir()] == ["t0-0.trace.jsonl"]
-        out = capsys.readouterr().out
-        assert "telemetry: 1 artifact(s)" in out and "trace: 1 artifact(s)" in out
+        assert main(["run", "T0", "--inline", "--no-cache", "--telemetry", "--trace",
+                     "--out", str(tmp_path)]) == 0
+        assert [p.name for p in (tmp_path / "telemetry").iterdir()] == ["T0-0.telemetry.jsonl"]
+        assert [p.name for p in (tmp_path / "trace").iterdir()] == ["T0-0.trace.jsonl"]
+        TELEMETRY.read_jsonl(str(tmp_path / "telemetry" / "T0-0.telemetry.jsonl"))
+        TRACE.read_jsonl(str(tmp_path / "trace" / "T0-0.trace.jsonl"))
+        assert "sends" in capsys.readouterr().out  # the run's table
 
 
 # -- 4. dark imports ---------------------------------------------------------

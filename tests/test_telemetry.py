@@ -23,11 +23,11 @@ import os
 
 import pytest
 
+from repro.__main__ import main
 from repro import telemetry
 from repro.bench.scenarios import SCENARIOS
 from repro.obs import TELEMETRY as HUB
 from repro.obs import TRACE
-from repro.telemetry import __main__ as telemetry_cli
 from repro.telemetry.detectors import (
     DetectorThresholds,
     EcnMarkRateDetector,
@@ -402,7 +402,7 @@ class TestStormEndToEnd:
                                              tmp_path, capsys):
         path = str(tmp_path / "storm.telemetry.jsonl")
         telemetry.write_jsonl(storm_artifacts[0], path)
-        assert telemetry_cli.main(["summarize", path]) == 0
+        assert main(["summarize", path]) == 0
         out = capsys.readouterr().out
         assert "pause_storm" in out
         assert "P0T0-S0.nic" in out
@@ -412,19 +412,19 @@ class TestStormEndToEnd:
         path = str(tmp_path / "storm.telemetry.jsonl")
         telemetry.write_jsonl(storm_artifacts[0], path)
         csv_path = str(tmp_path / "storm.csv")
-        assert telemetry_cli.main(
+        assert main(
             ["export", path, "--format", "csv", "--out", csv_path]) == 0
         with open(csv_path) as fh:
             header = fh.readline().strip()
         assert header == "t_ns,device,metric,value"
         capsys.readouterr()
-        assert telemetry_cli.main(["export", path, "--format", "prom"]) == 0
+        assert main(["export", path, "--format", "prom"]) == 0
         prom = capsys.readouterr().out
         assert "# TYPE repro_port_pause_tx counter" in prom
         assert 'repro_incidents_total{kind="pause_storm"}' in prom
 
     def test_cli_catalog_lists_every_metric(self, capsys):
-        assert telemetry_cli.main(["catalog"]) == 0
+        assert main(["metrics"]) == 0
         out = capsys.readouterr().out
         for spec in CATALOG:
             assert spec.name in out

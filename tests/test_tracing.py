@@ -22,10 +22,10 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro import tracing
 from repro.bench.scenarios import SCENARIOS
 from repro.obs import TRACE as HUB
-from repro.tracing import __main__ as tracing_cli
 from repro.tracing.session import TraceSession
 from tests.test_bench import assert_reproduces_pin
 
@@ -267,12 +267,12 @@ def storm_artifact_path(storm_trace, tmp_path_factory):
 
 class TestCliAndExport:
     def test_summarize_renders(self, storm_artifact_path, capsys):
-        assert tracing_cli.main(["summarize", storm_artifact_path]) == 0
+        assert main(["summarize", storm_artifact_path]) == 0
         out = capsys.readouterr().out
         assert "ops" in out and "pauses" in out
 
     def test_attribute_lists_components(self, storm_artifact_path, capsys):
-        assert tracing_cli.main(
+        assert main(
             ["attribute", storm_artifact_path, "--top", "3"]
         ) == 0
         out = capsys.readouterr().out
@@ -280,19 +280,19 @@ class TestCliAndExport:
             assert component in out
 
     def test_storm_renders_dag(self, storm_artifact_path, capsys):
-        assert tracing_cli.main(["storm", storm_artifact_path]) == 0
+        assert main(["storm", storm_artifact_path]) == 0
         out = capsys.readouterr().out
         assert "ROOT" in out or "no pause episodes" in out
 
     def test_storm_json(self, storm_artifact_path, capsys):
-        assert tracing_cli.main(["storm", storm_artifact_path, "--json"]) == 0
+        assert main(["storm", storm_artifact_path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"roots", "cyclic", "nodes", "victims"}
 
     def test_chrome_export(self, storm_artifact_path, tmp_path, capsys):
         out_path = str(tmp_path / "trace.json")
-        assert tracing_cli.main(
-            ["export", storm_artifact_path, "--chrome", out_path]
+        assert main(
+            ["export", storm_artifact_path, "--format", "chrome", "--out", out_path]
         ) == 0
         with open(out_path) as handle:
             trace = json.load(handle)
@@ -332,7 +332,7 @@ class TestCliAndExport:
             handle.write(json.dumps(
                 {"t_ns": 99, "src": "H0", "dst": "H2",
                  "rtt_ns": None, "error": "timeout"}) + "\n")
-        assert tracing_cli.main(["pingmesh", path, "--json"]) == 0
+        assert main(["pingmesh", path, "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["probes"] == 4 and summary["ok"] == 3
         assert summary["errors"] == {"timeout": 1}

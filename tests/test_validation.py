@@ -13,6 +13,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.__main__ import main
 from repro.artifact import read_jsonl
 from repro.validation import (
     MUTATIONS,
@@ -27,7 +28,6 @@ from repro.validation import (
     shrink_scenario,
     validate_seed,
 )
-from repro.validation.__main__ import main as validation_cli
 from repro.validation.harness import validate_scenario, write_artifact
 from repro.validation.scenarios import (
     MAX_FLOWS,
@@ -191,7 +191,7 @@ class TestMutationAndReplay:
         for cut in range(len(data) + 1):
             with open(path, "wb") as handle:
                 handle.write(data[:cut])
-            status = validation_cli(["replay", path])
+            status = main(["replay", path])
             out, err = capsys.readouterr()
             if status == 2:
                 assert out == "" and err.startswith(path + ":") and err.count("\n") == 1
@@ -210,7 +210,7 @@ class TestMutationAndReplay:
             (None, "No such file"),
             (b"", "empty artifact"),
             (b'{"record":"scenario","mutation":null,"scen', "not a JSON record"),
-            (b'{"type":"meta"}\n', "not a validation repro record"),
+            (b'{"type":"meta"}\n', "unknown artifact kind"),
             (b'{"record":"violations","violations":[]}\n', "no scenario record"),
             (b'{"record":"scenario","scenario":{"seed":1}}\n', "malformed scenario"),
             (b'{"record":"scenario","scenario":{"seed":1,"kind":"ring","dims":{},'
@@ -222,7 +222,7 @@ class TestMutationAndReplay:
         if content is not None:
             with open(path, "wb") as handle:
                 handle.write(content)
-        assert validation_cli(["replay", path]) == 2
+        assert main(["replay", path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(path + ":") and reason in err
         assert err.count("\n") == 1
