@@ -15,9 +15,12 @@ contributions built on top of it:
   Pingmesh) -- :mod:`repro.monitoring`
 * every table and figure of the evaluation -- :mod:`repro.experiments`
 
-Quickstart::
+Quickstart (the package root re-exports these four, and twelve more
+names, resolving each on first use: ``repro.single_switch`` works too)::
 
-    from repro import single_switch, connect_qp_pair, post_send, SeededRng
+    from repro.rdma import connect_qp_pair, post_send
+    from repro.sim import SeededRng
+    from repro.topo import single_switch
 
     topo = single_switch(n_hosts=2).boot()
     qp, _ = connect_qp_pair(topo.hosts[0], topo.hosts[1], SeededRng(1))
@@ -28,38 +31,43 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 per-figure reproduction harness.
 """
 
-from repro.sim import SeededRng, Simulator
-from repro.rdma import (
-    GoBack0,
-    GoBackN,
-    QpConfig,
-    TrafficClass,
-    connect_qp_pair,
-    post_read,
-    post_send,
-    post_write,
-)
-from repro.dcqcn import DcqcnConfig, enable_dcqcn
-from repro.topo import deadlock_quad, single_switch, three_tier_clos, two_tier
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "SeededRng",
-    "QpConfig",
-    "TrafficClass",
-    "GoBack0",
-    "GoBackN",
-    "connect_qp_pair",
-    "post_send",
-    "post_write",
-    "post_read",
-    "DcqcnConfig",
-    "enable_dcqcn",
-    "single_switch",
-    "two_tier",
-    "three_tier_clos",
-    "deadlock_quad",
-    "__version__",
-]
+#: re-exported name -> the submodule that defines it.  A name resolves on
+#: first use (PEP 562), so ``import repro.sim`` loads the engine and not
+#: the packet stack behind ``repro.rdma`` / ``repro.dcqcn`` / ``repro.topo``.
+_EXPORTS = {
+    "Simulator": "repro.sim",
+    "SeededRng": "repro.sim",
+    "QpConfig": "repro.rdma",
+    "TrafficClass": "repro.rdma",
+    "GoBack0": "repro.rdma",
+    "GoBackN": "repro.rdma",
+    "connect_qp_pair": "repro.rdma",
+    "post_send": "repro.rdma",
+    "post_write": "repro.rdma",
+    "post_read": "repro.rdma",
+    "DcqcnConfig": "repro.dcqcn",
+    "enable_dcqcn": "repro.dcqcn",
+    "single_switch": "repro.topo",
+    "two_tier": "repro.topo",
+    "three_tier_clos": "repro.topo",
+    "deadlock_quad": "repro.topo",
+}
+
+__all__ = list(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -19,7 +19,8 @@ The artifact verbs (``summarize``, ``export``, ``replay``, ``attribute``,
 ``storm``) read the file once and dispatch on its first record: a
 ``meta`` record names a plane's schema, a ``record`` key marks a
 validation repro.  Each verb imports its subsystem inside its handler,
-so ``--help`` costs about as much as ``import repro``.
+and the package root resolves its re-exports lazily, so ``--help`` and a
+usage error load ``repro`` and this module and nothing else.
 """
 
 import argparse
@@ -153,6 +154,12 @@ def _run(args):
     spec = _sweep_spec(args)
     spec.expand(DEFAULT_REGISTRY)  # a bad spec stops here, before any directory exists
     out_dir = args.out or os.path.join("campaigns", spec.name)
+    try:  # an --out that is a file, or under one, stops here, before any run
+        os.makedirs(out_dir, exist_ok=True)
+    except FileExistsError:
+        raise _NoVerdict("%s: exists and is not a directory" % out_dir)
+    except OSError as error:
+        raise _NoVerdict("%s: %s" % (out_dir, error.strerror or error))
     return _report(Campaign(spec, out_dir, **_campaign_kwargs(args)).run(), args.quiet)
 
 
@@ -569,13 +576,27 @@ def _metrics(args):
 # -- the parser ---------------------------------------------------------------
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: a ``kind`` that is at least ``low`` (above it if
+    ``strict``).  Anything else is a usage error, not a run that hangs or
+    fails."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                "must be %s %s, got %s" % (">" if strict else ">=", low, text))
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
 def _exec_options(parser):
     """Options ``run`` and ``resume`` share: how the campaign executes."""
-    parser.add_argument("-j", "--jobs", type=int,
+    parser.add_argument("-j", "--jobs", type=_bounded(int, 1),
                         help="worker processes (default: cpu count, or $REPRO_CAMPAIGN_JOBS)")
-    parser.add_argument("--timeout", type=float, default=900.0,
+    parser.add_argument("--timeout", type=_bounded(float, 0, strict=True), default=900.0,
                         help="per-run wall-clock limit in seconds (default 900)")
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=_bounded(int, 0), default=1,
                         help="extra attempts after a failed or hung run (default 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute everything; neither read nor write the cache")

@@ -44,9 +44,7 @@ def code_version():
     """Digest of every ``repro`` source file (cached per process)."""
     global _code_version_cache
     if _code_version_cache is None:
-        import repro
-
-        root = os.path.dirname(os.path.abspath(repro.__file__))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         digest = hashlib.sha256()
         for directory, subdirs, files in sorted(os.walk(root)):
             subdirs.sort()

@@ -139,7 +139,8 @@ def run_tasks(tasks, worker, jobs=None, timeout_s=None, retries=0, on_event=None
         Module-level callable executed in a child process.  Its return
         value must be picklable.
     ``jobs``
-        Maximum concurrent processes (default: :func:`default_jobs`).
+        Maximum concurrent processes, at least 1 (default:
+        :func:`default_jobs`).
     ``timeout_s``
         Per-attempt wall-clock limit; over-limit children are killed.
     ``retries``
@@ -157,7 +158,10 @@ def run_tasks(tasks, worker, jobs=None, timeout_s=None, retries=0, on_event=None
     ids = [task_id for task_id, _payload in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate task ids")
-    jobs = jobs or default_jobs()
+    if jobs is None:
+        jobs = default_jobs()
+    elif jobs < 1:
+        raise ValueError("jobs must be at least 1, got %r" % (jobs,))
     notify = on_event or (lambda event: None)
 
     if inline:

@@ -130,7 +130,7 @@ class Campaign:
         #: the planes (``repro.obs.HUBS``) every run is armed with
         self.hubs = tuple(hubs)
         self.use_cache = use_cache
-        self.jobs = jobs or pool.default_jobs()
+        self.jobs = pool.default_jobs() if jobs is None else jobs
         self.timeout_s = timeout_s
         self.retries = retries
         self.inline = inline

@@ -30,23 +30,35 @@ that layer's :class:`~repro.telemetry.TelemetrySession` and
 :mod:`~repro.monitoring.counters`.
 """
 
-from repro.monitoring.config_mgmt import ConfigDrift, ConfigMonitor, DesiredConfig
-from repro.monitoring.health import HealthTracker, ServerState
-from repro.monitoring.pingmesh import (
-    Pingmesh,
-    ProbeResult,
-    read_probe_jsonl,
-    summarize_probe_records,
-)
+import importlib
 
-__all__ = [
-    "DesiredConfig",
-    "ConfigMonitor",
-    "ConfigDrift",
-    "Pingmesh",
-    "ProbeResult",
-    "read_probe_jsonl",
-    "summarize_probe_records",
-    "HealthTracker",
-    "ServerState",
-]
+#: re-exported name -> the submodule that defines it, resolved on first
+#: use (PEP 562): ``repro.monitoring.counters`` is on the telemetry
+#: plane's import path, and an eager ``pingmesh`` would drag
+#: ``repro.rdma`` along with it.
+_EXPORTS = {
+    "DesiredConfig": "repro.monitoring.config_mgmt",
+    "ConfigMonitor": "repro.monitoring.config_mgmt",
+    "ConfigDrift": "repro.monitoring.config_mgmt",
+    "Pingmesh": "repro.monitoring.pingmesh",
+    "ProbeResult": "repro.monitoring.pingmesh",
+    "read_probe_jsonl": "repro.monitoring.pingmesh",
+    "summarize_probe_records": "repro.monitoring.pingmesh",
+    "HealthTracker": "repro.monitoring.health",
+    "ServerState": "repro.monitoring.health",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -25,7 +25,7 @@ Typical embedding (what ``repro.bench --telemetry``, ``repro.campaign
 --telemetry``, ``repro.validation sweep --telemetry`` and the experiment
 CLI's ``--telemetry-dir`` do)::
 
-    from repro import telemetry
+    import repro.telemetry as telemetry
 
     with telemetry.collect("my-run", "artifacts/", "my-run") as collection:
         ...build fabrics and run (Fabric.boot auto-attaches a session)...

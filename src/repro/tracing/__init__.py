@@ -15,7 +15,7 @@ Two tools share this package:
 
 Quick start::
 
-    from repro import tracing
+    import repro.tracing as tracing
 
     tracing.arm(tracing.TraceConfig(sample_rate=0.1, sample_seed=7))
     fabric.boot()           # session auto-attaches

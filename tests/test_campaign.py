@@ -228,6 +228,10 @@ class TestPool:
         outcomes = pool.run_tasks([("b", 2)], _error_worker, jobs=1, retries=2)
         assert outcomes["b"].attempts == 3
 
+    def test_fewer_than_one_job_is_refused(self):
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+            pool.run_tasks([("a", 1)], _ok_worker, jobs=0)
+
 
 # -- orchestrated campaigns -------------------------------------------------
 

@@ -11,11 +11,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import repro
 from repro.__main__ import main
+
+
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [os.path.dirname(os.path.dirname(repro.__file__))]
+    + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def _assert_exit_2(argv, capsys, *needles):
@@ -76,19 +82,63 @@ class TestBadSpecs:
         self._refused(tmp_path, capsys, ["E1", "--param", "seed=1"], "use --seeds")
 
 
+class TestBadExecOptions:
+    """``-j``, ``--timeout`` and ``--retries`` out of range are usage
+    errors: one line and exit 2 before anything runs, not a run that
+    hangs or reports every run FAILED."""
+
+    @pytest.mark.parametrize("option", [["-j", "0"], ["--timeout", "0"], ["--timeout", "-1"],
+                                        ["--retries", "-2"]],
+                             ids=["jobs-0", "timeout-0", "timeout-negative", "retries-negative"])
+    def test_refused(self, option, tmp_path, capsys):
+        out = tmp_path / "campaign"
+        _assert_exit_2(["run", "E7", "--no-cache", "--out", str(out)] + option,
+                       capsys, option[0], "must be")
+        assert not out.exists()
+
+    def test_resume_refuses_them_too(self, tmp_path, capsys):
+        _assert_exit_2(["resume", str(tmp_path), "-j", "0"], capsys, "-j/--jobs", "must be")
+
+    def test_negative_jobs_is_refused_not_a_hang(self, tmp_path):
+        out = tmp_path / "campaign"
+        started = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "E7", "-j", "-3", "--no-cache",
+             "--out", str(out)], env=_ENV, capture_output=True, text=True, timeout=30)
+        assert (result.returncode, result.stdout) == (2, "")
+        (line,) = result.stderr.splitlines()
+        assert "-j/--jobs" in line and "must be" in line
+        assert time.monotonic() - started < 10
+        assert not out.exists()
+
+
+class TestOutIsNotADirectory:
+    """``run --out`` naming a file, or a path under one, is one
+    ``path: reason`` line and exit 2, before any run or manifest."""
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("kept")
+        _assert_exit_2(["run", "E7", "--no-cache", "--out", str(target)], capsys,
+                       str(target), "not a directory")
+        assert target.read_text() == "kept"
+
+    def test_out_under_a_file(self, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("kept")
+        _assert_exit_2(["run", "E7", "--no-cache", "--out", str(target / "sub")], capsys,
+                       str(target / "sub") + ": ", "Not a directory")
+        assert target.read_text() == "kept"
+
+
 def test_importing_the_front_door_loads_no_subsystem():
-    """Each verb imports its subsystem in its handler: ``--help`` costs
-    about ``import repro``."""
+    """Each verb imports its subsystem in its handler, and the package
+    root resolves its re-exports lazily: ``--help`` loads two modules."""
     script = (
         "import sys\n"
         "import repro.__main__\n"
-        "heavy = ('telemetry', 'tracing', 'campaign', 'validation', 'bench', 'flowsim')\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.startswith('repro.') and m.split('.')[1] in heavy))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'repro'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(repro.__file__))]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    result = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    result = subprocess.run([sys.executable, "-c", script], env=_ENV, check=True,
                             capture_output=True, text=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "['repro', 'repro.__main__']"
