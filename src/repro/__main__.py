@@ -24,6 +24,7 @@ usage error load ``repro`` and this module and nothing else.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -199,7 +200,7 @@ def _clean(args):
 
 
 def _gate(args):
-    from repro.bench.gate import PIN_PATH, check, write_pins
+    from repro.bench.gate import PIN_PATH, PINNED, GateError, check, load_pins, write_pins
     from repro.bench.scenarios import SCENARIOS
     from repro.obs import TELEMETRY, TRACE
 
@@ -209,16 +210,27 @@ def _gate(args):
         return 0
     baseline = args.baseline or PIN_PATH
     dirs = {hub: out for hub, out in ((TELEMETRY, args.telemetry), (TRACE, args.trace)) if out}
+    overwritten = {}  # --pin: the pins of this seed the run replaces
+    if args.pin:
+        with contextlib.suppress(GateError):
+            pins = load_pins(baseline)
+            overwritten = pins["scenarios"] if pins["seed"] == args.seed else {}
+
+    def verdict(row):
+        if args.pin:
+            old = overwritten.get(row.name)
+            if not isinstance(old, dict):
+                return "new pin"
+            moved = ["%s %s -> %s" % (f, old.get(f), getattr(row, f))
+                     for f in PINNED if old.get(f) != getattr(row, f)]
+            return ", ".join(moved) or "unchanged"
+        if row.moved is None:
+            return "(no verdict)"
+        return "DRIFT: " + ", ".join(row.moved) if row.moved else "ok"
 
     def print_row(row):
-        if row.moved is None:
-            verdict = "(no verdict)"
-        elif row.moved:
-            verdict = "DRIFT: " + ", ".join(row.moved)
-        else:
-            verdict = "ok"
         print("%-14s %s %9d events %8d packets  %s"
-              % (row.name, row.fingerprint, row.events, row.packets, verdict), flush=True)
+              % (row.name, row.fingerprint, row.events, row.packets, verdict(row)), flush=True)
         for collection in row.collections:
             print("%-14s %s" % ("", collection.describe()), flush=True)
 
@@ -422,9 +434,24 @@ def _export(args):
     return 0
 
 
+def _bounded(kind, low, strict=False):
+    """An argparse type: a ``kind`` that is at least ``low`` (above it if
+    ``strict``).  Anything else is a usage error, not a run that hangs or
+    fails."""
+    def parse(text):
+        value = kind(text)
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                "must be %s %s, got %s" % (">" if strict else ">=", low, text))
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
 #: ``replay`` threshold flags of a telemetry artifact: DetectorThresholds fields
-_THRESHOLDS = (("storm_host_rate", float), ("storm_switch_rate", float),
-               ("storm_min_windows", int), ("watermark_fraction", float))
+_POSITIVE = _bounded(float, 0, strict=True)  # rejects NaN too
+_THRESHOLDS = (("storm_host_rate", _POSITIVE), ("storm_switch_rate", _POSITIVE),
+               ("storm_min_windows", _bounded(int, 1)), ("watermark_fraction", _POSITIVE))
 
 
 def _replay(args):
@@ -576,20 +603,6 @@ def _metrics(args):
 # -- the parser ---------------------------------------------------------------
 
 
-def _bounded(kind, low, strict=False):
-    """An argparse type: a ``kind`` that is at least ``low`` (above it if
-    ``strict``).  Anything else is a usage error, not a run that hangs or
-    fails."""
-    def parse(text):
-        value = kind(text)
-        if not (value > low if strict else value >= low):  # NaN fails too
-            raise argparse.ArgumentTypeError(
-                "must be %s %s, got %s" % (">" if strict else ">=", low, text))
-        return value
-    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
-    return parse
-
-
 def _exec_options(parser):
     """Options ``run`` and ``resume`` share: how the campaign executes."""
     parser.add_argument("-j", "--jobs", type=_bounded(int, 1),
@@ -688,7 +701,8 @@ def _parser():
     p.add_argument("--format", choices=sorted(_FORMATS),
                    help="default: csv for telemetry, chrome for a trace")
     p.add_argument("--out", help="output path (default: beside the artifact; prom: stdout)")
-    p.add_argument("--max-ops", type=int, help="chrome: slice only the first N ops")
+    p.add_argument("--max-ops", type=_bounded(int, 0),
+                   help="chrome: slice only the first N ops")
     p.add_argument("--window-from-telemetry", metavar="TELEMETRY_ARTIFACT",
                    help="chrome: narrow to that artifact's incident windows")
 
@@ -702,7 +716,8 @@ def _parser():
 
     p = verb("attribute", _attribute, "per-op latency attribution of a trace")
     p.add_argument("artifact")
-    p.add_argument("--top", type=int, default=5, help="list the N slowest ops (default 5)")
+    p.add_argument("--top", type=_bounded(int, 1), default=5,
+                   help="list the N slowest ops (default 5)")
     p.add_argument("--json", action="store_true", help="one JSON attribution per line")
 
     p = verb("storm", _storm, "pause-causality DAG of a trace, or the section 4.3 demo")

@@ -1,11 +1,12 @@
 """The determinism gate: ``python -m repro gate``.
 
 Nine closed, seeded scenarios (:mod:`repro.bench.scenarios`), each
-reduced to a fingerprint of every counter that could diverge between two
-runs, and one function -- :func:`repro.bench.gate.check` -- that runs
-them once and compares fingerprint, event count and packet count to the
-pins in ``benchmarks/BASELINE.json``.  A change that keeps all nine
-simulates what its parent simulated.
+reduced to a behaviour fingerprint (:mod:`repro.bench.digest`: for a
+packet run, every frame it put on a wire), and one function --
+:func:`repro.bench.gate.check` -- that runs them once and compares
+fingerprint, event count and packet count to the pins in
+``benchmarks/BASELINE.json``.  A change that keeps all nine simulates
+what its parent simulated.
 
 Nothing here reads a clock: timing the simulator is ``perfbench/``'s job
 (``BENCHMARK.json``, ``perfbench/README.md``).  See

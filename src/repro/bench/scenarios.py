@@ -2,12 +2,11 @@
 
 Each scenario is a self-contained build-and-run function returning a
 :class:`ScenarioRun`: how many events fired, how many packets crossed a
-link, how much simulated time elapsed — and a **fingerprint** digesting
-every counter that could diverge between two runs.  The fingerprint is
-the optimization safety net: a hot-path change that alters event
-ordering, drops accounting, or perturbs a single RNG draw produces a
-different fingerprint, and :func:`repro.bench.gate.check` compares it,
-the event count and the packet count to ``benchmarks/BASELINE.json``.
+link, how much simulated time elapsed -- and a **fingerprint** of what
+the run did (:mod:`repro.bench.digest`): for a packet scenario, every
+frame put on a wire, when, where and with what fate.
+:func:`repro.bench.gate.check` compares the three to
+``benchmarks/BASELINE.json``.
 
 Scenarios are chosen to stress complementary parts of the packet path:
 
@@ -24,19 +23,18 @@ Scenarios are chosen to stress complementary parts of the packet path:
 ========================  ====================================================
 
 The two ``flowsim_*`` scenarios run the *flow-level* simulator
-(:mod:`repro.flowsim`) -- there ``packets`` counts completed flows.
-Their fingerprints digest the engine's integer-only run tuple
-(completion CRC included), pinned exactly like the packet scenarios'.
+(:mod:`repro.flowsim`) -- there ``packets`` counts completed flows, and
+the fingerprint digests the engine's integer-only run tuple (completion
+CRC included).
 
 Cross-process determinism: every switch's ECMP seed is a pure function
-of its name (:func:`repro.switch.ecmp.ecmp_seed`) and all flow keys are
-integers, so fingerprints are stable across processes, machines and
-Python versions — which is what lets the pin file be checked in at
-all.
+of its name (:func:`repro.switch.ecmp.ecmp_seed`) and every digested
+field is an integer, so fingerprints are stable across processes,
+machines and Python versions -- which is what lets the pin file be
+checked in at all.
 """
 
-import hashlib
-
+from repro.bench.digest import WireDigest, digest
 from repro.sim import SeededRng, Simulator
 from repro.sim.timer import Timer
 from repro.sim.units import KB, MB, MS, US
@@ -47,11 +45,11 @@ class ScenarioRun:
 
     __slots__ = ("events", "packets", "sim_ns", "fingerprint", "detail")
 
-    def __init__(self, events, packets, sim_ns, fingerprint_tuple, detail=None):
+    def __init__(self, events, packets, sim_ns, fingerprint, detail=None):
         self.events = events
         self.packets = packets
         self.sim_ns = sim_ns
-        self.fingerprint = digest(fingerprint_tuple)
+        self.fingerprint = fingerprint
         self.detail = detail or {}
 
 
@@ -70,30 +68,23 @@ class BenchScenario:
         return self.fn(seed)
 
 
-def digest(fingerprint_tuple):
-    """A short stable digest of a nested int/str tuple."""
-    return hashlib.sha256(repr(fingerprint_tuple).encode()).hexdigest()[:16]
+def _boot(topo):
+    """Boot ``topo`` with a :class:`WireDigest` on its fabric (attached
+    first, so the ARP settle is in it); returns the digest."""
+    wire = WireDigest(topo.fabric)
+    topo.boot()
+    return wire
 
 
-def _link_counters(fabric):
-    return tuple((link.delivered, link.lost) for link in fabric.links)
-
-
-def _switch_counters(fabric):
-    return tuple(
-        (
-            sw.counters.rx_packets,
-            sw.counters.tx_enqueued,
-            sw.counters.total_drops,
-            sw.pause_frames_sent(),
-            sw.pause_frames_received(),
-        )
-        for sw in fabric.switches
+def _packet_run(wire):
+    """The :class:`ScenarioRun` of a packet scenario whose wire is ``wire``."""
+    fabric = wire.fabric
+    return ScenarioRun(
+        events=fabric.sim.events_fired,
+        packets=sum(link.delivered for link in fabric.links),
+        sim_ns=fabric.sim.now,
+        fingerprint=wire.hexdigest(),
     )
-
-
-def _packets_delivered(fabric):
-    return sum(link.delivered for link in fabric.links)
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -123,7 +114,7 @@ def engine_churn(seed):
         events=sim.events_fired,
         packets=0,
         sim_ns=sim.now,
-        fingerprint_tuple=(sim.events_fired, sim.now),
+        fingerprint=digest((sim.events_fired, sim.now)),
     )
 
 
@@ -133,7 +124,8 @@ def single_flow(seed):
     from repro.rdma import GoBackN, QpConfig, connect_qp_pair, post_send
     from repro.topo import single_switch
 
-    topo = single_switch(n_hosts=2, seed=seed).boot()
+    topo = single_switch(n_hosts=2, seed=seed)
+    wire = _boot(topo)
     link = topo.fabric.links[0]
     link.loss_rate = 0.01
     link._loss_rng = SeededRng(seed, "bench/loss")
@@ -142,22 +134,9 @@ def single_flow(seed):
     qp, _ = connect_qp_pair(
         topo.hosts[0], topo.hosts[1], rng, config_a=config, config_b=config
     )
-    wr = post_send(qp, 8 * MB)
+    post_send(qp, 8 * MB)
     topo.sim.run(until=topo.sim.now + 25 * MS)
-    return ScenarioRun(
-        events=topo.sim.events_fired,
-        packets=_packets_delivered(topo.fabric),
-        sim_ns=topo.sim.now,
-        fingerprint_tuple=(
-            topo.sim.events_fired,
-            int(wr.completed),
-            qp.stats.data_packets_sent,
-            qp.stats.retransmitted_packets,
-            qp.stats.naks_received,
-            qp.stats.timeouts,
-            _link_counters(topo.fabric),
-        ),
-    )
+    return _packet_run(wire)
 
 
 def incast_tor(seed):
@@ -172,28 +151,15 @@ def incast_tor(seed):
         n_hosts=8,
         seed=seed,
         buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
-    ).boot()
+    )
+    wire = _boot(topo)
     rng = SeededRng(seed, "bench/incast")
     victim = topo.hosts[0]
-    qps = []
     for src in topo.hosts[1:]:
         qp, _ = connect_qp_pair(src, victim, rng)
-        qps.append(qp)
         ClosedLoopSender(RdmaChannel(qp), 256 * KB).start()
     topo.sim.run(until=topo.sim.now + 5 * MS)
-    return ScenarioRun(
-        events=topo.sim.events_fired,
-        packets=_packets_delivered(topo.fabric),
-        sim_ns=topo.sim.now,
-        fingerprint_tuple=(
-            topo.sim.events_fired,
-            tuple(qp.stats.data_packets_sent for qp in qps),
-            tuple(qp.stats.bytes_completed for qp in qps),
-            topo.tor.buffer.peak_shared_in_use,
-            _switch_counters(topo.fabric),
-            _link_counters(topo.fabric),
-        ),
-    )
+    return _packet_run(wire)
 
 
 def pause_storm(seed):
@@ -220,7 +186,8 @@ def pause_storm(seed):
         seed=seed,
         nic_config=nic_config,
         buffer_config=BufferConfig(alpha=None, xoff_static_bytes=96 * KB),
-    ).boot()
+    )
+    wire = _boot(topo)
     for podset in topo.podsets:
         for tor in podset["tors"]:
             tor.enable_storm_watchdog(
@@ -230,31 +197,13 @@ def pause_storm(seed):
     rng = SeededRng(seed, "bench/storm")
     hosts = topo.hosts
     victim = hosts[0]
-    qps = []
-    for src in hosts[1:4]:
-        qp, _ = connect_qp_pair(src, victim, rng)
-        qps.append(qp)
-        ClosedLoopSender(RdmaChannel(qp), 512 * KB).start()
-    for a, b in zip(hosts[4:6], hosts[6:8]):
+    pairs = [(src, victim) for src in hosts[1:4]] + list(zip(hosts[4:6], hosts[6:8]))
+    for a, b in pairs:
         qp, _ = connect_qp_pair(a, b, rng)
-        qps.append(qp)
         ClosedLoopSender(RdmaChannel(qp), 512 * KB).start()
     sim.schedule(1 * MS, victim.nic.break_rx_pipeline)
     sim.run(until=sim.now + 6 * MS)
-    return ScenarioRun(
-        events=sim.events_fired,
-        packets=_packets_delivered(topo.fabric),
-        sim_ns=sim.now,
-        fingerprint_tuple=(
-            sim.events_fired,
-            victim.nic.stats.pause_generated,
-            victim.nic.watchdog_trips,
-            sum(sw.watchdog_trips() for sw in topo.fabric.switches),
-            tuple(qp.stats.bytes_completed for qp in qps),
-            _switch_counters(topo.fabric),
-            _link_counters(topo.fabric),
-        ),
-    )
+    return _packet_run(wire)
 
 
 def clos_slice(seed):
@@ -271,30 +220,17 @@ def clos_slice(seed):
         leaves_per_podset=2,
         n_spines=2,
         seed=seed,
-    ).boot()
+    )
+    wire = _boot(topo)
     sim = topo.sim
     rng = SeededRng(seed, "bench/clos")
     hosts = topo.hosts
     half = len(hosts) // 2
     pairs = [(hosts[i], hosts[half + i]) for i in range(half)]
     pairs += [(hosts[half + i], hosts[i]) for i in range(half)]
-    senders = saturate_pairs(sim, pairs, 1 * MB, rng)
-    start = sim.now
-    sim.run(until=start + 4 * MS)
-    total_bytes = sum(s.completed_bytes for s in senders)
-    return ScenarioRun(
-        events=sim.events_fired,
-        packets=_packets_delivered(topo.fabric),
-        sim_ns=sim.now,
-        fingerprint_tuple=(
-            sim.events_fired,
-            tuple(s.completed_bytes for s in senders),
-            topo.fabric.total_drops(),
-            _switch_counters(topo.fabric),
-            _link_counters(topo.fabric),
-        ),
-        detail={"aggregate_gbps": total_bytes * 8.0 / (sim.now - start)},
-    )
+    saturate_pairs(sim, pairs, 1 * MB, rng)
+    sim.run(until=sim.now + 4 * MS)
+    return _packet_run(wire)
 
 
 def clos_pod(seed):
@@ -311,30 +247,17 @@ def clos_pod(seed):
         leaves_per_podset=4,
         n_spines=4,
         seed=seed,
-    ).boot()
+    )
+    wire = _boot(topo)
     sim = topo.sim
     rng = SeededRng(seed, "bench/pod")
     hosts = topo.hosts
     half = len(hosts) // 2
     pairs = [(hosts[i], hosts[half + i]) for i in range(half)]
     pairs += [(hosts[half + i], hosts[i]) for i in range(half)]
-    senders = saturate_pairs(sim, pairs, 1 * MB, rng)
-    start = sim.now
-    sim.run(until=start + 2 * MS)
-    total_bytes = sum(s.completed_bytes for s in senders)
-    return ScenarioRun(
-        events=sim.events_fired,
-        packets=_packets_delivered(topo.fabric),
-        sim_ns=sim.now,
-        fingerprint_tuple=(
-            sim.events_fired,
-            tuple(s.completed_bytes for s in senders),
-            topo.fabric.total_drops(),
-            _switch_counters(topo.fabric),
-            _link_counters(topo.fabric),
-        ),
-        detail={"aggregate_gbps": total_bytes * 8.0 / (sim.now - start)},
-    )
+    saturate_pairs(sim, pairs, 1 * MB, rng)
+    sim.run(until=sim.now + 2 * MS)
+    return _packet_run(wire)
 
 
 def tcp_baseline(seed):
@@ -349,27 +272,15 @@ def tcp_baseline(seed):
         n_hosts=6,
         seed=seed,
         buffer_config=BufferConfig(lossy_egress_cap_bytes=120 * KB),
-    ).boot()
+    )
+    wire = _boot(topo)
     rng = SeededRng(seed, "bench/tcp")
     victim = topo.hosts[0]
-    conns = []
     for src in topo.hosts[1:]:
         conn, _ = connect_tcp_pair(src, victim, rng)
-        conns.append(conn)
         ClosedLoopSender(TcpChannel(conn), 256 * KB).start()
     topo.sim.run(until=topo.sim.now + 6 * MS)
-    return ScenarioRun(
-        events=topo.sim.events_fired,
-        packets=_packets_delivered(topo.fabric),
-        sim_ns=topo.sim.now,
-        fingerprint_tuple=(
-            topo.sim.events_fired,
-            tuple(c.stats.bytes_delivered for c in conns),
-            tuple(c.stats.retransmits for c in conns),
-            _switch_counters(topo.fabric),
-            _link_counters(topo.fabric),
-        ),
-    )
+    return _packet_run(wire)
 
 
 def flowsim_churn(seed):
@@ -399,7 +310,7 @@ def flowsim_churn(seed):
         events=run.n_events,
         packets=run.n_completed,
         sim_ns=run.sim_ns,
-        fingerprint_tuple=run.fingerprint(),
+        fingerprint=digest(run.fingerprint()),
         detail={"recomputes": run.n_recomputes, "superseded": run.n_superseded},
     )
 
@@ -427,7 +338,7 @@ def flowsim_clos(seed):
         events=run.n_events,
         packets=run.n_completed,
         sim_ns=run.sim_ns,
-        fingerprint_tuple=run.fingerprint(),
+        fingerprint=digest(run.fingerprint()),
         detail={"recomputes": run.n_recomputes, "superseded": run.n_superseded},
     )
 

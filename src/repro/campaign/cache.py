@@ -131,12 +131,6 @@ class ResultCache:
             return False
         return True
 
-    def entry_count(self):
-        count = 0
-        for _directory, _subdirs, files in os.walk(self.directory):
-            count += sum(1 for name in files if name.endswith(".json"))
-        return count
-
     def clear(self):
         """Delete every cache entry; returns how many were removed."""
         removed = 0

@@ -72,10 +72,6 @@ class PortStats:
         return sum(self.tx_bytes)
 
     @property
-    def total_rx_packets(self):
-        return sum(self.rx_packets)
-
-    @property
     def total_rx_bytes(self):
         return sum(self.rx_bytes)
 

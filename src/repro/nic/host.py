@@ -29,12 +29,6 @@ class AddressDirectory:
             raise ValueError("duplicate IP %r" % (host.ip,))
         self._by_ip[host.ip] = host
 
-    def host_for(self, ip):
-        return self._by_ip[ip]
-
-    def mac_for(self, ip):
-        return self._by_ip[ip].mac
-
     def __len__(self):
         return len(self._by_ip)
 

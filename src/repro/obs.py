@@ -34,6 +34,17 @@ threading a flag through every runner.  Finished sessions wait in
 whole sequence as one ``with`` block.
 """
 
+import functools
+
+
+def wrap_transmit(link, wrapper, *bound):
+    """Route ``link.transmit(from_port, packet)`` through ``wrapper(*bound,
+    original, from_port, packet)``, which returns what ``original`` (the
+    transmit it replaces) returns.  The per-frame observers that are not
+    planes (``PacketTracer``, ``WireDigest``) use this instead of a probe:
+    a link nobody wraps pays nothing, and wraps nest."""
+    link.transmit = functools.partial(wrapper, *bound, link.transmit)
+
 
 class Hub:
     """Process-global state and lifecycle of one observation plane."""

@@ -50,15 +50,5 @@ class RdmaEngine:
 
     # -- aggregate statistics ---------------------------------------------------
 
-    def total_bytes_completed(self):
-        """Application-level goodput numerator across all QPs."""
-        return sum(qp.stats.bytes_completed for qp in self._qps.values())
-
-    def total_messages_completed(self):
-        return sum(qp.stats.messages_completed for qp in self._qps.values())
-
     def total_naks(self):
         return sum(qp.stats.naks_received for qp in self._qps.values())
-
-    def total_data_packets_sent(self):
-        return sum(qp.stats.data_packets_sent for qp in self._qps.values())

@@ -262,11 +262,6 @@ class MetricRegistry:
         for (name, device), metric in self._metrics.items():
             yield name, device, metric
 
-    def all_series(self):
-        """Iterate ``(name, device, ring)`` in insertion order."""
-        for (name, device), ring in self._series.items():
-            yield name, device, ring
-
     def snapshot_values(self):
         """Flat ``{name|device: value}`` map for summaries/exports."""
         out = OrderedDict()

@@ -21,6 +21,7 @@ walks the triage path from a telemetry incident down to a capture.
 """
 
 from repro.artifact import write_jsonl
+from repro.obs import wrap_transmit
 
 
 class TraceRecord:
@@ -98,13 +99,7 @@ class PacketTracer:
         if link in self._attached:
             return
         self._attached.append(link)
-        original_transmit = link.transmit
-
-        def traced_transmit(from_port, packet, _original=original_transmit):
-            self._record(link, from_port, packet)
-            return _original(from_port, packet)
-
-        link.transmit = traced_transmit
+        wrap_transmit(link, self._traced, link)
 
     def attach_all(self, fabric):
         """Capture on every link of a fabric."""
@@ -112,14 +107,15 @@ class PacketTracer:
             self.attach(link)
         return self
 
-    def _record(self, link, from_port, packet):
+    def _traced(self, link, original, from_port, packet):
         if len(self.records) >= self.max_records:
             self.dropped_records += 1
-            return
-        kind, fields = summarize(packet)
-        self.records.append(
-            TraceRecord(self.sim.now, link.name, from_port.name, kind, fields)
-        )
+        else:
+            kind, fields = summarize(packet)
+            self.records.append(
+                TraceRecord(self.sim.now, link.name, from_port.name, kind, fields)
+            )
+        return original(from_port, packet)
 
     # -- queries -----------------------------------------------------------------
 

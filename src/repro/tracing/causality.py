@@ -54,9 +54,6 @@ class StormDag:
             node["id"] for node in self.nodes.values() if node_id in node["causes"]
         )
 
-    def root_records(self):
-        return [self.nodes[node_id] for node_id in self.roots]
-
     def descendant_count(self, node_id):
         """Episodes transitively caused by ``node_id``."""
         seen = set()

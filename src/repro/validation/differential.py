@@ -103,13 +103,6 @@ class RunOutcome:
     def drops_excluding(self, *reasons):
         return sum(n for reason, n in self.drops.items() if reason not in reasons)
 
-    def violation_oracles(self):
-        names = []
-        for violation in self.violations:
-            if violation["oracle"] not in names:
-                names.append(violation["oracle"])
-        return names
-
 
 # -- topology -----------------------------------------------------------------
 

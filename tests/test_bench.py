@@ -6,9 +6,11 @@ Two jobs:
    fingerprint, event count and packet count recorded in
    ``benchmarks/BASELINE.json``, through the same
    :func:`repro.bench.check` the CLI and CI call.  The pins are the
-   proof that an optimization changed speed and nothing else (the
-   fingerprints digest event counts, per-QP stats, link and switch
-   counters, and buffer peaks).
+   proof that an optimization changed speed and nothing else: a packet
+   scenario's fingerprint is its wire digest
+   (:class:`repro.bench.digest.WireDigest` -- every frame, its time,
+   link, fate and headers, plus end-of-run completions and switch
+   counters); the event count beside it is an implementation count.
 2. **A gate that can fail** -- ``python -m repro gate`` exits 1 on
    drift and 2 when no verdict is possible, never 0 by default.
 
@@ -27,7 +29,7 @@ import pytest
 from repro.__main__ import main
 from repro.bench import SCENARIOS, check
 from repro.bench.gate import PIN_PATH, load_pins
-from repro.bench.scenarios import digest
+from repro.bench.digest import digest
 
 #: Scenarios cheap enough to re-run inside the tier-1 suite.  The two
 #: flowsim_* entries pin the flow-level tier the same way the packet
@@ -139,6 +141,21 @@ class TestTheGateCanFail:
         target.write_text(json.dumps(pins))
         assert main(["gate", "engine_churn", "--pin", "--baseline", str(target)]) == 0
         assert target.read_text() == open(PIN_PATH).read()  # merged, same bytes
+        assert capsys.readouterr().out.splitlines()[0].endswith("  new pin")
+
+    def test_pin_names_what_it_overwrote(self, pins, tmp_path, capsys):
+        pinned = pins["scenarios"]["engine_churn"]
+        fingerprint, events = pinned["fingerprint"], pinned["events"]
+        pinned.update(fingerprint="0" * 16, events=events - 1)
+        target = tmp_path / "pins.json"
+        target.write_text(json.dumps(pins))
+        for expected in (
+            "fingerprint %s -> %s, events %d -> %d" % ("0" * 16, fingerprint, events - 1, events),
+            "unchanged",
+        ):
+            assert main(["gate", "engine_churn", "--pin", "--baseline", str(target)]) == 0
+            assert capsys.readouterr().out.splitlines()[0].endswith("  " + expected)
+        assert target.read_text() == open(PIN_PATH).read()
 
 
 def test_digest_is_stable_and_order_sensitive():

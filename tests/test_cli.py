@@ -112,6 +112,23 @@ class TestBadExecOptions:
         assert not out.exists()
 
 
+class TestBadArtifactFlags:
+    """A numeric flag of an artifact verb that would silently change the
+    verdict (``--top -3`` drops three ops, ``--storm-host-rate nan`` finds
+    no incident) is a usage error: one line, exit 2, nothing read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["attribute", "T.trace.jsonl", "--top", "-3"],
+        ["export", "T.trace.jsonl", "--max-ops", "-1"],
+        ["replay", "T.telemetry.jsonl", "--storm-host-rate", "nan"],
+        ["replay", "T.telemetry.jsonl", "--storm-switch-rate", "-1"],
+        ["replay", "T.telemetry.jsonl", "--storm-min-windows", "-4"],
+        ["replay", "T.telemetry.jsonl", "--watermark-fraction", "0"],
+    ], ids=lambda argv: argv[2])
+    def test_refused(self, argv, capsys):
+        _assert_exit_2(argv, capsys, argv[2], "must be")
+
+
 class TestOutIsNotADirectory:
     """``run --out`` naming a file, or a path under one, is one
     ``path: reason`` line and exit 2, before any run or manifest."""
