@@ -16,6 +16,10 @@ switch walk dominates (ISSUE 18 took it from 78.24 to 47.43 calls per
 hop).  ``rack_rpc`` is two hops per packet and many connections per NIC:
 the host side dominates (ISSUE 23 took it from 105.94 to 68.50 by not
 polling idle sources, which also brought ``clos_bulk`` to 44.06).
+Making the engine's heap entry the event itself, with no free-list and
+no tx-complete or delivery trampoline, then took ``clos_bulk`` from
+44.55 to 31.43 and ``rack_rpc`` from 68.00 to 49.50, nearly all of it
+in the ``sim`` row.
 
 A budget is a ceiling, not a target: each leaves room for one or two
 calls of honest new work before someone has to look, and is only ever
@@ -33,8 +37,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: workload -> ceiling on the sum of ``*.calls_per_unit``.
 BUDGET_CALLS_PER_HOP = {
-    "clos_bulk": 46.0,
-    "rack_rpc": 71.0,
+    "clos_bulk": 33.0,
+    "rack_rpc": 51.0,
 }
 
 

@@ -48,6 +48,21 @@ _NO_VERDICT_ERRORS = (
 )
 
 
+def _make_dirs(*paths):
+    """Create each given DIR option (None: not given) before anything
+    runs: a path that is a file, or under one, is one ``path: reason``
+    line and exit 2, not a traceback after the work is done."""
+    for path in paths:
+        if not path:
+            continue
+        try:
+            os.makedirs(path, exist_ok=True)
+        except FileExistsError:
+            raise _NoVerdict("%s: exists and is not a directory" % path)
+        except OSError as error:
+            raise _NoVerdict("%s: %s" % (path, error.strerror or error))
+
+
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
@@ -155,12 +170,7 @@ def _run(args):
     spec = _sweep_spec(args)
     spec.expand(DEFAULT_REGISTRY)  # a bad spec stops here, before any directory exists
     out_dir = args.out or os.path.join("campaigns", spec.name)
-    try:  # an --out that is a file, or under one, stops here, before any run
-        os.makedirs(out_dir, exist_ok=True)
-    except FileExistsError:
-        raise _NoVerdict("%s: exists and is not a directory" % out_dir)
-    except OSError as error:
-        raise _NoVerdict("%s: %s" % (out_dir, error.strerror or error))
+    _make_dirs(out_dir)
     return _report(Campaign(spec, out_dir, **_campaign_kwargs(args)).run(), args.quiet)
 
 
@@ -208,6 +218,7 @@ def _gate(args):
         for name, scenario in SCENARIOS.items():
             print("%-14s %-42s [%s]" % (name, scenario.title, scenario.paper_ref))
         return 0
+    _make_dirs(args.telemetry, args.trace)
     baseline = args.baseline or PIN_PATH
     dirs = {hub: out for hub, out in ((TELEMETRY, args.telemetry), (TRACE, args.trace)) if out}
     overwritten = {}  # --pin: the pins of this seed the run replaces
@@ -250,11 +261,13 @@ def _gate(args):
 # -- validation: validate, differential, mutation-check -----------------------
 
 
-def _judge_sweep(args, title, sweep):
+def _judge_sweep(args, title, sweep, dirs):
     """The body ``validate`` and ``differential`` share: one progress
-    line per seed, the rows to ``--jsonl``, exit 1 on any violation."""
+    line per seed, the rows to ``--jsonl``, exit 1 on any violation.
+    ``dirs`` are the verb's DIR options."""
     if args.seeds < 1:
         raise _NoVerdict("%s: --seeds %d: nothing to check" % (args.verb, args.seeds))
+    _make_dirs(*dirs)
 
     def progress(report, row):
         if getattr(report, "skipped", False):
@@ -299,7 +312,7 @@ def _validate(args):
         return result
 
     title = "validation sweep" + ("" if args.no_metamorphic else " (+metamorphic)")
-    return _judge_sweep(args, title, sweep)
+    return _judge_sweep(args, title, sweep, (args.telemetry, args.artifacts))
 
 
 def _differential(args):
@@ -308,7 +321,8 @@ def _differential(args):
     return _judge_sweep(args, "packet-vs-flowsim differential", lambda progress: (
         flowsim_lane.run_flowsim_differential_sweep(
             seeds=args.seeds, start=args.start, fail_fast=args.fail_fast, progress=progress,
-            artifact_dir=args.artifacts or flowsim_lane.DEFAULT_ARTIFACT_DIR)))
+            artifact_dir=args.artifacts or flowsim_lane.DEFAULT_ARTIFACT_DIR)),
+        (args.artifacts,))
 
 
 def _mutation_check(args):
@@ -317,6 +331,7 @@ def _mutation_check(args):
     if args.which and args.which not in MUTATIONS:
         raise _NoVerdict("mutation-check: --which must be one of %s, got %r"
                         % (", ".join(sorted(MUTATIONS)), args.which))
+    _make_dirs(args.artifacts)
     results = mutation_check(which=args.which, shrink=not args.no_shrink,
                              artifact_dir=args.artifacts or DEFAULT_ARTIFACT_DIR)
     failed = False
@@ -542,6 +557,7 @@ def _storm(args):
     if args.artifact:
         show(_read(args.artifact, "storm", "trace")[1])
         return 0
+    _make_dirs(args.out)
 
     from repro.experiments.storm import run_storm
     from repro.obs import TELEMETRY, TRACE

@@ -19,7 +19,7 @@ class Device:
         return port
 
     def handle_packet(self, port, packet):
-        """Called by a port when the link delivers a frame to it."""
+        """Called when the link delivers a frame to ``port``."""
         raise NotImplementedError
 
     def _on_port_dequeue(self, packet, meta, dropped_at_head):

@@ -14,6 +14,8 @@ A link joins exactly two ports.  Each direction models:
   mirroring the far smaller exposure of 64-byte control frames.
 """
 
+from functools import partial
+
 from repro.sim.units import propagation_delay_ns, serialization_delay_ns
 from repro.obs import TRACE as _TRACE
 
@@ -55,10 +57,11 @@ class Link:
         port_b.link = self
         port_a.peer = port_b
         port_b.peer = port_a
-        # Bound far-end deliver methods, cached so the per-frame schedule
-        # call skips two attribute hops.
-        port_a.peer_deliver = port_b.deliver
-        port_b.peer_deliver = port_a.deliver
+        # A frame's arrival event calls the far device's handle_packet
+        # with the far port directly: bound once here, so delivery costs
+        # no Python frame of its own.
+        port_a.peer_deliver = partial(port_b.device.handle_packet, port_b)
+        port_b.peer_deliver = partial(port_a.device.handle_packet, port_a)
         self.up = True
         # wire_bytes -> serialization ns, shared per line rate.
         self._ser_ns = Link._SER_CACHES.setdefault(self.rate_bps, {})
@@ -140,9 +143,8 @@ class Link:
                     extra_delay_ns = int(arg)
                 else:
                     raise ValueError("unknown fault verdict: %r" % (verdict,))
-        # from_port.peer_deliver was wired by __init__; equivalent to
-        # self.other(from_port).deliver without the identity checks.
-        # schedule1 draws the event from the engine's free-list.
+        # from_port.peer_deliver was wired by __init__: the far device's
+        # handle_packet, bound to the far port.
         self.sim.schedule1(
             serialization_ns + self.delay_ns + extra_delay_ns,
             from_port.peer_deliver,

@@ -194,7 +194,6 @@ class Port:
         "_total_packets",
         "_total_bytes",
         "_wake_timer",
-        "_tx_complete_ref",
     )
 
     def __init__(self, sim, device, index, name=None, drop_flood_at_head=False):
@@ -204,7 +203,9 @@ class Port:
         self.name = name or "%s.p%d" % (getattr(device, "name", "dev"), index)
         self.link = None
         self.peer = None  # peer Port, set by Link
-        self.peer_deliver = None  # bound peer.deliver, cached by Link
+        # The far device's handle_packet bound to the far port, set by
+        # Link: what a frame's arrival event calls.
+        self.peer_deliver = None
         self.drop_flood_at_head = drop_flood_at_head
         self.scheduler = StrictPriorityScheduler()
         self.stats = PortStats()
@@ -225,7 +226,6 @@ class Port:
         self._total_packets = 0
         self._total_bytes = 0
         self._wake_timer = Timer(sim, self._try_send, name="%s.wake" % self.name)
-        self._tx_complete_ref = self._tx_complete
         # When True, egress transmission is administratively frozen (used
         # to model a dead device still holding the link).
         self.frozen = False
@@ -402,9 +402,16 @@ class Port:
         if earliest is not None:
             self._wake_timer.start_at(earliest)
 
-    def _try_send(self):
+    def _try_send(self, tx_done=False):
+        """Start the next transmission if the port is idle.  ``tx_done``
+        is the tx-complete event of the previous frame: it frees the
+        transmitter first."""
+        if tx_done:
+            self._busy = False
+        elif self._busy:
+            return
         link = self.link
-        if self._busy or link is None or self.frozen:
+        if link is None or self.frozen:
             return
         if self._control_queue:
             # Control frames first, always.
@@ -463,18 +470,9 @@ class Port:
             stats.tx_packets[priority] += 1
             stats.tx_bytes[priority] += nbytes
         serialization_ns = link.transmit(self, packet)
-        self.sim.schedule0(serialization_ns, self._tx_complete_ref)
+        self.sim.schedule1(serialization_ns, self._try_send, True)
         if priority is not None and self.on_dequeue is not None:
             self.on_dequeue(packet, meta, False)
-
-    def _tx_complete(self):
-        self._busy = False
-        self._try_send()
-
-    def deliver(self, packet):
-        """Called by the link when a frame arrives at this port; hands the
-        frame to the owning device."""
-        self.device.handle_packet(self, packet)
 
     def record_rx(self, packet, priority):
         """Account a received data frame (devices call this after

@@ -81,7 +81,9 @@ class BaseTransportHeader:
             raise ValueError("QPN is 24 bits: %r" % (dest_qp,))
         if not 0 <= psn <= PSN_MASK:
             raise ValueError("PSN is 24 bits: %r" % (psn,))
-        self.opcode = BthOpcode(opcode)
+        # A member (what every sender passes) needs no enum lookup; a
+        # raw int is still validated by BthOpcode().
+        self.opcode = opcode if type(opcode) is BthOpcode else BthOpcode(opcode)
         self.dest_qp = dest_qp
         self.psn = psn
         self.ack_req = bool(ack_req)

@@ -18,9 +18,10 @@ class UdpHeader:
     __slots__ = ("src_port", "dst_port", "length", "checksum")
 
     def __init__(self, src_port, dst_port, length=UDP_HEADER_BYTES, checksum=0):
-        for name, port in (("src_port", src_port), ("dst_port", dst_port)):
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError("%s out of range: %r" % (name, port))
+        if not 0 <= src_port <= 0xFFFF:
+            raise ValueError("src_port out of range: %r" % (src_port,))
+        if not 0 <= dst_port <= 0xFFFF:
+            raise ValueError("dst_port out of range: %r" % (dst_port,))
         self.src_port = src_port
         self.dst_port = dst_port
         self.length = length

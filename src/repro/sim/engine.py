@@ -1,9 +1,8 @@
 """The discrete-event engine.
 
 A :class:`Simulator` owns an integer-nanosecond clock and a scheduler of
-:class:`Event` callbacks.  Events scheduled for the same instant fire in
-the order they were scheduled (FIFO tie-breaking), which keeps runs
-fully deterministic.
+callbacks.  Events scheduled for the same instant fire in the order they
+were scheduled (FIFO tie-breaking), which keeps runs fully deterministic.
 
 The engine is intentionally tiny -- everything else in the reproduction
 (links, switches, NICs, transports) is expressed as plain objects that
@@ -12,15 +11,23 @@ schedule callbacks on a shared ``Simulator``.
 Performance notes (this is the hottest code in the repository -- every
 simulated packet costs several engine events):
 
-* The scheduler is one binary heap of ``(time, seq, event)`` tuples,
-  so the order is exactly (time, FIFO-seq) -- as the determinism
-  fingerprints in ``benchmarks/BASELINE.json`` and the Hypothesis
-  equivalence suite in ``tests/test_engine_ordering.py`` assert.
+* The heap entry *is* the event: a ``[time, seq, fn, arg]`` list, so the
+  order is exactly (time, FIFO-seq) -- as the determinism fingerprints
+  in ``benchmarks/BASELINE.json`` and the Hypothesis equivalence suite
+  in ``tests/test_engine_ordering.py`` assert.  ``arg`` is the single
+  argument, or :data:`_NOARG` for a no-argument call (multi-argument
+  calls are bound with :func:`functools.partial`); ``fn is None`` marks
+  an entry fired or cancelled.  There is no event object and no
+  free-list on the hot path: a dispatch is one heap pop, one store and
+  the call.
 * :meth:`schedule1` / :meth:`schedule0` -- what links, ports and timers
-  call per frame -- skip the ``*args`` tuple, draw :class:`Event`
-  objects from a **free-list** (recycled after they fire, so
-  steady-state dispatch allocates only the heap entry) and each carry
-  their whole body: one Python frame per scheduled event.
+  call per frame -- return the bare entry and each carry their whole
+  body: one Python frame per scheduled event.  :meth:`at` /
+  :meth:`schedule` / :meth:`call_soon` return an :class:`Event`, a
+  ``list`` subclass of the same entry with ``cancel()``, ``cancelled``
+  and ``time``; :meth:`Simulator.cancel` cancels either kind.
+* :attr:`Simulator.now` is a plain attribute the dispatch loop writes,
+  not a property: model code reads it several times per hop.
 
 Observation (:meth:`Simulator.observe_every`) is not an event.  A
 periodic reader -- the telemetry poll -- registers an *observer*; the
@@ -32,61 +39,51 @@ observer is therefore the run without one, event for event, and an
 observer that schedules or cancels raises :class:`SimulationError`.
 """
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 
-#: Free-list bound: enough to cover every in-flight pooled event of a
-#: saturated run without letting an idle sim pin memory forever.
-_POOL_MAX = 8192
+#: The ``arg`` slot of an entry whose ``fn`` takes no argument.
+_NOARG = object()
+#: The ``arg`` slot of an entry cancelled before it fired.
+_CANCELLED = object()
 
 
 class SimulationError(Exception):
     """Raised for invalid use of the simulation engine."""
 
 
-class Event:
-    """A scheduled callback; returned by :meth:`Simulator.schedule`.
+class Event(list):
+    """A scheduled callback; returned by :meth:`Simulator.at`,
+    :meth:`~Simulator.schedule` and :meth:`~Simulator.call_soon`.
 
-    Events may be cancelled before they fire.  Cancelled events stay in
-    the heap but are skipped when reached (lazy deletion), which is O(1)
-    per cancel instead of O(n); the simulator compacts the heap once
-    cancelled entries dominate, so timer-heavy runs do not retain dead
-    events.
-
-    ``kind`` encodes the call convention: 0 -- ``args`` is a tuple
-    (``fn(*args)``); 1 -- ``args`` is the single positional argument;
-    2 -- no arguments.  Kinds 1 and 2 are pool-managed: the engine
-    recycles them after dispatch, so callers must not retain (or cancel)
-    their handles past the event's fire time.
+    The heap entry ``[time, seq, fn, arg]`` itself, with a way back to
+    its simulator.  Events may be cancelled before they fire; cancelled
+    events stay in the heap but are skipped when reached (lazy
+    deletion), which is O(1) per cancel instead of O(n); the simulator
+    compacts the heap once cancelled entries dominate, so timer-heavy
+    runs do not retain dead events.  Cancelling an event that already
+    fired does nothing.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "kind", "cancelled", "sim")
+    __slots__ = ("_sim",)
 
-    def __init__(self, time, seq, fn, args, sim=None, kind=0):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.kind = kind
-        self.cancelled = False
-        # Back-reference kept only while the event sits in the heap, so
-        # cancellation can update the owner's cancelled-entry count.
-        self.sim = sim
+    @property
+    def time(self):
+        """Absolute simulated time (ns) the event fires at."""
+        return self[0]
+
+    @property
+    def cancelled(self):
+        """True once :meth:`cancel` took effect (before the event fired)."""
+        return self[3] is _CANCELLED
 
     def cancel(self):
         """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        self.fn = None
-        self.args = None
-        sim = self.sim
-        if sim is not None:
-            sim._cancelled += 1
-            self.sim = None
+        self._sim.cancel(self)
 
     def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
-        return "Event(t=%d, seq=%d, %s)" % (self.time, self.seq, state)
+        state = "cancelled" if self.cancelled else "fired" if self[2] is None else "pending"
+        return "Event(t=%d, seq=%d, %s)" % (self[0], self[1], state)
 
 
 class Observer:
@@ -99,7 +96,7 @@ class Observer:
     def __init__(self, sim, interval_ns, fn):
         self.sim = sim
         self.interval_ns = interval_ns
-        self.next_ns = sim._now + interval_ns
+        self.next_ns = sim.now + interval_ns
         self.fn = fn
 
     def cancel(self):
@@ -118,45 +115,43 @@ class Simulator:
       (absolute time, relative delay, or the current instant) and get back
       a cancellable :class:`Event`;
     * :meth:`schedule1` / :meth:`schedule0` -- allocation-light variants
-      for hot internal callers (single argument / no argument);
+      for hot internal callers (single argument / no argument) that
+      return the bare heap entry;
+    * :meth:`cancel` -- cancel any handle the above returned;
     * :meth:`run` / :meth:`run_until_idle` / :meth:`step` -- dispatch;
     * :meth:`observe_every` -- a periodic reader outside the event queue;
     * :attr:`now`, :attr:`events_fired`, :attr:`pending` -- observability.
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_seq",
         "_running",
         "_events_fired",
         "_cancelled",
         "_heap",
-        "_pool",
         "_observers",
     )
 
     # Lazy deletion keeps cancels O(1), but a fault-heavy run that arms
     # and re-arms timers (pause refresh, RTO, watchdogs) can leave the
     # heap mostly dead entries.  Once the dead outnumber the live (and
-    # there are enough to matter), rebuild the heap without them.
+    # there are enough to matter), rebuild the heap without them: checked
+    # in cancel(), the only place the dead grow.
     _COMPACT_MIN_CANCELLED = 64
 
     def __init__(self):
-        self._now = 0
+        #: Current simulated time in integer nanoseconds.  Written by the
+        #: dispatch loop; read-only to everything else.
+        self.now = 0
         self._seq = 0
         self._running = False
         self._events_fired = 0
         self._cancelled = 0  # cancelled entries still in the heap
-        self._heap = []  # (time, seq, Event)
-        self._pool = []  # Event free-list (kind 1/2 only)
+        self._heap = []  # [time, seq, fn, arg] entries
         self._observers = []  # Observer, in registration order
 
     # -- observability -------------------------------------------------------
-
-    @property
-    def now(self):
-        """Current simulated time in integer nanoseconds."""
-        return self._now
 
     @property
     def events_fired(self):
@@ -191,10 +186,10 @@ class Simulator:
         Returns the :class:`Event` so the caller can cancel it.
         """
         time = int(time)
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
                 "cannot schedule event at t=%d; clock is already at t=%d"
-                % (time, self._now)
+                % (time, self.now)
             )
         return self._push(time, fn, args)
 
@@ -205,84 +200,77 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError("delay cannot be negative: %r" % (delay,))
-        return self._push(self._now + int(delay), fn, args)
-
-    def _push(self, time, fn, args):
-        """Shared body of at/schedule: a fresh kind-0 event."""
-        heap = self._heap
-        cancelled = self._cancelled
-        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
-            self._compact()
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, fn, args, self)
-        heappush(heap, (time, seq, event))
-        return event
-
-    def schedule1(self, delay, fn, arg):
-        """Schedule ``fn(arg)`` ``delay`` ns from now, drawing the Event
-        from the free-list.  The returned handle may be cancelled, but
-        must not be retained (or cancelled) past the event's fire time:
-        the engine recycles the object.  Internal hot-path API."""
-        # Every link delivery comes through here and every frame's
-        # tx-complete through schedule0, so each carries its own body
-        # rather than paying a second Python frame for a shared one.
-        delay = int(delay)
-        if delay < 0:
-            raise SimulationError("delay cannot be negative: %r" % (delay,))
-        time = self._now + delay
-        heap = self._heap
-        cancelled = self._cancelled
-        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
-            self._compact()
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = arg
-            event.kind = 1
-            event.cancelled = False
-            event.sim = self
-        else:
-            event = Event(time, seq, fn, arg, self, 1)
-        heappush(heap, (time, seq, event))
-        return event
-
-    def schedule0(self, delay, fn):
-        """Pooled, argument-free variant of :meth:`schedule1`."""
-        delay = int(delay)
-        if delay < 0:
-            raise SimulationError("delay cannot be negative: %r" % (delay,))
-        time = self._now + delay
-        heap = self._heap
-        cancelled = self._cancelled
-        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(heap):
-            self._compact()
-        seq = self._seq
-        self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = None
-            event.kind = 2
-            event.cancelled = False
-            event.sim = self
-        else:
-            event = Event(time, seq, fn, None, self, 2)
-        heappush(heap, (time, seq, event))
-        return event
+        return self._push(self.now + int(delay), fn, args)
 
     def call_soon(self, fn, *args):
         """Schedule ``fn(*args)`` at the current instant (after pending
         same-time events already in the queue).  Returns the Event."""
-        return self.at(self._now, fn, *args)
+        # _push's body, inlined: call_soon is one frame.
+        seq = self._seq
+        self._seq = seq + 1
+        if not args:
+            event = Event((self.now, seq, fn, _NOARG))
+        elif len(args) == 1:
+            event = Event((self.now, seq, fn, args[0]))
+        else:
+            event = Event((self.now, seq, partial(fn, *args), _NOARG))
+        event._sim = self
+        heappush(self._heap, event)
+        return event
+
+    def _push(self, time, fn, args):
+        """Shared body of at/schedule: a fresh :class:`Event`."""
+        seq = self._seq
+        self._seq = seq + 1
+        if not args:
+            event = Event((time, seq, fn, _NOARG))
+        elif len(args) == 1:
+            event = Event((time, seq, fn, args[0]))
+        else:
+            event = Event((time, seq, partial(fn, *args), _NOARG))
+        event._sim = self
+        heappush(self._heap, event)
+        return event
+
+    def schedule1(self, delay, fn, arg):
+        """Schedule ``fn(arg)`` ``delay`` ns from now.  Returns the bare
+        heap entry, which :meth:`cancel` accepts.  Internal hot-path API."""
+        # Every link delivery and tx-complete comes through here and
+        # every timer through schedule0, so each carries its own body
+        # rather than paying a second Python frame for a shared one.
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError("delay cannot be negative: %r" % (delay,))
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [self.now + delay, seq, fn, arg]
+        heappush(self._heap, entry)
+        return entry
+
+    def schedule0(self, delay, fn):
+        """Argument-free variant of :meth:`schedule1`."""
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError("delay cannot be negative: %r" % (delay,))
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [self.now + delay, seq, fn, _NOARG]
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry):
+        """Prevent a scheduled event from firing: ``entry`` is any handle
+        :meth:`at`, :meth:`schedule`, :meth:`call_soon`, :meth:`schedule1`
+        or :meth:`schedule0` returned.  A no-op once the event fired or
+        was cancelled."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        entry[3] = _CANCELLED  # also drops the argument
+        cancelled = self._cancelled + 1
+        self._cancelled = cancelled
+        if cancelled >= self._COMPACT_MIN_CANCELLED and cancelled * 2 >= len(self._heap):
+            self._compact()
 
     # -- storage maintenance -------------------------------------------------
 
@@ -295,7 +283,7 @@ class Simulator:
         in-progress :meth:`run` holds a direct reference to it.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapify(heap)
         self._cancelled = 0
 
@@ -331,14 +319,14 @@ class Simulator:
 
     def _tick(self, boundary):
         """Fire every observer due at ``boundary``, in registration order."""
-        self._now = boundary
+        self.now = boundary
         for observer in tuple(self._observers):
             if observer.next_ns == boundary and observer.sim is self:
                 observer.next_ns = boundary + observer.interval_ns
                 seq = self._seq
-                cancelled = self._cancelled
+                pending = self.pending  # a cancel lowers it, compaction does not
                 observer.fn()
-                if self._seq != seq or self._cancelled != cancelled:
+                if self._seq != seq or self.pending != pending:
                     raise SimulationError(
                         "observer %r scheduled or cancelled an event" % (observer.fn,)
                     )
@@ -390,17 +378,17 @@ class Simulator:
             fired = self._dispatch(until, max_events, fired)
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and self.now < until:
             upcoming = self._next_live()
             if upcoming is None or upcoming > until:
-                self._now = until
+                self.now = until
         return fired
 
     def _next_live(self):
         """Time of the earliest live event (cancelled heads are dropped),
         or None when nothing is queued."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2] is None:
             heappop(heap)
             self._cancelled -= 1
         return heap[0][0] if heap else None
@@ -409,13 +397,13 @@ class Simulator:
         """The per-event loop: fire events up to ``until`` (None: all)
         until ``fired`` reaches ``max_events``; returns the new count."""
         heap = self._heap
-        pool = self._pool
+        noarg = _NOARG
         while heap:
             if max_events is not None and fired >= max_events:
                 break
             entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
+            fn = entry[2]
+            if fn is None:
                 heappop(heap)
                 self._cancelled -= 1
                 continue
@@ -423,25 +411,15 @@ class Simulator:
             if until is not None and time > until:
                 break
             heappop(heap)
-            self._now = time
-            fn = event.fn
-            args = event.args
-            kind = event.kind
-            # Free references before the callback runs so callbacks
-            # that re-schedule themselves do not pin stale arguments.
-            event.fn = None
-            event.args = None
-            event.sim = None  # fired: a late cancel() must not miscount
+            self.now = time
+            entry[2] = None  # fired: a late cancel is a no-op
             self._events_fired += 1
             fired += 1
-            if kind == 0:
-                fn(*args)
-            elif kind == 1:
-                fn(args)
-            else:
+            arg = entry[3]
+            if arg is noarg:
                 fn()
-            if kind and len(pool) < _POOL_MAX:
-                pool.append(event)
+            else:
+                fn(arg)
         return fired
 
     def run_until_idle(self, max_events=None):
@@ -451,4 +429,4 @@ class Simulator:
         return self.run(until=None, max_events=max_events)
 
     def __repr__(self):
-        return "Simulator(now=%d, pending=%d)" % (self._now, self.pending)
+        return "Simulator(now=%d, pending=%d)" % (self.now, self.pending)

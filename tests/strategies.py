@@ -4,8 +4,9 @@ One home for the generators that several suites were growing ad hoc:
 
 * :func:`sim_programs` / :func:`apply_sim_program` -- random scheduler
   programs (schedule / schedule1 / schedule0 / at / chain / cancel /
-  run / step / cut) used by the engine ordering suite and anything else that
-  differentials the event engine.
+  timer start / start_at / extend_to / cancel / run / step / cut) used
+  by the engine ordering suite and anything else that differentials the
+  event engine.
 * :func:`buffer_ops` -- admit/release op streams for shared-buffer
   conservation properties.
 * :func:`maxmin_problems` -- (links, paths) instances for the max-min
@@ -40,6 +41,7 @@ from hypothesis import strategies as st
 
 from repro.flowsim import EFFICIENCY, clos_flow, single_switch_flow, two_tier_flow
 from repro.rdma import QpConfig, connect_qp_pair
+from repro.sim.timer import Timer
 from repro.sim.units import KB
 from repro.topo import single_switch, three_tier_clos, two_tier
 from repro.workloads import ClosedLoopSender, RdmaChannel
@@ -51,6 +53,9 @@ from repro.workloads import ClosedLoopSender, RdmaChannel
 # (hundreds of ns) and RTO-scale timers (hundreds of us), so programs
 # drawing up to a few multiples of it keep mixing both in one heap.
 WINDOW_NS = 131_072
+
+#: Size of the pool of timers a program's timer ops pick from.
+PROGRAM_TIMERS = 3
 
 
 def sim_program_ops():
@@ -73,8 +78,18 @@ def sim_program_ops():
             st.integers(0, WINDOW_NS),
             st.integers(0, 4000),
         ),
-        # cancel the (idx % len)-th previously returned handle
+        # cancel the (idx % len)-th previously returned handle, pending,
+        # fired or already cancelled
         st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+        # a Timer from a small pool: start(delay), start_at(now + offset),
+        # extend_to(now + offset), cancel().  Short times are drawn often,
+        # so deadlines tie and a re-arm's fresh seq shows in the order.
+        st.tuples(st.just("tstart"), st.integers(0, PROGRAM_TIMERS - 1),
+                  st.integers(0, 16) | st.integers(0, 3 * WINDOW_NS)),
+        st.tuples(st.sampled_from(["tstart_at", "textend"]),
+                  st.integers(0, PROGRAM_TIMERS - 1),
+                  st.integers(0, 16) | st.integers(0, 2 * WINDOW_NS)),
+        st.tuples(st.just("tcancel"), st.integers(0, PROGRAM_TIMERS - 1)),
         st.tuples(st.just("run"), st.integers(0, WINDOW_NS)),
         st.tuples(st.just("step"), st.just(0)),
         # run(until=now + offset, max_events=n): a bounded run that the
@@ -88,21 +103,21 @@ def sim_programs(min_size=1, max_size=50):
     return st.lists(sim_program_ops(), min_size=min_size, max_size=max_size)
 
 
-def apply_sim_program(sim, ops):
-    """Run `ops` against `sim`; return the fired-event trace."""
+def apply_sim_program(sim, ops, timer=Timer):
+    """Run `ops` against `sim`; return the fired-event trace.  ``timer``
+    is the timer class the timer ops drive (a reference engine passes
+    its own)."""
     trace = []
     handles = []
-    pooled = {}  # tag -> handle of a pending schedule1/schedule0 event
     tag = 0
     # The heapq reference has no pooled path: plain schedule() there.
     schedule1 = getattr(sim, "schedule1", sim.schedule)
     schedule0 = getattr(sim, "schedule0", sim.schedule)
 
-    def fire_pooled(record):
-        # The engine recycles a pooled event once it has fired, so its
-        # handle may be cancelled only while pending: forget it here.
-        handles.remove(pooled.pop(record[2]))
-        trace.append(record)
+    def timer_fired(index):
+        trace.append((sim.now, "timer", index))
+
+    timers = [timer(sim, partial(timer_fired, i)) for i in range(PROGRAM_TIMERS)]
 
     def make_chain(chain_delay, chain_tag):
         def fire():
@@ -116,14 +131,11 @@ def apply_sim_program(sim, ops):
         if kind == "sched":
             handles.append(sim.schedule(op[1], trace.append, (sim.now, "s", tag)))
             tag += 1
-        elif kind in ("sched1", "sched0"):
-            record = (sim.now, kind, tag)
-            if kind == "sched1":
-                handle = schedule1(op[1], fire_pooled, record)
-            else:
-                handle = schedule0(op[1], partial(fire_pooled, record))
-            pooled[tag] = handle
-            handles.append(handle)
+        elif kind == "sched1":
+            handles.append(schedule1(op[1], trace.append, (sim.now, kind, tag)))
+            tag += 1
+        elif kind == "sched0":
+            handles.append(schedule0(op[1], partial(trace.append, (sim.now, kind, tag))))
             tag += 1
         elif kind == "at":
             handles.append(sim.at(sim.now + op[1], trace.append, (sim.now, "a", tag)))
@@ -133,7 +145,24 @@ def apply_sim_program(sim, ops):
             tag += 1
         elif kind == "cancel":
             if handles:
-                handles[op[1] % len(handles)].cancel()
+                # schedule1/schedule0 hand out bare entries: the engine
+                # cancels those; every other handle cancels itself.
+                handle = handles[op[1] % len(handles)]
+                if hasattr(handle, "cancel"):
+                    handle.cancel()
+                else:
+                    sim.cancel(handle)
+        elif kind in ("tstart", "tstart_at", "textend", "tcancel"):
+            target = timers[op[1]]
+            if kind == "tstart":
+                target.start(op[2])
+            elif kind == "tstart_at":
+                target.start_at(sim.now + op[2])
+            elif kind == "textend":
+                target.extend_to(sim.now + op[2])
+            else:
+                target.cancel()
+            trace.append((kind, op[1], target.armed, target.deadline))
         elif kind == "run":
             sim.run(until=sim.now + op[1])
             trace.append(("ran", sim.now, sim.events_fired))

@@ -148,6 +148,30 @@ class TestOutIsNotADirectory:
         assert target.read_text() == "kept"
 
 
+class TestDirOptionIsNotADirectory:
+    """Every other DIR option is checked the same way before anything
+    runs: one ``path: reason`` line and exit 2, never a traceback and
+    exit 1 (fingerprint drift) after the scenario ran."""
+
+    @pytest.mark.parametrize("verb", [
+        ["gate", "single_flow", "--trace"],
+        ["gate", "single_flow", "--telemetry"],
+        ["validate", "--seeds", "1", "--telemetry"],
+        ["validate", "--seeds", "1", "--artifacts"],
+        ["differential", "--seeds", "1", "--artifacts"],
+        ["mutation-check", "--artifacts"],
+        ["storm", "--demo", "--out"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_refused_before_anything_runs(self, verb, under, tmp_path, capsys):
+        target = tmp_path / "file"
+        target.write_text("kept")
+        path = target / "sub" if under else target
+        reason = "Not a directory" if under else "exists and is not a directory"
+        _assert_exit_2(verb + [str(path)], capsys, str(path) + ": ", reason)
+        assert target.read_text() == "kept"
+
+
 def test_importing_the_front_door_loads_no_subsystem():
     """Each verb imports its subsystem in its handler, and the package
     root resolves its re-exports lazily: ``--help`` loads two modules."""

@@ -1,20 +1,24 @@
 """Ordering suite: the engine vs a reference (time, seq) heapq engine.
 
-The `Simulator` in `repro.sim.engine` keeps one heap of (time, seq,
-event), recycles pooled events through a free-list and compacts
-cancelled entries.  The contract is that the last two are *invisible*:
-for any interleaving of schedule / schedule1 / schedule0 / at / cancel /
-run(until) / step calls -- including callbacks that schedule at the
-instant being dispatched, serialization-scale and RTO-scale delays mixed
-in one heap, driver code scheduling between runs, and compaction
-boundaries -- the two implementations fire identical (time, seq)
-sequences and agree on ``now``, ``events_fired`` and ``pending``.
+The `Simulator` in `repro.sim.engine` keeps one heap whose entries are
+the events themselves (``[time, seq, fn, arg]`` lists), cancels lazily
+and compacts cancelled entries.  The contract is that the entry layout
+and compaction are *invisible*: for any interleaving of schedule /
+schedule1 / schedule0 / at / cancel / `Timer` start / start_at /
+extend_to / cancel / run(until) / step calls -- including callbacks that
+schedule at the instant being dispatched, serialization-scale and
+RTO-scale delays mixed in one heap, scheduling from outside between runs,
+cancels of handles that already fired, and compaction boundaries -- the
+two implementations fire identical (time, seq) sequences and agree on
+``now``, ``events_fired``, ``pending`` and every timer's deadline.
 
 `ReferenceSimulator` below is a minimal transliteration of the seed
 heapq engine (lazy cancellation, FIFO tie-break by sequence number,
 inclusive ``run(until=...)`` horizon, clock advanced to the horizon when
-nothing live at or before it is left).  It has no pooled path: the programs' ``sched1`` / ``sched0`` ops
-reach it as plain ``schedule``.
+nothing live at or before it is left).  It has no pooled path: the
+programs' ``sched1`` / ``sched0`` ops reach it as plain ``schedule``,
+and its timer, `ReferenceTimer`, arms through ``at`` and disarms through
+``Event.cancel``.
 """
 
 import heapq
@@ -129,6 +133,44 @@ class ReferenceSimulator:
         return self.run(until=None, max_events=max_events)
 
 
+class ReferenceTimer:
+    """The seed `Timer`: every arm is an ``at`` event, every disarm its
+    ``cancel()``."""
+
+    def __init__(self, sim, callback, name=""):
+        self._sim = sim
+        self._callback = callback
+        self._event = None
+
+    @property
+    def armed(self):
+        return self._event is not None
+
+    @property
+    def deadline(self):
+        return None if self._event is None else self._event.time
+
+    def start(self, delay_ns):
+        self.start_at(self._sim.now + delay_ns)
+
+    def start_at(self, time_ns):
+        self.cancel()
+        self._event = self._sim.at(time_ns, self._fire)
+
+    def extend_to(self, time_ns):
+        if self._event is None or self._event.time < time_ns:
+            self.start_at(time_ns)
+
+    def cancel(self):
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    def _fire(self):
+        self._event = None
+        self._callback()
+
+
 class _EagerCompactionSimulator(Simulator):
     """Engine that compacts after only a few cancels, so short generated
     programs cross compaction boundaries many times."""
@@ -147,7 +189,7 @@ def test_engine_matches_heapq_reference(ops):
     sim = Simulator()
     ref = ReferenceSimulator()
     sim_trace = _apply_program(sim, ops)
-    ref_trace = _apply_program(ref, ops)
+    ref_trace = _apply_program(ref, ops, timer=ReferenceTimer)
     assert sim_trace == ref_trace
     assert sim.now == ref.now
     assert sim.events_fired == ref.events_fired
@@ -162,7 +204,7 @@ def test_engine_matches_reference_across_compaction_boundaries(ops):
     # Compaction must be invisible to ordering.
     sim = _EagerCompactionSimulator()
     ref = ReferenceSimulator()
-    assert _apply_program(sim, ops) == _apply_program(ref, ops)
+    assert _apply_program(sim, ops) == _apply_program(ref, ops, timer=ReferenceTimer)
     assert (sim.now, sim.events_fired) == (ref.now, ref.events_fired)
 
 
@@ -178,18 +220,23 @@ def test_engine_matches_reference_across_compaction_boundaries(ops):
         # The same two through the pooled fast path.
         [("run", 5), ("chain", 3, 4), ("run", 3), ("sched1", 4)],
         [("sched0", 10), ("chain", 10, 5), ("step", 0), ("sched1", 5)],
+        # extend_to an equal deadline keeps the timer's place ahead of a
+        # same-instant event scheduled after it ...
+        [("tstart_at", 0, 10), ("sched", 10), ("textend", 0, 10)],
+        # ... while start_at the same deadline re-arms behind it.
+        [("tstart", 0, 10), ("sched", 10), ("tstart_at", 0, 10)],
     ],
 )
 def test_driver_scheduling_between_runs_keeps_fifo(ops):
     # Hypothesis rarely draws the equal delays these need, so pin them.
     assert _apply_program(Simulator(), ops) == _apply_program(
-        ReferenceSimulator(), ops
+        ReferenceSimulator(), ops, timer=ReferenceTimer
     )
 
 
 def test_pooled_fast_paths_keep_fifo_order():
-    # schedule1/schedule0 (free-listed events) must interleave with the
-    # public tuple path in strict FIFO order at equal times.
+    # schedule1/schedule0 (bare heap entries) must interleave with the
+    # public Event path in strict FIFO order at equal times.
     sim = Simulator()
     order = []
     sim.schedule(10, order.append, "tuple-0")
@@ -201,22 +248,35 @@ def test_pooled_fast_paths_keep_fifo_order():
     assert order == ["single-early", "tuple-0", "single-1", "noarg-2", "tuple-3"]
 
 
-def test_pooled_events_are_recycled():
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim, fn: sim.schedule0(1, fn),
+        lambda sim, fn: sim.schedule1(1, lambda _arg: fn(), None),
+        lambda sim, fn: sim.schedule(1, fn),
+    ],
+    ids=["schedule0", "schedule1", "schedule"],
+)
+def test_late_cancel_of_a_fired_handle_is_a_no_op(schedule):
+    # A late cancel must touch nothing: when fired events were recycled
+    # through a free-list, it cancelled the unrelated event that reused
+    # the object.
     sim = Simulator()
     hits = []
-    first = sim.schedule1(1, hits.append, "a")
+    handle = schedule(sim, lambda: hits.append("f"))
     sim.run_until_idle()
-    second = sim.schedule1(1, hits.append, "b")
-    assert second is first  # drawn from the free-list
+    schedule(sim, lambda: hits.append("g"))
+    sim.cancel(handle)
     sim.run_until_idle()
-    assert hits == ["a", "b"]
+    assert hits == ["f", "g"]
+    assert (sim.pending, sim._cancelled) == (0, 0)
 
 
 def test_pooled_event_cancel_before_fire():
     sim = Simulator()
     hits = []
-    event = sim.schedule1(50, hits.append, "never")
-    sim.schedule(10, event.cancel)
+    entry = sim.schedule1(50, hits.append, "never")
+    sim.schedule(10, sim.cancel, entry)  # a bare entry: the engine cancels it
     sim.run_until_idle()
     assert hits == []
     assert sim.pending == 0
@@ -290,7 +350,7 @@ def _observed(ops, interval_ns, cancel_after=None):
     def tick():
         boundary = interval_ns * (len(ticks) + 1)
         assert sim.now == boundary, "ticks fire once each, in boundary order"
-        live = [time for time, _seq, event in sim._heap if not event.cancelled]
+        live = [entry[0] for entry in sim._heap if entry[2] is not None]
         assert all(time > boundary for time in live), "an event <= B is still queued"
         ticks.append(boundary)
         if len(ticks) == cancel_after:
