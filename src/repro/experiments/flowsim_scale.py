@@ -17,7 +17,6 @@ a 3-tier Clos) using :mod:`repro.flowsim`:
   spec, so this compares two solvers over one placement).
 """
 
-import hashlib
 import struct
 import zlib
 
@@ -44,11 +43,6 @@ class FlowsimScaleResult(ExperimentResult):
 
 class FlowsimFigure7Result(ExperimentResult):
     title = "F2: flowsim vs analytic Clos model, figure 7 (section 5.4)"
-
-
-def fingerprint_digest(run):
-    """Short stable digest of a :class:`FlowsimRun` fingerprint tuple."""
-    return hashlib.sha256(repr(run.fingerprint()).encode()).hexdigest()[:16]
 
 
 def _pair_sport(src, dst):
@@ -135,6 +129,10 @@ def run_flowsim_scale(
         n_podsets=n_podsets,
     )
     run = sim.run()
+    # Imported here: `repro.bench` loads the gate's scenarios, which
+    # every other importer of `repro.experiments` would pay for.
+    from repro.bench.digest import digest
+
     row = {
         "seed": seed,
         "workload": workload,
@@ -153,7 +151,7 @@ def run_flowsim_scale(
             run.sum_fct_ns / run.n_completed / MS if run.n_completed else 0.0
         ),
         "max_fct_ms": run.max_fct_ns / MS,
-        "fingerprint": fingerprint_digest(run),
+        "fingerprint": digest(run.fingerprint()),
     }
     return FlowsimScaleResult([row], run)
 

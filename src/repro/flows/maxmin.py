@@ -18,8 +18,11 @@ Two entry points:
   :meth:`~MaxMinSolver.remove_flow` / :meth:`~MaxMinSolver.set_weight`
   calls (no per-solve rebuild), flows carry integer *weights* (k
   same-path flows collapse into one entry), and the water-filling uses a
-  lazy share heap with early exit once every flow froze -- the solve
-  cost scales with the flows actually placed, not with fabric size.
+  lazy share heap with early exit once every flow froze.  Each link's
+  initial heap entry is cached across solves and rebuilt only when a
+  mutation touched the link, and a freeze updates only the links that
+  keep unfrozen weight -- the solve cost scales with the bottlenecks it
+  freezes, not with the links in use or the fabric size.
 """
 
 import heapq
@@ -125,31 +128,38 @@ class MaxMinSolver:
     per :meth:`add_flow` / :meth:`remove_flow` / :meth:`set_weight`:
     the per-link membership (which flows cross which link) and the
     per-link *load* (total weight crossing it, :meth:`link_load`), with
-    the links whose load is non-zero kept as an ordered set.
-    :meth:`solve` starts from copies of the load and capacity lists and
-    a heap over the links in use, and never re-walks the registered
-    paths, so a churny caller -- the flow-level simulator recomputing
-    rates at every arrival/completion -- pays for the links in use and
-    the flows it freezes, not for indexing.  Weights are positive
-    integers (k same-path flows collapse into one weight-k entry), which
-    is what keeps the running load equal to a recount.
+    the links whose load is non-zero kept in an ordered map to their
+    cached version-0 heap entry ``(capacity / load, 0, link index)``.
+    A mutation marks the links it touches (:meth:`add_link` re-rating
+    one too); :meth:`solve` rebuilds only the marked entries, heapifies
+    the cached ones and starts from copies of the load and capacity
+    lists.  It never re-walks the registered paths, so a churny caller
+    -- the flow-level simulator recomputing rates at every
+    arrival/completion -- pays for the links it touched and the flows
+    it freezes, not for indexing.  Weights are positive integers (k
+    same-path flows collapse into one weight-k entry), which is what
+    keeps the running load equal to a recount and a bottleneck's
+    unfrozen weight exactly 0 once it froze.
 
     :meth:`solve` runs progressive filling with a lazy min-share heap of
-    ``(share, version, link index)``: each link in use is pushed with
-    its current fair share; stale heap entries (the link's membership
-    changed since the push) are skipped via a version counter; the fill
-    stops as soon as every flow froze, so links that are never anyone's
-    bottleneck are never frozen.  **Tie-break:** links whose share and
-    version are exactly equal freeze in dense-index order, i.e. in the
-    order of the capacity map -- not by comparing link ids.  The result
-    matches :func:`max_min_allocation` (same fixpoint; float rounding
-    may differ in the last bits because links freeze in heap order
-    rather than scan order).
+    ``(share, version, link index)``: each link in use starts with its
+    version-0 entry; stale heap entries (the link's membership changed
+    since the push) are skipped via a version counter; a freeze takes
+    the frozen flows' weight off their paths first and then subtracts
+    capacity from, re-versions and re-pushes only the links that still
+    carry unfrozen weight (an emptied link is never read again); the
+    fill stops as soon as every flow froze, so links that are never
+    anyone's bottleneck are never frozen.  **Tie-break:** links whose
+    share and version are exactly equal freeze in dense-index order,
+    i.e. in the order of the capacity map -- not by comparing link ids.
+    The result matches :func:`max_min_allocation` (same fixpoint; float
+    rounding may differ in the last bits because links freeze in heap
+    order rather than scan order).
     """
 
     __slots__ = (
         "_index", "_links", "_capacity", "_members", "_load", "_in_use",
-        "_weights", "_paths", "_pathless", "_next_id",
+        "_stale", "_weights", "_paths", "_pathless", "_next_id",
     )
 
     def __init__(self, link_capacities):
@@ -158,7 +168,10 @@ class MaxMinSolver:
         self._capacity = []
         self._members = []  # per link: ids of the flows crossing it
         self._load = []  # per link: total weight crossing it
-        self._in_use = {}  # ordered set: indices with non-zero load
+        # Indices with non-zero load -> cached version-0 heap entry
+        # ``(capacity / load, 0, index)``; None until the next solve.
+        self._in_use = {}
+        self._stale = set()  # indices whose cached entry must be rebuilt
         for link, capacity in link_capacities.items():
             self.add_link(link, capacity)
         self._weights = {}
@@ -175,6 +188,7 @@ class MaxMinSolver:
         index = self._index.get(link)
         if index is not None:
             self._capacity[index] = capacity
+            self._stale.add(index)
             return
         self._index[link] = len(self._links)
         self._links.append(link)
@@ -207,6 +221,7 @@ class MaxMinSolver:
             if not load[link]:
                 self._in_use[link] = None
             load[link] += weight
+        self._stale.update(path)
         return flow_id
 
     def remove_flow(self, flow_id):
@@ -222,6 +237,7 @@ class MaxMinSolver:
             load[link] -= weight
             if not load[link]:
                 del self._in_use[link]
+        self._stale.update(path)
 
     def set_weight(self, flow_id, weight):
         """Change a flow's weight in place (k arrivals on one path)."""
@@ -232,8 +248,10 @@ class MaxMinSolver:
         delta = weight - self._weights[flow_id]
         self._weights[flow_id] = weight
         load = self._load
-        for link in self._paths[flow_id]:
+        path = self._paths[flow_id]
+        for link in path:
             load[link] += delta
+        self._stale.update(path)
 
     def weight(self, flow_id):
         return self._weights[flow_id]
@@ -246,6 +264,13 @@ class MaxMinSolver:
         """Total weight of the registered flows crossing ``link`` (0 if none)."""
         index = self._index.get(link)
         return 0 if index is None else self._load[index]
+
+    def fair_share(self, flow_id):
+        """Smallest ``capacity / load`` on the flow's path: its share of
+        its most loaded link, before any water-filling."""
+        capacity = self._capacity
+        load = self._load
+        return min([capacity[link] / load[link] for link in self._paths[flow_id]])
 
     def flow_ids(self):
         return list(self._paths)
@@ -266,16 +291,25 @@ class MaxMinSolver:
         unfrozen = len(paths) - len(rates)
         if not unfrozen:
             return rates
+        # The version-0 entries of the links in use, rebuilt only where a
+        # mutation touched the link since the last solve.
+        in_use = self._in_use
+        stale = self._stale
+        if stale:
+            capacity = self._capacity
+            load = self._load
+            for link in stale:
+                total = load[link]
+                if total:
+                    in_use[link] = (capacity[link] / total, 0, link)
+            stale.clear()
         # Per-link unfrozen weight and unclaimed capacity, by link index.
         link_weight = self._load[:]
         remaining = self._capacity[:]
         # Lazy share heap: (share, version, link).  A popped entry is
         # live only if its version matches the link's current one.
         version = [0] * len(link_weight)
-        heap = [
-            (remaining[link] / link_weight[link], 0, link)
-            for link in self._in_use
-        ]
+        heap = list(in_use.values())
         heapq.heapify(heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -287,31 +321,38 @@ class MaxMinSolver:
             # Freeze every still-unfrozen flow on this link at `share`.
             # None of them crosses an already-frozen link: freezing that
             # link would have frozen the flow.
-            touched = {}
+            frozen = []
             for flow_id in members[link]:
                 if flow_id in rates:
                     continue
                 rates[flow_id] = share
-                unfrozen -= 1
+                frozen.append(flow_id)
                 flow_weight = weights[flow_id]
-                taken = share * flow_weight
                 for other in paths[flow_id]:
-                    if other == link:
-                        continue
                     link_weight[other] -= flow_weight
-                    left = remaining[other] - taken
-                    remaining[other] = left if left > 0 else 0.0
-                    version[other] += 1
-                    touched[other] = None
-            # One push per touched link, with its final (share, version):
+            unfrozen -= len(frozen)
+            # Only links that keep unfrozen weight are updated: an emptied
+            # link (this one included) is never read again -- its heap
+            # entries fail the weight test, and the defensive tail below
+            # reads only links of unfrozen flows.  Per live link the
+            # subtractions run in the same member order as before.
+            touched = {}
+            for flow_id in frozen:
+                taken = share * weights[flow_id]
+                for other in paths[flow_id]:
+                    if link_weight[other] > 0:
+                        left = remaining[other] - taken
+                        remaining[other] = left if left > 0 else 0.0
+                        version[other] += 1
+                        touched[other] = None
+            # One push per updated link, with its final (share, version):
             # nothing is popped during the member loop, so every entry an
             # earlier touch would have pushed was already stale.
             for other in touched:
-                total = link_weight[other]
-                if total > 0:
-                    heappush(heap, (remaining[other] / total, version[other], other))
-            link_weight[link] = 0
-            remaining[link] = 0.0
+                heappush(
+                    heap,
+                    (remaining[other] / link_weight[other], version[other], other),
+                )
         if unfrozen:
             # Defensive (mirrors the reference): flows whose every link
             # lost all competitors get their path's remaining minimum.

@@ -31,10 +31,11 @@ seconds, not hours):
   next interval boundary after a change; new groups meanwhile run at a
   provisional rate (fair share of their most loaded link), which is the
   documented fidelity trade for datacenter scale (docs/flowsim.md).
-* **Bookkeeping done once** -- per-link load lives in the solver only
-  (``MaxMinSolver.link_load``; the provisional rate reads it), the
-  run summary (bytes, FCT sum/max, completion CRC) is folded in per
-  completion so ``run(until_ns=...)`` in slices returns in O(1).
+* **Bookkeeping done once** -- per-link load and capacity live in the
+  solver only (the provisional rate is ``MaxMinSolver.fair_share``; the
+  PFC model re-rates links through ``add_link``), the run summary
+  (bytes, FCT sum/max, completion CRC) is folded in per completion so
+  ``run(until_ns=...)`` in slices returns in O(1).
 * **What the version compare still drops** -- a check carries its
   group's rate *version* and is dropped, and counted in
   ``n_superseded``, when the group has been re-rated since: a fixed-rate
@@ -175,7 +176,6 @@ class FlowSim:
         if rate_update_interval_ns < 0:
             raise ValueError("negative rate_update_interval_ns")
         self._base_caps = dict(link_capacities)
-        self._caps = dict(link_capacities)  # base overlaid with PFC residuals
         self._solver = MaxMinSolver(self._base_caps)
         self._interval = rate_update_interval_ns
         self._pfc_hops = pfc_propagation_hops
@@ -234,6 +234,11 @@ class FlowSim:
         for link in path:
             if link not in self._base_caps:
                 raise KeyError("flow uses unknown link %r" % (link,))
+        if len(set(path)) < len(path):
+            # A routing loop: the solver would constrain the flow once on
+            # the repeated link, link_utilization() would count it twice.
+            twice = next(link for i, link in enumerate(path) if link in path[:i])
+            raise ValueError("flow crosses link %r twice" % (twice,))
         size_bytes = int(size_bytes)
         if size_bytes < 1:
             raise ValueError("flow size must be >= 1 byte, got %r" % (size_bytes,))
@@ -317,9 +322,7 @@ class FlowSim:
                 # within this same instant's batch).
                 group.advance(t_ns)
                 group.version += 1
-                caps = self._caps
-                link_load = solver.link_load
-                group.rate = min(caps[link] / link_load(link) for link in path)
+                group.rate = solver.fair_share(group.solver_id)
         else:
             self._fixed_dirty = True
         threshold = group.service_at(t_ns) + size_bytes
@@ -382,14 +385,12 @@ class FlowSim:
         self.pause_fractions = pause
         # Re-rate the solver's links: restore anything previously scaled
         # that the model no longer touches, then apply the new residuals.
-        caps = self._caps
+        solver = self._solver
         for link in self._scaled_links:
             if link not in residual:
-                caps[link] = self._base_caps[link]
-                self._solver.add_link(link, caps[link])
+                solver.add_link(link, self._base_caps[link])
         for link, cap in residual.items():
-            caps[link] = cap
-            self._solver.add_link(link, cap)
+            solver.add_link(link, cap)
         self._scaled_links = tuple(residual)
         for (group, _spec), frac in zip(fixed, realized):
             group.advance(t_ns)

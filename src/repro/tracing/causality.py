@@ -39,6 +39,14 @@ class StormDag:
         self.cyclic = cyclic
         #: [{"device", "port", "paused_ns", "flows": [...]}, ...]
         self.victims = victims
+        # cause id -> sorted ids of the nodes listing it (once each, even
+        # when a node lists the cause twice; a cause need not be a node).
+        self._children = {}
+        for node in nodes.values():
+            for cause in set(node["causes"]):
+                self._children.setdefault(cause, []).append(node["id"])
+        for kids in self._children.values():
+            kids.sort()
 
     @property
     def edges(self):
@@ -50,9 +58,7 @@ class StormDag:
         return out
 
     def children(self, node_id):
-        return sorted(
-            node["id"] for node in self.nodes.values() if node_id in node["causes"]
-        )
+        return list(self._children.get(node_id, ()))
 
     def descendant_count(self, node_id):
         """Episodes transitively caused by ``node_id``."""

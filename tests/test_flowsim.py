@@ -421,6 +421,17 @@ class TestApiValidation:
         with pytest.raises(ValueError):
             sim.add_flow(("l",), 100, start_ns=0)  # in the past now
 
+    def test_add_flow_rejects_a_routing_loop(self):
+        # The solver would constrain the flow once on "a" while
+        # link_utilization() counted it twice: {"a": 2.0, "b": 1.0} at
+        # 10 Gb/s, a link flagged that is not oversubscribed.
+        sim = FlowSim({"a": 10e9, "b": 10e9})
+        with pytest.raises(ValueError, match="link 'a' twice"):
+            sim.add_flow(["a", "b", "a"], 10 ** 6)
+        sim.add_flow(["a", "b"], 10 ** 6)
+        sim.run(until_ns=1)
+        assert sim.link_utilization() == {"a": 1.0, "b": 1.0}
+
     def test_add_host_flow_needs_topology(self):
         with pytest.raises(ValueError):
             FlowSim({"l": 1e9}).add_host_flow(0, 1, 100)

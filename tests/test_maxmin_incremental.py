@@ -12,7 +12,9 @@ flowsim engine subjects it to.
 it recounts per-link load from every path on every call, keeps its
 working state in dicts and pushes a heap entry at every touch.  The
 solver now carries the load across mutations in lists indexed by dense
-link index and pushes once per touched link; `TestAgainstPreviousSolve`
+link index, caches each link's version-0 heap entry across solves, and
+updates (once per touch, pushed once) only the links a freeze leaves
+with unfrozen weight; `TestAgainstPreviousSolve`
 pins the two to *exactly* equal floats in the same freeze order, which
 is what keeps every flowsim fingerprint where it was.  The reference
 reads the solver's dense containers (`_paths` holds link indices;
@@ -312,6 +314,48 @@ class TestAgainstPreviousSolve:
             assert list(solver.solve().items()) == list(
                 _reference_solve(solver).items()
             )
+
+    @given(program=maxmin_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_result_does_not_depend_on_earlier_solves(self, program):
+        # The solver caches each link's version-0 heap entry across
+        # solves; a twin solved only at the end must agree with one
+        # solved after every op, so no cached entry outlives its state.
+        links, ops = program
+        eager = MaxMinSolver(links)
+        lazy = MaxMinSolver(links)
+        alive = []
+        for op in ops:
+            if op[0] == "add":
+                alive.append(eager.add_flow(op[1], weight=op[2]))
+                lazy.add_flow(op[1], weight=op[2])
+            elif op[0] == "rerate":
+                eager.add_link(op[1], op[2])
+                lazy.add_link(op[1], op[2])
+            elif not alive:
+                continue
+            elif op[0] == "remove":
+                victim = alive.pop(op[1] % len(alive))
+                eager.remove_flow(victim)
+                lazy.remove_flow(victim)
+            else:
+                eager.set_weight(alive[op[1] % len(alive)], op[2])
+                lazy.set_weight(alive[op[1] % len(alive)], op[2])
+            eager.solve()
+        assert list(eager.solve().items()) == list(lazy.solve().items())
+
+    def test_rerate_an_idle_link_then_route_over_it(self):
+        solver = MaxMinSolver({"a": 10.0, "b": 40.0})
+        first = solver.add_flow(["b"])
+        solver.solve()
+        solver.add_link("a", 30.0)  # no flow crosses "a" yet
+        solver.solve()
+        second = solver.add_flow(["a", "b"])
+        rates = solver.solve()
+        assert rates == {first: 20.0, second: 20.0}
+        assert list(rates.items()) == list(_reference_solve(solver).items())
+        solver.add_link("a", 8.0)
+        assert solver.solve() == {first: 32.0, second: 8.0}
 
     @pytest.mark.parametrize("n_flows", [2, 7, 40])
     def test_all_shares_tie_on_a_uniform_ring(self, n_flows):

@@ -21,11 +21,14 @@ Mirrors the structure of tests/test_telemetry.py for its sibling plane:
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro import tracing
 from repro.bench.scenarios import SCENARIOS
 from repro.obs import TRACE as HUB
+from repro.tracing.causality import StormDag
 from repro.tracing.session import TraceSession
 from tests.test_bench import assert_reproduces_pin
 
@@ -233,20 +236,76 @@ class TestStormCausality:
         assert HUB.completed == []
 
     def test_cycle_reported_not_rooted(self):
-        def node(node_id, causes):
-            return {
-                "type": "pause_node", "id": node_id, "device": "S%d" % node_id,
-                "port": "S%d.p0" % node_id, "device_kind": "switch",
-                "kind": "switch-pg", "trigger": "ingress-xoff", "priority": 3,
-                "start_ns": 0, "end_ns": None, "emissions": 1,
-                "occupancy_bytes": 0, "threshold_bytes": 0, "causes": causes,
-            }
-
-        dag = tracing.build_dag([node(0, [1]), node(1, [0])])
+        dag = tracing.build_dag([_pause_node(0, [1]), _pause_node(1, [0])])
         assert dag.roots == []
         assert dag.cyclic == [0, 1]
         assert dag.initial_trigger() is None
         assert "CYCLE" in tracing.render_text(dag)
+
+
+class _ScanDag(StormDag):
+    """``children()`` as it was before the cause index: a scan of every
+    node on every call.  The reference for the indexed one."""
+
+    def children(self, node_id):
+        return sorted(
+            node["id"] for node in self.nodes.values() if node_id in node["causes"]
+        )
+
+
+def _pause_node(node_id, causes, device="S0", trigger="ingress-xoff", start_ns=0):
+    return {
+        "type": "pause_node", "id": node_id, "device": device,
+        "port": "p%d" % node_id, "device_kind": "switch", "kind": "switch-pg",
+        "trigger": trigger, "priority": 3, "start_ns": start_ns, "end_ns": None,
+        "emissions": 1, "occupancy_bytes": 0, "threshold_bytes": 0,
+        "causes": causes,
+    }
+
+
+@st.composite
+def pause_node_records(draw, max_nodes=12):
+    """``pause_node`` records, in any order, whose causes repeat, dangle
+    (ids past the last node) and -- unless the draw is acyclic -- form
+    cycles."""
+    n_nodes = draw(st.integers(0, max_nodes))
+    acyclic = draw(st.booleans())
+    records = []
+    for node_id in range(n_nodes):
+        # Acyclic draws only point at earlier nodes or past the last.
+        top = node_id - 1 if acyclic else n_nodes + 2
+        causes = draw(st.lists(
+            st.integers(-1, top).map(lambda i: n_nodes + 1 if i < 0 else i),
+            max_size=4,
+        ))
+        records.append(_pause_node(
+            node_id, causes,
+            device=draw(st.sampled_from(["S0", "S1", "H0.nic"])),
+            trigger=draw(st.sampled_from(["ingress-xoff", "rx_pipeline_broken"])),
+            start_ns=draw(st.integers(0, 4)),
+        ))
+    return draw(st.permutations(records))
+
+
+class TestChildrenIndex:
+    @given(records=pause_node_records())
+    @settings(max_examples=200, deadline=None)
+    def test_index_answers_what_the_scan_answers(self, records):
+        dag = tracing.build_dag(records)
+        scan = _ScanDag(dag.nodes, dag.roots, dag.cyclic, dag.victims)
+        for node_id in range(-1, len(records) + 3):
+            assert dag.children(node_id) == scan.children(node_id)
+            assert dag.descendant_count(node_id) == scan.descendant_count(node_id)
+        assert dag.initial_trigger() == scan.initial_trigger()
+        for max_trees in (None, 1, 8):
+            assert (tracing.render_text(dag, max_trees)
+                    == tracing.render_text(scan, max_trees))
+
+    def test_a_cause_listed_twice_is_one_child(self):
+        dag = tracing.build_dag([_pause_node(0, []), _pause_node(1, [0, 0, 7])])
+        assert dag.children(0) == [1]
+        assert dag.children(7) == [1]  # a cause that is not a node
+        assert dag.descendant_count(0) == 1
 
 
 # -- 5. CLI + export ---------------------------------------------------------
