@@ -27,8 +27,8 @@ names, resolving each on first use: ``repro.single_switch`` works too)::
     post_send(qp, 4 * 1024 * 1024, on_complete=lambda wr, t: print("done", t))
     topo.sim.run(until=10_000_000)
 
-See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
-per-figure reproduction harness.
+See ``examples/`` for runnable scenarios and ``python -m repro run`` for
+the per-figure reproduction, each judged against the paper's claims.
 """
 
 import importlib

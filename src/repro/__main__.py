@@ -149,19 +149,26 @@ def _campaign_kwargs(args):
 
 
 def _report(report, quiet):
-    """Each finished run's table (cache hits too), then the exit status."""
+    """Each finished run's table and paper verdicts (cache hits too; a
+    failed verdict prints even under ``-q``), then the exit status: 1
+    when a run or a claim failed."""
     import json
 
     from repro.experiments.common import ExperimentResult
 
-    for entry in report.manifest["runs"].values():
-        if not quiet and entry["status"] == "ok":
+    for run_id, entry in report.manifest["runs"].items():
+        if entry["status"] != "ok":
+            continue
+        if not quiet:
             with open(entry["jsonl"]) as handle:
                 result = ExperimentResult([json.loads(line) for line in handle])
             result.title = entry["title"]
             print()
             print(result.format_table())
-    return 0 if report.all_ok else 1
+        for claim in entry["claims"]:
+            if not (quiet and claim["passed"]):
+                print("%-4s %s: %s" % ("ok" if claim["passed"] else "FAIL", run_id, claim["name"]))
+    return 0 if report.all_ok and not report.claims_failed else 1
 
 
 def _run(args):
@@ -662,7 +669,8 @@ def _parser():
 
     verb("list", _list, "list campaign targets and their sweepable parameters")
 
-    p = verb("run", _run, "run experiments: parallel, cached, one table per run")
+    p = verb("run", _run, "run experiments: parallel, cached, one table and the "
+             "paper's verdicts per run")
     p.add_argument("which", nargs="*", help="experiment ids or name fragments (see `list`)")
     p.add_argument("--all", action="store_true", help="every target")
     p.add_argument("--spec", help="JSON sweep spec file (see repro.campaign.spec)")

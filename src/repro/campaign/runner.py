@@ -13,6 +13,11 @@ The flow of one campaign::
         --pool----> misses: execute_run() in isolated worker processes
         --store---> runs/<id>.jsonl + csv/<id>.csv + manifest.json
                     (+ <plane>/<id>-<i>.<plane>.jsonl per armed hub)
+        --judge---> the catalogue entry's paper claims on the rows,
+                    into the manifest entry (cache hits too)
+
+Claims are a pure function of rows, so they are judged afresh on every
+finished run under the current claim code and never cached.
 """
 
 import contextlib
@@ -85,10 +90,10 @@ class CampaignReport:
     """Summary of one orchestrated campaign."""
 
     __slots__ = ("name", "out_dir", "total", "ok", "failed", "cache_hits",
-                 "wall_s", "compute_s", "manifest")
+                 "wall_s", "compute_s", "manifest", "claims_failed")
 
     def __init__(self, name, out_dir, total, ok, failed, cache_hits,
-                 wall_s, compute_s, manifest):
+                 wall_s, compute_s, manifest, claims_failed):
         self.name = name
         self.out_dir = out_dir
         self.total = total
@@ -98,6 +103,8 @@ class CampaignReport:
         self.wall_s = wall_s
         self.compute_s = compute_s
         self.manifest = manifest
+        #: paper claims judged false across the finished runs
+        self.claims_failed = claims_failed
 
     @property
     def all_ok(self):
@@ -114,6 +121,8 @@ class CampaignReport:
             )
         if self.failed:
             line += ", %d FAILED" % self.failed
+        if self.claims_failed:
+            line += ", %d claim(s) FAILED" % self.claims_failed
         return line
 
 
@@ -163,11 +172,13 @@ class Campaign:
         for run in runs:
             previous = entries.get(run.run_id)
             if resume and previous and previous.get("status") == OK:
+                self._judge(previous, self.store.read_run_rows(run.run_id))
                 reused += 1
                 continue
             entry = run.describe()
             entry.update(status=PENDING, cache_hit=False, duration_s=None,
-                         violations=None, rows=None, error=None, attempts=0)
+                         violations=None, rows=None, error=None, attempts=0,
+                         claims=[])
             entries[run.run_id] = entry
             todo.append(run)
         self.store.save_manifest(manifest)
@@ -227,9 +238,11 @@ class Campaign:
         failed = sum(1 for e in entries.values() if e.get("status") == FAILED)
         compute_s = sum(e.get("duration_s") or 0.0 for e in entries.values())
         cache_hits = sum(1 for e in entries.values() if e.get("cache_hit"))
+        claims_failed = sum(1 for e in entries.values()
+                            for claim in e.get("claims", ()) if not claim["passed"])
         manifest["totals"] = {
             "runs": len(entries), "ok": ok, "failed": failed,
-            "cache_hits": cache_hits,
+            "cache_hits": cache_hits, "claims_failed": claims_failed,
             # Same precision as the per-run duration_s entries (4 dp):
             # rounding the total coarser than its constituents can make
             # compute_s < max(duration_s), which reads as impossible.
@@ -239,7 +252,7 @@ class Campaign:
         self.store.save_manifest(manifest)
         report = CampaignReport(
             self.spec.name, self.store.out_dir, len(entries), ok, failed,
-            cache_hits, wall_s, compute_s, manifest,
+            cache_hits, wall_s, compute_s, manifest, claims_failed,
         )
         self.echo(report.summary())
         return report
@@ -283,8 +296,17 @@ class Campaign:
             jsonl=jsonl,
             csv=csv_path,
         )
+        self._judge(entry, payload["rows"])
         manifest["updated"] = _now_iso()
         self.store.save_manifest(manifest)
+
+    def _judge(self, entry, rows):
+        """Record the paper's verdicts on ``rows`` in ``entry``: the
+        claims of the catalogue entry whose runner produced them (a
+        spec's inline ``ref`` names another runner, so has none)."""
+        target = self.registry.get(entry["experiment"])
+        verdicts = target.judge(rows) if target and target.ref == entry["ref"] else []
+        entry["claims"] = [{"name": name, "passed": passed} for name, passed in verdicts]
 
     def _record_failure(self, manifest, outcome):
         entry = manifest["runs"][outcome.task_id]

@@ -1,9 +1,10 @@
 """One runner per paper table/figure.
 
 Each module exposes a ``run_*`` function returning a result object with
-``rows()`` (list of dicts) and ``format_table()`` (printable).  The
-benchmarks in ``benchmarks/`` and the records in ``EXPERIMENTS.md`` are
-generated from these.
+``rows()`` (list of dicts) and ``format_table()`` (printable), and beside
+it a ``claims(rows)`` function -- the paper's claims as named verdicts,
+which ``python -m repro run`` judges (see :mod:`.catalog`).  The records
+in ``EXPERIMENTS.md`` are generated from these.
 
 ==========  =======================================  ======================
 Experiment  Paper reference                          Module

@@ -71,6 +71,7 @@ def _run_one(alpha, duration_ns, seed, burst_bytes, fanin_extra):
     tor_pause_tx = sum(t.pause_frames_sent() for t in topo.tors)
     leaf_pause_rx = sum(l.pause_frames_received() for l in topo.leaves)
     rtts = pingmesh.rtts_ns()
+    drifts = _drift_check(alpha, seed)
     return {
         "alpha": "1/%d" % round(1 / alpha),
         "threshold_kb": topo.tors[0].buffer.threshold() / KB,
@@ -78,30 +79,28 @@ def _run_one(alpha, duration_ns, seed, burst_bytes, fanin_extra):
         "leaf_pauses_received": leaf_pause_rx,
         "victim_p99_us": percentile(rtts, 99) / US if rtts else None,
         "victim_timeouts": sum(1 for r in pingmesh.results if not r.ok),
+        "config_drifts": len(drifts),
+        "first_drift_field": drifts[0].field if drifts else None,
     }
 
 
 def run_buffer_misconfig(duration_ns=40 * MS, burst_bytes=64 * KB, fanin_extra=2, seed=1):
     """Reproduce figure 10's alpha = 1/64 incident and the 1/16 fix.
 
-    Expected shape: alpha = 1/64 generates far more ToR pause frames and
-    inflates the victim service's p99; 1/16 tolerates the same incast.
-    A config-drift check demonstrates how the incident was caught.
+    Each row's config-drift check shows how the incident was caught.
     """
-    rows = [
+    return BufferMisconfigResult([
         _run_one(1.0 / 64, duration_ns, seed, burst_bytes, fanin_extra),
         _run_one(1.0 / 16, duration_ns, seed, burst_bytes, fanin_extra),
-    ]
-    result = BufferMisconfigResult(rows)
-    result.config_drifts = _drift_demo(seed)
-    return result
+    ])
 
 
-def _drift_demo(seed):
-    """The monitoring angle: a fabric where one new-model ToR runs 1/64
-    against a desired 1/16 -- config monitoring flags exactly that ToR."""
+def _drift_check(alpha, seed):
+    """The monitoring angle: a fabric where one new-model ToR runs
+    ``alpha`` against a desired 1/16 -- config monitoring flags exactly
+    that ToR when ``alpha`` drifted, and nothing when it did not."""
     topo = two_tier(n_tors=2, hosts_per_tor=2, n_leaves=1, seed=seed)
-    topo.tors[1].buffer_config = BufferConfig(alpha=1.0 / 64)
+    topo.tors[1].buffer_config = BufferConfig(alpha=alpha)
     topo.boot()
     desired = DesiredConfig(
         priority_mode=PriorityMode.DSCP,
@@ -109,3 +108,24 @@ def _drift_demo(seed):
         buffer_alpha=1.0 / 16,
     )
     return ConfigMonitor(desired).check_fabric(topo.fabric)
+
+
+def claims(rows):
+    """Figure 10: alpha = 1/64 turns routine incast into pause storms
+    that inflate the victim's latency; 1/16 absorbs the same incast, and
+    config monitoring flags the drifted device."""
+    by_alpha = {r["alpha"]: r for r in rows}
+    bad = by_alpha["1/64"]
+    good = by_alpha["1/16"]
+    return [
+        # The misconfigured threshold is ~4x smaller and pauses pour out.
+        ("1/64 threshold < 1/3 of 1/16", bad["threshold_kb"] < good["threshold_kb"] / 3),
+        ("1/64: ToR pauses > 50", bad["tor_pauses_sent"] > 50),
+        ("1/16: ToR pauses < 1/10 of 1/64",
+         good["tor_pauses_sent"] < bad["tor_pauses_sent"] / 10),
+        # Collateral damage on the latency-sensitive victim service.
+        ("1/64: victim p99 > 2x", bad["victim_p99_us"] > 2 * good["victim_p99_us"]),
+        # The config-monitoring service flags exactly the drifted device.
+        ("1/64: one config drift", bad["config_drifts"] == 1),
+        ("1/64: the drift is buffer_alpha", bad["first_drift_field"] == "buffer_alpha"),
+    ]

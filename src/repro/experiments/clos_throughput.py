@@ -26,12 +26,7 @@ class ClosThroughputResult(ExperimentResult):
 
 
 def run_clos_throughput(seeds=(1, 2, 3), packet_level_check=True):
-    """Reproduce figure 7(b)'s steady state.
-
-    Expected shape: utilization ~60% under the PFC-coupled allocation,
-    ~8 Gb/s per server, zero drops in the packet-level check; the
-    max-min ablation shows hash placement alone would allow much more.
-    """
+    """Reproduce figure 7(b)'s steady state."""
     rows = []
     for seed in seeds:
         model = ClosFlowModel(seed=seed)
@@ -85,3 +80,27 @@ def _packet_level_check(seed=1, duration_ns=4 * MS):
         "maxmin_utilization": None,
         "drops": topo.fabric.total_drops(),
     }
+
+
+def claims(rows):
+    """Figure 7: 3.0 Tb/s, 60% of the 5.12 Tb/s leaf-spine capacity,
+    ~8 Gb/s per server, and not a single packet dropped."""
+    verdicts = []
+    for row in (r for r in rows if r["utilization"] is not None):
+        seed = row["seed"]
+        verdicts += [
+            ("seed %s: utilization in [0.55, 0.70]" % seed,
+             0.55 <= row["utilization"] <= 0.70),
+            ("seed %s: aggregate in [2.8, 3.6] Tb/s" % seed,
+             2.8 <= row["aggregate_tbps"] <= 3.6),
+            ("seed %s: per server in [7.0, 9.5] Gb/s" % seed,
+             7.0 <= row["per_server_gbps"] <= 9.5),
+            # The idealized max-min bound shows hash placement alone is
+            # not the whole story -- the PFC-coupled fabric loses more.
+            ("seed %s: max-min bound >= utilization" % seed,
+             row["maxmin_utilization"] >= row["utilization"]),
+        ]
+    packet_row = next(r for r in rows if r["seed"] == "packet-level")
+    # "not a single packet was dropped"
+    verdicts.append(("packet level: zero drops", packet_row["drops"] == 0))
+    return verdicts

@@ -119,6 +119,12 @@ def _fmt(value):
     return str(value)
 
 
+def approx(value, expected, rel):
+    """``value`` within ``rel`` of ``expected``, relative to ``expected``
+    (the rule of ``pytest.approx(expected, rel=rel)``)."""
+    return abs(value - expected) <= rel * abs(expected)
+
+
 def run_under_audit(fabric, mode="record", **kwargs):
     """Arm the runtime invariant auditors on ``fabric`` and start them.
 

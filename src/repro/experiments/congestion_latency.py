@@ -37,11 +37,7 @@ def run_congestion_latency(
     probe_interval_ns=int(0.5 * MS),
     seed=1,
 ):
-    """Reproduce figure 8's before/after jump.
-
-    Expected shape: RDMA p99 and p99.9 rise several-fold once the
-    saturating load starts; TCP p99 stays in the same band throughout.
-    """
+    """Reproduce figure 8's before/after jump."""
     topo = two_tier(
         n_tors=2,
         hosts_per_tor=hosts_per_tor,
@@ -105,3 +101,21 @@ def run_congestion_latency(
             }
         )
     return CongestionLatencyResult(rows)
+
+
+def claims(rows):
+    """Figure 8: RDMA p99 and p99.9 jump several-fold once the
+    saturating load starts, nothing drops, and the TCP class's p99 stays
+    in its band (separate queues)."""
+    by_phase = {r["phase"]: r for r in rows}
+    idle = by_phase["idle"]
+    loaded = by_phase["loaded"]
+    return [
+        # Figure 8's jump: several-fold at both percentiles.
+        ("rdma p99 jumps > 4x", loaded["rdma_p99_us"] > 4 * idle["rdma_p99_us"]),
+        ("rdma p99.9 jumps > 4x", loaded["rdma_p99.9_us"] > 4 * idle["rdma_p99.9_us"]),
+        # Lossless held: no drops anywhere.
+        ("loaded: zero drops", loaded["drops"] == 0),
+        # The TCP class rode a different queue: same band before and after.
+        ("tcp p99 stays < 3x", loaded["tcp_p99_us"] < 3 * idle["tcp_p99_us"]),
+    ]

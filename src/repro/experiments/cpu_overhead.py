@@ -9,7 +9,7 @@ close to 0%" (the latter from the figure 7 RDMA run).
 
 from repro.sim.units import gbps
 from repro.tcp.kernel import CpuModel
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, approx
 
 
 class CpuOverheadResult(ExperimentResult):
@@ -17,12 +17,7 @@ class CpuOverheadResult(ExperimentResult):
 
 
 def run_cpu_overhead(rates_gbps=(10, 25, 40, 50, 100), cores=32):
-    """Reproduce the section 1 CPU numbers and extrapolate.
-
-    Expected shape: TCP at 40 Gb/s costs ~6% (send) / ~12% (receive) of
-    32 cores and scales linearly toward untenable at 100 GbE (the
-    paper's planned upgrade); RDMA stays ~0.
-    """
+    """Reproduce the section 1 CPU numbers and extrapolate."""
     model = CpuModel(cores=cores)
     rows = []
     for rate in rates_gbps:
@@ -38,3 +33,18 @@ def run_cpu_overhead(rates_gbps=(10, 25, 40, 50, 100), cores=32):
             }
         )
     return CpuOverheadResult(rows)
+
+
+def claims(rows):
+    """Section 1: 40 Gb/s costs TCP 6% (send) / 12% (receive) of 32
+    cores and RDMA ~0%; linear scaling makes 100 GbE untenable."""
+    by_rate = {r["rate_gbps"]: r for r in rows}
+    at_40g = by_rate[40]
+    # Linear scaling: the planned 100 GbE upgrade makes TCP untenable.
+    at_100g = by_rate[100]
+    return [
+        ("40G: tcp send CPU ~6%", approx(at_40g["tcp_send_cpu_pct"], 6.0, rel=0.05)),
+        ("40G: tcp receive CPU ~12%", approx(at_40g["tcp_recv_cpu_pct"], 12.0, rel=0.05)),
+        ("40G: rdma CPU is zero", at_40g["rdma_cpu_pct"] == 0.0),
+        ("100G: tcp receive CPU ~30%", approx(at_100g["tcp_recv_cpu_pct"], 30.0, rel=0.05)),
+    ]

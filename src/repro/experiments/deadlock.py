@@ -111,14 +111,29 @@ def _run_scenario(drop_on_incomplete_arp, duration_ns, seed):
 
 
 def run_deadlock(duration_ns=8 * MS, seed=1):
-    """Reproduce figure 4 and its fix.
-
-    Expected shape: the flooding row deadlocks (and stays deadlocked
-    after all servers stop); the arp-drop-fix row never deadlocks and
-    its healthy S1->S5 flow makes progress.
-    """
+    """Reproduce figure 4 and its fix."""
     rows = [
         _run_scenario(False, duration_ns, seed),
         _run_scenario(True, duration_ns, seed),
     ]
     return DeadlockResult(rows)
+
+
+def claims(rows):
+    """Figure 4: flooding + PFC forms a pause loop across T0, La, T1, Lb
+    that outlives a restart of every server; dropping lossless packets
+    on incomplete ARP entries prevents it."""
+    by_scenario = {r["scenario"]: r for r in rows}
+    flooding = by_scenario["flooding"]
+    fixed = by_scenario["arp-drop-fix"]
+    return [
+        ("flooding deadlocks", flooding["deadlocked"]),
+        ("the deadlock persists after restart", flooding["persists_after_restart"]),
+        ("the pause cycle spans 4 switches", flooding["switches_in_cycle"] == 4),
+        ("the ARP-drop fix does not deadlock", not fixed["deadlocked"]),
+        ("the fix drops on incomplete ARP", fixed["incomplete_arp_drops"] > 0),
+        # The healthy flow makes more progress once flooding cannot jam
+        # the fabric.
+        ("the healthy flow gains with the fix",
+         fixed["healthy_flow_messages"] > flooding["healthy_flow_messages"]),
+    ]

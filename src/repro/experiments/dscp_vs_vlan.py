@@ -97,11 +97,7 @@ def _cross_subnet_trial(design, seed, duration_ns=8 * MS):
 
 
 def run_dscp_vs_vlan(seed=1):
-    """Reproduce the section 3 comparison.
-
-    Expected shape: VLAN -- PXE boot broken, RDMA dropped after the L3
-    hop under congestion; DSCP -- PXE boot succeeds, zero RDMA drops.
-    """
+    """Reproduce the section 3 comparison."""
     rows = []
     for design in (VlanPfcDesign(), DscpPfcDesign()):
         pxe = _pxe_boot_trial(design, seed)
@@ -118,3 +114,25 @@ def run_dscp_vs_vlan(seed=1):
             }
         )
     return DscpVsVlanResult(rows)
+
+
+def claims(rows):
+    """Section 3: VLAN-based PFC breaks PXE boot and loses the priority
+    across subnets; DSCP-based PFC fixes both."""
+    by_design = {r["design"]: r for r in rows}
+    vlan = by_design["vlan-pfc"]
+    dscp = by_design["dscp-pfc"]
+    return [
+        # Problem 1: PXE boot.
+        ("vlan: PXE boot breaks on the trunk port", vlan["pxe_boot"] == "broken-trunk-port"),
+        ("dscp: PXE boot succeeds", dscp["pxe_boot"] == "success"),
+        # Problem 2: priority across subnets -- RDMA gets dropped under
+        # congestion once the PCP is gone; DSCP keeps it lossless.
+        ("vlan: RDMA dropped across subnets", vlan["cross_subnet_rdma_drops"] > 0),
+        ("dscp: no RDMA drop across subnets", dscp["cross_subnet_rdma_drops"] == 0),
+        ("vlan: NAKs", vlan["naks"] > 0),
+        ("dscp: no NAK", dscp["naks"] == 0),
+        # The design validators agree with the experiments.
+        ("vlan: validator finds 2 problems", vlan["validation_problems"] == 2),
+        ("dscp: validator finds none", dscp["validation_problems"] == 0),
+    ]

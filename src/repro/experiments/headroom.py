@@ -40,13 +40,7 @@ def _classes_supported(rate_bps, buffer_mb, n_ports, cable_meters, shared_fracti
 
 
 def run_headroom(rates_gbps=(40, 100), shared_fraction=0.55):
-    """Reproduce the headroom arithmetic behind the two-class limit.
-
-    Expected shape: per-PG headroom grows with cable length and rate;
-    fabric-wide (the min over switch models) only **two** lossless
-    classes fit at 40 GbE, and the budget tightens further at 100 GbE --
-    never anywhere near the eight priorities PFC nominally offers.
-    """
+    """Reproduce the headroom arithmetic behind the two-class limit."""
     rows = []
     for rate in rates_gbps:
         fabric_min = 8
@@ -78,3 +72,21 @@ def run_headroom(rates_gbps=(40, 100), shared_fraction=0.55):
             }
         )
     return HeadroomResult(rows)
+
+
+def claims(rows):
+    """Section 2: headroom grows with cable length and rate, and the
+    shallow buffers afford only two lossless classes at 40 GbE."""
+    fabric = {r["rate_gbps"]: r for r in rows if r["switch"] == "fabric-wide"}
+    # Headroom grows with cable length within a rate.
+    leaf_40 = next(r for r in rows if r["rate_gbps"] == 40 and r["switch"] == "Leaf")
+    tor_40 = next(r for r in rows if r["rate_gbps"] == 40 and r["switch"] == "ToR")
+    return [
+        # The paper's two lossless classes at 40 GbE.
+        ("40G: two lossless classes", fabric[40]["lossless_classes"] == 2),
+        # Tighter at 100 GbE (the upgrade the paper plans).
+        ("100G: fewer classes than 40G",
+         fabric[100]["lossless_classes"] < fabric[40]["lossless_classes"]),
+        ("40G: Leaf headroom > ToR headroom",
+         leaf_40["headroom_per_pg_kb"] > tor_40["headroom_per_pg_kb"]),
+    ]

@@ -112,11 +112,7 @@ def run_livelock(
     operations=("send", "write", "read"),
     seed=1,
 ):
-    """Reproduce the section 4.1 experiment for both recovery policies.
-
-    Expected shape: go-back-0 rows show ~0 goodput at high link
-    utilization; go-back-N rows show tens of Gb/s.
-    """
+    """Reproduce the section 4.1 experiment for both recovery policies."""
     rows = []
     for operation in operations:
         for recovery in (GoBack0(), GoBackN()):
@@ -124,3 +120,22 @@ def run_livelock(
                 _run_one(operation, recovery, message_bytes, duration_ns, seed)
             )
     return LivelockResult(rows)
+
+
+def claims(rows):
+    """Section 4.1: go-back-0 gives zero goodput at full line rate for
+    SEND, WRITE and READ; go-back-N restores throughput."""
+    rows = {(r["operation"], r["recovery"]): r for r in rows}
+    verdicts = []
+    for operation in ("send", "write", "read"):
+        gb0 = rows[(operation, "go-back-0")]
+        gbn = rows[(operation, "go-back-n")]
+        verdicts += [
+            # Livelock: zero goodput, busy link.
+            ("%s: go-back-0 goodput is zero" % operation, gb0["goodput_gbps"] == 0.0),
+            ("%s: go-back-0 keeps the link busy" % operation, gb0["link_utilization"] > 0.9),
+            # The fix: substantial goodput despite the same drops.
+            ("%s: go-back-n goodput > 20 Gb/s" % operation, gbn["goodput_gbps"] > 20),
+            ("%s: go-back-n recovers by NAK" % operation, gbn["naks"] > 0),
+        ]
+    return verdicts

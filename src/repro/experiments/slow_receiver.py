@@ -96,13 +96,7 @@ def _pause_tx_toward(switch, neighbour):
 
 
 def run_slow_receiver(duration_ns=6 * MS, n_flows=8, seed=1):
-    """Reproduce section 4.4 and both mitigations.
-
-    Expected shape: the (4KB, static) row shows a thrashing MTT, a high
-    NIC pause rate and pause propagation past the ToR; 2 MB pages kill
-    the misses (and with them the pauses); dynamic switch buffering cuts
-    the propagation even with the bad page size.
-    """
+    """Reproduce section 4.4 and both mitigations."""
     rows = [
         _run_one(4 * KB, False, duration_ns, n_flows, seed),
         _run_one(4 * KB, True, duration_ns, n_flows, seed),
@@ -110,3 +104,26 @@ def run_slow_receiver(duration_ns=6 * MS, n_flows=8, seed=1):
         _run_one(2 * MB, True, duration_ns, n_flows, seed),
     ]
     return SlowReceiverResult(rows)
+
+
+def claims(rows):
+    """Section 4.4: MTT misses stall the NIC and pause the ToR with no
+    congestion anywhere; 2 MB pages kill the misses, and dynamic
+    buffering absorbs the pauses at the ToR."""
+    rows = {(r["page_size"], r["switch_buffer"]): r for r in rows}
+    bad = rows[("4KB", "static")]
+    absorbed = rows[("4KB", "dynamic")]
+    paged = rows[("2MB", "static")]
+    return [
+        # The symptom: thrashing MTT, NIC pausing its ToR, pause propagation.
+        ("4KB static: MTT miss rate > 0.2", bad["mtt_miss_rate"] > 0.2),
+        ("4KB static: NIC pauses > 5/ms", bad["nic_pauses_per_ms"] > 5),
+        ("4KB static: pauses reach the leaf", bad["tor_pauses_to_leaf"] > 0),
+        # Mitigation 1: 2 MB pages kill the misses and the pauses.
+        ("2MB static: MTT miss rate < 0.01", paged["mtt_miss_rate"] < 0.01),
+        ("2MB static: NIC does not pause", paged["nic_pauses_per_ms"] == 0),
+        # Mitigation 2: dynamic buffer absorbs the pauses locally.
+        ("4KB dynamic: NIC still pauses > 5/ms", absorbed["nic_pauses_per_ms"] > 5),
+        ("4KB dynamic: leaf pauses < 1/10 of static",
+         absorbed["tor_pauses_to_leaf"] < bad["tor_pauses_to_leaf"] / 10),
+    ]

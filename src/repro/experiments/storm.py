@@ -121,11 +121,27 @@ def _run_scenario(watchdogs, seed):
 
 
 def run_storm(seed=1):
-    """Reproduce the PFC storm and its watchdog containment.
-
-    Expected shape: watchdogs-off blocks (nearly) the whole fabric;
-    watchdogs-on confines the damage to the victim's flows and keeps
-    aggregate goodput close to baseline.
-    """
+    """Reproduce the PFC storm and its watchdog containment."""
     rows = [_run_scenario(False, seed), _run_scenario(True, seed)]
     return StormResult(rows)
+
+
+def claims(rows):
+    """Figures 5 and 9: one malfunctioning NIC blocks the whole fabric;
+    the NIC-side and switch-side watchdogs confine the damage to the
+    victim."""
+    by_mode = {r["watchdogs"]: r for r in rows}
+    off = by_mode["off"]
+    on = by_mode["on"]
+    return [
+        # Unprotected: the storm blocks (essentially) everything.
+        ("off: every flow is blocked", off["flows_blocked"] == off["flows_total"]),
+        ("off: goodput < 5% of baseline",
+         off["storm_gbps_total"] < 0.05 * off["baseline_gbps_total"]),
+        # Watchdogs: only the victim's flows suffer; the fabric keeps moving.
+        ("on: the NIC watchdog trips", on["nic_watchdog_tripped"] >= 1),
+        ("on: a switch watchdog trips", on["switch_watchdog_trips"] >= 1),
+        ("on: at most 3 flows blocked", on["flows_blocked"] <= 3),
+        ("on: goodput > 50% of baseline",
+         on["storm_gbps_total"] > 0.5 * on["baseline_gbps_total"]),
+    ]

@@ -1,8 +1,7 @@
 """Per-host RDMA transport engine.
 
-Owns the host's queue pairs, dispatches incoming RoCEv2 packets to them
-and exposes aggregate statistics (application goodput, NAK counts) that
-the experiments read.
+Owns the host's queue pairs and dispatches incoming RoCEv2 packets to
+them; the experiments read each queue pair's counters through ``qps``.
 """
 
 
@@ -47,8 +46,3 @@ class RdmaEngine:
             self.unknown_qp_drops += 1
             return
         qp.on_network_packet(packet)
-
-    # -- aggregate statistics ---------------------------------------------------
-
-    def total_naks(self):
-        return sum(qp.stats.naks_received for qp in self._qps.values())

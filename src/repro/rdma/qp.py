@@ -263,7 +263,8 @@ class QueuePair:
         self.rp = None  # DCQCN reaction point, attached by verbs
         # Responder state.
         self.epsn = 0
-        self._in_gap = False
+        self._gap_naks = 0  # NAKs sent for the current PSN gap (0: no gap)
+        self._gap_psn = 0  # last out-of-order PSN seen in the current gap
         self._ack_backlog = 0
         self._last_cnp_ns = None
         # Control packets (ACK/NAK/CNP) ready to transmit.
@@ -517,20 +518,25 @@ class QueuePair:
                 self._send_rnr_nak()
                 return
             self.epsn += 1
-            self._in_gap = False
+            self._gap_naks = 0
             self._accept(packet, ctx)
         elif psn > self.epsn:
             self.stats.out_of_order_discarded += 1
-            if not self._in_gap:
-                self._in_gap = True
+            # NAK when a gap opens, and once more when the PSN steps back
+            # (the requester rewound, and lost the resent head again).
+            # Further loss in the same gap waits for the RTO, the
+            # backoff a congested path needs (DESIGN.md section 5).
+            if not self._gap_naks or (psn <= self._gap_psn and self._gap_naks < 2):
+                self._gap_naks += 1
                 self._send_nak()
+            self._gap_psn = psn
         elif ctx.is_msg_first and self.config.recovery.responder_restarts:
             # Go-back-0 firmware on both ends: seeing the first packet of
             # a message again means the sender restarted the message from
             # scratch -- reassembly state resets and earlier partial
             # progress is discarded (section 4.1).
             self.epsn = psn + 1
-            self._in_gap = False
+            self._gap_naks = 0
             self._accept(packet, ctx)
         else:
             # Duplicate (e.g. our ACK was lost); refresh the sender.

@@ -59,6 +59,35 @@ class TestNothingToJudge:
         assert (good / "manifest.json").exists()
 
 
+class TestPaperVerdict:
+    """``run`` judges each catalogue entry's paper claims on its rows."""
+
+    def test_a_failed_claim_is_exit_1_and_named_on_a_cache_hit_too(self, tmp_path, capsys):
+        # 40 Gb/s of TCP on 64 cores is ~3% send CPU, not section 1's 6%.
+        argv = ["run", "E10", "--param", "cores=64", "--inline", "-q",
+                "--cache-dir", str(tmp_path / "cache")]
+        for attempt, out in enumerate(("first", "again")):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(tmp_path / out)]) == 1
+            printed = capsys.readouterr().out
+            assert "FAIL E10-p" in printed and ": 40G: tcp send CPU ~6%" in printed
+            assert "40G: rdma CPU is zero" not in printed  # -q prints failures only
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            (entry,) = manifest["runs"].values()
+            assert entry["cache_hit"] == (attempt == 1)
+            assert manifest["totals"]["claims_failed"] == 3
+            assert {c["name"]: c["passed"] for c in entry["claims"]}[
+                "40G: rdma CPU is zero"]
+
+    def test_catalogue_defaults_pass(self, tmp_path, capsys):
+        assert main(["run", "E10", "E11", "--inline", "--no-cache",
+                     "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "ok   E10: 40G: tcp send CPU ~6%" in printed
+        assert "ok   E11: 40G: two lossless classes" in printed
+        assert "FAIL" not in printed
+
+
 class TestBadSpecs:
     """A bad sweep spec is one line and exit 2 before anything runs."""
 

@@ -2,10 +2,12 @@
 
 Durations are cut to the minimum that still shows each phenomenon, so
 this file doubles as a fast end-to-end regression of the reproduction
-(the benchmarks run the full-length versions).
+(``python -m repro run`` judges the full-length versions).  A shape the
+paper claims is looked up by name among the catalogue entry's own
+verdicts on the short run's rows (:func:`verdicts`), never restated
+here; the asserts that remain read rows a claim does not (a partial
+run), or a column no claim reads.
 """
-
-import pytest
 
 from repro.experiments import (
     run_buffer_misconfig,
@@ -18,7 +20,13 @@ from repro.experiments import (
     run_livelock,
     run_slow_receiver,
 )
+from repro.experiments.catalog import CATALOG
 from repro.sim.units import MS
+
+
+def verdicts(exp_id, result):
+    """Name -> passed for the catalogue entry's paper claims on ``result``."""
+    return dict(CATALOG[exp_id].judge(result.rows()))
 
 
 class TestLivelockSmoke:
@@ -37,11 +45,10 @@ class TestLivelockSmoke:
 
 class TestDeadlockSmoke:
     def test_flooding_deadlocks_and_fix_prevents(self):
-        result = run_deadlock(duration_ns=6 * MS)
-        rows = {r["scenario"]: r for r in result.rows()}
-        assert rows["flooding"]["deadlocked"]
-        assert not rows["arp-drop-fix"]["deadlocked"]
-        assert rows["arp-drop-fix"]["incomplete_arp_drops"] > 0
+        claims = verdicts("E2", run_deadlock(duration_ns=6 * MS))
+        assert claims["flooding deadlocks"]
+        assert claims["the ARP-drop fix does not deadlock"]
+        assert claims["the fix drops on incomplete ARP"]
 
 
 class TestClosSmoke:
@@ -54,46 +61,39 @@ class TestClosSmoke:
 
 class TestSlowReceiverSmoke:
     def test_page_size_contrast(self):
-        result = run_slow_receiver(duration_ns=4 * MS)
-        rows = {(r["page_size"], r["switch_buffer"]): r for r in result.rows()}
-        assert rows[("4KB", "static")]["nic_pauses_per_ms"] > 0
-        assert rows[("2MB", "static")]["nic_pauses_per_ms"] == 0
+        claims = verdicts("E7", run_slow_receiver(duration_ns=4 * MS))
+        assert claims["4KB static: NIC pauses > 5/ms"]
+        assert claims["2MB static: NIC does not pause"]
 
 
 class TestBufferMisconfigSmoke:
     def test_alpha_contrast(self):
-        result = run_buffer_misconfig(duration_ns=10 * MS)
-        rows = {r["alpha"]: r for r in result.rows()}
-        assert rows["1/64"]["tor_pauses_sent"] > rows["1/16"]["tor_pauses_sent"]
-        assert len(result.config_drifts) == 1
+        claims = verdicts("E8", run_buffer_misconfig(duration_ns=10 * MS))
+        assert claims["1/16: ToR pauses < 1/10 of 1/64"]
+        assert claims["1/64: one config drift"]
 
 
 class TestDscpVsVlanSmoke:
     def test_both_failure_modes(self):
-        result = run_dscp_vs_vlan()
-        rows = {r["design"]: r for r in result.rows()}
-        assert rows["vlan-pfc"]["pxe_boot"] == "broken-trunk-port"
-        assert rows["dscp-pfc"]["pxe_boot"] == "success"
-        assert rows["vlan-pfc"]["cross_subnet_rdma_drops"] > 0
-        assert rows["dscp-pfc"]["cross_subnet_rdma_drops"] == 0
+        claims = verdicts("E9", run_dscp_vs_vlan())
+        assert claims["vlan: PXE boot breaks on the trunk port"]
+        assert claims["dscp: PXE boot succeeds"]
+        assert claims["vlan: RDMA dropped across subnets"]
+        assert claims["dscp: no RDMA drop across subnets"]
 
 
 class TestAnalyticExperiments:
     def test_cpu_overhead_rows(self):
-        result = run_cpu_overhead(rates_gbps=(40,))
-        row = result.rows()[0]
-        assert row["tcp_send_cpu_pct"] == pytest.approx(6.0, rel=0.05)
-        assert row["rdma_cpu_pct"] == 0.0
+        claims = verdicts("E10", run_cpu_overhead())
+        assert claims["40G: tcp send CPU ~6%"]
+        assert claims["40G: rdma CPU is zero"]
 
     def test_headroom_two_classes(self):
-        result = run_headroom(rates_gbps=(40,))
-        fabric = next(r for r in result.rows() if r["switch"] == "fabric-wide")
-        assert fabric["lossless_classes"] == 2
+        assert verdicts("E11", run_headroom())["40G: two lossless classes"]
 
 
 class TestCongestionLatencySmoke:
     def test_loaded_phase_inflates_tail(self):
-        result = run_congestion_latency(phase_ns=15 * MS)
-        by_phase = {r["phase"]: r for r in result.rows()}
-        assert by_phase["loaded"]["rdma_p99_us"] > by_phase["idle"]["rdma_p99_us"]
-        assert by_phase["loaded"]["drops"] == 0
+        claims = verdicts("E6", run_congestion_latency(phase_ns=15 * MS))
+        assert claims["rdma p99 jumps > 4x"]
+        assert claims["loaded: zero drops"]

@@ -397,7 +397,7 @@ def _rack_run():
         "events_fired": sim.events_fired,
         "completed": [wr.completed_ns for wr in wrs],
         "tcp_delivered": delivered,
-        "naks": sum(engine.total_naks() for engine in engines),
+        "naks": sum(qp.stats.naks_received for engine in engines for qp in engine.qps),
         "retransmitted": sum(
             qp.stats.retransmitted_packets for engine in engines for qp in engine.qps
         ),

@@ -161,6 +161,43 @@ class TestLossRecovery:
         assert wr.completed
         assert qp_a.stats.timeouts >= 1
 
+    def _drop_psn_10(self, copies):
+        """Send 64 packets through a ToR that drops PSN 10's first
+        ``copies`` transmissions; returns (work request, requester QP)."""
+        topo = single_switch(n_hosts=2).boot()
+        dropped = []
+
+        def drop(packet):
+            ctx = packet.context
+            if packet.bth is None or ctx is None or ctx.psn != 10 or len(dropped) >= copies:
+                return False
+            dropped.append(packet)
+            return True
+
+        topo.tor.ingress_drop_filter = drop
+        config = QpConfig(recovery=GoBackN(), rto_ns=200 * US)
+        qp_a, qp_b = make_pair(topo, config_a=config, config_b=config)
+        wr = post_send(qp_a, 64 * KB)
+        topo.sim.run(until=topo.sim.now + 5 * MS)
+        assert wr.completed and len(dropped) == copies
+        return wr, qp_a
+
+    def test_rewound_head_lost_again_is_naked_again(self):
+        # The first loss opens a gap and draws a NAK; the go-back-N resend
+        # of the head is lost too, and the rest of the resent window steps
+        # back below the gap's last PSN -- a second NAK, not the RTO.
+        wr, qp_a = self._drop_psn_10(2)
+        assert qp_a.stats.naks_received == 2
+        assert qp_a.stats.timeouts == 0
+        assert wr.completed_ns - wr.posted_ns < 200 * US
+
+    def test_a_gap_draws_at_most_two_naks_then_the_rto(self):
+        # A third loss of the same head is congestion-like: the responder
+        # stays silent and the RTO's backoff resends it.
+        wr, qp_a = self._drop_psn_10(3)
+        assert qp_a.stats.naks_received == 2
+        assert qp_a.stats.timeouts == 1
+
     def test_random_link_loss_recovered(self):
         topo = single_switch(n_hosts=2, seed=3).boot()
         # Make the server->ToR link lossy at 0.5%.

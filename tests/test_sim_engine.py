@@ -182,6 +182,20 @@ def test_events_fired_counter():
     assert sim.events_fired == 7
 
 
+def test_a_long_chain_fires_each_event_once():
+    sim = Simulator()
+    remaining = [100_000]
+
+    def tick():
+        remaining[0] -= 1
+        if remaining[0] > 0:
+            sim.schedule(10, tick)
+
+    sim.schedule(0, tick)
+    sim.run_until_idle()
+    assert sim.events_fired == 100_000
+
+
 def test_cancelled_events_do_not_accumulate_in_heap():
     # Regression: cancelled events used to stay in the heap as tombstones
     # until their deadline, so a schedule/cancel loop (every retransmission
@@ -243,6 +257,14 @@ class TestTimer:
         sim.schedule(50, timer.start, 100)
         sim.run_until_idle()
         assert fired == [150]
+
+    def test_every_rearm_cancels_the_previous_deadline(self):
+        sim = Simulator()
+        timer = Timer(sim, lambda: None, "rto")
+        for _ in range(100_000):
+            timer.start(5)
+        sim.run_until_idle()
+        assert sim.events_fired == 1
 
     def test_cancel_prevents_firing(self):
         sim = Simulator()

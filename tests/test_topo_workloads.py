@@ -52,6 +52,10 @@ class TestBuilders:
         # Each leaf: one port per ToR.
         assert all(len(l.ports) == 2 for l in topo.leaves)
 
+    def test_two_tier_pod_boots_every_host(self):
+        topo = two_tier(n_tors=4, hosts_per_tor=8, n_leaves=4).boot()
+        assert len(topo.hosts) == 32
+
     def test_three_tier_shape(self):
         topo = three_tier_clos(
             n_podsets=2, tors_per_podset=2, hosts_per_tor=2, leaves_per_podset=2, n_spines=4
