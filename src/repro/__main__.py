@@ -265,27 +265,32 @@ def _gate(args):
     return 0
 
 
-# -- validation: validate, differential, mutation-check -----------------------
+# -- validation: validate, mutation-check ------------------------------------
 
 
-def _judge_sweep(args, title, sweep, dirs):
-    """The body ``validate`` and ``differential`` share: one progress
-    line per seed, the rows to ``--jsonl``, exit 1 on any violation.
-    ``dirs`` are the verb's DIR options."""
+def _validate(args):
+    from repro.obs import TELEMETRY
+    from repro.validation import harness
+
     if args.seeds < 1:
-        raise _NoVerdict("%s: --seeds %d: nothing to check" % (args.verb, args.seeds))
-    _make_dirs(*dirs)
+        raise _NoVerdict("validate: --seeds %d: nothing to check" % args.seeds)
+    _make_dirs(args.telemetry, args.artifacts)
 
     def progress(report, row):
-        if getattr(report, "skipped", False):
-            status = "skipped (deadlock kind)"
-        else:
-            status = "ok" if report.clean else "VIOLATION(%s)" % row["oracles"]
+        status = "ok" if report.clean else "VIOLATION(%s)" % row["oracles"]
         print("  seed %-5d %-40s %s" % (report.scenario.seed, report.scenario.describe(),
                                         status), flush=True)
 
-    print("%s: %d scenario(s) from seed %d" % (title, args.seeds, args.start))
-    result = sweep(progress)
+    print("validation sweep%s: %d scenario(s) from seed %d"
+          % ("" if args.no_metamorphic else " (+metamorphic)", args.seeds, args.start))
+    with (TELEMETRY.collect("validation-sweep", args.telemetry, "sweep")
+          if args.telemetry else contextlib.nullcontext()) as collection:
+        result = harness.run_validation_sweep(
+            seeds=args.seeds, start=args.start, metamorphic=not args.no_metamorphic,
+            shrink=not args.no_shrink, fail_fast=args.fail_fast, progress=progress,
+            artifact_dir=args.artifacts or harness.DEFAULT_ARTIFACT_DIR)
+    if collection:
+        print(collection.describe())
     rows = result.rows()
     if args.jsonl:
         result.to_jsonl(args.jsonl)
@@ -296,40 +301,8 @@ def _judge_sweep(args, title, sweep, dirs):
         return 0
     print("%d/%d scenario(s) violated an oracle:" % (len(dirty), len(rows)))
     for row in dirty:
-        print("  seed %d: %s%s" % (row["seed"], row["oracles"],
-                                   " -> %s" % row["artifact"] if row.get("artifact") else ""))
+        print("  seed %d: %s -> %s" % (row["seed"], row["oracles"], row["artifact"]))
     return 1
-
-
-def _validate(args):
-    import contextlib
-
-    from repro.obs import TELEMETRY
-    from repro.validation import harness
-
-    def sweep(progress):
-        with (TELEMETRY.collect("validation-sweep", args.telemetry, "sweep")
-              if args.telemetry else contextlib.nullcontext()) as collection:
-            result = harness.run_validation_sweep(
-                seeds=args.seeds, start=args.start, metamorphic=not args.no_metamorphic,
-                shrink=not args.no_shrink, fail_fast=args.fail_fast, progress=progress,
-                artifact_dir=args.artifacts or harness.DEFAULT_ARTIFACT_DIR)
-        if collection:
-            print(collection.describe())
-        return result
-
-    title = "validation sweep" + ("" if args.no_metamorphic else " (+metamorphic)")
-    return _judge_sweep(args, title, sweep, (args.telemetry, args.artifacts))
-
-
-def _differential(args):
-    from repro.validation import flowsim_lane
-
-    return _judge_sweep(args, "packet-vs-flowsim differential", lambda progress: (
-        flowsim_lane.run_flowsim_differential_sweep(
-            seeds=args.seeds, start=args.start, fail_fast=args.fail_fast, progress=progress,
-            artifact_dir=args.artifacts or flowsim_lane.DEFAULT_ARTIFACT_DIR)),
-        (args.artifacts,))
 
 
 def _mutation_check(args):
@@ -647,13 +620,11 @@ def _exec_options(parser):
                         help="arm the causal tracing plane; writes trace/*.jsonl")
 
 
-def _sweep_options(parser):
-    """Options ``validate`` and ``differential`` share."""
-    parser.add_argument("--seeds", type=int, default=25, help="scenarios to sweep (default 25)")
-    parser.add_argument("--start", type=int, default=0, help="first seed (default 0)")
-    parser.add_argument("--fail-fast", action="store_true", help="stop at the first violation")
+def _repro_options(parser):
+    """Options ``validate`` and ``mutation-check`` share: where a
+    failure's JSONL repro goes and whether it is shrunk first."""
     parser.add_argument("--artifacts", metavar="DIR", help="where repro artifacts go")
-    parser.add_argument("--jsonl", metavar="PATH", help="also write the sweep rows here")
+    parser.add_argument("--no-shrink", action="store_true", help="keep failing scenarios whole")
 
 
 def _parser():
@@ -704,18 +675,17 @@ def _parser():
                    help="record instead of compare: rewrite the pin file from this run")
 
     p = verb("validate", _validate, "differential + metamorphic oracle sweep")
-    _sweep_options(p)
+    p.add_argument("--seeds", type=int, default=25, help="scenarios to sweep (default 25)")
+    p.add_argument("--start", type=int, default=0, help="first seed (default 0)")
+    p.add_argument("--fail-fast", action="store_true", help="stop at the first violation")
+    p.add_argument("--jsonl", metavar="PATH", help="also write the sweep rows here")
     p.add_argument("--no-metamorphic", action="store_true", help="base runs only")
-    p.add_argument("--no-shrink", action="store_true", help="keep failing scenarios whole")
     p.add_argument("--telemetry", metavar="DIR", help="arm telemetry, write artifacts to DIR")
-
-    p = verb("differential", _differential, "packet engine vs flow-level simulator sweep")
-    _sweep_options(p)
+    _repro_options(p)
 
     p = verb("mutation-check", _mutation_check, "prove the oracles catch reintroduced bugs")
     p.add_argument("--which", help="one mutation (default: all)")
-    p.add_argument("--artifacts", metavar="DIR", help="where repro artifacts go")
-    p.add_argument("--no-shrink", action="store_true", help="keep failing scenarios whole")
+    _repro_options(p)
 
     p = verb("summarize", _summarize, "render telemetry or trace artifacts")
     p.add_argument("artifact", nargs="+")

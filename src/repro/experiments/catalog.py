@@ -127,6 +127,7 @@ CATALOG = {
             "run_flowsim_scale",
             "flowsim: 4096-host Clos, 50k+ flows from the storage/web CDFs",
             ref="repro.experiments.flowsim_scale:run_flowsim_scale",
+            claims_ref="repro.experiments.flowsim_scale:scale_claims",
         ),
         CatalogEntry(
             "F2",
@@ -137,14 +138,9 @@ CATALOG = {
         CatalogEntry(
             "V1",
             "run_validation_sweep",
-            "differential validation sweep: packet sim vs flow-level oracles",
+            "differential validation sweep: packet sim vs flow model and flowsim",
             ref="repro.validation.harness:run_validation_sweep",
-        ),
-        CatalogEntry(
-            "V2",
-            "run_flowsim_differential_sweep",
-            "differential sweep: packet engine vs flow-level simulator",
-            ref="repro.validation.flowsim_lane:run_flowsim_differential_sweep",
+            claims_ref="repro.validation.harness:claims",
         ),
     )
 }

@@ -156,6 +156,11 @@ def run_flowsim_scale(
     return FlowsimScaleResult([row], run)
 
 
+def scale_claims(rows):
+    """F1 runs to completion: no flow is left unfinished at 4096 hosts."""
+    return [("every flow completes", row["completed"] == row["flows"]) for row in rows]
+
+
 def run_flowsim_figure7(seed=1, rate_update_interval_us=0):
     """F2: two views of figure 7's fabric, cross-checked.
 

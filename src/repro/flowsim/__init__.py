@@ -6,8 +6,8 @@ rate recomputation (:class:`repro.flows.maxmin.MaxMinSolver`) over an
 analytic capacity graph, with first-order ECN/DCQCN and aggregate-PFC
 models standing in for per-packet congestion control.  Three orders of
 magnitude faster -- a 4096-host Clos with 50k flows runs in seconds --
-and cross-validated against the packet engine by the differential lane
-in :mod:`repro.validation.flowsim_lane`.  Model fidelity and its limits
+and cross-validated against the packet engine by the ``flowsim-model``
+oracle of :mod:`repro.validation`.  Model fidelity and its limits
 are documented in docs/flowsim.md.
 
 * :mod:`~repro.flowsim.engine` -- the event loop (:class:`FlowSim`).

@@ -6,7 +6,10 @@ in :mod:`repro.flows` -- the max-min allocation above, the PFC-uniform
 allocation below.  To feed those models the *realized* contention (ECMP
 collisions included), flows are traced statically through the live
 forwarding tables with the same five-tuple hash the switches use, so
-the model sees exactly the links each flow actually crossed.
+the model sees exactly the links each flow actually crossed.  The same
+traced paths also run through the flow-level simulator
+(:mod:`repro.flowsim`) in exact mode, whose steady rates must equal the
+max-min shares: the two tiers check each other in the same run.
 
 Measurement is transport-level: goodput over the measurement window is
 the cumulative-ack (``una``) advance times the MTU payload, which is
@@ -20,6 +23,7 @@ from repro.faults.invariants import (
     install_default_auditors,
 )
 from repro.flows.maxmin import max_min_allocation
+from repro.flowsim.engine import FlowSim
 from repro.flowsim.topo import EFFICIENCY
 from repro.packets.ip import IPPROTO_UDP
 from repro.packets.rocev2 import ROCEV2_UDP_PORT
@@ -41,6 +45,10 @@ MTU_PAYLOAD = 1024
 _DRAIN_CHUNK_NS = 500 * US
 _SETTLE_NS = 100 * US
 
+#: Permanent-flow stand-in size for the flowsim run: large enough that
+#: nothing completes inside it.
+_PERMANENT_BYTES = 10 ** 15
+
 
 class TraceError(Exception):
     """Static path tracing failed (no route, flood, loop, dead end)."""
@@ -55,26 +63,13 @@ class FlowOutcome:
         self.message_kb = message_kb
         self.measured_bps = 0.0
         self.share_bps = None  # max-min fair share (goodput bps)
+        self.flowsim_bps = None  # flowsim's steady rate on the same path
         self.uniform_bps = None  # PFC-uniform share (goodput bps)
         self.bottleneck_bps = None  # min link capacity on path (goodput bps)
         self.path = []
         self.posted = 0
         self.completed = 0
         self.dead_dst = False
-
-    def to_dict(self):
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "message_kb": self.message_kb,
-            "measured_bps": self.measured_bps,
-            "share_bps": self.share_bps,
-            "uniform_bps": self.uniform_bps,
-            "bottleneck_bps": self.bottleneck_bps,
-            "posted": self.posted,
-            "completed": self.completed,
-            "dead_dst": self.dead_dst,
-        }
 
 
 class RunOutcome:
@@ -190,14 +185,9 @@ def trace_flow_path(src_host, dst_host, five_tuple):
     )
 
 
-def expected_allocation(paths):
-    """Model rates for traced flows: per-flow max-min shares plus the
-    PFC-uniform common rate (fair share of the most contended link --
-    provably a lower bound on every flow's max-min share).
-
-    ``paths`` is a list of ``[(link_id, rate_bps), ...]``; returns
-    ``(shares, uniform, bottlenecks)`` in goodput bits per second.
-    """
+def _goodput_capacities(paths):
+    """``paths`` of ``[(link_id, rate_bps), ...]`` as goodput capacities
+    per link id plus each flow's list of link ids."""
     caps = {}
     id_paths = []
     for path in paths:
@@ -206,6 +196,18 @@ def expected_allocation(paths):
             caps[link_id] = rate_bps * EFFICIENCY
             ids.append(link_id)
         id_paths.append(ids)
+    return caps, id_paths
+
+
+def expected_allocation(paths):
+    """Model rates for traced flows: per-flow max-min shares plus the
+    PFC-uniform common rate (fair share of the most contended link --
+    provably a lower bound on every flow's max-min share).
+
+    ``paths`` is a list of ``[(link_id, rate_bps), ...]``; returns
+    ``(shares, uniform, bottlenecks)`` in goodput bits per second.
+    """
+    caps, id_paths = _goodput_capacities(paths)
     shares = max_min_allocation(caps, id_paths)
     counts = {}
     for ids in id_paths:
@@ -214,6 +216,24 @@ def expected_allocation(paths):
     uniform = min(caps[link_id] / n for link_id, n in counts.items())
     bottlenecks = [min(caps[link_id] for link_id in ids) for ids in id_paths]
     return shares, uniform, bottlenecks
+
+
+def flowsim_allocation(paths):
+    """Flowsim's steady rates for the same traced flows, in goodput bps.
+
+    The paths run as permanent flows over the same capacities in exact
+    mode (``rate_update_interval_ns=0``), so the rates are the
+    incremental solver's max-min fixpoint -- the one
+    :func:`expected_allocation` computes with the reference scan, here
+    reached by an independent implementation through the flow tier's
+    own pipeline.  The ``flowsim-model`` oracle holds the two together.
+    """
+    caps, id_paths = _goodput_capacities(paths)
+    sim = FlowSim(caps, rate_update_interval_ns=0)
+    flow_ids = [sim.add_flow(ids, _PERMANENT_BYTES) for ids in id_paths]
+    sim.run(until_ns=1)
+    rates = sim.current_rates()
+    return [rates[fid] for fid in flow_ids]
 
 
 # -- running ------------------------------------------------------------------
@@ -252,6 +272,7 @@ def run_scenario(scenario, mutation=None, tolerances=None):
 
     senders = []
     qps = []
+    paths = []
     for src, dst, message_kb in scenario.flows:
         config_a, config_b = _qp_configs(scenario, mutation)
         qp_a, _qp_b = connect_qp_pair(hosts[src], hosts[dst], rng, config_a, config_b)
@@ -259,8 +280,9 @@ def run_scenario(scenario, mutation=None, tolerances=None):
         flow.dead_dst = dst in dead
         five_tuple = (hosts[src].ip, hosts[dst].ip, IPPROTO_UDP, qp_a.src_udp_port, ROCEV2_UDP_PORT)
         if scenario.kind != "deadlock":
-            flow.path = [link_id for link_id, _rate in
-                         trace_flow_path(hosts[src], hosts[dst], five_tuple)]
+            path = trace_flow_path(hosts[src], hosts[dst], five_tuple)
+            flow.path = [link_id for link_id, _rate in path]
+            paths.append(path)
         outcome.flows.append(flow)
         qps.append(qp_a)
         senders.append(
@@ -268,17 +290,13 @@ def run_scenario(scenario, mutation=None, tolerances=None):
         )
 
     if scenario.kind != "deadlock":
-        paths = [
-            trace_flow_path(hosts[src], hosts[dst], (hosts[src].ip, hosts[dst].ip,
-                                                     IPPROTO_UDP, qp.src_udp_port,
-                                                     ROCEV2_UDP_PORT))
-            for (src, dst, _kb), qp in zip(scenario.flows, qps)
-        ]
         shares, uniform, bottlenecks = expected_allocation(paths)
-        for flow, share, bottleneck in zip(outcome.flows, shares, bottlenecks):
+        rates = flowsim_allocation(paths)
+        for flow, share, bottleneck, rate in zip(outcome.flows, shares, bottlenecks, rates):
             flow.share_bps = share
             flow.uniform_bps = uniform
             flow.bottleneck_bps = bottleneck
+            flow.flowsim_bps = rate
 
     for sender in senders:
         sender.start()

@@ -6,7 +6,7 @@ The harness is what turns the oracles into a usable subsystem:
 * :func:`run_validation_sweep` -- N seeds as an
   :class:`~repro.experiments.common.ExperimentResult` (catalog entry
   ``V1``, so campaigns parallelize/cache/resume sweeps like any other
-  experiment).
+  experiment, and ``run`` judges :func:`claims` on its rows).
 * :func:`shrink_scenario` -- greedy minimization of a failing scenario:
   drop flows, shrink messages, shrink the fabric, halve the window --
   keeping each step only if the failure survives.
@@ -248,8 +248,17 @@ def run_validation_sweep(
     for seed in range(start, start + seeds):
         report = validate_seed(seed, metamorphic=metamorphic)
         row = _report_row(report)
-        if not report.clean and shrink:
-            row["artifact"] = _record_failure(report, artifact_dir)
+        if not report.clean:
+            # Shrink against the single-run oracles only: metamorphic
+            # re-runs triple the shrinker's cost and the single-run
+            # failure, when there is one, is the more direct repro.  A
+            # purely-metamorphic failure is recorded unshrunk (every
+            # reduction's re-run would pass).
+            row["artifact"], _minimized = _record_failure(
+                os.path.join(artifact_dir, "seed%d.jsonl" % seed),
+                report,
+                shrink=shrink and bool(report.outcome.violations),
+            )
         rows.append(row)
         if progress is not None:
             progress(report, row)
@@ -258,29 +267,34 @@ def run_validation_sweep(
     return ValidationSweepResult(rows)
 
 
-def _record_failure(report, artifact_dir):
+def claims(rows):
+    """Every swept seed passes every oracle."""
+    return [
+        ("seed %d: zero oracle violations" % row["seed"], row["violations"] == 0)
+        for row in rows
+    ]
+
+
+def _record_failure(path, report, shrink=True, mutation=None, max_runs=40):
+    """Shrink a failing report's scenario against the single-run oracles,
+    re-judge the minimized scenario and write both as a JSONL repro.
+    Returns ``(path, minimized scenario)``."""
     scenario = report.scenario
 
     def still_fails(candidate):
-        return not validate_scenario(candidate, metamorphic=False).clean
+        return not validate_scenario(candidate, metamorphic=False, mutation=mutation).clean
 
-    # Shrink against the single-run oracles only: metamorphic re-runs
-    # triple the shrinker's cost and the single-run failure, when there
-    # is one, is the more direct repro.  A purely-metamorphic failure
-    # is recorded unshrunk (every reduction's still_fails would be False).
-    if report.outcome.violations:
-        minimized = shrink_scenario(scenario, still_fails)
-    else:
-        minimized = scenario
-    minimized_report = validate_scenario(minimized, metamorphic=False)
-    path = os.path.join(artifact_dir, "seed%d.jsonl" % scenario.seed)
-    return write_artifact(
+    minimized = shrink_scenario(scenario, still_fails, max_runs) if shrink else scenario
+    minimized_report = validate_scenario(minimized, metamorphic=False, mutation=mutation)
+    write_artifact(
         path,
         scenario,
         report.violations,
         minimized=minimized,
         minimized_violations=minimized_report.violations,
+        mutation=mutation,
     )
+    return path, minimized
 
 
 def _report_row(report):
@@ -288,6 +302,11 @@ def _report_row(report):
     scenario = report.scenario
     ratios = [
         flow.measured_bps / flow.share_bps
+        for flow in outcome.flows
+        if flow.share_bps
+    ]
+    model_errs = [
+        abs(flow.flowsim_bps - flow.share_bps) / flow.share_bps
         for flow in outcome.flows
         if flow.share_bps
     ]
@@ -308,6 +327,7 @@ def _report_row(report):
         "pause_frames": outcome.pause_frames,
         "min_share_ratio": round(min(ratios), 4) if ratios else None,
         "max_share_ratio": round(max(ratios), 4) if ratios else None,
+        "max_model_rel_err": float("%.3e" % max(model_errs)) if model_errs else None,
     }
 
 
@@ -332,26 +352,12 @@ def mutation_check(which=None, artifact_dir=DEFAULT_ARTIFACT_DIR, shrink=True):
         artifact = None
         minimized = scenario
         if mutated.violations:
-
-            def still_fails(candidate, _name=name):
-                return bool(
-                    validate_scenario(
-                        candidate, metamorphic=False, mutation=_name
-                    ).violations
-                )
-
-            if shrink:
-                minimized = shrink_scenario(scenario, still_fails, max_runs=20)
-            minimized_report = validate_scenario(
-                minimized, metamorphic=False, mutation=name
-            )
-            artifact = write_artifact(
+            artifact, minimized = _record_failure(
                 os.path.join(artifact_dir, "mutation-%s.jsonl" % name),
-                scenario,
-                mutated.violations,
-                minimized=minimized,
-                minimized_violations=minimized_report.violations,
+                mutated,
+                shrink=shrink,
                 mutation=name,
+                max_runs=20,
             )
         results[name] = {
             "description": description,

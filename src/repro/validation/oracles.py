@@ -20,9 +20,10 @@ Tolerance rationale (see docs/validation.md for the full discussion):
   a hard physical cap: no flow can beat its bottleneck link.
 * Liveness bounds (pause resolves, queues drain) are strict in benign
   scenarios -- nothing in a fault-free fabric may wedge.
+* The flow tier's rate is held to float precision: flowsim and the
+  reference max-min scan solve the identical problem.
 """
 
-from repro.flows.maxmin import max_min_allocation  # noqa: F401  (re-export for tests)
 from repro.validation.scenarios import LINK_GBPS_MENU
 
 
@@ -60,6 +61,11 @@ class Tolerances:
     #: adding a link-disjoint flow keeps each old flow above this
     #: fraction of its baseline rate.
     victim_keep = 0.70
+    #: flowsim steady rate vs the max-min share: both are max-min
+    #: fixpoints of the identical (capacities, paths) problem, computed
+    #: by independent implementations; only float freeze-order rounding
+    #: may differ.
+    model_rel_err = 1e-6
 
 
 def judge_run(outcome, tolerances=Tolerances):
@@ -72,6 +78,7 @@ def judge_run(outcome, tolerances=Tolerances):
         violations += oracle_healthy_progress(outcome)
     else:
         violations += oracle_goodput_band(outcome, tolerances)
+        violations += oracle_flowsim_model(outcome, tolerances)
     return violations
 
 
@@ -214,6 +221,26 @@ def oracle_goodput_band(outcome, tolerances=Tolerances):
                 % (total_measured / 1e9, tolerances.agg_lo, total_share / 1e9),
             )
         )
+    return violations
+
+
+def oracle_flowsim_model(outcome, tolerances=Tolerances):
+    """Two max-min implementations, one fixpoint: flowsim's steady rate
+    on each traced path equals the reference max-min share."""
+    violations = []
+    for flow in outcome.flows:
+        rel = abs(flow.flowsim_bps - flow.share_bps) / flow.share_bps
+        if rel > tolerances.model_rel_err:
+            violations.append(
+                _violation(
+                    "flowsim-model",
+                    "flow %s->%s" % (flow.src, flow.dst),
+                    "flowsim %.6f Gb/s vs max-min share %.6f Gb/s "
+                    "(rel err %.2e > %.0e)"
+                    % (flow.flowsim_bps / 1e9, flow.share_bps / 1e9, rel,
+                       tolerances.model_rel_err),
+                )
+            )
     return violations
 
 

@@ -40,7 +40,7 @@ class TestNothingToJudge:
     def test_usage_errors_are_one_line(self, argv, capsys):
         _assert_exit_2(argv, capsys, "python -m repro")
 
-    @pytest.mark.parametrize("verb", ["validate", "differential"])
+    @pytest.mark.parametrize("verb", ["validate"])
     def test_zero_seeds_is_no_verdict(self, verb, capsys):
         _assert_exit_2([verb, "--seeds", "0"], capsys, "nothing to check")
 
@@ -187,7 +187,6 @@ class TestDirOptionIsNotADirectory:
         ["gate", "single_flow", "--telemetry"],
         ["validate", "--seeds", "1", "--telemetry"],
         ["validate", "--seeds", "1", "--artifacts"],
-        ["differential", "--seeds", "1", "--artifacts"],
         ["mutation-check", "--artifacts"],
         ["storm", "--demo", "--out"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))

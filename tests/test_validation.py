@@ -1,9 +1,11 @@
 """The differential validation subsystem (src/repro/validation/).
 
 The `validation` lane: scenario-generator determinism and round-trips,
-a small clean oracle sweep, mutation sensitivity (the go-back-0 probe
-must be flagged), shrinking, and artifact replay.  The full 200-seed
-acceptance sweep runs in CI's validation job, not here.
+a small clean oracle sweep, the flow tier as an oracle (flowsim's rates
+on the traced paths against the max-min shares), mutation sensitivity
+(the go-back-0 probe must be flagged), shrinking, and artifact replay.
+The full 200-seed acceptance sweep runs in CI's validation job, not
+here.
 
 Run alone with ``pytest -m validation``.
 """
@@ -21,6 +23,7 @@ from repro.validation import (
     Tolerances,
     ValidationScenario,
     generate_scenario,
+    judge_run,
     mutation_check,
     replay_artifact,
     run_scenario,
@@ -28,10 +31,12 @@ from repro.validation import (
     shrink_scenario,
     validate_seed,
 )
+from repro.validation import differential, harness
 from repro.validation.harness import validate_scenario, write_artifact
 from repro.validation.scenarios import (
     MAX_FLOWS,
     MAX_FLOWS_PER_DST,
+    deadlock_probe_scenario,
     host_count,
     livelock_probe_scenario,
 )
@@ -101,9 +106,12 @@ class TestOracles:
         result = run_validation_sweep(
             seeds=3, metamorphic=False, artifact_dir=str(tmp_path)
         )
+        result.check_schema()
         rows = result.rows()
         assert len(rows) == 3
         assert all(row["violations"] == 0 for row in rows)
+        assert all(0 <= row["max_model_rel_err"] <= Tolerances.model_rel_err for row in rows)
+        assert not list(tmp_path.iterdir())  # clean runs leave no artifacts
 
     def test_tolerances_can_force_a_violation(self):
         # The bands are live: an absurd lower band must flag a healthy run.
@@ -115,6 +123,77 @@ class TestOracles:
 
         report = validate_seed(0, metamorphic=False, tolerances=Impossible)
         assert any(v["oracle"] == "goodput-low" for v in report.violations)
+
+
+# --- the flow tier as an oracle -----------------------------------------------
+
+
+class TestFlowsimOracle:
+    """Each run's traced paths also go through flowsim in exact mode, and
+    ``flowsim-model`` holds its steady rates to the max-min shares."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seed_is_clean(self, seed):
+        outcome = run_scenario(generate_scenario(seed))
+        assert outcome.violations == []
+        assert all(flow.flowsim_bps is not None for flow in outcome.flows)
+
+    def test_deadlock_kind_skips_the_flowsim_oracle(self, tmp_path, monkeypatch):
+        # The seed map never draws the deadlock kind (it is the fixed
+        # figure 4 probe), but replay paths can hand one in: it has no
+        # traced paths, so flowsim has nothing to run.
+        monkeypatch.setattr(harness, "generate_scenario", lambda seed: deadlock_probe_scenario())
+        (row,) = run_validation_sweep(
+            seeds=1, metamorphic=False, artifact_dir=str(tmp_path)
+        ).rows()
+        assert row["kind"] == "deadlock" and row["violations"] == 0
+        assert row["max_model_rel_err"] is None
+
+    def test_sweep_rows_and_schema(self, tmp_path):
+        # Seeds past the V1 sweep test's 0..2: each row is in seed order,
+        # passes every oracle and holds flowsim to the max-min shares.
+        result = run_validation_sweep(
+            seeds=3, start=4, metamorphic=False, artifact_dir=str(tmp_path)
+        )
+        result.check_schema()
+        rows = result.rows()
+        assert [row["seed"] for row in rows] == [4, 5, 6]
+        for row in rows:
+            assert row["violations"] == 0
+            assert 0 <= row["max_model_rel_err"] <= Tolerances.model_rel_err
+        assert not list(tmp_path.iterdir())  # clean runs leave no artifacts
+
+    def test_report_row_fields(self):
+        row = harness._report_row(validate_seed(0, metamorphic=False))
+        assert set(row) >= {
+            "seed", "kind", "flows", "violations", "oracles",
+            "min_share_ratio", "max_share_ratio", "max_model_rel_err",
+        }
+        assert row["seed"] == 0 and row["max_model_rel_err"] is not None
+
+    def test_tampered_rate_trips_flowsim_model(self):
+        outcome = run_scenario(generate_scenario(1))
+        for flow in outcome.flows:
+            flow.flowsim_bps *= 1.5
+        assert {v["oracle"] for v in judge_run(outcome)} == {"flowsim-model"}
+
+    @pytest.mark.parametrize("shrink", [True, False], ids=["shrunk", "whole"])
+    def test_a_flowsim_model_violation_replays_from_its_artifact(
+        self, shrink, tmp_path, monkeypatch, capsys
+    ):
+        # Seed 8 is one flow on a two-host switch: cheap to shrink.
+        real = differential.flowsim_allocation
+        monkeypatch.setattr(differential, "flowsim_allocation",
+                            lambda paths: [1.5 * rate for rate in real(paths)])
+        (row,) = run_validation_sweep(
+            seeds=1, start=8, metamorphic=False, shrink=shrink, artifact_dir=str(tmp_path)
+        ).rows()
+        assert row["oracles"] == "flowsim-model"
+        assert row["artifact"] == str(tmp_path / "seed8.jsonl")
+        capsys.readouterr()
+        assert main(["replay", row["artifact"]]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("replayed seed=8 ") and "[flowsim-model]" in out
 
 
 # --- mutation sensitivity, shrinking, replay ----------------------------------
