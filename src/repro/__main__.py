@@ -82,10 +82,10 @@ def main(argv=None):
 
 
 def _list(args):
-    from repro.campaign.registry import DEFAULT_REGISTRY
+    from repro.experiments.catalog import CATALOG
 
     print("campaign targets (sweep any listed parameter; * = seeded):")
-    for entry in DEFAULT_REGISTRY.entries():
+    for entry in CATALOG.values():
         names = ", ".join(n for n in entry.parameters() if n != "seed") or "-"
         print("%-4s %-24s %s\n     params: %s%s" % (
             entry.exp_id, entry.runner_name, entry.description, names,
@@ -96,17 +96,17 @@ def _list(args):
 def _sweep_spec(args):
     import ast
 
-    from repro.campaign.registry import DEFAULT_REGISTRY
     from repro.campaign.spec import SpecError, SweepSpec
+    from repro.experiments.catalog import CATALOG, resolve_tokens
 
     if args.spec:
         if args.which or args.all:
             raise SpecError("--spec and experiment ids are mutually exclusive")
         return SweepSpec.from_file(args.spec)
     if args.all:
-        selected = DEFAULT_REGISTRY.ids()
+        selected = list(CATALOG)
     else:
-        selected, unmatched = DEFAULT_REGISTRY.resolve_tokens(args.which)
+        selected, unmatched = resolve_tokens(args.which)
         if unmatched:
             raise SpecError("no experiment matches %r (try `list`)" % unmatched[0])
         if not selected:
@@ -152,16 +152,14 @@ def _report(report, quiet):
     """Each finished run's table and paper verdicts (cache hits too; a
     failed verdict prints even under ``-q``), then the exit status: 1
     when a run or a claim failed."""
-    import json
-
+    from repro.artifact import read_jsonl
     from repro.experiments.common import ExperimentResult
 
     for run_id, entry in report.manifest["runs"].items():
         if entry["status"] != "ok":
             continue
         if not quiet:
-            with open(entry["jsonl"]) as handle:
-                result = ExperimentResult([json.loads(line) for line in handle])
+            result = ExperimentResult(read_jsonl(entry["jsonl"], empty_ok=True))
             result.title = entry["title"]
             print()
             print(result.format_table())
@@ -172,10 +170,10 @@ def _report(report, quiet):
 
 
 def _run(args):
-    from repro.campaign import DEFAULT_REGISTRY, Campaign
+    from repro.campaign import Campaign
 
     spec = _sweep_spec(args)
-    spec.expand(DEFAULT_REGISTRY)  # a bad spec stops here, before any directory exists
+    spec.expand()  # a bad spec stops here, before any directory exists
     out_dir = args.out or os.path.join("campaigns", spec.name)
     _make_dirs(out_dir)
     return _report(Campaign(spec, out_dir, **_campaign_kwargs(args)).run(), args.quiet)
@@ -602,7 +600,7 @@ def _metrics(args):
 def _exec_options(parser):
     """Options ``run`` and ``resume`` share: how the campaign executes."""
     parser.add_argument("-j", "--jobs", type=_bounded(int, 1),
-                        help="worker processes (default: cpu count, or $REPRO_CAMPAIGN_JOBS)")
+                        help="worker processes (default: cpu count)")
     parser.add_argument("--timeout", type=_bounded(float, 0, strict=True), default=900.0,
                         help="per-run wall-clock limit in seconds (default 900)")
     parser.add_argument("--retries", type=_bounded(int, 0), default=1,
@@ -610,7 +608,7 @@ def _exec_options(parser):
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute everything; neither read nor write the cache")
     parser.add_argument("--cache-dir",
-                        help="result cache (default: $REPRO_CAMPAIGN_CACHE or .campaign-cache)")
+                        help="result cache (default: .campaign-cache)")
     parser.add_argument("--inline", action="store_true",
                         help="run serially in this process (debugging; no isolation)")
     parser.add_argument("-q", "--quiet", action="store_true", help="no progress and no tables")

@@ -8,7 +8,8 @@ written with sorted keys, one record per line, and read back through
 :func:`read_jsonl`, which answers anything that is not such a file with
 one :class:`ArtifactError` naming the path and line -- so a CLI can
 print ``path:line: reason`` and exit instead of dumping a traceback.
-The validation lab's repro artifacts are read through it too.
+The validation lab's repro artifacts and a campaign's ``runs/*.jsonl``
+row files are read through it too.
 """
 
 import json
@@ -58,13 +59,14 @@ def write_artifacts(record_lists, out_dir, stem, suffix):
     return paths
 
 
-def read_jsonl(path, schema=None):
+def read_jsonl(path, schema=None, empty_ok=False):
     """Load a JSONL file into a list of record dicts.
 
     With ``schema`` the first record must be the ``meta`` record of that
-    schema.  A missing or unreadable file, an empty one, a line that is
-    not a JSON object (a truncated tail included) and a wrong or absent
-    schema all raise :class:`ArtifactError`.
+    schema.  A missing or unreadable file, an empty one (unless
+    ``empty_ok``), a line that is not a JSON object (a truncated tail
+    included) and a wrong or absent schema all raise
+    :class:`ArtifactError`.
     """
     records = []
     try:
@@ -91,6 +93,6 @@ def read_jsonl(path, schema=None):
                 records.append(record)
     except OSError as error:
         raise ArtifactError(path, 0, error.strerror or str(error)) from None
-    if not records:
+    if not records and not empty_ok:
         raise ArtifactError(path, 0, "empty artifact")
     return records

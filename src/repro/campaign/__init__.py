@@ -11,8 +11,6 @@ Pieces:
 
 * :mod:`~repro.campaign.spec` -- declarative sweep specs
   (experiment x parameter grid x seeds) and their expansion into runs;
-* :mod:`~repro.campaign.registry` -- the target registry (catalogue
-  entries plus runtime-registered extras);
 * :mod:`~repro.campaign.cache` -- the content-addressed result cache
   keyed on (code version, runner, params, seed);
 * :mod:`~repro.campaign.pool` -- the process-per-task worker pool with
@@ -26,16 +24,15 @@ Quickstart::
     from repro.campaign import Campaign, SweepSpec
 
     spec = SweepSpec.from_dict({
-        "name": "alpha-study",
-        "targets": [{"experiment": "A2", "seeds": [1, 2, 3]}],
+        "name": "kmin-study",
+        "targets": [{"experiment": "A3", "seeds": [1, 2, 3]}],
     })
-    report = Campaign(spec, "campaigns/alpha-study", jobs=4).run()
+    report = Campaign(spec, "campaigns/kmin-study", jobs=4).run()
     assert report.all_ok
 """
 
 from repro.campaign.cache import ResultCache, code_version, run_key
 from repro.campaign.pool import TaskOutcome, default_jobs, run_tasks
-from repro.campaign.registry import DEFAULT_REGISTRY, Registry, register, unregister
 from repro.campaign.runner import Campaign, CampaignReport, execute_run
 from repro.campaign.spec import RunSpec, SpecError, SweepEntry, SweepSpec
 from repro.campaign.store import CampaignStore
@@ -44,8 +41,6 @@ __all__ = [
     "Campaign",
     "CampaignReport",
     "CampaignStore",
-    "DEFAULT_REGISTRY",
-    "Registry",
     "ResultCache",
     "RunSpec",
     "SpecError",
@@ -55,8 +50,6 @@ __all__ = [
     "code_version",
     "default_jobs",
     "execute_run",
-    "register",
     "run_key",
     "run_tasks",
-    "unregister",
 ]

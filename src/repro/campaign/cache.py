@@ -18,8 +18,8 @@ inputs:
 
 Entries are JSON files under ``<cache_dir>/<k[:2]>/<k>.json``, written
 atomically; a corrupt or unreadable entry is treated as a miss.  The
-default location is ``.campaign-cache/`` next to the current working
-directory, overridable with ``$REPRO_CAMPAIGN_CACHE``.
+default location is ``.campaign-cache/`` under the current working
+directory (``--cache-dir`` names another).
 """
 
 import hashlib
@@ -30,14 +30,9 @@ import tempfile
 
 from repro.campaign.spec import canonical_params
 
-DEFAULT_CACHE_ENV = "REPRO_CAMPAIGN_CACHE"
 DEFAULT_CACHE_DIR = ".campaign-cache"
 
 _code_version_cache = None
-
-
-def default_cache_dir():
-    return os.environ.get(DEFAULT_CACHE_ENV) or DEFAULT_CACHE_DIR
 
 
 def code_version():
@@ -94,7 +89,7 @@ class ResultCache:
     """Get/put of finished-run payloads keyed by :func:`run_key`."""
 
     def __init__(self, directory=None):
-        self.directory = directory or default_cache_dir()
+        self.directory = directory or DEFAULT_CACHE_DIR
         self.hits = 0
         self.misses = 0
 

@@ -50,13 +50,7 @@ class TaskOutcome:
 
 
 def default_jobs():
-    """Worker count: ``$REPRO_CAMPAIGN_JOBS`` or the machine's cores."""
-    env = os.environ.get("REPRO_CAMPAIGN_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Worker count: the machine's cores."""
     return max(1, multiprocessing.cpu_count())
 
 

@@ -25,10 +25,9 @@ import time
 
 from repro.campaign import pool
 from repro.campaign.cache import ResultCache, code_version, run_key
-from repro.campaign.registry import DEFAULT_REGISTRY
 from repro.campaign.spec import SweepSpec
 from repro.campaign.store import CampaignStore
-from repro.experiments.catalog import resolve_ref
+from repro.experiments.catalog import CATALOG, resolve_ref
 from repro.obs import HUBS
 
 #: run statuses recorded in the manifest
@@ -129,12 +128,11 @@ class CampaignReport:
 class Campaign:
     """Orchestrate one spec into one campaign directory."""
 
-    def __init__(self, spec, out_dir, registry=None, cache=None, use_cache=True,
+    def __init__(self, spec, out_dir, cache=None, use_cache=True,
                  jobs=None, timeout_s=900.0, retries=1, inline=False, echo=print,
                  hubs=()):
         self.spec = spec
         self.store = CampaignStore(out_dir)
-        self.registry = registry or DEFAULT_REGISTRY
         self.cache = cache if cache is not None else ResultCache()
         #: the planes (``repro.obs.HUBS``) every run is armed with
         self.hubs = tuple(hubs)
@@ -160,10 +158,11 @@ class Campaign:
 
         With ``resume=True``, runs already recorded ``ok`` in the
         manifest keep their entries and artifacts untouched; everything
-        else (pending, failed, or newly added to the spec) executes.
+        else (pending, failed, newly added to the spec, or ``ok`` with a
+        lost row file) executes.
         """
         started_wall = time.monotonic()
-        runs = self.spec.expand(self.registry)
+        runs = self.spec.expand()
         manifest = self._manifest_base(resume)
         entries = manifest["runs"]
 
@@ -171,8 +170,10 @@ class Campaign:
         reused = 0
         for run in runs:
             previous = entries.get(run.run_id)
-            if resume and previous and previous.get("status") == OK:
-                self._judge(previous, self.store.read_run_rows(run.run_id))
+            rows = (self.store.read_run_rows(run.run_id)
+                    if resume and previous and previous.get("status") == OK else None)
+            if rows is not None:
+                self._judge(previous, rows)
                 reused += 1
                 continue
             entry = run.describe()
@@ -304,7 +305,7 @@ class Campaign:
         """Record the paper's verdicts on ``rows`` in ``entry``: the
         claims of the catalogue entry whose runner produced them (a
         spec's inline ``ref`` names another runner, so has none)."""
-        target = self.registry.get(entry["experiment"])
+        target = CATALOG.get(entry["experiment"])
         verdicts = target.judge(rows) if target and target.ref == entry["ref"] else []
         entry["claims"] = [{"name": name, "passed": passed} for name, passed in verdicts]
 

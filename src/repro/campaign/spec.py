@@ -12,7 +12,7 @@ Specs load from JSON::
     {
       "name": "pfc-sweep",
       "targets": [
-        {"experiment": "A2", "seeds": [1, 2, 3]},
+        {"experiment": "A3", "seeds": [1, 2, 3]},
         {"experiment": "E1",
          "grid": {"duration_ns": [2000000, 8000000],
                   "operations": [["send"], ["send", "read"]]},
@@ -25,12 +25,15 @@ Specs load from JSON::
 cartesian product over all parameters is taken, in declaration order).
 ``ref`` lets a spec target any importable ``module:function`` runner
 that returns an :class:`~repro.experiments.common.ExperimentResult`;
-without it the experiment id is resolved against the campaign registry.
+without it the experiment id is resolved against the experiment catalogue
+(:data:`repro.experiments.catalog.CATALOG`).
 """
 
 import hashlib
 import itertools
 import json
+
+from repro.experiments.catalog import CATALOG
 
 
 class SpecError(ValueError):
@@ -181,11 +184,11 @@ class SweepSpec:
             "targets": [entry.to_dict() for entry in self.entries],
         }
 
-    def expand(self, registry):
+    def expand(self):
         """Flatten into an ordered list of :class:`RunSpec`.
 
-        ``registry`` resolves experiment ids to catalogue entries and
-        validates swept parameter names against the runner's signature.
+        Experiment ids resolve against the catalogue, and swept
+        parameter names are validated against the runner's signature.
         Seeds are dropped (with one run kept) for runners that take no
         ``seed`` argument.  Duplicate run ids are an error -- they would
         silently overwrite each other's artifacts.
@@ -196,7 +199,7 @@ class SweepSpec:
             ref = entry.ref
             seedable = True
             if ref is None:
-                target = registry.get(entry.experiment)
+                target = CATALOG.get(entry.experiment)
                 if target is None:
                     raise SpecError(
                         "unknown experiment %r (and no 'ref' given); "

@@ -11,14 +11,16 @@ A campaign directory is self-describing::
 
 The manifest is rewritten atomically after every run completion, so an
 interrupted campaign (ctrl-C, OOM, power) can always be ``resume``\\ d:
-runs recorded as ``ok`` are skipped, everything else re-executes (and
-usually lands as a cache hit anyway).
+runs recorded as ``ok`` whose row file reads back are skipped,
+everything else re-executes (and usually lands as a cache hit anyway).
 """
 
 import csv
 import json
 import os
 import tempfile
+
+from repro.artifact import ArtifactError, read_jsonl
 
 MANIFEST_NAME = "manifest.json"
 RUNS_DIR = "runs"
@@ -76,11 +78,11 @@ class CampaignStore:
         return jsonl_path, csv_path
 
     def read_run_rows(self, run_id):
-        """Rows from a run's JSONL artifact (None when absent/corrupt)."""
+        """Rows from a run's JSONL artifact (None when missing or
+        unreadable; a run with zero rows is an empty file, and valid)."""
         try:
-            with open(self.run_jsonl_path(run_id)) as handle:
-                return [json.loads(line) for line in handle if line.strip()]
-        except (OSError, ValueError):
+            return read_jsonl(self.run_jsonl_path(run_id), empty_ok=True)
+        except ArtifactError:
             return None
 
     def load_manifest(self):

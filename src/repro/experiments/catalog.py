@@ -1,4 +1,4 @@
-"""The experiment catalogue as data: one registry-friendly entry per runner.
+"""The experiment catalogue as data: one entry per runner.
 
 The campaign orchestrator (:mod:`repro.campaign`) and ``python -m
 repro run`` need the id -> runner mapping plus which parameters each

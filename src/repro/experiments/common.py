@@ -1,6 +1,5 @@
 """Shared experiment scaffolding."""
 
-import csv
 import json
 
 from repro.net.port import DwrrScheduler
@@ -84,17 +83,6 @@ class ExperimentResult:
             with open(path, "w") as handle:
                 handle.write(text)
         return text
-
-    def to_csv(self, path):
-        """Write the rows as CSV (one column per row key, union-ordered)."""
-        rows = self.rows()
-        columns = self.schema()
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        return path
 
     def format_table(self):
         rows = self.rows()

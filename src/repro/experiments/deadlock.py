@@ -110,11 +110,16 @@ def _run_scenario(drop_on_incomplete_arp, duration_ns, seed):
     }
 
 
-def run_deadlock(duration_ns=8 * MS, seed=1):
+#: The fabric and QP seed.  The rows are the same at every seed (seeds
+#: 1-3 checked), so the runner sweeps none.
+_SEED = 1
+
+
+def run_deadlock(duration_ns=8 * MS):
     """Reproduce figure 4 and its fix."""
     rows = [
-        _run_scenario(False, duration_ns, seed),
-        _run_scenario(True, duration_ns, seed),
+        _run_scenario(False, duration_ns, _SEED),
+        _run_scenario(True, duration_ns, _SEED),
     ]
     return DeadlockResult(rows)
 

@@ -96,12 +96,18 @@ def _cross_subnet_trial(design, seed, duration_ns=8 * MS):
     }
 
 
-def run_dscp_vs_vlan(seed=1):
+#: The fabric and QP seed.  The rows are the same at every seed (seeds
+#: 1-3 checked; the cross-subnet counters at 1-6), so the runner sweeps
+#: none.
+_SEED = 1
+
+
+def run_dscp_vs_vlan():
     """Reproduce the section 3 comparison."""
     rows = []
     for design in (VlanPfcDesign(), DscpPfcDesign()):
-        pxe = _pxe_boot_trial(design, seed)
-        cross = _cross_subnet_trial(design, seed)
+        pxe = _pxe_boot_trial(design, _SEED)
+        cross = _cross_subnet_trial(design, _SEED)
         rows.append(
             {
                 "design": design.name,

@@ -27,25 +27,13 @@ from repro.faults.invariants import (
     Violation,
     install_default_auditors,
 )
-from repro.faults.plan import (
-    Expectation,
-    FaultPlan,
-    FaultScenario,
-    ScenarioOutcome,
-    expect_invariant_holds,
-    expect_invariant_violated,
-    expect_nic_watchdog,
-    expect_switch_watchdog,
-    expect_that,
-)
+from repro.faults.plan import FaultPlan
 
 __all__ = [
     "AuditorRegistry",
     "BufferConservationAuditor",
-    "Expectation",
     "FaultInjector",
     "FaultPlan",
-    "FaultScenario",
     "InvariantViolation",
     "LinkFaultRule",
     "LosslessQueueAgeAuditor",
@@ -54,12 +42,6 @@ __all__ = [
     "NicTxReadyAuditor",
     "PauseProgressAuditor",
     "PsnMonotonicityAuditor",
-    "ScenarioOutcome",
     "Violation",
     "install_default_auditors",
-    "expect_invariant_holds",
-    "expect_invariant_violated",
-    "expect_nic_watchdog",
-    "expect_switch_watchdog",
-    "expect_that",
 ]

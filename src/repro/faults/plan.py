@@ -1,4 +1,4 @@
-"""Declarative fault schedules and the scenario harness.
+"""Declarative fault schedules.
 
 A :class:`FaultPlan` is data, not code: a list of "at t, do X to Y"
 entries plus standing per-packet rules, referring to targets by *name*
@@ -6,25 +6,11 @@ entries plus standing per-packet rules, referring to targets by *name*
 same plan can therefore be applied to freshly built fabrics over and
 over -- which is what makes fault-injected runs fingerprintable: same
 seed + same plan => bit-identical counters.
-
-:class:`FaultScenario` closes the loop for tests: build a topology,
-arm the auditors, apply a plan, drive traffic, and check declared
-expectations ("invariant Y holds", "watchdog Z fires") at the end::
-
-    scenario = FaultScenario(
-        build=lambda: single_switch(n_hosts=2, seed=7).boot(),
-        plan=FaultPlan("storm", seed=7).freeze_nic_rx("S1", at_ns=1 * MS),
-        drive=start_traffic,
-        duration_ns=8 * MS,
-        expectations=[expect_invariant_violated("pause-bounded")],
-    )
-    scenario.run().check()
 """
 
 from repro.faults.injector import FaultInjector, MATCHERS
-from repro.faults.invariants import install_default_auditors
 from repro.sim.rng import SeededRng
-from repro.sim.units import MS, US, fmt_time
+from repro.sim.units import US, fmt_time
 
 
 class _PlanAction:
@@ -152,175 +138,10 @@ class FaultPlan:
     def _fire(method, target, kwargs):
         method(target, **kwargs)
 
-    def actions(self):
-        return list(self._actions)
-
-    def __len__(self):
-        return len(self._actions)
-
     def __repr__(self):
         return "FaultPlan(%s, seed=%d, %d actions)" % (
             self.name, self.seed, len(self._actions),
         )
 
 
-# -- expectations ----------------------------------------------------------------
-
-
-class Expectation:
-    """One declared post-condition of a fault scenario."""
-
-    def __init__(self, description, check):
-        self.description = description
-        self._check = check  # fn(outcome) -> True when satisfied
-
-    def satisfied(self, outcome):
-        return self._check(outcome)
-
-    def __repr__(self):
-        return "Expectation(%s)" % self.description
-
-
-def expect_invariant_holds(invariant=None):
-    """No violation of ``invariant`` (or of anything, when None)."""
-    if invariant is None:
-        return Expectation(
-            "all invariants hold", lambda outcome: outcome.registry.clean
-        )
-    return Expectation(
-        "invariant %r holds" % invariant,
-        lambda outcome: not outcome.registry.violations_for(invariant),
-    )
-
-
-def expect_invariant_violated(invariant, min_count=1):
-    return Expectation(
-        "invariant %r violated" % invariant,
-        lambda outcome: len(outcome.registry.violations_for(invariant)) >= min_count,
-    )
-
-
-def expect_nic_watchdog(min_trips=1):
-    return Expectation(
-        "NIC watchdog fires",
-        lambda outcome: sum(
-            h.nic.watchdog_trips for h in outcome.fabric.hosts
-        ) >= min_trips,
-    )
-
-
-def expect_switch_watchdog(min_trips=1):
-    return Expectation(
-        "switch watchdog fires",
-        lambda outcome: sum(
-            s.watchdog_trips() for s in outcome.fabric.switches
-        ) >= min_trips,
-    )
-
-
-def expect_that(description, predicate):
-    """Arbitrary predicate over the :class:`ScenarioOutcome`."""
-    return Expectation(description, predicate)
-
-
-class ScenarioOutcome:
-    """Everything a finished scenario run exposes for assertions."""
-
-    def __init__(self, topo, fabric, registry, injector, failures):
-        self.topo = topo
-        self.fabric = fabric
-        self.registry = registry
-        self.injector = injector
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def check(self):
-        """Raise AssertionError listing every unmet expectation."""
-        if self.failures:
-            raise AssertionError(
-                "%d unmet expectation(s):\n%s\n(%s)"
-                % (
-                    len(self.failures),
-                    "\n".join("  - %s" % f for f in self.failures),
-                    self.registry.summary(),
-                )
-            )
-        return self
-
-
-class FaultScenario:
-    """Build -> audit -> inject -> drive -> check, declaratively.
-
-    ``build``
-        Zero-arg callable returning a booted topology (anything with a
-        ``.fabric``, or a :class:`Fabric` itself).
-    ``plan``
-        The :class:`FaultPlan` to arm (optional: audit-only scenarios).
-    ``drive``
-        Optional callable ``drive(topo)`` starting traffic.
-    ``expectations``
-        Iterable of :class:`Expectation`; evaluated after the run.
-    """
-
-    def __init__(
-        self,
-        build,
-        plan=None,
-        drive=None,
-        duration_ns=10 * MS,
-        expectations=(),
-        audit_interval_ns=100 * US,
-        audit_mode="record",
-        max_stall_ns=2 * MS,
-        max_age_ns=5 * MS,
-    ):
-        self.build = build
-        self.plan = plan
-        self.drive = drive
-        self.duration_ns = duration_ns
-        self.expectations = list(expectations)
-        self.audit_interval_ns = audit_interval_ns
-        self.audit_mode = audit_mode
-        self.max_stall_ns = max_stall_ns
-        self.max_age_ns = max_age_ns
-
-    def run(self):
-        topo = self.build()
-        fabric = getattr(topo, "fabric", topo)
-        registry = install_default_auditors(
-            fabric,
-            interval_ns=self.audit_interval_ns,
-            mode=self.audit_mode,
-            max_stall_ns=self.max_stall_ns,
-            max_age_ns=self.max_age_ns,
-        ).start()
-        injector = (
-            self.plan.apply(fabric) if self.plan is not None else FaultInjector(fabric)
-        )
-        if self.drive is not None:
-            self.drive(topo)
-        fabric.sim.run(until=fabric.sim.now + self.duration_ns)
-        registry.audit_now()  # one final sweep at the horizon
-        registry.stop()
-        outcome = ScenarioOutcome(topo, fabric, registry, injector, failures=[])
-        for expectation in self.expectations:
-            if not expectation.satisfied(outcome):
-                outcome.failures.append(expectation.description)
-        return outcome
-
-
-__all__ = [
-    "FaultPlan",
-    "FaultScenario",
-    "ScenarioOutcome",
-    "Expectation",
-    "expect_invariant_holds",
-    "expect_invariant_violated",
-    "expect_nic_watchdog",
-    "expect_switch_watchdog",
-    "expect_that",
-    "MATCHERS",
-]
+__all__ = ["FaultPlan", "MATCHERS"]

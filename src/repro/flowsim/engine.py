@@ -111,8 +111,7 @@ class FlowsimRun:
     the ``n_events`` pops were completion checks whose group had been
     re-rated since (the few a recompute's wholesale rebuild of the check
     heap does not already discard unpopped).  It is a cost figure, not a
-    simulated outcome, so it is in neither :meth:`fingerprint` nor
-    :meth:`to_dict`.
+    simulated outcome, so it is not in :meth:`fingerprint`.
     """
 
     __slots__ = (
@@ -142,19 +141,6 @@ class FlowsimRun:
             self.total_bytes, self.sum_fct_ns, self.max_fct_ns, self.sim_ns,
             self.completion_crc,
         )
-
-    def to_dict(self):
-        return {
-            "n_events": self.n_events,
-            "n_recomputes": self.n_recomputes,
-            "n_completed": self.n_completed,
-            "n_active": self.n_active,
-            "total_bytes": self.total_bytes,
-            "sum_fct_ns": self.sum_fct_ns,
-            "max_fct_ns": self.max_fct_ns,
-            "sim_ns": self.sim_ns,
-            "completion_crc": self.completion_crc,
-        }
 
 
 class FlowSim:

@@ -78,15 +78,6 @@ class Link:
         self.reordered = 0
         self.flaps = 0
 
-    def ser_ns(self, wire_bytes):
-        """Serialization delay for ``wire_bytes`` at this line rate
-        (cached per rate)."""
-        serialization_ns = self._ser_ns.get(wire_bytes)
-        if serialization_ns is None:
-            serialization_ns = serialization_delay_ns(wire_bytes, self.rate_bps)
-            self._ser_ns[wire_bytes] = serialization_ns
-        return serialization_ns
-
     def other(self, port):
         """The port at the far end from ``port``."""
         if port is self.port_a:
@@ -171,13 +162,3 @@ class Link:
             "" if self.up else ", DOWN",
         )
 
-
-def connect(sim, device_a, device_b, rate_bps, **kwargs):
-    """Convenience: allocate a fresh port on each device and link them.
-
-    Returns ``(port_a, port_b, link)``.
-    """
-    port_a = device_a.add_port()
-    port_b = device_b.add_port()
-    link = Link(sim, port_a, port_b, rate_bps, **kwargs)
-    return port_a, port_b, link

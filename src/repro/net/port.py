@@ -82,9 +82,8 @@ class StrictPriorityScheduler:
     __slots__ = ()
 
     def pick(self, port):
-        # Hot path (runs once per transmitted frame): read the port's
-        # queue/pause state directly rather than through the list-building
-        # ``queue_lengths`` property, and evaluate pause expiry inline.
+        # ``Port._try_send`` inlines this loop when the scheduler is
+        # exactly this type; a subclass is served through here.
         queues = port._queues
         paused_until = port._paused_until
         now = port.sim.now
@@ -261,28 +260,9 @@ class Port:
             for packet, meta, enqueued_ns in queue:
                 yield priority, packet, meta, enqueued_ns
 
-    def head_packet_bytes(self, priority):
-        """Wire size of the head packet of ``priority`` (0 when empty)."""
-        queue = self._queues[priority]
-        if not queue:
-            return 0
-        return queue[0][0].size_bytes
-
     def is_paused(self, priority):
         """True while PFC holds ``priority`` paused on this port."""
         return self._paused_until[priority] > self.sim.now
-
-    @property
-    def any_paused(self):
-        now = self.sim.now
-        for deadline in self._paused_until:
-            if deadline > now:
-                return True
-        return False
-
-    def pause_remaining_ns(self, priority):
-        """Nanoseconds of pause left for ``priority`` (0 if unpaused)."""
-        return max(0, self._paused_until[priority] - self.sim.now)
 
     # -- enqueue -------------------------------------------------------------
 
@@ -474,15 +454,9 @@ class Port:
         if priority is not None and self.on_dequeue is not None:
             self.on_dequeue(packet, meta, False)
 
-    def record_rx(self, packet, priority):
-        """Account a received data frame (devices call this after
-        classification, since priority depends on device config)."""
-        self.stats.rx_packets[priority] += 1
-        self.stats.rx_bytes[priority] += packet.size_bytes
-
     def __repr__(self):
         return "Port(%s, queued=%dB%s)" % (
             self.name,
             self.total_queued_bytes,
-            ", paused" if self.any_paused else "",
+            ", paused" if max(self._paused_until) > self.sim.now else "",
         )

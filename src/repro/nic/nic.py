@@ -32,7 +32,7 @@ Transmit side
 import collections
 from bisect import bisect_left, insort
 
-from repro.packets.packet import Packet, resolve_priority
+from repro.packets.packet import Packet
 from repro.packets.pause import MAX_QUANTA, PfcPauseFrame, pause_quanta_to_ns
 from repro.net.device import Device
 from repro.nic.mtt import MttCache
@@ -506,12 +506,3 @@ class Nic(Device):
         value = self._ip_id
         self._ip_id = (value + 1) & 0xFFFF
         return value
-
-    def classify(self, packet):
-        """Priority this NIC assigns to an outgoing/incoming packet."""
-        return resolve_priority(
-            packet,
-            self.pfc_config.priority_mode,
-            dscp_to_priority=self.pfc_config.dscp_to_priority,
-            default_priority=self.pfc_config.default_priority,
-        )

@@ -1,15 +1,15 @@
-"""Byte-accurate packet and frame models.
+"""Packet header models.
 
-The paper's section 3 (figure 3) turns on the exact layout of the VLAN tag,
+The paper's section 3 (figure 3) turns on the fields of the VLAN tag,
 the IPv4 DSCP field and the PFC pause frame, so this subpackage models
-headers at byte granularity, with ``pack()``/``unpack()`` round-tripping to
-real wire bytes.  The discrete-event simulator passes the structured
-objects around (cheap), while tests assert on the serialized form
-(faithful).
+each header as a structured object with its fields range-checked at
+construction.  The discrete-event simulator passes these objects
+around, and :class:`~repro.packets.packet.Packet` sizes each frame from
+the header byte counts (section 5.4's 1086-byte RoCEv2 frame).
 
 Layers provided:
 
-* :mod:`~repro.packets.ethernet` -- Ethernet II frame, 802.1Q VLAN tag.
+* :mod:`~repro.packets.ethernet` -- Ethernet II constants, 802.1Q VLAN tag.
 * :mod:`~repro.packets.ip`       -- IPv4 header with DSCP and ECN.
 * :mod:`~repro.packets.udp`      -- UDP header (RoCEv2 runs on port 4791).
 * :mod:`~repro.packets.rocev2`   -- InfiniBand BTH / AETH carried in UDP,
@@ -29,7 +29,6 @@ from repro.packets.ethernet import (
     ETHERTYPE_IPV4,
     ETHERTYPE_MAC_CONTROL,
     ETHERTYPE_VLAN,
-    EthernetFrame,
     VlanTag,
     mac_to_str,
 )
@@ -66,7 +65,6 @@ from repro.packets.udp import UdpHeader
 
 __all__ = [
     "ArpPacket",
-    "EthernetFrame",
     "VlanTag",
     "mac_to_str",
     "BROADCAST_MAC",

@@ -8,8 +8,6 @@ its MAC-table entry expires long before its ARP entry, producing an
 "incomplete" entry whose packets are flooded.
 """
 
-import struct
-
 ARP_BYTES = 28
 
 OP_REQUEST = 1
@@ -45,35 +43,6 @@ class ArpPacket:
     @property
     def size_bytes(self):
         return ARP_BYTES
-
-    def pack(self):
-        return struct.pack(
-            "!HHBBH6sI6sI",
-            1,  # htype: Ethernet
-            0x0800,  # ptype: IPv4
-            6,
-            4,
-            self.op,
-            self.sender_mac.to_bytes(6, "big"),
-            self.sender_ip,
-            self.target_mac.to_bytes(6, "big"),
-            self.target_ip,
-        )
-
-    @classmethod
-    def unpack(cls, data):
-        htype, ptype, hlen, plen, op, smac, sip, tmac, tip = struct.unpack(
-            "!HHBBH6sI6sI", data[:ARP_BYTES]
-        )
-        if (htype, ptype, hlen, plen) != (1, 0x0800, 6, 4):
-            raise ValueError("unsupported ARP encoding")
-        return cls(
-            op=op,
-            sender_mac=int.from_bytes(smac, "big"),
-            sender_ip=sip,
-            target_mac=int.from_bytes(tmac, "big"),
-            target_ip=tip,
-        )
 
     def __repr__(self):
         kind = "request" if self.is_request else "reply"

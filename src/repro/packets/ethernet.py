@@ -3,10 +3,8 @@
 The VLAN tag layout (figure 3a of the paper) is the crux of the paper's
 section 3: the tag couples the 3-bit PCP priority with the 12-bit VLAN ID,
 and that coupling is what DSCP-based PFC removes.  The tag is therefore
-modelled bit-exactly.
+modelled field by field.
 """
-
-import struct
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -21,9 +19,6 @@ VLAN_TAG_BYTES = 4
 ETH_WIRE_OVERHEAD_BYTES = 20
 
 BROADCAST_MAC = 0xFFFFFFFFFFFF
-
-_MAC_MASK = (1 << 48) - 1
-
 
 def mac_to_str(mac):
     """Render a 48-bit integer MAC as ``aa:bb:cc:dd:ee:ff``."""
@@ -63,19 +58,6 @@ class VlanTag:
         self.dei = dei
         self.vid = vid
 
-    def pack(self):
-        """Serialize TPID + TCI to 4 bytes."""
-        tci = (self.pcp << 13) | (self.dei << 12) | self.vid
-        return struct.pack("!HH", ETHERTYPE_VLAN, tci)
-
-    @classmethod
-    def unpack(cls, data):
-        """Parse 4 bytes of TPID + TCI."""
-        tpid, tci = struct.unpack("!HH", data[:4])
-        if tpid != ETHERTYPE_VLAN:
-            raise ValueError("not a VLAN tag: TPID=0x%04x" % tpid)
-        return cls(pcp=tci >> 13, dei=(tci >> 12) & 1, vid=tci & 0xFFF)
-
     def __eq__(self, other):
         return (
             isinstance(other, VlanTag)
@@ -84,92 +66,3 @@ class VlanTag:
 
     def __repr__(self):
         return "VlanTag(pcp=%d, dei=%d, vid=%d)" % (self.pcp, self.dei, self.vid)
-
-
-class EthernetFrame:
-    """An Ethernet II frame, optionally 802.1Q-tagged.
-
-    ``payload`` is a structured upper-layer object (e.g. an
-    :class:`~repro.packets.ip.Ipv4Header`-led packet body) or raw bytes;
-    ``payload_bytes_len`` gives its on-wire size without forcing
-    serialization in the simulator hot path.
-    """
-
-    __slots__ = ("dst", "src", "ethertype", "vlan", "payload", "_payload_len")
-
-    def __init__(self, dst, src, ethertype, payload=b"", vlan=None, payload_len=None):
-        if not 0 <= dst <= _MAC_MASK or not 0 <= src <= _MAC_MASK:
-            raise ValueError("MAC addresses are 48-bit integers")
-        self.dst = dst
-        self.src = src
-        self.ethertype = ethertype
-        self.vlan = vlan
-        self.payload = payload
-        if payload_len is None:
-            if isinstance(payload, (bytes, bytearray)):
-                payload_len = len(payload)
-            else:
-                payload_len = payload.size_bytes
-        self._payload_len = payload_len
-
-    @property
-    def is_tagged(self):
-        """True when the frame carries an 802.1Q tag."""
-        return self.vlan is not None
-
-    @property
-    def size_bytes(self):
-        """Buffered frame size: header + optional tag + payload + FCS."""
-        size = ETH_HEADER_BYTES + self._payload_len + ETH_FCS_BYTES
-        if self.vlan is not None:
-            size += VLAN_TAG_BYTES
-        return size
-
-    @property
-    def wire_bytes(self):
-        """Frame size as clocked on the wire (adds preamble + IPG)."""
-        return self.size_bytes + ETH_WIRE_OVERHEAD_BYTES
-
-    def pack(self):
-        """Serialize header + payload (zero-filled FCS)."""
-        dst = self.dst.to_bytes(6, "big")
-        src = self.src.to_bytes(6, "big")
-        if isinstance(self.payload, (bytes, bytearray)):
-            body = bytes(self.payload)
-        else:
-            body = self.payload.pack()
-        parts = [dst, src]
-        if self.vlan is not None:
-            parts.append(self.vlan.pack())
-        parts.append(struct.pack("!H", self.ethertype))
-        parts.append(body)
-        parts.append(b"\x00" * ETH_FCS_BYTES)
-        return b"".join(parts)
-
-    @classmethod
-    def unpack(cls, data):
-        """Parse a frame; the payload is returned as raw bytes (without FCS)."""
-        if len(data) < ETH_HEADER_BYTES + ETH_FCS_BYTES:
-            raise ValueError("frame too short: %d bytes" % len(data))
-        dst = int.from_bytes(data[0:6], "big")
-        src = int.from_bytes(data[6:12], "big")
-        offset = 12
-        vlan = None
-        (ethertype,) = struct.unpack_from("!H", data, offset)
-        if ethertype == ETHERTYPE_VLAN:
-            vlan = VlanTag.unpack(data[offset : offset + 4])
-            offset += 4
-            (ethertype,) = struct.unpack_from("!H", data, offset)
-        offset += 2
-        payload = bytes(data[offset : len(data) - ETH_FCS_BYTES])
-        return cls(dst=dst, src=src, ethertype=ethertype, payload=payload, vlan=vlan)
-
-    def __repr__(self):
-        tag = " %r" % (self.vlan,) if self.vlan else ""
-        return "EthernetFrame(%s -> %s, type=0x%04x%s, %dB)" % (
-            mac_to_str(self.src),
-            mac_to_str(self.dst),
-            self.ethertype,
-            tag,
-            self.size_bytes,
-        )

@@ -6,8 +6,6 @@ routing across subnets and requires no trunk-mode ports.  ECN (the two low
 bits) carries DCQCN's congestion signal.
 """
 
-import struct
-
 IPPROTO_ICMP = 1
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
@@ -38,18 +36,6 @@ def ip_from_str(text):
             raise ValueError("malformed IPv4 address: %r" % (text,))
         value = (value << 8) | octet
     return value
-
-
-def checksum16(data):
-    """RFC 1071 ones'-complement checksum over ``data``."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
 
 
 class Ipv4Header:
@@ -99,64 +85,13 @@ class Ipv4Header:
         self.ttl = ttl
 
     @property
-    def size_bytes(self):
-        return IPV4_HEADER_BYTES
-
-    @property
     def ect_capable(self):
         """True if the packet advertises ECN-capable transport."""
         return self.ecn in (ECN_ECT0, ECN_ECT1)
 
-    @property
-    def ce_marked(self):
-        """True if a congested switch has marked the packet."""
-        return self.ecn == ECN_CE
-
     def mark_ce(self):
         """Set the Congestion Experienced codepoint (switch-side marking)."""
         self.ecn = ECN_CE
-
-    def pack(self):
-        """Serialize to 20 bytes with a valid header checksum."""
-        version_ihl = (4 << 4) | 5
-        tos = (self.dscp << 2) | self.ecn
-        header = struct.pack(
-            "!BBHHHBBHII",
-            version_ihl,
-            tos,
-            self.total_length,
-            self.identification,
-            0,  # flags + fragment offset: never fragmented in a DCN
-            self.ttl,
-            self.protocol,
-            0,  # checksum placeholder
-            self.src,
-            self.dst,
-        )
-        cksum = checksum16(header)
-        return header[:10] + struct.pack("!H", cksum) + header[12:]
-
-    @classmethod
-    def unpack(cls, data):
-        """Parse 20 bytes; raises on a bad checksum or non-IPv4 version."""
-        if len(data) < IPV4_HEADER_BYTES:
-            raise ValueError("IPv4 header too short: %d bytes" % len(data))
-        fields = struct.unpack("!BBHHHBBHII", data[:IPV4_HEADER_BYTES])
-        version_ihl, tos, total_length, ident, _frag, ttl, proto, cksum, src, dst = fields
-        if version_ihl >> 4 != 4:
-            raise ValueError("not IPv4: version=%d" % (version_ihl >> 4))
-        if checksum16(data[:IPV4_HEADER_BYTES]) != 0:
-            raise ValueError("IPv4 header checksum mismatch")
-        return cls(
-            src=src,
-            dst=dst,
-            protocol=proto,
-            dscp=tos >> 2,
-            ecn=tos & 0b11,
-            total_length=total_length,
-            identification=ident,
-            ttl=ttl,
-        )
 
     def __repr__(self):
         return "Ipv4Header(%s -> %s, proto=%d, dscp=%d, ecn=%d, id=0x%04x)" % (

@@ -10,8 +10,6 @@ it has no VLAN tag and no IP header -- which is exactly why priority can be
 moved from the VLAN tag to DSCP without touching PFC itself.
 """
 
-import struct
-
 from repro.sim.units import SEC
 
 PFC_PAUSE_OPCODE = 0x0101
@@ -79,15 +77,6 @@ class PfcPauseFrame:
         return cls({priority: 0 for priority in priorities})
 
     @property
-    def class_enable_vector(self):
-        """Bitmap of priorities this frame addresses."""
-        vector = 0
-        for priority, value in enumerate(self.quanta):
-            if value is not None:
-                vector |= 1 << priority
-        return vector
-
-    @property
     def paused_priorities(self):
         """Priorities this frame pauses (non-zero quanta)."""
         return [p for p, q in enumerate(self.quanta) if q]
@@ -100,25 +89,6 @@ class PfcPauseFrame:
     @property
     def size_bytes(self):
         return PFC_BODY_BYTES + PFC_PAD_BYTES
-
-    def pack(self):
-        parts = [struct.pack("!HH", PFC_PAUSE_OPCODE, self.class_enable_vector)]
-        for value in self.quanta:
-            parts.append(struct.pack("!H", value or 0))
-        parts.append(b"\x00" * PFC_PAD_BYTES)
-        return b"".join(parts)
-
-    @classmethod
-    def unpack(cls, data):
-        opcode, vector = struct.unpack("!HH", data[:4])
-        if opcode != PFC_PAUSE_OPCODE:
-            raise ValueError("not a PFC pause frame: opcode=0x%04x" % opcode)
-        quanta = {}
-        for priority in range(N_PRIORITIES):
-            (value,) = struct.unpack_from("!H", data, 4 + 2 * priority)
-            if vector & (1 << priority):
-                quanta[priority] = value
-        return cls(quanta)
 
     def __repr__(self):
         parts = []

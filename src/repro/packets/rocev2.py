@@ -13,7 +13,6 @@ The AETH (ACK extended transport header) carries the ACK/NAK syndrome.
 """
 
 import enum
-import struct
 
 ROCEV2_UDP_PORT = 4791
 
@@ -91,31 +90,6 @@ class BaseTransportHeader:
         self.pad_count = pad_count
         self.pkey = pkey
 
-    @property
-    def size_bytes(self):
-        return BTH_BYTES
-
-    def pack(self):
-        flags = (int(self.solicited) << 7) | ((self.pad_count & 0b11) << 4)
-        word2 = self.dest_qp  # high byte reserved
-        word3 = (int(self.ack_req) << 31) | self.psn
-        return struct.pack("!BBHII", int(self.opcode), flags, self.pkey, word2, word3)
-
-    @classmethod
-    def unpack(cls, data):
-        if len(data) < BTH_BYTES:
-            raise ValueError("BTH too short: %d bytes" % len(data))
-        opcode, flags, pkey, word2, word3 = struct.unpack("!BBHII", data[:BTH_BYTES])
-        return cls(
-            opcode=opcode,
-            dest_qp=word2 & QPN_MASK,
-            psn=word3 & PSN_MASK,
-            ack_req=bool(word3 >> 31),
-            solicited=bool(flags >> 7),
-            pad_count=(flags >> 4) & 0b11,
-            pkey=pkey,
-        )
-
     def __repr__(self):
         return "BTH(%s, qp=%d, psn=%d%s)" % (
             self.opcode.name,
@@ -143,20 +117,8 @@ class Aeth:
         self.msn = msn & PSN_MASK
 
     @property
-    def size_bytes(self):
-        return AETH_BYTES
-
-    @property
     def is_nak(self):
         return self.syndrome == AethSyndrome.NAK
-
-    def pack(self):
-        return struct.pack("!I", (int(self.syndrome) << 29) | self.msn)
-
-    @classmethod
-    def unpack(cls, data):
-        (word,) = struct.unpack("!I", data[:AETH_BYTES])
-        return cls(syndrome=word >> 29, msn=word & PSN_MASK)
 
     def __repr__(self):
         return "Aeth(%s, msn=%d)" % (self.syndrome.name, self.msn)

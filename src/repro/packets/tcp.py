@@ -5,8 +5,6 @@ reproduction's TCP baseline (:mod:`repro.tcp`) needs sequence/ack numbers,
 the SYN/FIN/ACK flags and the ECE/CWR ECN bits; nothing more exotic.
 """
 
-import struct
-
 TCP_HEADER_BYTES = 20
 
 FLAG_FIN = 0x01
@@ -30,44 +28,6 @@ class TcpHeader:
         self.ack = ack & 0xFFFFFFFF
         self.flags = flags
         self.window = window
-
-    @property
-    def size_bytes(self):
-        return TCP_HEADER_BYTES
-
-    def has(self, flag):
-        """True when ``flag`` (e.g. :data:`FLAG_SYN`) is set."""
-        return bool(self.flags & flag)
-
-    def pack(self):
-        offset_flags = (5 << 12) | (self.flags & 0x1FF)
-        return struct.pack(
-            "!HHIIHHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            offset_flags,
-            self.window,
-            0,  # checksum: not modelled
-            0,  # urgent pointer
-        )
-
-    @classmethod
-    def unpack(cls, data):
-        if len(data) < TCP_HEADER_BYTES:
-            raise ValueError("TCP header too short: %d bytes" % len(data))
-        sport, dport, seq, ack, offset_flags, window, _cksum, _urg = struct.unpack(
-            "!HHIIHHHH", data[:TCP_HEADER_BYTES]
-        )
-        return cls(
-            src_port=sport,
-            dst_port=dport,
-            seq=seq,
-            ack=ack,
-            flags=offset_flags & 0x1FF,
-            window=window,
-        )
 
     def __repr__(self):
         names = []

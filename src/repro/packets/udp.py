@@ -6,8 +6,6 @@ destination port is always 4791; the *source* port is chosen per queue pair,
 which is what spreads QPs across ECMP paths.
 """
 
-import struct
-
 UDP_HEADER_BYTES = 8
 
 
@@ -26,20 +24,6 @@ class UdpHeader:
         self.dst_port = dst_port
         self.length = length
         self.checksum = checksum
-
-    @property
-    def size_bytes(self):
-        return UDP_HEADER_BYTES
-
-    def pack(self):
-        return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, self.checksum)
-
-    @classmethod
-    def unpack(cls, data):
-        if len(data) < UDP_HEADER_BYTES:
-            raise ValueError("UDP header too short: %d bytes" % len(data))
-        src, dst, length, cksum = struct.unpack("!HHHH", data[:UDP_HEADER_BYTES])
-        return cls(src_port=src, dst_port=dst, length=length, checksum=cksum)
 
     def __repr__(self):
         return "UdpHeader(%d -> %d, len=%d)" % (self.src_port, self.dst_port, self.length)

@@ -29,13 +29,6 @@ class RdmaEngine:
         self.host.nic.register_source(qp)
         return qp
 
-    def destroy_qp(self, qp):
-        self._qps.pop(qp.qpn, None)
-        self.host.nic.unregister_source(qp)
-
-    def qp(self, qpn):
-        return self._qps.get(qpn)
-
     @property
     def qps(self):
         return list(self._qps.values())

@@ -328,15 +328,6 @@ class QueuePair:
         self._messages.append(message)
         self._total_end = message.end_psn + 1
 
-    @property
-    def outstanding_packets(self):
-        return self.send_ptr - self.una
-
-    @property
-    def backlog_packets(self):
-        """Packets enqueued but not yet (re)transmitted."""
-        return self._total_end - self.send_ptr
-
     # ----------------------------------------------------------- tx source API
 
     def next_ready_ns(self):

@@ -54,11 +54,5 @@ class SeededRng:
     def lognormvariate(self, mu, sigma):
         return self._random.lognormvariate(mu, sigma)
 
-    def gauss(self, mu, sigma):
-        return self._random.gauss(mu, sigma)
-
-    def getrandbits(self, k):
-        return self._random.getrandbits(k)
-
     def __repr__(self):
         return "SeededRng(seed=%d, name=%r)" % (self.seed, self.name)

@@ -324,11 +324,6 @@ class TcpConnection:
         self._dctcp_marked = 0
         self._dctcp_window_end = self.snd_nxt
 
-    @property
-    def dctcp_alpha(self):
-        """The DCTCP congestion estimate (0 when ECN is off)."""
-        return self._dctcp_alpha
-
     def _rtt_sample(self, rtt_ns):
         if self._srtt is None:
             self._srtt = rtt_ns

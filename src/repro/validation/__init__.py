@@ -18,11 +18,7 @@ Command line (docs/cli.md)::
     python -m repro replay artifacts/validation/seed42.jsonl
 """
 
-from repro.validation.scenarios import (
-    ValidationScenario,
-    generate_scenario,
-    scenario_strategy,
-)
+from repro.validation.scenarios import ValidationScenario, generate_scenario
 from repro.validation.differential import RunOutcome, run_scenario, trace_flow_path
 from repro.validation.oracles import Tolerances, judge_run
 from repro.validation.harness import (
@@ -37,7 +33,6 @@ from repro.validation.harness import (
 __all__ = [
     "ValidationScenario",
     "generate_scenario",
-    "scenario_strategy",
     "RunOutcome",
     "run_scenario",
     "trace_flow_path",

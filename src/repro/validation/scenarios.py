@@ -10,9 +10,9 @@ The same generator serves two masters:
 
 * a standalone deterministic enumerator -- ``generate_scenario(seed)``
   for the ``python -m repro validate`` sweep and the campaign target;
-* a Hypothesis strategy -- ``scenario_strategy()`` maps drawn integers
-  through the same function, so shrinking a hypothesis failure shrinks
-  the seed, and any seed it finds replays verbatim in the CLI.
+  the tests' Hypothesis strategy maps drawn integers through the same
+  function, so shrinking a failure shrinks the seed, and any seed it
+  finds replays verbatim in the CLI.
 
 Scenarios are plain data (``to_dict``/``from_dict`` round-trip through
 JSON), which is what makes repro artifacts replayable.
@@ -229,14 +229,6 @@ def _draw_flows(rng, n_hosts, lossy):
     if not flows:
         flows.append((0, 1, MESSAGE_KB_MENU[0]))
     return flows
-
-
-def scenario_strategy(max_seed=10**6):
-    """The generator as a Hypothesis strategy (lazy import: hypothesis
-    is a test-only dependency)."""
-    from hypothesis import strategies as st
-
-    return st.integers(min_value=0, max_value=max_seed).map(generate_scenario)
 
 
 def deadlock_probe_scenario():

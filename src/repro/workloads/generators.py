@@ -66,12 +66,6 @@ class ClosedLoopSender:
         self.latencies_ns.append(latency_ns)
         self._post_next()
 
-    def goodput_bps(self, elapsed_ns):
-        """Application goodput over an observation window."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.completed_bytes * 8e9 / elapsed_ns
-
 
 class PeriodicIncast:
     """Many-to-one bursts: every ``period_ns`` all fan-in channels fire
@@ -129,13 +123,6 @@ class PeriodicIncast:
     def _on_delivered(self, latency_ns):
         self.deliveries += 1
         self.latencies_ns.append(latency_ns)
-
-    def offered_load_bps(self):
-        """Average per-victim offered rate."""
-        nbytes = self.burst_bytes
-        if hasattr(nbytes, "mean"):
-            nbytes = nbytes.mean()
-        return len(self.channels) * nbytes * 8e9 / self.period_ns
 
 
 class PoissonRequests:

@@ -416,9 +416,9 @@ def validation_scenarios(max_seed=10**6):
     """Randomized-fabric validation scenarios (seed-mapped: shrinking
     shrinks the seed, and any example replays verbatim in the
     ``python -m repro validate``)."""
-    from repro.validation import scenario_strategy
+    from repro.validation import generate_scenario
 
-    return scenario_strategy(max_seed=max_seed)
+    return st.integers(min_value=0, max_value=max_seed).map(generate_scenario)
 
 
 # --- switch-walk programs ----------------------------------------------------

@@ -17,7 +17,6 @@ from repro.campaign import (
     Campaign,
     CampaignStore,
     ResultCache,
-    Registry,
     SpecError,
     SweepSpec,
     pool,
@@ -82,6 +81,14 @@ def run_faulted_incast(duration_ns=3 * MS, seed=5, drop_probability=0.02):
 FAULT_REF = "tests.test_campaign:run_faulted_incast"
 
 
+def run_nothing():
+    """A runner whose result has no rows."""
+    return ExperimentResult([])
+
+
+EMPTY_REF = "tests.test_campaign:run_nothing"
+
+
 # -- result schema / JSONL --------------------------------------------------
 
 
@@ -125,35 +132,35 @@ class TestSweepSpec:
                 ],
             }
         )
-        runs = spec.expand(Registry())
+        runs = spec.expand()
         assert len(runs) == 2 * 2 * 2
         assert len({run.run_id for run in runs}) == len(runs)
         # Deterministic expansion: same spec, same order.
-        assert [r.run_id for r in runs] == [r.run_id for r in spec.expand(Registry())]
+        assert [r.run_id for r in runs] == [r.run_id for r in spec.expand()]
 
     def test_seeds_dropped_for_unseeded_runner(self):
         spec = SweepSpec.from_dict(
             {"name": "t", "targets": [{"experiment": "E10", "seeds": [1, 2, 3]}]}
         )
-        runs = spec.expand(Registry())
+        runs = spec.expand()
         assert len(runs) == 1 and runs[0].seed is None
 
     def test_unknown_experiment_and_param_rejected(self):
-        registry = Registry()
         with pytest.raises(SpecError):
             SweepSpec.from_dict(
                 {"name": "t", "targets": [{"experiment": "E99"}]}
-            ).expand(registry)
+            ).expand()
         with pytest.raises(SpecError):
             SweepSpec.from_dict(
                 {"name": "t", "targets": [{"experiment": "E10", "grid": {"nope": [1]}}]}
-            ).expand(registry)
+            ).expand()
 
     def test_ref_target_bypasses_registry(self):
+        # an inline ``ref`` runs without a catalogue entry
         spec = SweepSpec.from_dict(
             {"name": "t", "targets": [{"experiment": "FX", "ref": FAULT_REF, "seeds": [7]}]}
         )
-        runs = spec.expand(Registry())
+        runs = spec.expand()
         assert runs[0].ref == FAULT_REF and runs[0].seed == 7
 
 
@@ -315,6 +322,36 @@ class TestCampaignDeterminism:
         final = campaign.store.load_manifest()
         assert final["runs"]["E11"]["status"] == "ok"
         assert final["totals"]["failed"] == 0
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_resume_reruns_an_ok_run_whose_rows_are_lost(self, tmp_path, capsys, damage):
+        from repro.__main__ import main
+
+        out, cache = str(tmp_path / "c"), str(tmp_path / "cache")
+        assert main(["run", "E10", "--inline", "-q", "--out", out, "--cache-dir", cache]) == 0
+        rows_path = os.path.join(out, "runs", "E10.jsonl")
+        with open(rows_path, "rb") as handle:
+            rows = handle.read()
+        if damage == "deleted":
+            os.remove(rows_path)
+        else:
+            with open(rows_path, "wb") as handle:
+                handle.write(rows[: len(rows) // 2])
+        assert main(["resume", out, "--inline", "--cache-dir", cache]) == 0
+        with open(rows_path, "rb") as handle:
+            assert handle.read() == rows
+        entry = CampaignStore(out).load_manifest()["runs"]["E10"]
+        assert entry["status"] == "ok" and entry["cache_hit"]
+        assert entry["claims"] and all(claim["passed"] for claim in entry["claims"])
+        assert "rows hold what the claims read" not in capsys.readouterr().out
+
+    def test_resume_keeps_an_ok_run_with_zero_rows(self, tmp_path):
+        spec = {"name": "z", "targets": [{"experiment": "NONE", "ref": EMPTY_REF}]}
+        assert _campaign(tmp_path, spec).run().all_ok
+        report = Campaign.resume(str(tmp_path / "out"), echo=lambda line: None,
+                                 cache=ResultCache(str(tmp_path / "cache")))
+        assert report.all_ok and report.manifest["runs"]["NONE"]["cache_hit"] is False
+        assert CampaignStore(str(tmp_path / "out")).read_run_rows("NONE") == []
 
     def test_failed_run_is_isolated_and_reported(self, tmp_path):
         spec = {

@@ -58,7 +58,7 @@ class TestDctcpMechanics:
             connections.append(conn)
         topo.sim.run(until=topo.sim.now + 50 * MS)
         assert any(c.stats.ce_acks > 0 for c in connections)
-        assert any(c.dctcp_alpha > 0 for c in connections)
+        assert any(c._dctcp_alpha > 0 for c in connections)
         assert any(c.stats.dctcp_cuts > 0 for c in connections)
 
     def test_reno_ignores_marks(self):
@@ -71,7 +71,7 @@ class TestDctcpMechanics:
         conn.send_message(2 * MB)
         topo.sim.run(until=topo.sim.now + 50 * MS)
         assert conn.stats.ce_acks == 0
-        assert conn.dctcp_alpha == 0.0
+        assert conn._dctcp_alpha == 0.0
 
     def test_transfer_still_completes_with_dctcp(self):
         topo = ecn_fabric()

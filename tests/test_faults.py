@@ -14,12 +14,7 @@ import pytest
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    FaultScenario,
     InvariantViolation,
-    expect_invariant_holds,
-    expect_invariant_violated,
-    expect_nic_watchdog,
-    expect_that,
     install_default_auditors,
 )
 from repro.monitoring.config_mgmt import ConfigMonitor, DesiredConfig
@@ -234,19 +229,28 @@ class TestAuditors:
         assert model_digest(audited=True) == model_digest(audited=False)
 
 
-# --- the section 4 pathologies as declarative scenarios -----------------------
+# --- the section 4 pathologies as declarative plans ---------------------------
 
 
-def _storm_build(watchdog):
-    def build():
-        return single_switch(
-            n_hosts=3,
-            seed=13,
-            nic_config=NicConfig(watchdog_config=watchdog),
-            buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
-        ).boot()
+def _run_plan(topo, plan, drive, duration_ns=8 * MS, max_stall_ns=2 * MS):
+    """Audit, arm ``plan``, drive traffic and run ``duration_ns``; returns
+    the auditor registry after one final sweep at the horizon."""
+    registry = install_default_auditors(topo.fabric, max_stall_ns=max_stall_ns).start()
+    plan.apply(topo.fabric)
+    drive(topo)
+    topo.sim.run(until=topo.sim.now + duration_ns)
+    registry.audit_now()
+    registry.stop()
+    return registry
 
-    return build
+
+def _storm_fabric(watchdog):
+    return single_switch(
+        n_hosts=3,
+        seed=13,
+        nic_config=NicConfig(watchdog_config=watchdog),
+        buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
+    ).boot()
 
 
 def _storm_drive(topo):
@@ -255,31 +259,26 @@ def _storm_drive(topo):
 
 class TestPathologyScenarios:
     def test_pause_storm_without_watchdog_trips_pause_liveness(self):
-        FaultScenario(
-            build=_storm_build(NicWatchdogConfig(enabled=False)),
-            plan=FaultPlan("storm", seed=13).freeze_nic_rx("S0", at_ns=1 * MS),
-            drive=_storm_drive,
-            duration_ns=8 * MS,
-            expectations=[
-                expect_invariant_violated("pause-bounded"),
-                expect_that(
-                    "victim NIC still pouring pauses",
-                    lambda o: o.fabric.host_named("S0").nic.stats.pause_generated > 10,
-                ),
-            ],
-        ).run().check()
+        topo = _storm_fabric(NicWatchdogConfig(enabled=False))
+        registry = _run_plan(
+            topo, FaultPlan("storm", seed=13).freeze_nic_rx("S0", at_ns=1 * MS), _storm_drive
+        )
+        assert registry.violations_for("pause-bounded")
+        # the victim NIC is still pouring pauses
+        assert topo.fabric.host_named("S0").nic.stats.pause_generated > 10
 
     def test_pause_storm_with_nic_watchdog_stays_clean(self):
-        FaultScenario(
-            build=_storm_build(
-                NicWatchdogConfig(stall_threshold_ns=1 * MS, poll_interval_ns=250 * US)
-            ),
-            plan=FaultPlan("storm-wd", seed=13).freeze_nic_rx("S0", at_ns=1 * MS),
-            drive=_storm_drive,
-            duration_ns=8 * MS,
+        topo = _storm_fabric(
+            NicWatchdogConfig(stall_threshold_ns=1 * MS, poll_interval_ns=250 * US)
+        )
+        registry = _run_plan(
+            topo,
+            FaultPlan("storm-wd", seed=13).freeze_nic_rx("S0", at_ns=1 * MS),
+            _storm_drive,
             max_stall_ns=3 * MS,  # liveness bound above the watchdog's reaction
-            expectations=[expect_invariant_holds(), expect_nic_watchdog()],
-        ).run().check()
+        )
+        assert registry.clean, registry.summary()
+        assert sum(h.nic.watchdog_trips for h in topo.fabric.hosts) >= 1
 
     def _deadlock_scenario(self, fixed):
         def build():
@@ -326,69 +325,37 @@ class TestPathologyScenarios:
         from repro.core.deadlock import detect_deadlock
 
         plan, build, drive = self._deadlock_scenario(fixed=False)
-        FaultScenario(
-            build=build,
-            plan=plan,
-            drive=drive,
-            duration_ns=8 * MS,
-            expectations=[
-                expect_invariant_violated("pause-bounded"),
-                expect_that(
-                    "wait-for graph has a cycle",
-                    lambda o: detect_deadlock(
-                        [o.topo.t0, o.topo.t1, o.topo.la, o.topo.lb]
-                    ).deadlocked,
-                ),
-            ],
-        ).run().check()
+        topo = build()
+        registry = _run_plan(topo, plan, drive)
+        assert registry.violations_for("pause-bounded")
+        assert detect_deadlock([topo.t0, topo.t1, topo.la, topo.lb]).deadlocked
 
     def test_deadlock_plan_with_arp_drop_fix_stays_clean(self):
         from repro.core.deadlock import detect_deadlock
 
         plan, build, drive = self._deadlock_scenario(fixed=True)
-        FaultScenario(
-            build=build,
-            plan=plan,
-            drive=drive,
-            duration_ns=8 * MS,
-            expectations=[
-                expect_invariant_holds(),
-                expect_that(
-                    "no cycle in the wait-for graph",
-                    lambda o: not detect_deadlock(
-                        [o.topo.t0, o.topo.t1, o.topo.la, o.topo.lb]
-                    ).deadlocked,
-                ),
-            ],
-        ).run().check()
+        topo = build()
+        registry = _run_plan(topo, plan, drive)
+        assert registry.clean, registry.summary()
+        assert not detect_deadlock([topo.t0, topo.t1, topo.la, topo.lb]).deadlocked
 
     def test_slow_receiver_backpressures_but_breaks_nothing(self):
-        def build():
-            return single_switch(
-                n_hosts=4,
-                seed=17,
-                buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
-            ).boot()
-
-        FaultScenario(
-            build=build,
-            plan=FaultPlan("slowrx", seed=17).degrade_mtt(
+        topo = single_switch(
+            n_hosts=4,
+            seed=17,
+            buffer_config=BufferConfig(alpha=None, xoff_static_bytes=48 * KB),
+        ).boot()
+        registry = _run_plan(
+            topo,
+            FaultPlan("slowrx", seed=17).degrade_mtt(
                 "S0", at_ns=2 * MS, entries=32, miss_penalty_ns=4000
             ),
-            drive=lambda topo: _incast(topo, 3, SeededRng(17, "slowrx")),
-            duration_ns=8 * MS,
-            expectations=[
-                expect_invariant_holds(),
-                expect_that(
-                    "the degraded NIC paused its switch",
-                    lambda o: o.fabric.host_named("S0").nic.stats.pause_generated > 0,
-                ),
-                expect_that(
-                    "the MTT actually thrashed",
-                    lambda o: o.fabric.host_named("S0").nic.mtt.misses > 0,
-                ),
-            ],
-        ).run().check()
+            lambda topo: _incast(topo, 3, SeededRng(17, "slowrx")),
+        )
+        assert registry.clean, registry.summary()
+        victim = topo.fabric.host_named("S0").nic
+        assert victim.stats.pause_generated > 0  # the degraded NIC paused its switch
+        assert victim.mtt.misses > 0  # the MTT actually thrashed
 
 
 # --- an unscripted combination ------------------------------------------------

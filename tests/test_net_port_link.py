@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import Device, DwrrScheduler, Link
-from repro.net.link import connect
 from repro.packets import Ipv4Header, Packet, PfcPauseFrame, TcpHeader
 from repro.sim import SeededRng, Simulator
 from repro.sim.units import gbps
@@ -24,6 +23,12 @@ def make_packet(payload=1000, src=1, dst=2, dscp=3, sport=1000):
     ip = Ipv4Header(src=src, dst=dst, protocol=6, dscp=dscp)
     tcp = TcpHeader(src_port=sport, dst_port=80)
     return Packet.tcp_segment(dst_mac=dst, src_mac=src, ip=ip, tcp=tcp, payload_bytes=payload)
+
+
+def connect(sim, device_a, device_b, rate_bps, **kwargs):
+    """A fresh port on each device, linked: ``(port_a, port_b, link)``."""
+    port_a, port_b = device_a.add_port(), device_b.add_port()
+    return port_a, port_b, Link(sim, port_a, port_b, rate_bps, **kwargs)
 
 
 @pytest.fixture
@@ -174,7 +179,7 @@ class TestPauseStateMachine:
         sim.schedule(300, port_a.force_resume_all)
         sim.run_until_idle()
         assert len(b.received) == 1
-        assert not port_a.any_paused
+        assert not any(port_a.is_paused(p) for p in range(8))
 
     def test_pause_interval_accounting(self, pair):
         sim, a, b, port_a, port_b, link = pair

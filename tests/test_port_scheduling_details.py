@@ -3,10 +3,13 @@ metric, control-queue precedence, port statistics, and what a port in
 the middle of a back-to-back burst does when its schedule is perturbed."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import install_default_auditors
 from repro.faults.invariants import CONSERVATION_INVARIANTS
 from repro.net import Device, DwrrScheduler, Link
+from repro.net.port import StrictPriorityScheduler
 from repro.packets import Ipv4Header, Packet, PfcPauseFrame, TcpHeader
 from repro.sim import SeededRng, Simulator
 from repro.sim.units import KB, MS, US, gbps
@@ -135,8 +138,9 @@ class TestPortTelemetry:
         assert port.queue_lengths[3] == 2
         assert port.total_queued_packets == 2
         assert port.queued_bytes[3] == 2 * packet(1000).size_bytes
-        assert port.head_packet_bytes(3) == packet(1000).size_bytes
-        assert port.head_packet_bytes(4) == 0
+        assert [entry[1].size_bytes for entry in port.iter_entries()] == [
+            packet(1000).size_bytes
+        ] * 2
 
 
 #: The lossless class RDMA traffic rides on (QpConfig default).
@@ -224,8 +228,63 @@ class TestMidBurst:
         registry = install_default_auditors(topo.fabric).start()
         tor.on_watchdog_trip(port)
         assert tor.lossless_disabled(port)
-        assert not port.any_paused
+        assert not any(port.is_paused(p) for p in range(8))
         topo.sim.run(until=topo.sim.now + 2 * MS)
         assert tor.counters.drops["watchdog-lossless"] > 0
         registry.audit_now()
         assert not registry.violations_in_class(CONSERVATION_INVARIANTS)
+
+
+# -- the inlined strict-priority pick vs StrictPriorityScheduler.pick -----------
+
+
+class _PickedStrictPriority(StrictPriorityScheduler):
+    """Strict priority served through ``pick``: ``Port._try_send`` inlines
+    only the exact type, so a subclass takes the reference path."""
+
+    __slots__ = ("picks",)
+
+    def __init__(self):
+        self.picks = 0
+
+    def pick(self, port):
+        self.picks += 1
+        return super().pick(port)
+
+
+_port_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.integers(0, 7), st.integers(0, 1500)),
+        st.tuples(
+            st.just("pause"),
+            st.dictionaries(st.integers(0, 7), st.integers(0, 400), min_size=1, max_size=8),
+        ),
+        st.tuples(st.just("advance"), st.integers(0, 3000)),
+    ),
+    max_size=60,
+)
+
+
+@settings(deadline=None)
+@given(ops=_port_ops)
+def test_inlined_strict_priority_matches_pick(ops):
+    def replay(scheduler):
+        sim = Simulator()
+        port, sink = wire(sim, scheduler)
+        for number, op in enumerate(ops):
+            if op[0] == "enqueue":
+                frame = packet(op[2])
+                frame.context = number
+                port.enqueue(frame, priority=op[1])
+            elif op[0] == "pause":
+                port.receive_pause(PfcPauseFrame(op[1]))
+            else:
+                sim.run(until=sim.now + op[1])
+        sim.run(until=sim.now + 1 * MS)
+        departures = [(at, frame.context) for at, frame in sink.received]
+        return departures, port.stats.tx_packets, port.paused_interval_ns()
+
+    reference = _PickedStrictPriority()
+    assert replay(StrictPriorityScheduler()) == replay(reference)
+    if any(op[0] == "enqueue" for op in ops):
+        assert reference.picks  # the reference really went through pick()

@@ -127,7 +127,7 @@ class TestHostDispatch:
         rng = SeededRng(52, "uqp")
         qp, peer = connect_qp_pair(topo.hosts[0], topo.hosts[1], rng)
         engine_b = topo.hosts[1].rdma
-        engine_b.destroy_qp(peer)
+        del engine_b._qps[peer.qpn]  # the peer QP is gone; its NIC source stays idle
         post_send(qp, 4 * KB)
         topo.sim.run(until=topo.sim.now + 1 * MS)
         assert engine_b.unknown_qp_drops > 0

@@ -130,7 +130,7 @@ class TestWorkloads:
         sim.run_until_idle()
         assert sender.completed_messages == 10
         assert len(channel.sent) == 10
-        assert sender.goodput_bps(10_000) > 0
+        assert sender.completed_bytes == 10 * 1000
 
     def test_closed_loop_unbounded_runs_forever(self):
         sim = Simulator()
@@ -152,9 +152,11 @@ class TestWorkloads:
     def test_periodic_incast_offered_load(self):
         sim = Simulator()
         channels = [_RecordingChannel(sim) for _ in range(4)]
-        incast = PeriodicIncast(sim, channels, burst_bytes=1250, period_ns=1_000_000)
+        PeriodicIncast(sim, channels, burst_bytes=1250, period_ns=1_000_000).start()
+        sim.run(until=10_000_000 - 1)  # ten rounds: t = 0, 1, ..., 9 ms
         # 4 x 1250 B x 8 / 1 ms = 40 Mb/s.
-        assert incast.offered_load_bps() == pytest.approx(40e6)
+        sent_bits = 8 * sum(nbytes for channel in channels for _t, nbytes in channel.sent)
+        assert sent_bits * 1e9 / 10_000_000 == pytest.approx(40e6)
 
     def test_periodic_incast_jitter_spreads_sends(self):
         sim = Simulator()
