@@ -587,10 +587,11 @@ def _pingmesh(args):
 def _metrics(args):
     from repro.telemetry.registry import CATALOG
 
-    print("%-32s %-10s %-8s %-18s %s" % ("name", "kind", "unit", "source", "paper"))
+    row = "%-32s %-10s %-8s %-18s %-6s %s"
+    print(row % ("name", "kind", "unit", "source", "paper", "read from"))
     for spec in CATALOG:
-        print("%-32s %-10s %-8s %-18s %s"
-              % (spec.name, spec.kind, spec.unit, spec.source, spec.paper or "-"))
+        print(row % (spec.name, spec.kind, spec.unit, spec.source, spec.paper or "-",
+                     spec.reading or "hook"))
     return 0
 
 

@@ -26,9 +26,9 @@ import hashlib
 import importlib.util
 import json
 import os
-import tempfile
 
 from repro.campaign.spec import canonical_params
+from repro.campaign.store import atomic_write
 
 DEFAULT_CACHE_DIR = ".campaign-cache"
 
@@ -113,15 +113,8 @@ class ResultCache:
     def put(self, key, payload):
         """Atomically store a payload; failures are non-fatal (no cache
         beats a broken campaign)."""
-        path = self._path(key)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
-            os.replace(tmp, path)
+            atomic_write(self._path(key), json.dumps(payload, separators=(",", ":")))
         except OSError:
             return False
         return True

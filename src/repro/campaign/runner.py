@@ -157,13 +157,16 @@ class Campaign:
         """Execute (or finish) the campaign; returns a :class:`CampaignReport`.
 
         With ``resume=True``, runs already recorded ``ok`` in the
-        manifest keep their entries and artifacts untouched; everything
-        else (pending, failed, newly added to the spec, or ``ok`` with a
-        lost row file) executes.
+        manifest under the current code version keep their entries and
+        artifacts untouched; everything else (pending, failed, newly
+        added to the spec, ``ok`` with a lost row file, or written by
+        other code) executes, and the cache decides what it costs.
         """
         started_wall = time.monotonic()
         runs = self.spec.expand()
-        manifest = self._manifest_base(resume)
+        stored = self.store.load_manifest() if resume else None
+        reusable = stored is not None and stored.get("code_version") == code_version()
+        manifest = self._manifest_base(stored)
         entries = manifest["runs"]
 
         todo = []
@@ -171,7 +174,7 @@ class Campaign:
         for run in runs:
             previous = entries.get(run.run_id)
             rows = (self.store.read_run_rows(run.run_id)
-                    if resume and previous and previous.get("status") == OK else None)
+                    if reusable and previous and previous.get("status") == OK else None)
             if rows is not None:
                 self._judge(previous, rows)
                 reused += 1
@@ -260,8 +263,10 @@ class Campaign:
 
     # -- manifest bookkeeping ---------------------------------------------------
 
-    def _manifest_base(self, resume):
-        manifest = self.store.load_manifest() if resume else None
+    def _manifest_base(self, manifest):
+        """The manifest this run writes: ``manifest`` (the stored one
+        being resumed) brought up to the current code version and job
+        count, or a fresh one when it is None."""
         if manifest is None:
             manifest = {
                 "name": self.spec.name,

@@ -11,8 +11,9 @@ A campaign directory is self-describing::
 
 The manifest is rewritten atomically after every run completion, so an
 interrupted campaign (ctrl-C, OOM, power) can always be ``resume``\\ d:
-runs recorded as ``ok`` whose row file reads back are skipped,
-everything else re-executes (and usually lands as a cache hit anyway).
+runs recorded as ``ok`` by the same code version whose row file reads
+back are skipped, everything else re-executes (and usually lands as a
+cache hit anyway).
 """
 
 import csv
@@ -21,13 +22,16 @@ import os
 import tempfile
 
 from repro.artifact import ArtifactError, read_jsonl
+from repro.experiments.common import ExperimentResult
 
 MANIFEST_NAME = "manifest.json"
 RUNS_DIR = "runs"
 CSV_DIR = "csv"
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, so a reader sees the old file or the new one, never half."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=os.path.basename(path)
@@ -35,13 +39,6 @@ def _atomic_write(path, text):
     with os.fdopen(fd, "w") as handle:
         handle.write(text)
     os.replace(tmp, path)
-
-
-def rows_to_jsonl(rows):
-    """Rows -> canonical JSONL text (stable key order assumed upstream)."""
-    return "".join(
-        json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n" for row in rows
-    )
 
 
 class CampaignStore:
@@ -67,7 +64,7 @@ class CampaignStore:
     def write_run_artifacts(self, run_id, schema, rows):
         """Write the JSONL + CSV artifacts for one finished run."""
         jsonl_path = self.run_jsonl_path(run_id)
-        _atomic_write(jsonl_path, rows_to_jsonl(rows))
+        atomic_write(jsonl_path, ExperimentResult(rows).to_jsonl())
         csv_path = self.run_csv_path(run_id)
         os.makedirs(os.path.dirname(csv_path), exist_ok=True)
         with open(csv_path, "w", newline="") as handle:
@@ -102,7 +99,7 @@ class CampaignStore:
         return manifest
 
     def save_manifest(self, manifest):
-        _atomic_write(self.manifest_path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+        atomic_write(self.manifest_path, json.dumps(manifest, indent=2, sort_keys=False) + "\n")
 
     def __repr__(self):
         return "CampaignStore(%r)" % self.out_dir

@@ -27,7 +27,6 @@ sent).  Counting events since the last CNP as ``T`` (timer) and ``B``
 
 from repro.sim.timer import Timer
 from repro.sim.units import MB, US
-from repro.obs import TELEMETRY as _TELEMETRY
 from repro.obs import TRACE as _TRACE
 
 
@@ -74,7 +73,7 @@ class ReactionPoint:
         self.cnps_handled = 0
         self.rate_decreases = 0
         self.rate_increases = 0
-        # Telemetry attribution: the owning host's name (set by
+        # Trace attribution: the owning host's name (set by
         # :func:`enable_dcqcn`; "" for standalone RPs in unit tests).
         self.owner = ""
 
@@ -102,8 +101,6 @@ class ReactionPoint:
         self._bytes_since_event = 0
         self._alpha_timer.start(config.alpha_timer_ns)
         self._rate_timer.start(config.rate_timer_ns)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_rate_decrease(self)
         if _TRACE.enabled:
             _TRACE.session.on_rate_decrease(self)
 

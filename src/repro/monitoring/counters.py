@@ -8,10 +8,12 @@ further monitor the pause intervals at the server side").
 
 This module holds only the readers -- :func:`switch_counters`,
 :func:`host_counters` and the :data:`GAUGES` set that tells cumulative
-counters from instantaneous values.  The section-5 *collector* that
-polls them every interval, keeps the series and runs the storm
-detectors is :class:`repro.telemetry.TelemetrySession`; an example or a
-test that wants end-of-run totals calls a reader once.
+counters from instantaneous values.  Each value is read from the one
+counter the model keeps.  The section-5 *collector* that polls them
+every interval and runs the storm detectors is
+:class:`repro.telemetry.TelemetrySession`, whose counter and gauge
+metrics are these values; an example or a test that wants end-of-run
+totals calls a reader once.
 """
 
 
@@ -19,7 +21,7 @@ test that wants end-of-run totals calls a reader once.
 #: cumulative counter, so consumers take deltas of it between polls.
 GAUGES = frozenset((
     "queued_bytes", "shared_in_use", "headroom_in_use", "paused_pgs",
-    "shared_size",
+    "shared_size", "rate_bps",
 ))
 
 
@@ -32,16 +34,20 @@ def switch_counters(switch):
     """
     ports = switch.ports
     buffer = switch.buffer
+    counters = switch.counters
+    drops = counters.drops
     return {
-        "pause_tx": sum(p.stats.pause_tx for p in ports),
-        "pause_rx": sum(p.stats.pause_rx for p in ports),
+        "pause_tx": switch.pause_frames_sent(),
+        "pause_rx": switch.pause_frames_received(),
         "resume_tx": sum(p.stats.resume_tx for p in ports),
         "resume_rx": sum(p.stats.resume_rx for p in ports),
         "paused_ns": sum(p.paused_interval_ns() for p in ports),
         "tx_bytes": sum(p.stats.total_tx_bytes for p in ports),
         "rx_bytes": sum(p.stats.total_rx_bytes for p in ports),
-        "ecn_marked": switch.counters.ecn_marked,
-        "drops": switch.counters.total_drops,
+        "ecn_marked": counters.ecn_marked,
+        "drops": counters.total_drops,
+        "lossy_drops": drops["buffer-lossy"] + drops["egress-lossy"],
+        "headroom_overflow_drops": drops["buffer-headroom-overflow"],
         "queued_bytes": switch.queued_bytes(),
         "shared_in_use": buffer.shared_in_use if buffer else 0,
         "headroom_in_use": buffer.headroom_in_use if buffer else 0,
@@ -52,9 +58,16 @@ def switch_counters(switch):
 
 
 def host_counters(host):
-    """One server's cumulative counters, read at its NIC and port."""
+    """One server's cumulative counters, read at its NIC and port, and
+    summed over its queue pairs and their DCQCN reaction points;
+    ``rate_bps`` is the sum of those reaction points' current rates."""
+    from repro.dcqcn.rp import ReactionPoint
+
     nic = host.nic
     port = nic.port
+    rdma = getattr(host, "rdma", None)
+    qps = rdma.qps if rdma is not None else ()
+    rps = [qp.rp for qp in qps if isinstance(qp.rp, ReactionPoint)]
     return {
         "pause_tx": nic.stats.pause_generated,
         "resume_tx": nic.stats.resume_generated,
@@ -65,4 +78,8 @@ def host_counters(host):
         "rx_bytes": port.stats.total_rx_bytes,
         "rx_processed": nic.stats.rx_processed,
         "watchdog_trips": nic.watchdog_trips,
+        "cnps_sent": sum(qp.stats.cnps_sent for qp in qps),
+        "naks_sent": sum(qp.stats.naks_sent for qp in qps),
+        "cnps_handled": sum(rp.cnps_handled for rp in rps),
+        "rate_bps": sum(rp.rate_bps for rp in rps),
     }

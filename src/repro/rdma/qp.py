@@ -46,7 +46,6 @@ from repro.packets.udp import UDP_HEADER_BYTES, UdpHeader
 from repro.rdma.recovery import GoBackN
 from repro.sim.timer import Timer
 from repro.sim.units import SEC, US
-from repro.obs import TELEMETRY as _TELEMETRY
 from repro.obs import TRACE as _TRACE
 
 
@@ -582,8 +581,6 @@ class QueuePair:
             BthOpcode.ACKNOWLEDGE, aeth, _PacketCtx(nak_psn=self.epsn)
         )
         self.stats.naks_sent += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_nak_sent(self)
         self._queue_ctrl(packet, priority)
 
     def _send_rnr_nak(self):
@@ -606,8 +603,6 @@ class QueuePair:
             BthOpcode.CNP, None, _PacketCtx(), dscp=self.config.cnp_dscp
         )
         self.stats.cnps_sent += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_cnp_sent(self)
         self._queue_ctrl(packet, self.config.cnp_priority)
 
     # requester ------------------------------------------------------------------

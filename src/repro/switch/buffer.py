@@ -173,9 +173,6 @@ class SharedBuffer:
         # assert pause, and total headroom bytes in use.
         self.paused_pgs = 0
         self.headroom_in_use = 0
-        # Counters.
-        self.lossy_drops = 0
-        self.headroom_overflow_drops = 0
         self.peak_shared_in_use = 0
         # Telemetry attribution: the owning switch's name (set by
         # ``Switch.finalize``; "" for buffers built standalone in tests).
@@ -217,7 +214,9 @@ class SharedBuffer:
         Returns True if admitted.  A lossy PG over threshold drops.  A
         lossless PG over threshold is admitted into headroom; only
         headroom exhaustion drops it (a *violation*: with correctly sized
-        headroom this never happens, and tests assert it doesn't).
+        headroom this never happens, and tests assert it doesn't).  The
+        caller counts a refusal (the switch's ``drops["buffer-lossy"]``
+        and ``drops["buffer-headroom-overflow"]``).
         """
         return self.admit_state(self.pg(port_idx, priority), nbytes, lossless)
 
@@ -254,13 +253,9 @@ class SharedBuffer:
                 self.peak_shared_in_use = shared
             return True
         if not lossless:
-            self.lossy_drops += 1
             return False
         # Lossless and over threshold: spill into this PG's headroom.
         if state.headroom_used + nbytes > config.headroom_per_pg_bytes:
-            self.headroom_overflow_drops += 1
-            if _TELEMETRY.enabled:
-                _TELEMETRY.session.on_buffer_drop(self.owner_name, True)
             return False
         state.headroom_used += nbytes
         self.headroom_in_use += nbytes

@@ -11,9 +11,9 @@ and the incident detection built on top of them.  It has four parts:
     ``disarm``, ``drain``, ``collect``, ``read_jsonl`` and
     ``write_artifacts`` below are its bound methods.
 ``registry`` / ``session``
-    Metric primitives (counters/gauges/histograms + ring series behind a
-    declared catalog) and the per-run collection session that polls the
-    fabric and receives the hook pushes.
+    The declared metric catalog with the hook-fed counters and
+    histograms, and the per-run collection session that polls every
+    counter and gauge from the model and receives the hook pushes.
 ``detectors``
     Online pause-storm, pause-propagation, ECN mark-rate, queue
     watermark and victim-flow detectors emitting structured incidents.

@@ -1,40 +1,54 @@
-"""Metric primitives: counters, gauges, histograms, ring-buffered series.
+"""Metric catalog and the registry of hook-fed metrics.
 
-The registry is the passive half of the telemetry subsystem: it owns the
-metric objects and their declared metadata (unit, source module, paper
-counterpart) but never touches the simulator.  The active half --
-:mod:`repro.telemetry.session` -- feeds it from hot-path hooks and from
-the periodic poll, and the detectors/exporters read it back out.
+The registry is the passive half of the telemetry subsystem: it declares
+every metric (unit, source module, paper counterpart) and owns the few
+metric objects a poll cannot fill, but never touches the simulator.  The
+active half -- :mod:`repro.telemetry.session` -- polls every counter and
+gauge from the model through ``monitoring/counters.py`` and feeds the
+registry from hot-path hooks; the detectors read its poll windows and
+the exporters the artifact it writes.
 
 Design notes
 ------------
 * Metrics are keyed on ``(name, device)`` so one catalog entry fans out
   to per-device instances; the catalog (``MetricSpec``) is declared once
   in :data:`CATALOG` and rendered into docs/telemetry.md.
+* A metric with a ``reading`` is the reader value of that name, so the
+  model's counter is its one copy; only hook-fed metrics (no
+  ``reading``) live in the registry.
 * ``Histogram`` uses power-of-two buckets: ``observe(v)`` lands in
   bucket ``ceil(log2(v+1))``, giving fixed memory and merge-free
   percentile estimates good to a factor of two -- plenty for queue-depth
   and pause-duration distributions.
-* ``RingSeries`` is a fixed-capacity ring of ``(t_ns, value)`` samples;
-  when full it overwrites the oldest and counts the drop, so long runs
-  degrade to a sliding window instead of growing without bound.
 """
 
 from collections import OrderedDict
 
 
 class MetricSpec:
-    """Catalog metadata for one metric family (see docs/telemetry.md)."""
+    """Catalog metadata for one metric family (see docs/telemetry.md).
 
-    __slots__ = ("name", "kind", "unit", "source", "paper", "help")
+    ``reading`` names the ``monitoring/counters.py`` reader value a poll
+    takes the metric from ("" for a hook-fed metric).  ``port.*`` metrics
+    exist on every device, ``switch.*`` on switches and the rest
+    (``nic.``, ``qp.``, ``dcqcn.``) on host NICs (:meth:`on`).
+    """
 
-    def __init__(self, name, kind, unit, source, paper, help):
+    __slots__ = ("name", "kind", "unit", "source", "paper", "help", "reading")
+
+    def __init__(self, name, kind, unit, source, paper, help, reading=""):
         self.name = name
         self.kind = kind  # "counter" | "gauge" | "histogram"
         self.unit = unit
         self.source = source  # module that feeds it
         self.paper = paper  # paper §4 counterpart, "" when none
         self.help = help
+        self.reading = reading
+
+    def on(self, is_host):
+        """True when a host NIC (``is_host``) or a switch has this metric."""
+        family = self.name.partition(".")[0]
+        return family == "port" or (family == "switch") != is_host
 
     def as_record(self):
         return {
@@ -45,6 +59,7 @@ class MetricSpec:
             "source": self.source,
             "paper": self.paper,
             "help": self.help,
+            "reading": self.reading,
         }
 
 
@@ -54,39 +69,48 @@ class MetricSpec:
 CATALOG = [
     # -- port / link layer (net/port.py) --------------------------------
     MetricSpec("port.pause_tx", "counter", "frames", "net/port.py",
-               "§4.1", "PFC pause frames transmitted by the port"),
+               "§4.1", "PFC pause frames transmitted by the device",
+               "pause_tx"),
     MetricSpec("port.pause_rx", "counter", "frames", "net/port.py",
-               "§4.1", "PFC pause frames received by the port"),
+               "§4.1", "PFC pause frames received by the device",
+               "pause_rx"),
     MetricSpec("port.resume_tx", "counter", "frames", "net/port.py",
-               "§4.1", "PFC resume (zero-quanta) frames transmitted"),
+               "§4.1", "PFC resume (zero-quanta) frames transmitted",
+               "resume_tx"),
     MetricSpec("port.resume_rx", "counter", "frames", "net/port.py",
-               "§4.1", "PFC resume (zero-quanta) frames received"),
+               "§4.1", "PFC resume (zero-quanta) frames received",
+               "resume_rx"),
     MetricSpec("port.paused_ns", "counter", "ns", "net/port.py",
-               "§4.1", "cumulative time the port spent pause-throttled"),
+               "§4.1", "cumulative time the ports spent pause-throttled",
+               "paused_ns"),
     MetricSpec("port.pause_duration_ns", "histogram", "ns", "net/port.py",
                "§4.1", "distribution of individual pause grants"),
     MetricSpec("port.tx_bytes", "counter", "bytes", "net/port.py",
-               "", "payload bytes transmitted (polled)"),
+               "", "payload bytes transmitted", "tx_bytes"),
     MetricSpec("port.rx_bytes", "counter", "bytes", "net/port.py",
-               "", "payload bytes received (polled)"),
+               "", "payload bytes received", "rx_bytes"),
     # -- switch buffer / ECN / PFC (switch/) ----------------------------
     MetricSpec("switch.queued_bytes", "gauge", "bytes", "switch/switch.py",
-               "§3", "total bytes queued across egress ports (polled)"),
+               "§3", "total bytes queued across egress ports",
+               "queued_bytes"),
     MetricSpec("switch.shared_in_use", "gauge", "bytes", "switch/buffer.py",
-               "§3", "shared-pool occupancy (polled)"),
+               "§3", "shared-pool occupancy", "shared_in_use"),
     MetricSpec("switch.headroom_in_use", "gauge", "bytes", "switch/buffer.py",
-               "§3", "PFC headroom occupancy (polled)"),
+               "§3", "PFC headroom occupancy", "headroom_in_use"),
     MetricSpec("switch.paused_pgs", "gauge", "pgs", "switch/buffer.py",
-               "§4.1", "priority groups currently pause-asserted (polled)"),
+               "§4.1", "priority groups currently pause-asserted",
+               "paused_pgs"),
     MetricSpec("switch.ecn_marked", "counter", "packets", "switch/switch.py",
-               "§3", "packets CE-marked at enqueue"),
+               "§3", "packets CE-marked at enqueue", "ecn_marked"),
     MetricSpec("switch.ecn_queue_bytes", "histogram", "bytes", "switch/ecn.py",
                "§3", "egress queue depth seen at each ECN mark"),
-    MetricSpec("switch.lossy_drops", "counter", "packets", "switch/buffer.py",
-               "§3", "tail drops on lossy (non-PFC) priorities"),
+    MetricSpec("switch.lossy_drops", "counter", "packets", "switch/switch.py",
+               "§3", "lossy (non-PFC) drops at buffer admission and the "
+               "lossy egress cap", "lossy_drops"),
     MetricSpec("switch.headroom_overflow_drops", "counter", "packets",
-               "switch/buffer.py", "§4.1",
-               "lossless drops after headroom exhaustion"),
+               "switch/switch.py", "§4.1",
+               "lossless drops after headroom exhaustion",
+               "headroom_overflow_drops"),
     MetricSpec("switch.headroom_spill_bytes", "counter", "bytes",
                "switch/buffer.py", "§4.1",
                "bytes admitted into PFC headroom after pause assert"),
@@ -95,34 +119,37 @@ CATALOG = [
     MetricSpec("switch.pfc_resume_sent", "counter", "frames", "switch/pfc.py",
                "§4.1", "resumes sent by the switch-side signaler"),
     MetricSpec("switch.watchdog_trips", "counter", "trips", "switch/switch.py",
-               "§4.3", "switch PFC-storm watchdog activations"),
+               "§4.3", "switch PFC-storm watchdog activations",
+               "watchdog_trips"),
     # -- NIC (nic/nic.py) ----------------------------------------------
-    MetricSpec("nic.pause_generated", "counter", "frames", "nic/nic.py",
-               "§4.1", "pause frames generated by the host NIC"),
-    MetricSpec("nic.resume_generated", "counter", "frames", "nic/nic.py",
-               "§4.1", "resume frames generated by the host NIC"),
     MetricSpec("nic.rx_processed", "counter", "packets", "nic/nic.py",
-               "", "packets drained by the NIC receive pipeline (polled)"),
+               "", "packets drained by the NIC receive pipeline",
+               "rx_processed"),
     MetricSpec("nic.watchdog_trips", "counter", "trips", "nic/nic.py",
-               "§4.3", "NIC pause-storm watchdog activations"),
+               "§4.3", "NIC pause-storm watchdog activations",
+               "watchdog_trips"),
     MetricSpec("nic.rx_pipeline_faults", "counter", "faults", "nic/nic.py",
                "§4.3", "injected receive-pipeline stalls (fault marker)"),
     # -- RDMA transport / DCQCN (rdma/qp.py, dcqcn/rp.py) ---------------
     MetricSpec("qp.cnps_sent", "counter", "packets", "rdma/qp.py",
-               "§3", "congestion notification packets sent by receivers"),
+               "§3", "congestion notification packets sent by the "
+               "host's QPs", "cnps_sent"),
     MetricSpec("qp.naks_sent", "counter", "packets", "rdma/qp.py",
-               "§2", "NAKs sent (go-back-N retransmit requests)"),
+               "§2", "NAKs sent by the host's QPs (go-back-N retransmit "
+               "requests)", "naks_sent"),
     MetricSpec("dcqcn.cnps_handled", "counter", "packets", "dcqcn/rp.py",
-               "§3", "CNPs absorbed by reaction points (rate decreases)"),
+               "§3", "CNPs absorbed by the host's reaction points "
+               "(rate decreases)", "cnps_handled"),
     MetricSpec("dcqcn.rate_bps", "gauge", "bps", "dcqcn/rp.py",
-               "§3", "reaction-point current rate after each decrease"),
+               "§3", "sum of the current rates of the host's DCQCN "
+               "reaction points", "rate_bps"),
 ]
 
 CATALOG_BY_NAME = {spec.name: spec for spec in CATALOG}
 
 
 class Counter:
-    """Monotonic accumulator (hook-fed or polled-absolute)."""
+    """Monotonic accumulator fed by a hook."""
 
     __slots__ = ("value",)
     kind = "counter"
@@ -132,26 +159,6 @@ class Counter:
 
     def inc(self, amount=1):
         self.value += amount
-
-    def set_absolute(self, value):
-        # Polled metrics mirror a device counter directly.
-        self.value = value
-
-
-class Gauge:
-    """Point-in-time value; keeps the running peak for summaries."""
-
-    __slots__ = ("value", "peak")
-    kind = "gauge"
-
-    def __init__(self):
-        self.value = 0
-        self.peak = 0
-
-    def set(self, value):
-        self.value = value
-        if value > self.peak:
-            self.peak = value
 
 
 class Histogram:
@@ -192,47 +199,19 @@ class Histogram:
         }
 
 
-class RingSeries:
-    """Fixed-capacity ring buffer of ``(t_ns, value)`` samples."""
-
-    __slots__ = ("capacity", "_items", "_head", "dropped")
-
-    def __init__(self, capacity=4096):
-        self.capacity = capacity
-        self._items = []
-        self._head = 0
-        self.dropped = 0
-
-    def append(self, t_ns, value):
-        if len(self._items) < self.capacity:
-            self._items.append((t_ns, value))
-        else:
-            self._items[self._head] = (t_ns, value)
-            self._head = (self._head + 1) % self.capacity
-            self.dropped += 1
-
-    def __len__(self):
-        return len(self._items)
-
-    def items(self):
-        """Samples in chronological order."""
-        return self._items[self._head:] + self._items[:self._head]
-
-
 class MetricRegistry:
-    """All live metric instances for one session, keyed ``(name, device)``.
+    """The hook-fed metric instances of one session, keyed ``(name, device)``.
 
-    ``device`` is the owning device's name string ("h0", "tor1", ...) or
-    ``""`` for fabric-wide aggregates.  Unknown metric names are
-    rejected so the catalog stays authoritative.
+    ``device`` is the owning device's name string ("T0", "h0.nic", ...)
+    or ``""`` for fabric-wide aggregates.  Unknown metric names are
+    rejected so the catalog stays authoritative, and so are polled ones:
+    their one copy is the model's counter.
     """
 
-    _FACTORY = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+    _FACTORY = {"counter": Counter, "histogram": Histogram}
 
-    def __init__(self, series_capacity=4096):
-        self.series_capacity = series_capacity
+    def __init__(self):
         self._metrics = OrderedDict()
-        self._series = OrderedDict()
 
     def get(self, name, device=""):
         key = (name, device)
@@ -242,30 +221,17 @@ class MetricRegistry:
             if spec is None:
                 raise KeyError("metric %r is not in the telemetry catalog"
                                % (name,))
+            if spec.reading:
+                raise KeyError("metric %r is polled from the model, not kept "
+                               "in the registry" % (name,))
             metric = self._FACTORY[spec.kind]()
             self._metrics[key] = metric
         return metric
 
-    def series(self, name, device=""):
-        key = (name, device)
-        ring = self._series.get(key)
-        if ring is None:
-            ring = self._series[key] = RingSeries(self.series_capacity)
-        return ring
-
-    def record_sample(self, t_ns, name, device, value):
-        """Append one polled sample to the metric's ring series."""
-        self.series(name, device).append(t_ns, value)
-
-    def metrics(self):
-        """Iterate ``(name, device, metric)`` in insertion order."""
-        for (name, device), metric in self._metrics.items():
-            yield name, device, metric
-
     def snapshot_values(self):
         """Flat ``{name|device: value}`` map for summaries/exports."""
         out = OrderedDict()
-        for name, device, metric in self.metrics():
+        for (name, device), metric in self._metrics.items():
             key = "%s|%s" % (name, device) if device else name
             if metric.kind == "histogram":
                 out[key] = metric.as_dict()

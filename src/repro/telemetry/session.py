@@ -1,21 +1,26 @@
 """Telemetry collection: config, polling session, hook receivers.
 
-A :class:`TelemetrySession` binds one fabric to one metric registry plus
-the standard detector stack for the lifetime of a run:
+A :class:`TelemetrySession` binds one fabric to the standard detector
+stack for the lifetime of a run and reads what the model already counts:
 
 * an engine observer tick (:meth:`Simulator.observe_every
   <repro.sim.engine.Simulator.observe_every>`) polls every device's
-  counters each ``interval_ns``, through the device-counter readers in
-  ``monitoring/counters.py``;
-* hot-path hooks (behind the :data:`repro.obs.TELEMETRY` gate) push the
-  few signals polling cannot see -- pause-grant durations, ECN mark-time
-  queue depths, headroom spills, CNP/NAK emission, DCQCN rate decreases,
-  watchdog trips and injected faults;
+  counters each :data:`INTERVAL_NS` through the device-counter readers
+  in ``monitoring/counters.py``; every counter and gauge metric of the
+  catalog is one of those readings (its spec's ``reading``), so the
+  model's counter is the metric's one copy;
+* hot-path hooks (behind the :data:`repro.obs.TELEMETRY` gate) push
+  only what a poll cannot see into the :class:`MetricRegistry` --
+  pause-grant durations and ECN mark-time queue depths (histograms),
+  headroom-spill bytes, the switch signaler's pause/resume asserts and
+  injected-fault markers -- plus timestamped ``event`` records for
+  watchdog trips and faults;
 * each poll closes a *window* of per-device deltas and feeds it to the
   online detectors (:mod:`repro.telemetry.detectors`);
 * everything is accumulated as artifact records (meta, metric catalog,
   samples, events, incidents, summary) that the exporters in
-  :mod:`repro.telemetry.export` serialize.
+  :mod:`repro.telemetry.export` serialize.  The summary's totals are
+  the last poll's readings plus the registry.
 
 The poll is not a simulator event and the hooks only read, so an armed
 run is the dark run byte for byte -- same fingerprint, same
@@ -30,6 +35,12 @@ from repro.sim.units import MS
 from repro.telemetry.detectors import DetectorThresholds, build_detectors
 from repro.telemetry.registry import CATALOG, MetricRegistry
 
+#: Poll period.  1 ms resolves the §4.3 storm signature (a broken NIC
+#: refreshes pauses every ~0.42 ms at 40G, so every window sees 2-3
+#: frames) without flooding artifacts on multi-ms runs.
+INTERVAL_NS = 1 * MS
+
+
 def device_window(values, prev, is_host):
     """One device's entry in a detector window: counter deltas since
     ``prev`` (the previous poll's values), gauges as read."""
@@ -40,31 +51,13 @@ def device_window(values, prev, is_host):
 
 
 class TelemetryConfig:
-    """Knobs for one collection session.
+    """What one collection session is told: ``label``, a free-form run
+    label stamped into the artifact's ``meta`` record.  The session polls
+    every :data:`INTERVAL_NS` and runs the detectors at the
+    :class:`~repro.telemetry.detectors.DetectorThresholds` defaults
+    (``python -m repro replay`` re-triages an artifact at others)."""
 
-    ``interval_ns``
-        Poll period.  1 ms resolves the §4.3 storm signature (a broken
-        NIC refreshes pauses every ~0.42 ms at 40G, so every window sees
-        2-3 frames) without flooding artifacts on multi-ms runs.
-    ``series_capacity``
-        Ring-buffer depth per (metric, device) series.
-    ``capture_samples``
-        Emit per-poll ``sample`` records (detectors need them only for
-        offline replay; disabling keeps artifacts tiny).
-    ``thresholds``
-        :class:`~repro.telemetry.detectors.DetectorThresholds`.
-    ``label``
-        Free-form run label stamped into the artifact ``meta`` record.
-    """
-
-    def __init__(self, interval_ns=1 * MS, series_capacity=4096,
-                 capture_samples=True, thresholds=None, label=""):
-        if interval_ns <= 0:
-            raise ValueError("interval_ns must be positive")
-        self.interval_ns = interval_ns
-        self.series_capacity = series_capacity
-        self.capture_samples = capture_samples
-        self.thresholds = thresholds or DetectorThresholds()
+    def __init__(self, label=""):
         self.label = label
 
 
@@ -74,15 +67,16 @@ class TelemetrySession:
     def __init__(self, fabric, config=None):
         self.fabric = fabric
         self.config = config or TelemetryConfig()
-        self.registry = MetricRegistry(self.config.series_capacity)
+        self.registry = MetricRegistry()
         self.records = []
-        self._prev = {}
+        #: device -> (is_host, values) of the last poll
+        self._last = {}
         self._tick = None
         self._started = False
         self._stopped = False
         self._prev_t = None
         adjacency = self._adjacency(fabric)
-        self.detectors = build_detectors(self.config.thresholds, adjacency)
+        self.detectors = build_detectors(DetectorThresholds(), adjacency)
         self.incidents = []
 
     @staticmethod
@@ -115,18 +109,24 @@ class TelemetrySession:
             "schema": HUB.schema,
             "label": self.config.label,
             "t_start_ns": sim.now,
-            "interval_ns": self.config.interval_ns,
+            "interval_ns": INTERVAL_NS,
             "n_hosts": len(self.fabric.hosts),
             "n_switches": len(self.fabric.switches),
         })
         for spec in CATALOG:
             self.records.append(spec.as_record())
         # Baseline snapshot so the first window's deltas are exact.
-        self._prev = {
-            device: values for device, _is_host, values in self._read_devices()
+        self._last = {
+            device: (is_host, values)
+            for device, is_host, values in self._read_devices()
         }
+        # Every hook-fed counter is in the summary, at 0 if never fed.
+        for device, (is_host, _values) in self._last.items():
+            for spec in CATALOG:
+                if spec.kind == "counter" and not spec.reading and spec.on(is_host):
+                    self.registry.get(spec.name, device)
         self._prev_t = sim.now
-        self._tick = sim.observe_every(self.config.interval_ns, self._close_window)
+        self._tick = sim.observe_every(INTERVAL_NS, self._close_window)
         HUB.session = self
         HUB.enabled = True
         return self
@@ -162,12 +162,18 @@ class TelemetrySession:
         by_kind = {}
         for incident in self.incidents:
             by_kind[incident.kind] = by_kind.get(incident.kind, 0) + 1
+        totals = {}
+        for device, (is_host, values) in self._last.items():
+            for spec in CATALOG:
+                if spec.reading and spec.on(is_host):
+                    totals["%s|%s" % (spec.name, device)] = values[spec.reading]
+        totals.update(self.registry.snapshot_values())
         return {
             "type": "summary",
             "t_end_ns": t_ns,
             "label": self.config.label,
             "incidents": by_kind,
-            "totals": self.registry.snapshot_values(),
+            "totals": totals,
         }
 
     # -- polling -------------------------------------------------------------
@@ -181,53 +187,25 @@ class TelemetrySession:
         for host in self.fabric.hosts:
             yield host.nic.name, True, host_counters(host)
 
-    #: reader key -> catalog metric mirrored into the registry each poll.
-    _POLLED = {
-        "pause_tx": "port.pause_tx",
-        "pause_rx": "port.pause_rx",
-        "resume_tx": "port.resume_tx",
-        "resume_rx": "port.resume_rx",
-        "paused_ns": "port.paused_ns",
-        "tx_bytes": "port.tx_bytes",
-        "rx_bytes": "port.rx_bytes",
-        "ecn_marked": "switch.ecn_marked",
-        "rx_processed": "nic.rx_processed",
-        "queued_bytes": "switch.queued_bytes",
-        "shared_in_use": "switch.shared_in_use",
-        "headroom_in_use": "switch.headroom_in_use",
-        "paused_pgs": "switch.paused_pgs",
-    }
-
     def _close_window(self):
         """One poll: read every device, close the window since the last."""
         t_ns = self.fabric.sim.now
-        registry = self.registry
         window = {"t_ns": t_ns, "interval_ns": 0, "devices": {}}
         current = {}
         for device, is_host, values in self._read_devices():
-            current[device] = values
-            window["devices"][device] = device_window(
-                values, self._prev.get(device, {}), is_host)
-            for key, metric_name in self._POLLED.items():
-                if key in values:
-                    metric = registry.get(metric_name, device)
-                    if key in GAUGES:
-                        metric.set(values[key])
-                    else:
-                        metric.set_absolute(values[key])
-                    registry.record_sample(t_ns, metric_name, device,
-                                           values[key])
-            if self.config.capture_samples:
-                self.records.append({
-                    "type": "sample",
-                    "t_ns": t_ns,
-                    "device": device,
-                    "is_host": is_host,
-                    "values": values,
-                })
+            current[device] = (is_host, values)
+            prev = self._last.get(device, (is_host, {}))[1]
+            window["devices"][device] = device_window(values, prev, is_host)
+            self.records.append({
+                "type": "sample",
+                "t_ns": t_ns,
+                "device": device,
+                "is_host": is_host,
+                "values": values,
+            })
         t_prev = self._prev_t if self._prev_t is not None else t_ns
         window["interval_ns"] = max(0, t_ns - t_prev)
-        self._prev = current
+        self._last = current
         self._prev_t = t_ns
         if window["interval_ns"] > 0:
             self._observe(window)
@@ -264,20 +242,13 @@ class TelemetrySession:
     def on_headroom_spill(self, owner_name, nbytes):
         self.registry.get("switch.headroom_spill_bytes", owner_name).inc(nbytes)
 
-    def on_buffer_drop(self, owner_name, lossless):
-        name = ("switch.headroom_overflow_drops" if lossless
-                else "switch.lossy_drops")
-        self.registry.get(name, owner_name).inc()
-
     def on_nic_watchdog(self, nic):
-        self.registry.get("nic.watchdog_trips", nic.name).inc()
         self.records.append({
             "type": "event", "kind": "nic_watchdog_trip",
             "t_ns": self.fabric.sim.now, "device": nic.name,
         })
 
     def on_switch_watchdog(self, switch, port):
-        self.registry.get("switch.watchdog_trips", switch.name).inc()
         self.records.append({
             "type": "event", "kind": "switch_watchdog_trip",
             "t_ns": self.fabric.sim.now, "device": switch.name,
@@ -290,14 +261,3 @@ class TelemetrySession:
             "type": "event", "kind": "fault", "fault": kind,
             "t_ns": self.fabric.sim.now, "device": device_name,
         })
-
-    def on_cnp_sent(self, qp):
-        self.registry.get("qp.cnps_sent", qp.host.name).inc()
-
-    def on_nak_sent(self, qp):
-        self.registry.get("qp.naks_sent", qp.host.name).inc()
-
-    def on_rate_decrease(self, rp):
-        owner = getattr(rp, "owner", "")
-        self.registry.get("dcqcn.cnps_handled", owner).inc()
-        self.registry.get("dcqcn.rate_bps", owner).set(rp.rate_bps)

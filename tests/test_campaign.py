@@ -345,6 +345,23 @@ class TestCampaignDeterminism:
         assert entry["claims"] and all(claim["passed"] for claim in entry["claims"])
         assert "rows hold what the claims read" not in capsys.readouterr().out
 
+    def test_resume_reruns_an_ok_run_written_by_other_code(self, tmp_path, monkeypatch):
+        from repro.campaign import cache as cache_module
+        from repro.campaign import runner as runner_module
+
+        spec = {"name": "v", "targets": [{"experiment": "E10"}]}
+        assert _campaign(tmp_path, spec, use_cache=False, inline=True).run().all_ok
+        executed = []
+        execute_run = runner_module.execute_run
+        monkeypatch.setattr(runner_module, "execute_run", lambda payload: (
+            executed.append(payload["run_id"]) or execute_run(payload)))
+        # An edit to any repro source file changes the code version.
+        monkeypatch.setattr(cache_module, "_code_version_cache", "0123456789abcdef")
+        report = Campaign.resume(str(tmp_path / "out"), use_cache=False, inline=True,
+                                 echo=lambda line: None)
+        assert executed == ["E10"]
+        assert report.all_ok and report.manifest["code_version"] == "0123456789abcdef"
+
     def test_resume_keeps_an_ok_run_with_zero_rows(self, tmp_path):
         spec = {"name": "z", "targets": [{"experiment": "NONE", "ref": EMPTY_REF}]}
         assert _campaign(tmp_path, spec).run().all_ok

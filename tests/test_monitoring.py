@@ -82,11 +82,13 @@ class TestCounterCollection:
         post_send(qp, 1 * MB)
         topo.sim.run(until=topo.sim.now + 5 * MS)
         session.stop()
-        series = session.registry.series("port.rx_bytes", "T0").items()
+        samples = [r for r in session.records if r["type"] == "sample"]
+        series = [(r["t_ns"], r["values"]["rx_bytes"])
+                  for r in samples if r["device"] == "T0"]
         assert len(series) >= 4
         values = [value for _t_ns, value in series]
         assert values == sorted(values) and values[-1] > 0
-        sampled = {r["device"] for r in session.records if r["type"] == "sample"}
+        sampled = {r["device"] for r in samples}
         assert {"T0", "S0.nic", "S1.nic"} <= sampled
 
 

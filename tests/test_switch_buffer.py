@@ -47,7 +47,7 @@ class TestStaticThreshold:
         buf = make_buffer(alpha=None, xoff_static_bytes=96 * KB)
         assert buf.admit(0, 0, 96 * KB, lossless=False)
         assert not buf.admit(0, 0, 10 * KB, lossless=False)
-        assert buf.lossy_drops == 1
+        assert buf.occupancy(0, 0) == 96 * KB  # the refused bytes took no space
 
     def test_lossless_spills_into_headroom(self):
         buf = make_buffer(alpha=None, xoff_static_bytes=96 * KB, headroom_per_pg_bytes=26 * KB)
@@ -61,7 +61,7 @@ class TestStaticThreshold:
         buf.admit(0, 3, 96 * KB, lossless=True)
         buf.admit(0, 3, 26 * KB, lossless=True)  # fills headroom exactly
         assert not buf.admit(0, 3, 4 * KB, lossless=True)
-        assert buf.headroom_overflow_drops == 1
+        assert buf.pg(0, 3).headroom_used == 26 * KB  # the refused bytes took no space
 
     def test_release_drains_headroom_first(self):
         buf = make_buffer(alpha=None, xoff_static_bytes=96 * KB)

@@ -1531,8 +1531,6 @@ class World:
                 buffer.peak_shared_in_use,
                 buffer.headroom_in_use,
                 buffer.paused_pgs,
-                buffer.lossy_drops,
-                buffer.headroom_overflow_drops,
                 buffer.total_occupancy,
             ),
             "delivered": [len(station.log) for station in self.stations],
@@ -1628,7 +1626,7 @@ def test_walk_equals_reference_on_random_programs(program):
     # drained buffer has no PG left asserting pause.  (At d04fed1 a
     # ``pfc_config`` replacement could strand one; see the module
     # docstring.)
-    *_, paused_pgs, _, _, total_occupancy = snapshots[-1]["buffer"]
+    *_, paused_pgs, total_occupancy = snapshots[-1]["buffer"]
     assert total_occupancy or not paused_pgs
 
 
@@ -1677,7 +1675,7 @@ class TestPinnedPrograms:
         assert all(row[5] > 0 and row[7] > 0 for row in switch_ports)  # pause_tx, resume_tx
         assert sum(row[9] for row in switch_ports) == 8  # head_drops: 4 floods x 2 uplinks
         assert any(snapshot["buffer"][2] for snapshot in snapshots)  # headroom in use mid-run
-        assert end["buffer"][6] == 0 and end["pending"] == 0
+        assert end["buffer"][4] == 0 and end["pending"] == 0
 
     def test_admit_charges_the_size_after_the_vlan_strip(self):
         """The named mutant.  Under VLAN classification a routed frame

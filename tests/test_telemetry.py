@@ -1,8 +1,8 @@
 """Tests for the unified telemetry subsystem (``repro.telemetry``).
 
-Four layers, mirroring the subsystem's structure:
+Five layers, mirroring the subsystem's structure:
 
-1. **Registry units** -- counters/gauges/histograms/ring series and the
+1. **Registry units** -- hook-fed counters and histograms, and the
    declared catalog's internal consistency.
 2. **Disabled by default** -- the hub starts dark.  (That a dark or an
    armed run reproduces its ``benchmarks/BASELINE.json`` pin is
@@ -16,6 +16,8 @@ Four layers, mirroring the subsystem's structure:
    produces pause-storm incidents (and the CLI renders them); the
    healthy ``clos_slice`` scenario stays incident-free; offline replay
    reproduces the online pause-storm verdicts.
+5. **One copy of every number** -- every counter and gauge total of an
+   armed run is the model counter it names.
 """
 
 import json
@@ -40,10 +42,8 @@ from repro.telemetry.registry import (
     CATALOG,
     CATALOG_BY_NAME,
     Counter,
-    Gauge,
     Histogram,
     MetricRegistry,
-    RingSeries,
 )
 from tests.test_bench import assert_reproduces_pin
 
@@ -70,15 +70,6 @@ class TestRegistryPrimitives:
         counter.inc()
         counter.inc(5)
         assert counter.value == 6
-        counter.set_absolute(100)
-        assert counter.value == 100
-
-    def test_gauge_tracks_peak(self):
-        gauge = Gauge()
-        gauge.set(10)
-        gauge.set(3)
-        assert gauge.value == 3
-        assert gauge.peak == 10
 
     def test_histogram_power_of_two_buckets(self):
         histogram = Histogram()
@@ -91,14 +82,6 @@ class TestRegistryPrimitives:
         assert histogram.quantile(1.0) == 1024
         assert histogram.quantile(0.0) == 0
 
-    def test_ring_series_overwrites_oldest(self):
-        ring = RingSeries(capacity=3)
-        for t in range(5):
-            ring.append(t, t * 10)
-        assert len(ring) == 3
-        assert ring.dropped == 2
-        assert ring.items() == [(2, 20), (3, 30), (4, 40)]
-
     def test_registry_rejects_unknown_metric(self):
         registry = MetricRegistry()
         with pytest.raises(KeyError, match="not in the telemetry catalog"):
@@ -106,14 +89,19 @@ class TestRegistryPrimitives:
 
     def test_registry_instantiates_per_device(self):
         registry = MetricRegistry()
-        a = registry.get("port.pause_tx", "h0")
-        b = registry.get("port.pause_tx", "h1")
+        a = registry.get("switch.pfc_pause_sent", "T0")
+        b = registry.get("switch.pfc_pause_sent", "T1")
         assert a is not b
         a.inc()
         assert registry.snapshot_values() == {
-            "port.pause_tx|h0": 1,
-            "port.pause_tx|h1": 0,
+            "switch.pfc_pause_sent|T0": 1,
+            "switch.pfc_pause_sent|T1": 0,
         }
+
+    def test_registry_refuses_a_polled_metric(self):
+        # A polled metric's one copy is the model counter it reads.
+        with pytest.raises(KeyError, match="polled from the model"):
+            MetricRegistry().get("port.pause_tx", "T0")
 
 
 class TestCatalog:
@@ -135,6 +123,20 @@ class TestCatalog:
             path = os.path.join(REPO_ROOT, "src", "repro", spec.source)
             assert os.path.exists(path), "%s names missing %s" % (
                 spec.name, spec.source)
+
+    def test_every_counter_and_gauge_is_polled(self):
+        # Only histograms and what a poll cannot see are hook-fed.
+        hook_fed = {spec.name for spec in CATALOG
+                    if spec.kind != "histogram" and not spec.reading}
+        assert hook_fed == {
+            "switch.headroom_spill_bytes", "switch.pfc_pause_sent",
+            "switch.pfc_resume_sent", "nic.rx_pipeline_faults"}
+
+    def test_docs_table_lists_the_catalog(self):
+        with open(os.path.join(REPO_ROOT, "docs", "telemetry.md")) as handle:
+            docs = handle.read()
+        for spec in CATALOG:
+            assert "| `%s` | %s |" % (spec.name, spec.kind) in docs, spec.name
 
 
 # -- 2. disabled by default ---------------------------------------------------
@@ -464,3 +466,119 @@ class TestBenchTelemetryPass:
                 assert meta.get("config", meta)["label"] == "bench:single_flow"
             assert not collection.hub.enabled and collection.hub.session is None
         assert row.collections[0].headline() == {"incidents": 0}  # one healthy flow
+
+
+# -- 5. armed totals are the model's counters ----------------------------------
+
+
+def _dcqcn_incast(seed):
+    """3:1 RDMA incast whose senders run DCQCN under an early ECN ramp,
+    so CNPs flow and reaction points cut their rates."""
+    from repro.dcqcn import enable_dcqcn
+    from repro.rdma import connect_qp_pair
+    from repro.sim import SeededRng
+    from repro.sim.units import KB
+    from repro.switch.ecn import EcnConfig
+    from repro.topo import single_switch
+    from repro.workloads import ClosedLoopSender, RdmaChannel
+
+    ecn = EcnConfig(kmin_bytes=5 * KB, kmax_bytes=40 * KB, pmax=0.5)
+    topo = single_switch(n_hosts=4, seed=seed, ecn_config=ecn).boot()
+    rng = SeededRng(seed, "dcqcn-incast")
+    for src in topo.hosts[1:]:
+        qp, _ = connect_qp_pair(src, topo.hosts[0], rng)
+        enable_dcqcn(qp)
+        ClosedLoopSender(RdmaChannel(qp), 256 * KB).start()
+    topo.sim.run(until=topo.sim.now + 3 * MS)
+
+
+def _model_counters(fabric):
+    """``{name|device: value}`` for every counter and gauge metric, read
+    off the model objects the catalog names (not through the readers)."""
+    out = {}
+    for switch in fabric.switches:
+        ports, buffer = switch.ports, switch.buffer
+        drops = switch.counters.drops
+        signalers = [s for row in switch._signalers for s in row if s is not None]
+        for name, value in {
+            "port.pause_tx": switch.pause_frames_sent(),
+            "port.pause_rx": switch.pause_frames_received(),
+            "port.resume_tx": sum(p.stats.resume_tx for p in ports),
+            "port.resume_rx": sum(p.stats.resume_rx for p in ports),
+            "port.paused_ns": sum(p.paused_interval_ns() for p in ports),
+            "port.tx_bytes": sum(p.stats.total_tx_bytes for p in ports),
+            "port.rx_bytes": sum(p.stats.total_rx_bytes for p in ports),
+            "switch.queued_bytes": switch.queued_bytes(),
+            "switch.shared_in_use": buffer.shared_in_use,
+            "switch.headroom_in_use": buffer.headroom_in_use,
+            "switch.paused_pgs": buffer.paused_pgs,
+            "switch.ecn_marked": switch.counters.ecn_marked,
+            "switch.lossy_drops": drops["buffer-lossy"] + drops["egress-lossy"],
+            "switch.headroom_overflow_drops": drops["buffer-headroom-overflow"],
+            "switch.pfc_pause_sent": sum(s.pauses_sent for s in signalers),
+            "switch.pfc_resume_sent": sum(s.resumes_sent for s in signalers),
+            "switch.watchdog_trips": switch.watchdog_trips(),
+        }.items():
+            out["%s|%s" % (name, switch.name)] = value
+    for host in fabric.hosts:
+        nic, port = host.nic, host.nic.port
+        qps = host.rdma.qps if getattr(host, "rdma", None) else []
+        rps = [qp.rp for qp in qps if qp.rp is not None]
+        for name, value in {
+            "port.pause_tx": nic.stats.pause_generated,
+            "port.pause_rx": port.stats.pause_rx,
+            "port.resume_tx": nic.stats.resume_generated,
+            "port.resume_rx": port.stats.resume_rx,
+            "port.paused_ns": port.paused_interval_ns(),
+            "port.tx_bytes": port.stats.total_tx_bytes,
+            "port.rx_bytes": port.stats.total_rx_bytes,
+            "nic.rx_processed": nic.stats.rx_processed,
+            "nic.watchdog_trips": nic.watchdog_trips,
+            "nic.rx_pipeline_faults": 0,  # no run here breaks a NIC
+            "qp.cnps_sent": sum(qp.stats.cnps_sent for qp in qps),
+            "qp.naks_sent": sum(qp.stats.naks_sent for qp in qps),
+            "dcqcn.cnps_handled": sum(rp.cnps_handled for rp in rps),
+            "dcqcn.rate_bps": sum(rp.rate_bps for rp in rps),
+        }.items():
+            out["%s|%s" % (name, nic.name)] = value
+    return out
+
+
+class TestArmedTotalsAreTheModelCounters:
+    @pytest.mark.parametrize("run", [
+        SCENARIOS["tcp_baseline"].run, SCENARIOS["incast_tor"].run, _dcqcn_incast,
+    ], ids=["tcp_baseline", "incast_tor", "dcqcn_incast"])
+    def test_every_counter_and_gauge_total_is_its_model_counter(self, run):
+        telemetry.arm(telemetry.TelemetryConfig(label="totals"))
+        try:
+            run(seed=1)
+        finally:
+            telemetry.disarm()
+        [session] = HUB.completed
+        totals = session.records[-1]["totals"]
+        model = _model_counters(session.fabric)
+        expected = dict(model)
+        counted = {spec.name for spec in CATALOG if spec.kind != "histogram"}
+        # Every counter and gauge of the catalog is in the summary ...
+        assert {key.partition("|")[0] for key in totals} >= counted
+        # ... and each total is the model counter it names, except the
+        # headroom spill, which no model counter keeps: it is at least
+        # what headroom still holds.
+        for key, value in totals.items():
+            name, _, device = key.partition("|")
+            if name == "switch.headroom_spill_bytes":
+                assert value >= model["switch.headroom_in_use|" + device]
+            elif name in counted:
+                assert value == expected.pop(key), key
+        assert expected == {}
+
+    def test_lossy_drops_reach_the_summary(self):
+        telemetry.arm(telemetry.TelemetryConfig(label="totals"))
+        try:
+            SCENARIOS["tcp_baseline"].run(seed=1)
+        finally:
+            telemetry.disarm()
+        [session] = HUB.completed
+        drops = session.fabric.switches[0].counters.drops
+        assert session.records[-1]["totals"]["switch.lossy_drops|T0"] == 142 == (
+            drops["egress-lossy"] + drops["buffer-lossy"])
