@@ -153,7 +153,7 @@ def _report(report, quiet):
     failed verdict prints even under ``-q``), then the exit status: 1
     when a run or a claim failed."""
     from repro.artifact import read_jsonl
-    from repro.experiments.common import ExperimentResult
+    from repro.experiments.result import ExperimentResult
 
     for run_id, entry in report.manifest["runs"].items():
         if entry["status"] != "ok":

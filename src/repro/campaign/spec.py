@@ -24,7 +24,7 @@ Specs load from JSON::
 ``grid`` maps parameter name to the list of values to sweep (the
 cartesian product over all parameters is taken, in declaration order).
 ``ref`` lets a spec target any importable ``module:function`` runner
-that returns an :class:`~repro.experiments.common.ExperimentResult`;
+that returns an :class:`~repro.experiments.result.ExperimentResult`;
 without it the experiment id is resolved against the experiment catalogue
 (:data:`repro.experiments.catalog.CATALOG`).
 """

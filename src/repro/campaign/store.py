@@ -22,7 +22,7 @@ import os
 import tempfile
 
 from repro.artifact import ArtifactError, read_jsonl
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 
 MANIFEST_NAME = "manifest.json"
 RUNS_DIR = "runs"

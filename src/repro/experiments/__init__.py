@@ -23,49 +23,33 @@ E11         section 2 (headroom sizing)              headroom
 F1          sections 1, 5.4 (datacenter scale)       flowsim_scale
 F2          section 5.4, figure 7 (flowsim check)    flowsim_scale
 ==========  =======================================  ======================
+
+A runner name (``repro.experiments.run_livelock``) resolves on first
+use (PEP 562) through the catalogue's reference to it, so importing the
+package, the catalogue or :mod:`.common` loads no runner, and ``python
+-m repro run E10`` imports E10's module alone.
 """
 
-from repro.experiments.ablations import (
-    run_alpha_sweep,
-    run_cc_comparison,
-    run_ecn_sweep,
-    run_gbn_waste,
-    run_interdc_distance,
-    run_routing_models,
-    run_tcp_flavours,
-)
-from repro.experiments.flowsim_scale import run_flowsim_figure7, run_flowsim_scale
-from repro.experiments.livelock import run_livelock
-from repro.experiments.deadlock import run_deadlock
-from repro.experiments.storm import run_storm
-from repro.experiments.latency_cdf import run_latency_vs_tcp
-from repro.experiments.clos_throughput import run_clos_throughput
-from repro.experiments.congestion_latency import run_congestion_latency
-from repro.experiments.slow_receiver import run_slow_receiver
-from repro.experiments.buffer_misconfig import run_buffer_misconfig
-from repro.experiments.dscp_vs_vlan import run_dscp_vs_vlan
-from repro.experiments.cpu_overhead import run_cpu_overhead
-from repro.experiments.headroom import run_headroom
+from repro.experiments.catalog import CATALOG, resolve_ref
 
-__all__ = [
-    "run_livelock",
-    "run_deadlock",
-    "run_storm",
-    "run_latency_vs_tcp",
-    "run_clos_throughput",
-    "run_congestion_latency",
-    "run_slow_receiver",
-    "run_buffer_misconfig",
-    "run_dscp_vs_vlan",
-    "run_cpu_overhead",
-    "run_headroom",
-    "run_cc_comparison",
-    "run_alpha_sweep",
-    "run_ecn_sweep",
-    "run_gbn_waste",
-    "run_routing_models",
-    "run_interdc_distance",
-    "run_tcp_flavours",
-    "run_flowsim_scale",
-    "run_flowsim_figure7",
-]
+#: runner name -> ``module:attr`` reference, read off the catalogue.
+_RUNNERS = {
+    entry.runner_name: entry.ref
+    for entry in CATALOG.values()
+    if entry.ref.startswith("repro.experiments.")
+}
+
+__all__ = list(_RUNNERS)
+
+
+def __getattr__(name):
+    try:
+        ref = _RUNNERS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = globals()[name] = resolve_ref(ref)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_RUNNERS))

@@ -32,7 +32,7 @@ from repro.switch.ecn import EcnConfig
 from repro.timely import TimelyConfig, enable_timely
 from repro.topo import single_switch
 from repro.workloads import ClosedLoopSender, RdmaChannel
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 
 
 class AblationResult(ExperimentResult):

@@ -22,7 +22,7 @@ from repro.sim.units import KB, MS, US
 from repro.switch.buffer import BufferConfig
 from repro.topo import two_tier
 from repro.workloads import PeriodicIncast, RdmaChannel
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 
 
 class BufferMisconfigResult(ExperimentResult):

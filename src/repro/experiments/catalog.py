@@ -15,7 +15,6 @@ every run's rows.
 """
 
 import importlib
-import inspect
 
 
 class CatalogEntry:
@@ -23,11 +22,11 @@ class CatalogEntry:
 
     __slots__ = ("exp_id", "runner_name", "description", "ref", "claims_ref")
 
-    def __init__(self, exp_id, runner_name, description, ref=None, claims_ref=None):
+    def __init__(self, exp_id, runner_name, description, ref, claims_ref=None):
         self.exp_id = exp_id
         self.runner_name = runner_name
         self.description = description
-        self.ref = ref or ("repro.experiments:%s" % runner_name)
+        self.ref = ref
         self.claims_ref = claims_ref
 
     def resolve(self):
@@ -49,6 +48,8 @@ class CatalogEntry:
 
     def parameters(self):
         """Name -> default for every keyword parameter of the runner."""
+        import inspect  # ~6 ms that ``import repro.experiments`` need not pay
+
         signature = inspect.signature(self.resolve())
         return {
             name: parameter.default
@@ -78,7 +79,10 @@ def resolve_ref(ref):
 
 
 def _entry(exp_id, runner_name, description, claims):
-    return CatalogEntry(exp_id, runner_name, description,
+    """An entry whose runner sits beside its claims: ``"livelock:claims"``
+    names ``repro.experiments.livelock:run_livelock`` as the runner."""
+    module = "repro.experiments.%s" % claims.partition(":")[0]
+    return CatalogEntry(exp_id, runner_name, description, "%s:%s" % (module, runner_name),
                         claims_ref="repro.experiments.%s" % claims)
 
 
@@ -122,13 +126,9 @@ CATALOG = {
                "ablations:interdc_distance_claims"),
         _entry("A7", "run_tcp_flavours", "ablation: TCP class flavour, Reno vs DCTCP",
                "ablations:tcp_flavours_claims"),
-        CatalogEntry(
-            "F1",
-            "run_flowsim_scale",
-            "flowsim: 4096-host Clos, 50k+ flows from the storage/web CDFs",
-            ref="repro.experiments.flowsim_scale:run_flowsim_scale",
-            claims_ref="repro.experiments.flowsim_scale:scale_claims",
-        ),
+        _entry("F1", "run_flowsim_scale",
+               "flowsim: 4096-host Clos, 50k+ flows from the storage/web CDFs",
+               "flowsim_scale:scale_claims"),
         CatalogEntry(
             "F2",
             "run_flowsim_figure7",

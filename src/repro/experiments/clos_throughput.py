@@ -18,7 +18,8 @@ from repro.flows import ClosFlowModel
 from repro.sim import SeededRng
 from repro.sim.units import GBPS, MB, MS
 from repro.topo import three_tier_clos
-from repro.experiments.common import ExperimentResult, saturate_pairs
+from repro.experiments.common import saturate_pairs
+from repro.experiments.result import ExperimentResult
 
 
 class ClosThroughputResult(ExperimentResult):

@@ -20,7 +20,8 @@ from repro.sim.units import KB, MB, MS, US
 from repro.switch.ecn import EcnConfig
 from repro.tcp import connect_tcp_pair
 from repro.topo import two_tier
-from repro.experiments.common import ExperimentResult, apply_ets_weights
+from repro.experiments.common import apply_ets_weights, saturate_pairs
+from repro.experiments.result import ExperimentResult
 from repro.experiments.latency_cdf import _TcpEchoProbe
 
 
@@ -73,14 +74,12 @@ def run_congestion_latency(
     idle_tcp = list(tcp_probe.rtts_ns)
 
     # Phase 2: the saturating cross-ToR load, DCQCN-controlled.
-    from repro.experiments.common import saturate_pairs as _saturate
-
     pairs = []
     for i in range(saturating_pairs):
         for _ in range(qps_per_pair):
             pairs.append((t0_hosts[i], t1_hosts[i]))
             pairs.append((t1_hosts[i], t0_hosts[i]))
-    _saturate(sim, pairs, 1 * MB, rng, dcqcn_config=DcqcnConfig())
+    saturate_pairs(sim, pairs, 1 * MB, rng, dcqcn_config=DcqcnConfig())
     sim.run(until=sim.now + phase_ns)
     loaded_rdma = pingmesh.rtts_ns()[len(idle_rdma):]
     loaded_tcp = tcp_probe.rtts_ns[len(idle_tcp):]

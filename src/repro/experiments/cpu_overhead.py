@@ -9,7 +9,7 @@ close to 0%" (the latter from the figure 7 RDMA run).
 
 from repro.sim.units import gbps
 from repro.tcp.kernel import CpuModel
-from repro.experiments.common import ExperimentResult, approx
+from repro.experiments.result import ExperimentResult, approx
 
 
 class CpuOverheadResult(ExperimentResult):

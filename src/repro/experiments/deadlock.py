@@ -23,7 +23,8 @@ from repro.sim.units import KB, MB, MS, US
 from repro.switch.buffer import BufferConfig
 from repro.topo import deadlock_quad
 from repro.workloads import ClosedLoopSender, RdmaChannel
-from repro.experiments.common import ExperimentResult, run_under_audit
+from repro.experiments.common import run_under_audit
+from repro.experiments.result import ExperimentResult
 
 
 class DeadlockResult(ExperimentResult):

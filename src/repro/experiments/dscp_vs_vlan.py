@@ -22,7 +22,8 @@ from repro.sim import SeededRng
 from repro.sim.units import KB, MB, MS
 from repro.switch.buffer import BufferConfig
 from repro.topo import single_switch, two_tier
-from repro.experiments.common import ExperimentResult, saturate_pairs
+from repro.experiments.common import saturate_pairs
+from repro.experiments.result import ExperimentResult
 
 
 class DscpVsVlanResult(ExperimentResult):

@@ -20,7 +20,7 @@ a 3-tier Clos) using :mod:`repro.flowsim`:
 import struct
 import zlib
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 from repro.flows.clos_model import ClosFlowModel
 from repro.flows.maxmin import max_min_allocation
 from repro.flowsim.engine import FlowSim
@@ -129,8 +129,8 @@ def run_flowsim_scale(
         n_podsets=n_podsets,
     )
     run = sim.run()
-    # Imported here: `repro.bench` loads the gate's scenarios, which
-    # every other importer of `repro.experiments` would pay for.
+    # Imported here: `repro.bench` loads the gate and its scenarios,
+    # which F2 (the other runner in this module) does not use.
     from repro.bench.digest import digest
 
     row = {

@@ -17,7 +17,7 @@ in the worst-case gray-period arithmetic.
 
 from repro.sim.units import KB, MB, gbps
 from repro.switch.buffer import headroom_bytes
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 
 JUMBO_MTU = 9216
 

@@ -21,7 +21,8 @@ from repro.sim.units import KB, MS, US
 from repro.tcp import connect_tcp_pair
 from repro.topo import single_switch
 from repro.workloads import PeriodicIncast, RdmaChannel, TcpChannel
-from repro.experiments.common import ExperimentResult, apply_ets_weights
+from repro.experiments.common import apply_ets_weights
+from repro.experiments.result import ExperimentResult
 
 
 class LatencyVsTcpResult(ExperimentResult):

@@ -16,7 +16,8 @@ from repro.sim import SeededRng
 from repro.sim.units import MB, MS, US
 from repro.topo import single_switch
 from repro.workloads import ClosedLoopSender, RdmaChannel
-from repro.experiments.common import ExperimentResult, run_under_audit
+from repro.experiments.common import run_under_audit
+from repro.experiments.result import ExperimentResult
 
 
 class LivelockResult(ExperimentResult):

@@ -18,7 +18,8 @@ from repro.sim import SeededRng
 from repro.sim.units import KB, MB, MS
 from repro.switch.buffer import BufferConfig
 from repro.topo import two_tier
-from repro.experiments.common import ExperimentResult, run_under_audit, saturate_pairs
+from repro.experiments.common import run_under_audit, saturate_pairs
+from repro.experiments.result import ExperimentResult
 
 
 class SlowReceiverResult(ExperimentResult):

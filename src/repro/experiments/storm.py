@@ -19,7 +19,8 @@ from repro.switch.buffer import BufferConfig
 from repro.switch.watchdog import SwitchWatchdogConfig
 from repro.sim.units import KB
 from repro.topo import three_tier_clos
-from repro.experiments.common import ExperimentResult, run_under_audit, saturate_pairs
+from repro.experiments.common import run_under_audit, saturate_pairs
+from repro.experiments.result import ExperimentResult
 
 
 class StormResult(ExperimentResult):

@@ -12,7 +12,28 @@ then compute the max-min fair rate allocation over link capacities
 DCQCN-controlled fabric settles to.
 """
 
-from repro.flows.clos_model import ClosFlowModel, ClosFlowResult
-from repro.flows.maxmin import max_min_allocation
+import importlib
 
-__all__ = ["max_min_allocation", "ClosFlowModel", "ClosFlowResult"]
+#: re-exported name -> the submodule that defines it, resolved on first
+#: use (PEP 562): flowsim's solver is ``repro.flows.maxmin``, and an eager
+#: ``clos_model`` would load ``repro.flowsim`` from inside it.
+_EXPORTS = {
+    "max_min_allocation": "repro.flows.maxmin",
+    "ClosFlowModel": "repro.flows.clos_model",
+    "ClosFlowResult": "repro.flows.clos_model",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

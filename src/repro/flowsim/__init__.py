@@ -13,7 +13,7 @@ are documented in docs/flowsim.md.
 * :mod:`~repro.flowsim.engine` -- the event loop (:class:`FlowSim`).
 * :mod:`~repro.flowsim.topo` -- capacity graphs and ECMP path walks
   derived from the fabric spec the packet builders instantiate
-  (:mod:`repro.topo.spec`; :class:`FlowTopology`).
+  (:mod:`repro.spec`; :class:`FlowTopology`).
 * :mod:`~repro.flowsim.models` -- the DCQCN utilization factor and the
   PFC pause-fraction / congestion-spreading model.
 * ``python -m repro run F1`` / ``F2`` -- the scale run and the figure-7

@@ -4,7 +4,7 @@ A :class:`FlowTopology` is a capacity graph plus a path function:
 directed links (identified by ``"A>B"`` strings), each with a wire rate,
 and ``path(src, dst, sport)`` resolving the links a five-tuple's packets
 would traverse.  Both are derived from the same
-:class:`~repro.topo.spec.FabricSpec` the packet builders instantiate --
+:class:`~repro.spec.FabricSpec` the packet builders instantiate --
 links from its host and trunk steps, paths by walking its routes with
 the switches' own hash (:func:`repro.switch.ecmp.ecmp_select` under
 :func:`~repro.switch.ecmp.ecmp_seed`) -- so a flow takes the links its
@@ -15,8 +15,8 @@ instantiated: a 4096-host Clos costs a dict, not a packet simulator.
 from repro.packets.ip import IPPROTO_UDP
 from repro.packets.rocev2 import ROCEV2_UDP_PORT
 from repro.sim.units import gbps
+from repro.spec import clos_spec, single_switch_spec, two_tier_spec
 from repro.switch.ecmp import ecmp_seed, ecmp_select
-from repro.topo.spec import clos_spec, single_switch_spec, two_tier_spec
 
 #: Goodput payload bytes per wire byte: a 1086-byte frame (preamble +
 #: IPG included) carries a 1024-byte MTU payload.  The one definition --
@@ -35,7 +35,7 @@ class FlowTopology:
     """Capacity graph + path resolver for :class:`repro.flowsim.FlowSim`.
 
     ``spec``
-        The :class:`~repro.topo.spec.FabricSpec` this was derived from.
+        The :class:`~repro.spec.FabricSpec` this was derived from.
     ``links``
         Mapping directed-link id -> wire rate (bits/second).
     ``hosts``
@@ -165,7 +165,7 @@ def clos_flow(
     rate_bps=None,
 ):
     """3-tier Clos -- the flow tier of :func:`repro.topo.three_tier_clos`
-    (wiring and routing: :func:`repro.topo.spec.clos_spec`)."""
+    (wiring and routing: :func:`repro.spec.clos_spec`)."""
     return FlowTopology(
         clos_spec(n_podsets, tors_per_podset, hosts_per_tor, leaves_per_podset, n_spines),
         rate_bps,

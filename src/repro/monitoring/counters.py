@@ -36,6 +36,7 @@ def switch_counters(switch):
     buffer = switch.buffer
     counters = switch.counters
     drops = counters.drops
+    signalers = switch.pause_signalers()
     return {
         "pause_tx": switch.pause_frames_sent(),
         "pause_rx": switch.pause_frames_received(),
@@ -53,6 +54,8 @@ def switch_counters(switch):
         "headroom_in_use": buffer.headroom_in_use if buffer else 0,
         "paused_pgs": buffer.paused_pgs if buffer else 0,
         "shared_size": buffer.shared_size if buffer else 0,
+        "pfc_pause_sent": sum(s.pauses_sent for s in signalers),
+        "pfc_resume_sent": sum(s.resumes_sent for s in signalers),
         "watchdog_trips": switch.watchdog_trips(),
     }
 

@@ -22,80 +22,59 @@ Layers provided:
   convenience accessors (five-tuple, priority resolution, sizes).
 """
 
-from repro.packets.arp import ArpPacket
-from repro.packets.ethernet import (
-    BROADCAST_MAC,
-    ETHERTYPE_ARP,
-    ETHERTYPE_IPV4,
-    ETHERTYPE_MAC_CONTROL,
-    ETHERTYPE_VLAN,
-    VlanTag,
-    mac_to_str,
-)
-from repro.packets.ip import (
-    ECN_CE,
-    ECN_ECT0,
-    ECN_ECT1,
-    ECN_NOT_ECT,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-    Ipv4Header,
-    ip_to_str,
-)
-from repro.packets.packet import Packet, PriorityMode, resolve_priority
-from repro.packets.tcp import TcpHeader
-from repro.packets.pause import (
-    GLOBAL_PAUSE_OPCODE,
-    PFC_PAUSE_OPCODE,
-    PAUSE_QUANTUM_BITS,
-    PfcPauseFrame,
-    pause_quanta_to_ns,
-    ns_to_pause_quanta,
-)
-from repro.packets.rocev2 import (
-    AETH_BYTES,
-    BTH_BYTES,
-    ICRC_BYTES,
-    ROCEV2_UDP_PORT,
-    Aeth,
-    BthOpcode,
-    BaseTransportHeader,
-)
-from repro.packets.udp import UdpHeader
+import importlib
 
-__all__ = [
-    "ArpPacket",
-    "VlanTag",
-    "mac_to_str",
-    "BROADCAST_MAC",
-    "ETHERTYPE_IPV4",
-    "ETHERTYPE_VLAN",
-    "ETHERTYPE_ARP",
-    "ETHERTYPE_MAC_CONTROL",
-    "Ipv4Header",
-    "ip_to_str",
-    "ECN_NOT_ECT",
-    "ECN_ECT0",
-    "ECN_ECT1",
-    "ECN_CE",
-    "IPPROTO_UDP",
-    "IPPROTO_TCP",
-    "UdpHeader",
-    "BaseTransportHeader",
-    "BthOpcode",
-    "Aeth",
-    "ROCEV2_UDP_PORT",
-    "BTH_BYTES",
-    "AETH_BYTES",
-    "ICRC_BYTES",
-    "PfcPauseFrame",
-    "PFC_PAUSE_OPCODE",
-    "GLOBAL_PAUSE_OPCODE",
-    "PAUSE_QUANTUM_BITS",
-    "pause_quanta_to_ns",
-    "ns_to_pause_quanta",
-    "Packet",
-    "PriorityMode",
-    "resolve_priority",
-    "TcpHeader",
-]
+#: re-exported name -> the submodule that defines it, resolved on first
+#: use (PEP 562): the flow tier reads two constants from ``ip`` and
+#: ``rocev2`` and must not load the packet envelope and pause frames.
+_EXPORTS = {
+    "ArpPacket": "repro.packets.arp",
+    "VlanTag": "repro.packets.ethernet",
+    "mac_to_str": "repro.packets.ethernet",
+    "BROADCAST_MAC": "repro.packets.ethernet",
+    "ETHERTYPE_IPV4": "repro.packets.ethernet",
+    "ETHERTYPE_VLAN": "repro.packets.ethernet",
+    "ETHERTYPE_ARP": "repro.packets.ethernet",
+    "ETHERTYPE_MAC_CONTROL": "repro.packets.ethernet",
+    "Ipv4Header": "repro.packets.ip",
+    "ip_to_str": "repro.packets.ip",
+    "ECN_NOT_ECT": "repro.packets.ip",
+    "ECN_ECT0": "repro.packets.ip",
+    "ECN_ECT1": "repro.packets.ip",
+    "ECN_CE": "repro.packets.ip",
+    "IPPROTO_UDP": "repro.packets.ip",
+    "IPPROTO_TCP": "repro.packets.ip",
+    "UdpHeader": "repro.packets.udp",
+    "BaseTransportHeader": "repro.packets.rocev2",
+    "BthOpcode": "repro.packets.rocev2",
+    "Aeth": "repro.packets.rocev2",
+    "ROCEV2_UDP_PORT": "repro.packets.rocev2",
+    "BTH_BYTES": "repro.packets.rocev2",
+    "AETH_BYTES": "repro.packets.rocev2",
+    "ICRC_BYTES": "repro.packets.rocev2",
+    "PfcPauseFrame": "repro.packets.pause",
+    "PFC_PAUSE_OPCODE": "repro.packets.pause",
+    "GLOBAL_PAUSE_OPCODE": "repro.packets.pause",
+    "PAUSE_QUANTUM_BITS": "repro.packets.pause",
+    "pause_quanta_to_ns": "repro.packets.pause",
+    "ns_to_pause_quanta": "repro.packets.pause",
+    "Packet": "repro.packets.packet",
+    "PriorityMode": "repro.packets.packet",
+    "resolve_priority": "repro.packets.packet",
+    "TcpHeader": "repro.packets.tcp",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -20,24 +20,36 @@ This subpackage reproduces the switch behaviour the paper depends on:
   together.
 """
 
-from repro.switch.buffer import BufferConfig, SharedBuffer, headroom_bytes
-from repro.switch.ecmp import ecmp_hash, ecmp_seed, ecmp_select
-from repro.switch.ecn import EcnConfig
-from repro.switch.forwarding import ForwardingTables
-from repro.switch.pfc import PfcConfig
-from repro.switch.switch import Switch
-from repro.switch.watchdog import SwitchWatchdogConfig
+import importlib
 
-__all__ = [
-    "BufferConfig",
-    "SharedBuffer",
-    "headroom_bytes",
-    "PfcConfig",
-    "EcnConfig",
-    "ForwardingTables",
-    "ecmp_hash",
-    "ecmp_seed",
-    "ecmp_select",
-    "Switch",
-    "SwitchWatchdogConfig",
-]
+#: re-exported name -> the submodule that defines it, resolved on first
+#: use (PEP 562): the flow tier hashes with ``repro.switch.ecmp`` and must
+#: not load the :class:`Switch` device and the packet stack behind it.
+_EXPORTS = {
+    "BufferConfig": "repro.switch.buffer",
+    "SharedBuffer": "repro.switch.buffer",
+    "headroom_bytes": "repro.switch.buffer",
+    "PfcConfig": "repro.switch.pfc",
+    "EcnConfig": "repro.switch.ecn",
+    "ForwardingTables": "repro.switch.forwarding",
+    "ecmp_hash": "repro.switch.ecmp",
+    "ecmp_seed": "repro.switch.ecmp",
+    "ecmp_select": "repro.switch.ecmp",
+    "Switch": "repro.switch.switch",
+    "SwitchWatchdogConfig": "repro.switch.watchdog",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -10,7 +10,6 @@ the XON threshold -- exactly the mechanism of the paper's figure 2.
 from repro.packets.packet import Packet, PriorityMode
 from repro.packets.pause import MAX_QUANTA, PfcPauseFrame, pause_quanta_to_ns
 from repro.sim.timer import Timer
-from repro.obs import TELEMETRY as _TELEMETRY
 from repro.obs import TRACE as _TRACE
 
 
@@ -149,8 +148,6 @@ class PauseSignaler:
             _TRACE.session.on_switch_pause_emit(self, frame)
         self._emit(frame)
         self.pauses_sent += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_pfc_pause(self.switch)
         if self.port.link is not None:
             duration = pause_quanta_to_ns(quanta, self.port.link.rate_bps)
             self._refresh.start(max(1, duration // 2))
@@ -161,8 +158,6 @@ class PauseSignaler:
             _TRACE.session.on_switch_resume_emit(self, frame)
         self._emit(frame)
         self.resumes_sent += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_pfc_resume(self.switch)
 
     def _emit(self, frame):
         if self.port.link is None:

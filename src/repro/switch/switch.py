@@ -447,6 +447,11 @@ class Switch(Device):
         """Total storm-watchdog trips across this switch's ports."""
         return sum(w.trips for w in self._watchdogs.values())
 
+    def pause_signalers(self):
+        """The PG pause signalers built so far (a PG gets one the first
+        time its pause decision changes)."""
+        return [signaler for row in self._signalers for signaler in row if signaler is not None]
+
     def pause_frames_sent(self):
         """Total pause frames emitted by this switch (all ports)."""
         return sum(p.stats.pause_tx for p in self.ports)

@@ -115,9 +115,11 @@ CATALOG = [
                "switch/buffer.py", "§4.1",
                "bytes admitted into PFC headroom after pause assert"),
     MetricSpec("switch.pfc_pause_sent", "counter", "frames", "switch/pfc.py",
-               "§4.1", "pauses asserted by the switch-side signaler"),
+               "§4.1", "pauses asserted by the switch-side signaler",
+               "pfc_pause_sent"),
     MetricSpec("switch.pfc_resume_sent", "counter", "frames", "switch/pfc.py",
-               "§4.1", "resumes sent by the switch-side signaler"),
+               "§4.1", "resumes sent by the switch-side signaler",
+               "pfc_resume_sent"),
     MetricSpec("switch.watchdog_trips", "counter", "trips", "switch/switch.py",
                "§4.3", "switch PFC-storm watchdog activations",
                "watchdog_trips"),

@@ -228,12 +228,6 @@ class TelemetrySession:
         device = port.device.name if port.device is not None else ""
         self.registry.get("port.pause_duration_ns", device).observe(duration_ns)
 
-    def on_pfc_pause(self, switch):
-        self.registry.get("switch.pfc_pause_sent", switch.name).inc()
-
-    def on_pfc_resume(self, switch):
-        self.registry.get("switch.pfc_resume_sent", switch.name).inc()
-
     def on_ecn_mark(self, queue_bytes):
         # EcnConfig carries no device context; the fabric-wide histogram
         # still answers "at what depth do we mark?" (Kmin/Kmax tuning).

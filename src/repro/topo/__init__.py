@@ -1,6 +1,6 @@
 """Topology construction.
 
-* :mod:`~repro.topo.spec` -- the one fabric description
+* :mod:`~repro.spec` -- the one fabric description
   (:class:`FabricSpec`): build list, routes, tiers; the up-down Clos
   generator, the figure 4 literal and the address plan.  The packet
   fabric here, the flow-level capacity graph (:mod:`repro.flowsim.topo`)
@@ -18,6 +18,7 @@
     figure 4.
 """
 
+from repro.spec import host_ip
 from repro.topo.builders import (
     deadlock_quad,
     single_switch,
@@ -25,7 +26,6 @@ from repro.topo.builders import (
     two_tier,
 )
 from repro.topo.fabric import Fabric
-from repro.topo.spec import host_ip
 
 __all__ = [
     "Fabric",

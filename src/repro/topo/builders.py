@@ -1,6 +1,6 @@
 """Builders for the paper's topologies.
 
-Every builder instantiates one :class:`~repro.topo.spec.FabricSpec` as a
+Every builder instantiates one :class:`~repro.spec.FabricSpec` as a
 :class:`Topology` -- the :class:`Fabric` plus named elements (ToRs,
 leaves, spines, hosts) so experiments can address "S1" or "T1.p4" the
 way the paper's figures do.  Scale parameters default to tractable
@@ -10,16 +10,16 @@ the same spec.
 """
 
 from repro.sim.units import gbps
-from repro.switch.buffer import BufferConfig
-from repro.switch.ecn import EcnConfig
-from repro.switch.pfc import PfcConfig
-from repro.topo.fabric import Fabric
-from repro.topo.spec import (
+from repro.spec import (
     clos_spec,
     deadlock_quad_spec,
     single_switch_spec,
     two_tier_spec,
 )
+from repro.switch.buffer import BufferConfig
+from repro.switch.ecn import EcnConfig
+from repro.switch.pfc import PfcConfig
+from repro.topo.fabric import Fabric
 
 
 class Topology:
@@ -153,7 +153,7 @@ def three_tier_clos(
     forwarding_kwargs=None,
 ):
     """A 3-tier Clos with up-down routing (figures 1 and 7); the wiring
-    is :func:`repro.topo.spec.clos_spec`'s.  Adds ``spines`` and
+    is :func:`repro.spec.clos_spec`'s.  Adds ``spines`` and
     ``podsets``, a list of ``{"tors", "leaves", "hosts_by_tor"}`` dicts.
     """
     topo = Topology(
@@ -184,7 +184,7 @@ def deadlock_quad(
     forwarding_kwargs=None,
 ):
     """Figure 4: S1,S2 (+S6 helper) under T0; S3,S4,S5 under T1, the ToRs
-    cross-connected by La, Lb (:func:`repro.topo.spec.deadlock_quad_spec`
+    cross-connected by La, Lb (:func:`repro.spec.deadlock_quad_spec`
     has the cast and what ``force_figure4_paths`` pins).
 
     Adds ``t0``, ``t1``, ``la``, ``lb``; ``hosts`` is a dict name -> Host

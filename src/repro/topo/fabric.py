@@ -1,6 +1,6 @@
 """The Fabric: a container wiring hosts, switches and links together.
 
-IP addresses follow the address plan of :mod:`repro.topo.spec`
+IP addresses follow the address plan of :mod:`repro.spec`
 (``host_ip`` / ``tor_subnet``, importable from here too); MACs are
 allocated sequentially under the locally administered prefix.
 
@@ -14,8 +14,8 @@ from repro.nic.host import AddressDirectory, Host
 from repro.obs import HUBS
 from repro.sim import SeededRng, Simulator
 from repro.sim.units import gbps
+from repro.spec import host_ip, tor_subnet  # noqa: F401  (perfbench and tests import them here)
 from repro.switch.switch import Switch
-from repro.topo.spec import host_ip, tor_subnet  # noqa: F401  (perfbench and tests import them here)
 
 
 class Fabric:

@@ -4,7 +4,7 @@ The harness is what turns the oracles into a usable subsystem:
 
 * :func:`validate_seed` -- one seed end to end (run + metamorphic).
 * :func:`run_validation_sweep` -- N seeds as an
-  :class:`~repro.experiments.common.ExperimentResult` (catalog entry
+  :class:`~repro.experiments.result.ExperimentResult` (catalog entry
   ``V1``, so campaigns parallelize/cache/resume sweeps like any other
   experiment, and ``run`` judges :func:`claims` on its rows).
 * :func:`shrink_scenario` -- greedy minimization of a failing scenario:
@@ -22,7 +22,7 @@ import json
 import os
 
 from repro.artifact import ArtifactError, read_jsonl
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 from repro.validation.differential import run_scenario
 from repro.validation.oracles import metamorphic_checks
 from repro.validation.scenarios import (

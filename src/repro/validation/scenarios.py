@@ -19,7 +19,7 @@ JSON), which is what makes repro artifacts replayable.
 """
 
 from repro.sim.rng import SeededRng
-from repro.topo.spec import (
+from repro.spec import (
     clos_spec,
     deadlock_quad_spec,
     single_switch_spec,
@@ -152,7 +152,7 @@ class ValidationScenario:
 
 
 def fabric_spec(kind, dims):
-    """The :class:`~repro.topo.spec.FabricSpec` of a scenario's fabric."""
+    """The :class:`~repro.spec.FabricSpec` of a scenario's fabric."""
     if kind not in KIND_SPECS:
         raise ValueError("unknown scenario kind: %r" % (kind,))
     return KIND_SPECS[kind](**dims)

@@ -7,9 +7,11 @@ peer application; what "reached" means per transport:
 * RDMA: the sender's work completion (requires the responder's ACK, so
   the wire was crossed both ways);
 * TCP: the receiving application got the last byte out of its kernel.
-"""
 
-from repro.rdma.verbs import post_send
+Neither transport is imported here: a channel is handed a live QP or
+connection, so the flow tier can read ``repro.workloads``' size
+distributions without loading the RDMA stack.
+"""
 
 
 class RdmaChannel:
@@ -20,6 +22,8 @@ class RdmaChannel:
         self.sent_messages = 0
 
     def send(self, nbytes, on_delivered=None):
+        from repro.rdma.verbs import post_send
+
         posted = self.qp.sim.now
         self.sent_messages += 1
 

@@ -23,7 +23,7 @@ from repro.campaign import (
     run_key,
 )
 from repro.campaign.spec import RunSpec
-from repro.experiments.common import ExperimentResult, SchemaError
+from repro.experiments.result import ExperimentResult, SchemaError
 from repro.faults import FaultPlan, install_default_auditors
 from repro.obs import TELEMETRY
 from repro.rdma.verbs import connect_qp_pair

@@ -1,4 +1,4 @@
-"""The one fabric description (src/repro/topo/spec.py) and its derivations.
+"""The one fabric description (src/repro/spec.py) and its derivations.
 
 * the tiers agree: on generated shapes the flow topology's ``path()``
   names the device hops, at the rates, that an independent trace over the
@@ -28,7 +28,7 @@ from repro.sim.units import gbps
 from repro.switch import Switch, ecmp_seed
 from repro.sim import Simulator
 from repro.topo import deadlock_quad, single_switch, three_tier_clos, two_tier
-from repro.topo.spec import (
+from repro.spec import (
     clos_spec,
     deadlock_quad_spec,
     host_ip,

@@ -1,6 +1,6 @@
 """Reference twins: the seven pre-spec builders, verbatim.
 
-Before ``repro.topo.spec`` the fabric was written down by hand three
+Before ``repro.spec`` the fabric was written down by hand three
 times.  The packet builders (``topo/builders.py``) and the flow builders
 (``flowsim/topo.py``) of that parent commit are copied below unchanged
 -- wiring blocks, ``_switch_kwargs``, the hand-rolled path functions and

@@ -4,7 +4,8 @@ aggregates, formatting helpers."""
 import pytest
 
 from repro.campaign.store import CampaignStore
-from repro.experiments.common import ExperimentResult, apply_ets_weights
+from repro.experiments.common import apply_ets_weights
+from repro.experiments.result import ExperimentResult
 from repro.net.port import DwrrScheduler
 from repro.rdma import QpConfig, connect_qp_pair, post_send
 from repro.sim import SeededRng

@@ -26,7 +26,7 @@ from repro import SeededRng, connect_qp_pair, post_send, single_switch
 from repro.__main__ import main
 from repro.artifact import ArtifactError, read_jsonl, write_jsonl
 from repro.experiments.catalog import CATALOG, CatalogEntry
-from repro.experiments.common import ExperimentResult
+from repro.experiments.result import ExperimentResult
 from repro.obs import HUBS, TELEMETRY, TRACE
 from repro.telemetry import TelemetrySession
 from repro.tracing import TraceSession

@@ -806,8 +806,6 @@ class ReferencePauseSignaler:
             _TRACE.session.on_switch_pause_emit(self, frame)
         self._emit(frame)
         self.pauses_sent += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_pfc_pause(self.switch)
         if self.port.link is not None:
             duration = pause_quanta_to_ns(quanta, self.port.link.rate_bps)
             self._refresh.start(max(1, duration // 2))
@@ -818,8 +816,6 @@ class ReferencePauseSignaler:
             _TRACE.session.on_switch_resume_emit(self, frame)
         self._emit(frame)
         self.resumes_sent += 1
-        if _TELEMETRY.enabled:
-            _TELEMETRY.session.on_pfc_resume(self.switch)
 
     def _emit(self, frame):
         if self.port.link is None:

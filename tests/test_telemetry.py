@@ -89,13 +89,13 @@ class TestRegistryPrimitives:
 
     def test_registry_instantiates_per_device(self):
         registry = MetricRegistry()
-        a = registry.get("switch.pfc_pause_sent", "T0")
-        b = registry.get("switch.pfc_pause_sent", "T1")
+        a = registry.get("switch.headroom_spill_bytes", "T0")
+        b = registry.get("switch.headroom_spill_bytes", "T1")
         assert a is not b
         a.inc()
         assert registry.snapshot_values() == {
-            "switch.pfc_pause_sent|T0": 1,
-            "switch.pfc_pause_sent|T1": 0,
+            "switch.headroom_spill_bytes|T0": 1,
+            "switch.headroom_spill_bytes|T1": 0,
         }
 
     def test_registry_refuses_a_polled_metric(self):
@@ -128,9 +128,7 @@ class TestCatalog:
         # Only histograms and what a poll cannot see are hook-fed.
         hook_fed = {spec.name for spec in CATALOG
                     if spec.kind != "histogram" and not spec.reading}
-        assert hook_fed == {
-            "switch.headroom_spill_bytes", "switch.pfc_pause_sent",
-            "switch.pfc_resume_sent", "nic.rx_pipeline_faults"}
+        assert hook_fed == {"switch.headroom_spill_bytes", "nic.rx_pipeline_faults"}
 
     def test_docs_table_lists_the_catalog(self):
         with open(os.path.join(REPO_ROOT, "docs", "telemetry.md")) as handle:
